@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sf_bench::experiments;
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-use sf_fpga::{window::run_chain_2d, FpgaDevice};
+use sf_fpga::{exec2d, FpgaDevice};
 use sf_kernels::ops::NumberFormat;
 use sf_kernels::{wave2d, StencilSpec};
 use sf_model::blocking;
@@ -48,19 +48,18 @@ fn bench_tile_selection(c: &mut Criterion) {
 
 fn bench_wave2d_chain(c: &mut Criterion) {
     let mut g = c.benchmark_group("wave2d_fused_chain");
+    let d = FpgaDevice::u280();
     let m = wave2d::standing_wave(128, 96);
     let (kick, drift) = wave2d::pipeline(wave2d::WaveParams::default());
     // chain of 3 fused iterations = 6 alternating stages: use the generic
-    // enum trick is test-only, so bench kick-only and kick+drift via two runs
+    // enum trick is test-only, so bench kick-only and kick+drift via two
+    // single-stage runs of one p = 3 pass each
+    let spec = StencilSpec { stages: 1, ..wave2d::spec() };
+    let wl = Workload::D2 { nx: 128, ny: 96, batch: 1 };
+    let ds = synthesize(&d, &spec, 4, 3, ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
     g.throughput(Throughput::Elements((m.len() * 3) as u64));
-    g.bench_function("kick_x3", |b| {
-        let chain = vec![kick; 3];
-        b.iter(|| run_chain_2d(&chain, 128, 96, 96, m.as_slice().chunks(128).map(|r| r.to_vec())))
-    });
-    g.bench_function("drift_x3", |b| {
-        let chain = vec![drift; 3];
-        b.iter(|| run_chain_2d(&chain, 128, 96, 96, m.as_slice().chunks(128).map(|r| r.to_vec())))
-    });
+    g.bench_function("kick_x3", |b| b.iter(|| exec2d::simulate_mesh_2d(&d, &ds, &[kick], &m, 3)));
+    g.bench_function("drift_x3", |b| b.iter(|| exec2d::simulate_mesh_2d(&d, &ds, &[drift], &m, 3)));
     g.finish();
 }
 

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sf_core::prelude::*;
 use sf_fpga::design::synthesize;
-use sf_fpga::{exec_batch, Recorder};
+use sf_fpga::{fast, ExecEngine, Recorder};
 use sf_kernels::{Jacobi3D, Poisson2D};
 use sf_mesh::{Batch2D, Batch3D};
 use sf_model::{clear_caches, predict_cached};
@@ -38,7 +38,8 @@ fn bench_batch_2d(c: &mut Criterion) {
     for jobs in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                exec_batch::simulate_batch_2d_parallel(
+                fast::simulate_batch_2d_parallel_exec(
+                    ExecEngine::Scalar,
                     &dev,
                     &ds,
                     &[Poisson2D],
@@ -75,7 +76,8 @@ fn bench_batch_3d(c: &mut Criterion) {
     for jobs in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                exec_batch::simulate_batch_3d_parallel(
+                fast::simulate_batch_3d_parallel_exec(
+                    ExecEngine::Scalar,
                     &dev,
                     &ds,
                     &[k],

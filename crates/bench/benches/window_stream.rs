@@ -1,20 +1,31 @@
 //! Window-buffer streaming throughput: the behavioral core of the FPGA
-//! simulator — how fast cells move through ring-buffer stage chains.
+//! simulator — how fast cells move through ring-buffer stage chains. Each
+//! run is one pipeline pass (`p` = chain depth, one pass of `p`
+//! iterations) on the scalar engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sf_fpga::window::{run_chain_2d, run_chain_3d};
-use sf_kernels::{Jacobi3D, Poisson2D, RtmParams, RtmStage};
-use sf_mesh::{Mesh2D, Mesh3D};
+use sf_fpga::design::{synthesize, ExecMode, MemKind, StencilDesign, Workload};
+use sf_fpga::{ExecEngine, FpgaDevice, Recorder, Run};
+use sf_kernels::{Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
+use sf_mesh::{Batch2D, Batch3D};
+
+fn design(spec: &StencilSpec, v: usize, p: usize, wl: &Workload) -> StencilDesign {
+    synthesize(&FpgaDevice::u280(), spec, v, p, ExecMode::Baseline, MemKind::Hbm, wl).unwrap()
+}
 
 fn bench_chain_2d(c: &mut Criterion) {
     let mut g = c.benchmark_group("window_chain_2d");
-    let m = Mesh2D::<f32>::random(256, 128, 1, -1.0, 1.0);
+    let dev = FpgaDevice::u280();
+    let m = Batch2D::<f32>::random(256, 128, 1, 1, -1.0, 1.0);
+    let wl = Workload::D2 { nx: 256, ny: 128, batch: 1 };
     for depth in [1usize, 4, 16] {
+        let ds = design(&StencilSpec::poisson(), 8, depth, &wl);
         g.throughput(Throughput::Elements((m.len() * depth) as u64));
         g.bench_with_input(BenchmarkId::new("poisson_depth", depth), &depth, |b, &d| {
-            let chain = vec![Poisson2D; d];
             b.iter(|| {
-                run_chain_2d(&chain, 256, 128, 128, m.as_slice().chunks(256).map(|r| r.to_vec()))
+                let mut rec = Recorder::disabled();
+                let run = Run::new(&dev, &ds, &[Poisson2D], d, &mut rec);
+                Run { engine: ExecEngine::Scalar, ..run }.simulate(&m).unwrap()
             })
         });
     }
@@ -23,21 +34,18 @@ fn bench_chain_2d(c: &mut Criterion) {
 
 fn bench_chain_3d(c: &mut Criterion) {
     let mut g = c.benchmark_group("window_chain_3d");
-    let m = Mesh3D::<f32>::random(48, 48, 48, 2, -1.0, 1.0);
-    let k = Jacobi3D::smoothing();
+    let dev = FpgaDevice::u280();
+    let m = Batch3D::<f32>::random(48, 48, 48, 1, 2, -1.0, 1.0);
+    let wl = Workload::D3 { nx: 48, ny: 48, nz: 48, batch: 1 };
+    let k = [Jacobi3D::smoothing()];
     for depth in [1usize, 3, 9] {
+        let ds = design(&StencilSpec::jacobi(), 8, depth, &wl);
         g.throughput(Throughput::Elements((m.len() * depth) as u64));
         g.bench_with_input(BenchmarkId::new("jacobi_depth", depth), &depth, |b, &d| {
-            let chain = vec![k; d];
             b.iter(|| {
-                run_chain_3d(
-                    &chain,
-                    48,
-                    48,
-                    48,
-                    48,
-                    m.as_slice().chunks(48 * 48).map(|p| p.to_vec()),
-                )
+                let mut rec = Recorder::disabled();
+                let run = Run::new(&dev, &ds, &k, d, &mut rec);
+                Run { engine: ExecEngine::Scalar, ..run }.simulate(&m).unwrap()
             })
         });
     }
@@ -46,13 +54,18 @@ fn bench_chain_3d(c: &mut Criterion) {
 
 fn bench_rtm_stages(c: &mut Criterion) {
     let mut g = c.benchmark_group("window_chain_rtm");
+    let dev = FpgaDevice::u280();
     let (y, rho, mu) = sf_kernels::rtm::demo_workload(20, 20, 20);
-    let packed = sf_kernels::rtm::pack(&y, &rho, &mu);
+    let packed = Batch3D::from_meshes(&[sf_kernels::rtm::pack(&y, &rho, &mu)]);
+    let wl = Workload::D3 { nx: 20, ny: 20, nz: 20, batch: 1 };
+    let ds = design(&StencilSpec::rtm(), 1, 1, &wl);
     let stages = RtmStage::pipeline(RtmParams::default());
     g.throughput(Throughput::Elements(packed.len() as u64 * 4));
     g.bench_function("fused_rk4_step_20cubed", |b| {
         b.iter(|| {
-            run_chain_3d(&stages, 20, 20, 20, 20, packed.as_slice().chunks(400).map(|p| p.to_vec()))
+            let mut rec = Recorder::disabled();
+            let run = Run::new(&dev, &ds, &stages, 1, &mut rec);
+            Run { engine: ExecEngine::Scalar, ..run }.simulate(&packed).unwrap()
         })
     });
     g.finish();

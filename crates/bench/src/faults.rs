@@ -3,8 +3,8 @@
 //!
 //! A campaign sweeps every [`FaultKind`] over a set of injection rates and
 //! per-cell trial seeds (all derived deterministically from one campaign
-//! seed), runs each trial through the fault-aware executors in
-//! [`sf_fpga::resilient`], and classifies the outcome:
+//! seed), runs each trial as a fault-aware run (fault hooks in
+//! [`sf_fpga::resilient`]), and classifies the outcome:
 //!
 //! * **watchdog** — the pipeline wedged (e.g. a dropped FIFO element starved
 //!   the stages) and the cycle-budget watchdog reported a deadlock with a
@@ -35,10 +35,7 @@
 
 use serde::Serialize;
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-use sf_fpga::fast::{
-    simulate_2d_recoverable_exec, simulate_2d_resilient_exec, simulate_3d_recoverable_exec,
-    simulate_3d_resilient_exec,
-};
+use sf_fpga::fast::{simulate_2d_recoverable_exec, simulate_3d_recoverable_exec};
 use sf_fpga::{
     cycles, ExecEngine, ExecError, FaultInjector, FaultKind, FaultPlan, FpgaDevice, Recorder,
     RecoveryConfig, RecoveryPolicy, RecoveryStats, RetryPolicy,
@@ -373,9 +370,8 @@ impl Default for CampaignConfig {
     }
 }
 
-/// How one trial executes: through the plain resilient path (detected
-/// faults recover by clean re-execution) or through the recoverable path
-/// (checkpoint/rollback with ABFT detection).
+/// How one trial recovers: by clean re-execution (detected faults surface
+/// to the classifier) or in-run by checkpoint/rollback with ABFT detection.
 #[derive(Copy, Clone)]
 enum TrialMode {
     Rerun,
@@ -383,15 +379,18 @@ enum TrialMode {
 }
 
 impl TrialMode {
-    /// The recoverable executor's configuration, or `None` under rerun.
-    fn rcfg(&self) -> Option<RecoveryConfig> {
+    /// The recoverable executor's configuration; the rerun policy takes no
+    /// checkpoints and surfaces every detection.
+    fn rcfg(&self) -> RecoveryConfig {
         match *self {
-            TrialMode::Rerun => None,
-            TrialMode::Rollback { checkpoint_every, max_retries } => Some(RecoveryConfig {
+            TrialMode::Rerun => {
+                RecoveryConfig { policy: RecoveryPolicy::Rerun, ..RecoveryConfig::default() }
+            }
+            TrialMode::Rollback { checkpoint_every, max_retries } => RecoveryConfig {
                 policy: RecoveryPolicy::Rollback { max_retries },
                 checkpoint_every,
                 ..RecoveryConfig::default()
-            }),
+            },
         }
     }
 
@@ -450,45 +449,23 @@ fn poisson_trial(
     let clean = cycles::plan(&dev, &ds, &wl, niter as u64).total_cycles;
     let mut inj = FaultInjector::new(plan);
     let mut rec = Recorder::enabled(ds.freq_mhz());
-    let (r, stats) = match mode.rcfg() {
-        None => {
-            let r = simulate_2d_resilient_exec(
-                engine,
-                &dev,
-                &ds,
-                &[Poisson2D],
-                &input,
-                niter,
-                &mut inj,
-                policy,
-                &mut rec,
-            )
-            .map(|(out, rep)| {
-                (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
-            });
-            (r, RecoveryStats::default())
-        }
-        Some(rcfg) => {
-            let mut stats = RecoveryStats::default();
-            let r = simulate_2d_recoverable_exec(
-                engine,
-                &dev,
-                &ds,
-                &[Poisson2D],
-                &input,
-                niter,
-                &mut inj,
-                policy,
-                &rcfg,
-                &mut rec,
-            )
-            .map(|(out, rep, s)| {
-                stats = s;
-                (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
-            });
-            (r, stats)
-        }
-    };
+    let mut stats = RecoveryStats::default();
+    let r = simulate_2d_recoverable_exec(
+        engine,
+        &dev,
+        &ds,
+        &[Poisson2D],
+        &input,
+        niter,
+        &mut inj,
+        policy,
+        &mode.rcfg(),
+        &mut rec,
+    )
+    .map(|(out, rep, s)| {
+        stats = s;
+        (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
+    });
     finish_trial(r, clean, &inj, &rec, stats)
 }
 
@@ -513,45 +490,23 @@ fn jacobi_trial(
     let clean = cycles::plan(&dev, &ds, &wl, niter as u64).total_cycles;
     let mut inj = FaultInjector::new(plan);
     let mut rec = Recorder::enabled(ds.freq_mhz());
-    let (r, stats) = match mode.rcfg() {
-        None => {
-            let r = simulate_3d_resilient_exec(
-                engine,
-                &dev,
-                &ds,
-                &[k],
-                &input,
-                niter,
-                &mut inj,
-                policy,
-                &mut rec,
-            )
-            .map(|(out, rep)| {
-                (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
-            });
-            (r, RecoveryStats::default())
-        }
-        Some(rcfg) => {
-            let mut stats = RecoveryStats::default();
-            let r = simulate_3d_recoverable_exec(
-                engine,
-                &dev,
-                &ds,
-                &[k],
-                &input,
-                niter,
-                &mut inj,
-                policy,
-                &rcfg,
-                &mut rec,
-            )
-            .map(|(out, rep, s)| {
-                stats = s;
-                (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
-            });
-            (r, stats)
-        }
-    };
+    let mut stats = RecoveryStats::default();
+    let r = simulate_3d_recoverable_exec(
+        engine,
+        &dev,
+        &ds,
+        &[k],
+        &input,
+        niter,
+        &mut inj,
+        policy,
+        &mode.rcfg(),
+        &mut rec,
+    )
+    .map(|(out, rep, s)| {
+        stats = s;
+        (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
+    });
     finish_trial(r, clean, &inj, &rec, stats)
 }
 
@@ -578,28 +533,23 @@ fn rtm_trial(
     let clean = cycles::plan(&dev, &ds, &wl, niter as u64).total_cycles;
     let mut inj = FaultInjector::new(plan);
     let mut rec = Recorder::enabled(ds.freq_mhz());
-    let (r, stats) = match mode.rcfg() {
-        None => {
-            let r = simulate_3d_resilient_exec(
-                engine, &dev, &ds, &stages, &input, niter, &mut inj, policy, &mut rec,
-            )
-            .map(|(out, rep)| {
-                (norms::bit_equal(out.mesh(0).as_slice(), golden.as_slice()), rep.total_cycles)
-            });
-            (r, RecoveryStats::default())
-        }
-        Some(rcfg) => {
-            let mut stats = RecoveryStats::default();
-            let r = simulate_3d_recoverable_exec(
-                engine, &dev, &ds, &stages, &input, niter, &mut inj, policy, &rcfg, &mut rec,
-            )
-            .map(|(out, rep, s)| {
-                stats = s;
-                (norms::bit_equal(out.mesh(0).as_slice(), golden.as_slice()), rep.total_cycles)
-            });
-            (r, stats)
-        }
-    };
+    let mut stats = RecoveryStats::default();
+    let r = simulate_3d_recoverable_exec(
+        engine,
+        &dev,
+        &ds,
+        &stages,
+        &input,
+        niter,
+        &mut inj,
+        policy,
+        &mode.rcfg(),
+        &mut rec,
+    )
+    .map(|(out, rep, s)| {
+        stats = s;
+        (norms::bit_equal(out.mesh(0).as_slice(), golden.as_slice()), rep.total_cycles)
+    });
     finish_trial(r, clean, &inj, &rec, stats)
 }
 

@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-use sf_fpga::{exec2d, exec3d, exec_batch, FpgaDevice, Recorder};
+use sf_fpga::{exec2d, exec3d, fast, ExecEngine, FpgaDevice, Recorder};
 use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
 use sf_mesh::{norms, Batch2D, Batch3D};
 use sf_telemetry::{chrome, metrics};
@@ -64,7 +64,8 @@ fn check_2d(
     );
 
     let mut rec1 = Recorder::enabled(ds.freq_mhz());
-    let (out1, rep1) = exec_batch::simulate_batch_2d_parallel(
+    let (out1, rep1) = fast::simulate_batch_2d_parallel_exec(
+        ExecEngine::Scalar,
         &dev,
         &ds,
         &[Poisson2D],
@@ -74,7 +75,8 @@ fn check_2d(
         &mut rec1,
     );
     let mut rec3 = Recorder::enabled(ds.freq_mhz());
-    let (out3, rep3) = exec_batch::simulate_batch_2d_parallel(
+    let (out3, rep3) = fast::simulate_batch_2d_parallel_exec(
+        ExecEngine::Scalar,
         &dev,
         &ds,
         &[Poisson2D],
@@ -143,11 +145,27 @@ fn check_3d(
     );
 
     let mut rec1 = Recorder::enabled(ds.freq_mhz());
-    let (out1, rep1) =
-        exec_batch::simulate_batch_3d_parallel(&dev, &ds, &[k], &input, niter, 1, &mut rec1);
+    let (out1, rep1) = fast::simulate_batch_3d_parallel_exec(
+        ExecEngine::Scalar,
+        &dev,
+        &ds,
+        &[k],
+        &input,
+        niter,
+        1,
+        &mut rec1,
+    );
     let mut rec3 = Recorder::enabled(ds.freq_mhz());
-    let (out3, rep3) =
-        exec_batch::simulate_batch_3d_parallel(&dev, &ds, &[k], &input, niter, 3, &mut rec3);
+    let (out3, rep3) = fast::simulate_batch_3d_parallel_exec(
+        ExecEngine::Scalar,
+        &dev,
+        &ds,
+        &[k],
+        &input,
+        niter,
+        3,
+        &mut rec3,
+    );
     ensure!(
         norms::bit_equal(out1.as_slice(), golden.as_slice()),
         "batch-engine 3D output differs from reference ({tag})"

@@ -104,8 +104,15 @@ fn check_2d(
         norms::bit_equal(scalar_out.as_slice(), golden.as_slice()),
         "scalar 2D output differs from reference ({tag})"
     );
-    let (fast_out, fast_rep) =
-        fast::simulate_2d_fast(&dev, &ds, std::slice::from_ref(k), &input, niter);
+    let (fast_out, fast_rep) = fast::simulate_2d_exec(
+        ExecEngine::Fast,
+        &dev,
+        &ds,
+        std::slice::from_ref(k),
+        &input,
+        niter,
+        &mut Recorder::disabled(),
+    );
     ensure!(
         norms::bit_equal(fast_out.as_slice(), scalar_out.as_slice()),
         "fast 2D output differs from scalar ({tag})"
@@ -189,8 +196,15 @@ fn check_3d(
         norms::bit_equal(scalar_out.as_slice(), golden.as_slice()),
         "scalar 3D output differs from reference ({tag})"
     );
-    let (fast_out, fast_rep) =
-        fast::simulate_3d_fast(&dev, &ds, std::slice::from_ref(k), &input, niter);
+    let (fast_out, fast_rep) = fast::simulate_3d_exec(
+        ExecEngine::Fast,
+        &dev,
+        &ds,
+        std::slice::from_ref(k),
+        &input,
+        niter,
+        &mut Recorder::disabled(),
+    );
     ensure!(
         norms::bit_equal(fast_out.as_slice(), scalar_out.as_slice()),
         "fast 3D output differs from scalar ({tag})"
@@ -360,7 +374,7 @@ fn rollback_cfg(every: usize) -> sf_fpga::RecoveryConfig {
 
 #[test]
 fn rollback_recovery_2d_is_engine_and_jobs_invariant() {
-    use sf_fpga::{FaultKind, FaultPlan, RetryPolicy};
+    use sf_fpga::{FaultKind, FaultPlan, Faults, Run};
     use sf_kernels::{Poisson2D, StencilSpec};
     let dev = FpgaDevice::u280();
     let wl = Workload::D2 { nx: 24, ny: 12, batch: 3 };
@@ -378,19 +392,14 @@ fn rollback_recovery_2d_is_engine_and_jobs_invariant() {
     let plan = FaultPlan::single(99, FaultKind::BitFlip, 200_000);
     let run = |engine: ExecEngine, jobs: usize| {
         let mut rec = Recorder::disabled();
-        fast::simulate_batch_2d_recoverable_exec(
+        Run {
             engine,
-            &dev,
-            &ds,
-            &[Poisson2D],
-            &batch,
-            8,
-            &plan,
-            &RetryPolicy::default(),
-            &rollback_cfg(2),
-            jobs,
-            &mut rec,
-        )
+            jobs: Some(jobs),
+            faults: Faults::Plan(plan),
+            recovery: Some(&rollback_cfg(2)),
+            ..Run::new(&dev, &ds, &[Poisson2D], 8, &mut rec)
+        }
+        .simulate(&batch)
         .unwrap()
     };
     let (o0, r0, s0) = run(ExecEngine::Scalar, 1);

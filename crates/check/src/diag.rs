@@ -34,7 +34,8 @@ pub enum RuleId {
     /// exceed that or iteration `i+p` would read rows iteration `i` has not
     /// written back.
     RawHazard,
-    /// `SFC-T01` — tiles must exceed the halo `p·D_fused` (paper eq. 8).
+    /// `SFC-T01` — tiles must exceed twice the halo `p·stages·⌈D/2⌉`
+    /// (paper eq. 8).
     TileHalo,
     /// `SFC-T02` — tile larger than the mesh extent it blocks (wasteful;
     /// the executor clamps, redundant halo is still streamed).
@@ -204,7 +205,7 @@ impl RuleId {
             RuleId::FifoDeadlock => "every FIFO must absorb one full AXI burst (static deadlock)",
             RuleId::FifoSlack => "FIFO depth below the two-bursts-of-slack sizing rule",
             RuleId::RawHazard => "p in-flight passes must not outrun the streaming extent",
-            RuleId::TileHalo => "tiles must exceed the halo p·D_fused",
+            RuleId::TileHalo => "tiles must exceed twice the halo p·stages·⌈D/2⌉",
             RuleId::TileHalo2 => "tile larger than the mesh extent it blocks",
             RuleId::TileThroughput => "tile below the M ≥ 3·D·p throughput guideline",
             RuleId::VectorAlignment => "tile width must be a multiple of V",
@@ -235,7 +236,7 @@ impl RuleId {
             RuleId::FifoDeadlock => "deepen every stream FIFO to at least one AXI burst",
             RuleId::FifoSlack => "deepen the stream FIFOs to the two-burst sizing rule",
             RuleId::RawHazard => "reduce p below the streaming extent or grow the mesh",
-            RuleId::TileHalo => "grow the tile above p·D_fused cells or reduce p",
+            RuleId::TileHalo => "grow the tile above 2·p·stages·⌈D/2⌉ cells or reduce p",
             RuleId::TileHalo2 => "clamp the tile to the extent or drop tiling",
             RuleId::TileThroughput => "grow the tile to at least 3·D·p cells",
             RuleId::VectorAlignment => "round the tile to a multiple of V",

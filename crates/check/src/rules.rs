@@ -177,7 +177,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     }
 
     // --- SFC-T01/T02/T03/T04: tile legality (eqs. 8, 12) ---------------
-    let halo = d.p * spec.halo_order();
+    let halo = spec.halo(d.p);
     let mut tiles: Vec<(&str, usize, usize)> = Vec::new();
     match d.mode {
         ExecMode::Tiled1D { tile_m } => tiles.push(("tile M", tile_m, wl.nx())),
@@ -190,19 +190,17 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     }
     let mut halo_violated = false;
     for &(name, t, extent) in &tiles {
-        if t <= halo {
+        if t <= 2 * halo {
             halo_violated = true;
             diags.push(diag(
                 RuleId::TileHalo,
                 Severity::Error,
                 "design",
                 format!(
-                    "{name}={t} does not exceed the halo p·D_fused = {}·{} = {halo} (eq. 8): \
-                     every cell of the tile would be redundant halo",
-                    d.p,
-                    spec.halo_order()
+                    "{name}={t} does not exceed twice the halo h = p·stages·⌈D/2⌉ = {halo} \
+                     (eq. 8): every cell of the tile would be redundant halo"
                 ),
-                format!("grow the tile above {halo} cells or reduce p"),
+                format!("grow the tile above {} cells or reduce p", 2 * halo),
             ));
         }
         if t > extent {
@@ -487,7 +485,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
             "use at least one device",
         ));
     } else if d.devices > 1 {
-        let shard_halo = d.p * spec.stages * spec.order.div_ceil(2);
+        let shard_halo = spec.halo(d.p);
         if !matches!(d.mode, ExecMode::Baseline | ExecMode::Batched { .. }) {
             diags.push(diag(
                 RuleId::ShardHalo,

@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 use sf_check::{check, Design, RuleId, Severity};
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-use sf_fpga::{
-    simulate_2d_resilient, simulate_3d_resilient, FaultInjector, FpgaDevice, Recorder, RetryPolicy,
-};
+use sf_fpga::{ExecEngine, FaultInjector, Faults, FpgaDevice, Recorder, Run};
 use sf_kernels::{Jacobi3D, Poisson2D, StencilSpec};
 use sf_mesh::{Batch2D, Batch3D};
 
@@ -58,10 +56,12 @@ proptest! {
             };
             let batch = Batch2D::<f32>::random(nx, ny, b, seed, -1.0, 1.0);
             let mut inj = FaultInjector::disabled();
-            let r = simulate_2d_resilient(
-                &d, ds, &[Poisson2D], &batch, 2,
-                &mut inj, &RetryPolicy::default(), &mut Recorder::disabled(),
-            );
+            let r = Run {
+                engine: ExecEngine::Scalar,
+                faults: Faults::Injector(&mut inj),
+                ..Run::new(&d, ds, &[Poisson2D], 2, &mut Recorder::disabled())
+            }
+            .simulate(&batch);
             prop_assert!(r.is_ok(), "check-clean design deadlocked: {:?}", r.err());
         }
         if synth.is_err() {
@@ -100,10 +100,12 @@ proptest! {
             };
             let batch = Batch3D::<f32>::random(nx, ny, nz, b, seed, -1.0, 1.0);
             let mut inj = FaultInjector::disabled();
-            let r = simulate_3d_resilient(
-                &d, ds, &[Jacobi3D::smoothing()], &batch, 2,
-                &mut inj, &RetryPolicy::default(), &mut Recorder::disabled(),
-            );
+            let r = Run {
+                engine: ExecEngine::Scalar,
+                faults: Faults::Injector(&mut inj),
+                ..Run::new(&d, ds, &[Jacobi3D::smoothing()], 2, &mut Recorder::disabled())
+            }
+            .simulate(&batch);
             prop_assert!(r.is_ok(), "check-clean design deadlocked: {:?}", r.err());
         }
         if synth.is_err() {

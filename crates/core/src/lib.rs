@@ -36,10 +36,11 @@
 //! through the typed solvers in [`solvers`]: [`solvers::PoissonSolver`],
 //! [`solvers::JacobiSolver`], [`solvers::RtmSolver`].
 //!
-//! Fault-tolerant execution is available at two levels: the resilient
-//! executors (`sf_fpga::resilient`, typed detection + clean rerun) and the
-//! checkpoint/rollback recovery layer (`sf_fpga::recovery`, ABFT
-//! silent-corruption detection + in-run rollback); the recovery
+//! Fault-tolerant execution is available at two levels of a fault-aware
+//! `sf_fpga::Run`: the rerun policy (`sf_fpga::resilient` fault hooks,
+//! typed detection + clean rerun) and the checkpoint/rollback recovery
+//! layer (`sf_fpga::recovery`, ABFT silent-corruption detection + in-run
+//! rollback); the recovery
 //! configuration types ([`prelude::RecoveryConfig`],
 //! [`prelude::RecoveryPolicy`], [`prelude::RecoveryStats`]) are part of
 //! the prelude.

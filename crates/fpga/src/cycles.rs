@@ -81,7 +81,30 @@ fn mem_spec(dev: &FpgaDevice, mem: MemKind) -> &MemorySpec {
 /// whole extra row before its window is primed, so flooring the product
 /// (`p·stages·D/2`) would under-price fill latency for odd `D`.
 pub fn fill_units(design: &StencilDesign) -> u64 {
-    (design.p * design.spec.stages * design.spec.order.div_ceil(2)) as u64
+    design.spec.halo(design.p) as u64
+}
+
+/// The tile grids of a design over an `nx × ny` plane — the one place the
+/// tile halo ([`sf_kernels::StencilSpec::halo`]) and the AXI alignment are
+/// applied. x tiles of `tile_m` read cells align to the bus word; `Tiled2D`
+/// y tiles of `tile_n` are unaligned. An axis the mode does not tile is a
+/// single whole-extent tile.
+pub fn tile_grids(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    nx: usize,
+    ny: usize,
+) -> (TileGrid1D, TileGrid1D) {
+    let halo = design.spec.halo(design.p);
+    let align = (dev.axi_bus_bytes / design.spec.elem_bytes).max(1);
+    let whole = |n| TileGrid1D::new(n, n, 0, 1);
+    match design.mode {
+        ExecMode::Tiled1D { tile_m } => (TileGrid1D::new(nx, tile_m, halo, align), whole(ny)),
+        ExecMode::Tiled2D { tile_m, tile_n } => {
+            (TileGrid1D::new(nx, tile_m, halo, align), TileGrid1D::new(ny, tile_n, halo, 1))
+        }
+        ExecMode::Baseline | ExecMode::Batched { .. } => (whole(nx), whole(ny)),
+    }
 }
 
 /// Cycles for one streamed row of the design: the max of compute issue and
@@ -143,10 +166,8 @@ pub fn plan(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64)
             )
         }
         // ---- 2D spatial blocking: tiles along x, full y extent ----
-        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { tile_m }) => {
-            let halo = design.p * spec.halo_order() / 2;
-            let align = (dev.axi_bus_bytes / spec.elem_bytes).max(1);
-            let grid = TileGrid1D::new(nx, tile_m, halo, align);
+        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { .. }) => {
+            let (grid, _) = tile_grids(dev, design, nx, ny);
             let mut cycles = 0u64;
             let mut read = 0u64;
             let mut write = 0u64;
@@ -160,11 +181,8 @@ pub fn plan(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64)
             (cycles + design.pipeline_latency_cycles, read, write)
         }
         // ---- 3D spatial blocking: M × N tiles, full z extent ----
-        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
-            let halo = design.p * spec.halo_order() / 2;
-            let align = (dev.axi_bus_bytes / spec.elem_bytes).max(1);
-            let gx = TileGrid1D::new(nx, tile_m, halo, align);
-            let gy = TileGrid1D::new(ny, tile_n, halo, 1);
+        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { .. }) => {
+            let (gx, gy) = tile_grids(dev, design, nx, ny);
             let mut cycles = 0u64;
             let mut read = 0u64;
             let mut write = 0u64;

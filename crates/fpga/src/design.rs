@@ -289,19 +289,19 @@ pub fn synthesize(
         }
         _ => {}
     }
+    // A tile must leave valid cells between its two halos (eq. 8, M > pD).
+    let both_halos = 2 * spec.halo(p);
     if let ExecMode::Tiled1D { tile_m } = mode {
-        if tile_m <= p * spec.halo_order() {
+        if tile_m <= both_halos {
             return Err(SynthesisError::Invalid(format!(
-                "tile M={tile_m} must exceed halo pD={}",
-                p * spec.halo_order()
+                "tile M={tile_m} must exceed twice the halo, 2h={both_halos}"
             )));
         }
     }
     if let ExecMode::Tiled2D { tile_m, tile_n } = mode {
-        if tile_m <= p * spec.halo_order() || tile_n <= p * spec.halo_order() {
+        if tile_m <= both_halos || tile_n <= both_halos {
             return Err(SynthesisError::Invalid(format!(
-                "tile {tile_m}×{tile_n} must exceed halo pD={}",
-                p * spec.halo_order()
+                "tile {tile_m}×{tile_n} must exceed twice the halo, 2h={both_halos}"
             )));
         }
     }

@@ -1,0 +1,695 @@
+//! The pass driver: one streaming loop behind every executor.
+//!
+//! The paper's implementation template — window buffers, a `p`-fold
+//! unrolled chain, tiling, batching — is one loop whatever the mesh, engine
+//! or fault mode, so the simulator runs it as one. A [`Run`] describes what
+//! to execute; [`Run::simulate`] executes it on a `Batch2D` or `Batch3D`
+//! ([`StreamGrid`]: the streamed unit is a row in 2D and a plane in 3D).
+//! Underneath there is:
+//!
+//! * one chain runner (`window::run_chain`) with an optional fault
+//!   hook ([`crate::resilient`]);
+//! * one pass loop: `⌈niter/p⌉` passes, each chaining `p_eff × stages`
+//!   stages, with window events traced on the first pass only. A pass
+//!   streams the whole batch, its tiles ([`StreamGrid::tiled_pass`]) or —
+//!   for a sharded run ([`Run::simulate_slabs`]) — each device's
+//!   halo-extended slab, writing back the units that slab owns;
+//! * per-mesh `jobs` fan-out ([`crate::exec_batch`]);
+//! * checkpoint segments with ABFT checks and rollback
+//!   ([`crate::recovery`]).
+//!
+//! [`ExecEngine`] is matched in one function; everything below it is
+//! monomorphized per engine and dimension.
+
+use crate::cycles::{self, CyclePlan};
+use crate::design::{ExecMode, StencilDesign, Workload};
+use crate::device::FpgaDevice;
+use crate::error::ExecError;
+use crate::exec_batch::per_mesh;
+use crate::fast::{ExecEngine, FastEngine};
+use crate::recovery::{self, RecoverParams};
+use crate::report::SimReport;
+use crate::resilient::{pass_budget, plan_with_faults, FaultHook};
+use crate::window::{run_chain, ChainTrace, Engine, ScalarEngine};
+use crate::{power, profile};
+use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
+use sf_mesh::Element;
+use sf_recover::{RecoveryConfig, RecoveryPolicy, RecoveryStats};
+use sf_telemetry::Recorder;
+use std::ops::Range;
+
+/// A batch of meshes as the pipeline streams it: a sequence of units —
+/// rows of a `Batch2D`, planes of a `Batch3D` — `mesh_units` per mesh.
+pub trait StreamGrid: Clone + Send + Sync + Sized {
+    /// The mesh element.
+    type Cell: Element;
+    /// The streamed unit in diagnostics: `"rows"` or `"planes"`.
+    const UNITS: &'static str;
+    /// Counter of input units a chain run streamed.
+    const STREAMED: &'static str;
+    /// Counter of trailing units the stages drained.
+    const DRAINED: &'static str;
+
+    /// A unit is `.1` rows of `.0` cells: `(nx, 1)` in 2D, `(nx, ny)` in 3D.
+    fn unit_shape(&self) -> (usize, usize);
+    /// Units per mesh: `ny` in 2D, `nz` in 3D.
+    fn mesh_units(&self) -> usize;
+    /// Meshes in the batch.
+    fn batch(&self) -> usize;
+    /// The cells, mesh after mesh, unit after unit.
+    fn as_slice(&self) -> &[Self::Cell];
+    /// Mutable view of [`StreamGrid::as_slice`].
+    fn as_mut_slice(&mut self) -> &mut [Self::Cell];
+    /// An all-zero batch of `batch` meshes of this batch's shape.
+    fn zeros(&self, batch: usize) -> Self;
+    /// The workload this batch is.
+    fn workload(&self) -> Workload;
+    /// One spatially blocked pass of a tiled design over a single mesh:
+    /// every tile streams `chain` against the pass-start state and writes
+    /// back its valid region. 1D (2D-mesh) and 2D (3D-mesh) tiling differ,
+    /// so each dimension brings its own.
+    ///
+    /// # Errors
+    /// None today: a tiled pass runs no fault hook.
+    fn tiled_pass<K, E: Engine<Self, K>>(
+        engine: &E,
+        dev: &FpgaDevice,
+        design: &StencilDesign,
+        chain: &[K],
+        cur: &Self,
+        rec: &mut Recorder,
+    ) -> Result<Self, ExecError>;
+
+    /// Cells per unit.
+    fn unit_len(&self) -> usize {
+        self.unit_shape().0 * self.unit_shape().1
+    }
+
+    /// Batch member `i` as a batch of one.
+    fn member(&self, i: usize) -> Self {
+        let mut m = self.zeros(1);
+        let n = m.as_slice().len();
+        m.as_mut_slice().copy_from_slice(&self.as_slice()[i * n..(i + 1) * n]);
+        m
+    }
+}
+
+/// A kernel that streams over grids of type `B`. Its golden reference
+/// (`sf_kernels::reference`) is the expected side of the ABFT check.
+pub trait GridKernel<B>: Clone + Sync {
+    /// `iters` reference iterations of `stages` on every mesh of `input`.
+    fn reference(stages: &[Self], input: &B, iters: usize) -> B;
+}
+
+/// Where a run's faults come from.
+#[derive(Debug)]
+pub enum Faults<'a> {
+    /// A fault-free run: schedule trace plus window events, no watchdog.
+    Off,
+    /// One injector consulted across the whole stacked stream.
+    Injector(&'a mut FaultInjector),
+    /// A base plan; each batch member gets an injector seeded from it and
+    /// its index ([`crate::recovery::derive_mesh_plan`]). Needs per-mesh
+    /// fan-out and the rollback policy.
+    Plan(FaultPlan),
+}
+
+/// A run description: everything one execution needs besides its input.
+///
+/// ```
+/// use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
+/// use sf_fpga::driver::Run;
+/// use sf_fpga::{ExecEngine, FpgaDevice, Recorder};
+/// use sf_kernels::{reference, Poisson2D, StencilSpec};
+/// use sf_mesh::{norms, Batch2D};
+///
+/// let dev = FpgaDevice::u280();
+/// let wl = Workload::D2 { nx: 40, ny: 20, batch: 3 };
+/// let ds = synthesize(&dev, &StencilSpec::poisson(), 8, 4,
+///                     ExecMode::Batched { b: 3 }, MemKind::Hbm, &wl).unwrap();
+/// let input = Batch2D::<f32>::random(40, 20, 3, 1, -1.0, 1.0);
+/// let mut rec = Recorder::disabled();
+/// let (out, report, _) = Run {
+///     engine: ExecEngine::Scalar,
+///     jobs: Some(2),
+///     ..Run::new(&dev, &ds, &[Poisson2D], 8, &mut rec)
+/// }
+/// .simulate(&input)
+/// .unwrap();
+/// let golden = reference::run_batch_2d(&Poisson2D, &input, 8);
+/// assert!(norms::bit_equal(out.as_slice(), golden.as_slice()));
+/// assert!(report.total_cycles > 0);
+/// ```
+pub struct Run<'a, K> {
+    /// The device the design was synthesized for.
+    pub dev: &'a FpgaDevice,
+    /// The synthesized design.
+    pub design: &'a StencilDesign,
+    /// The stages of one iteration, in order.
+    pub stages: &'a [K],
+    /// Iterations to run (≥ 1).
+    pub niter: usize,
+    /// Scalar or lane-parallel stage processors.
+    pub engine: ExecEngine,
+    /// `None` streams the batch as one stacked stream. `Some(n)` runs each
+    /// batch member as its own work item on `n` workers (per-mesh
+    /// `mesh{i}/` trace swimlanes); a sharded run fans its slabs out
+    /// instead. Results and traces are identical for every `n`.
+    pub jobs: Option<usize>,
+    /// Fault injection.
+    pub faults: Faults<'a>,
+    /// AXI retry budget and backoff of a fault-aware run.
+    pub retry: RetryPolicy,
+    /// Checkpoint/rollback configuration of a fault-aware run; `None` and
+    /// [`RecoveryPolicy::Rerun`] surface every detection to the caller.
+    pub recovery: Option<&'a RecoveryConfig>,
+    /// Telemetry sink.
+    pub rec: &'a mut Recorder,
+}
+
+/// A multi-device slab decomposition of the streamed axis. Each pass,
+/// every slab streams its owned units plus `halo` units on either side
+/// (clipped to the mesh) and writes back only the units it owns.
+pub struct Slabs<'s> {
+    /// The units each device owns, in device order.
+    pub owned: &'s [Range<usize>],
+    /// Halo depth in units.
+    pub halo: usize,
+    /// The schedule the report prices.
+    pub plan: &'s CyclePlan,
+    /// Power of all devices together.
+    pub power_w: f64,
+}
+
+/// How one pass streams the state.
+#[derive(Copy, Clone)]
+pub(crate) enum Layout<'s> {
+    /// As one stream, window events under `prefix` from `base_cycle` on.
+    Whole { prefix: &'s str, base_cycle: u64 },
+    /// Slab by slab, for mesh `mesh` of a sharded run.
+    Sharded { slabs: &'s Slabs<'s>, mesh: usize },
+}
+
+/// The whole-batch stream of a single-stream run.
+pub(crate) const WHOLE: Layout<'static> = Layout::Whole { prefix: "window/", base_cycle: 0 };
+
+impl<'a, K> Run<'a, K> {
+    /// A fault-free, single-stream run on the default engine.
+    pub fn new(
+        dev: &'a FpgaDevice,
+        design: &'a StencilDesign,
+        stages: &'a [K],
+        niter: usize,
+        rec: &'a mut Recorder,
+    ) -> Self {
+        Run {
+            dev,
+            design,
+            stages,
+            niter,
+            engine: ExecEngine::default(),
+            jobs: None,
+            faults: Faults::Off,
+            retry: RetryPolicy::default(),
+            recovery: None,
+            rec,
+        }
+    }
+
+    /// Execute the run on `input`: the result, the report priced from the
+    /// design's cycle plan, and the checkpoint/rollback accounting
+    /// (all-zero without recovery).
+    ///
+    /// A fault-free run records the schedule trace and first-pass window
+    /// events. A fault-aware run charges AXI retry backoff into the report
+    /// and `fault.*` (and `recover.*`) counters into the recorder instead.
+    ///
+    /// # Errors
+    /// [`ExecError::ShapeMismatch`] or [`ExecError::Unsupported`] when the
+    /// run does not fit its input (the run check), and the datapath
+    /// errors of a fault-aware run: deadlock, exhausted AXI retries,
+    /// exhausted rollbacks, checkpoint I/O.
+    pub fn simulate<B>(&mut self, input: &B) -> Result<(B, SimReport, RecoveryStats), ExecError>
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        self.on_engine(input, None)
+    }
+
+    /// Execute a fault-free run sharded into `slabs` (the multi-device
+    /// executors): meshes run one after another, each pass fans the slabs
+    /// out over `jobs` workers, and the first pass of each mesh records
+    /// under `dev{k}/mesh{i}/window/`. The report prices `slabs.plan`.
+    ///
+    /// # Errors
+    /// See [`Run::simulate`]; a sharded run also needs a whole-mesh design
+    /// and no faults.
+    pub fn simulate_slabs<B>(
+        &mut self,
+        input: &B,
+        slabs: &Slabs<'_>,
+    ) -> Result<(B, SimReport), ExecError>
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        self.on_engine(input, Some(slabs)).map(|(out, report, _)| (out, report))
+    }
+
+    fn on_engine<B>(
+        &mut self,
+        input: &B,
+        slabs: Option<&Slabs<'_>>,
+    ) -> Result<(B, SimReport, RecoveryStats), ExecError>
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        match self.engine {
+            ExecEngine::Scalar => self.drive(&ScalarEngine, input, slabs),
+            ExecEngine::Fast => self.drive(&FastEngine, input, slabs),
+        }
+    }
+
+    /// The run check: does this run fit `input`?
+    pub(crate) fn check<B: StreamGrid>(&self, input: &B, sharded: bool) -> Result<(), ExecError> {
+        let shape = |detail: String| Err(ExecError::ShapeMismatch { detail });
+        let unsupported = |detail: &str| Err(ExecError::Unsupported { detail: detail.to_string() });
+        let (design, b) = (self.design, input.batch());
+        if self.niter == 0 {
+            return shape("niter must be positive".to_string());
+        }
+        if self.stages.len() != design.spec.stages {
+            return shape(format!(
+                "design expects {} stages per iteration, got {}",
+                design.spec.stages,
+                self.stages.len()
+            ));
+        }
+        match (design.mode, input.workload()) {
+            (ExecMode::Tiled1D { .. }, Workload::D3 { .. }) => {
+                return shape("Tiled1D is a 2D mode".to_string())
+            }
+            (ExecMode::Tiled2D { .. }, Workload::D2 { .. }) => {
+                return shape("Tiled2D is a 3D mode".to_string())
+            }
+            (ExecMode::Batched { b: db }, _) if b != db => {
+                return shape(format!("batch size mismatch: design batch {db} fed batch {b}"))
+            }
+            (ExecMode::Baseline, _) if b != 1 => {
+                return shape(format!("baseline design runs one mesh, got batch {b}"))
+            }
+            (ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. }, _) if b != 1 => {
+                return shape(format!("tiled design runs one mesh, got batch {b}"))
+            }
+            _ => {}
+        }
+        let tiled = matches!(design.mode, ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. });
+        match self.faults {
+            _ if tiled && (self.jobs.is_some() || sharded) => {
+                unsupported("batch and sharded executors need a Baseline or Batched design")
+            }
+            Faults::Off if self.recovery.is_some() => {
+                unsupported("checkpoint recovery needs a fault injector or plan")
+            }
+            Faults::Off => Ok(()),
+            _ if sharded => unsupported("sharded runs inject no faults"),
+            _ if tiled => unsupported("fault injection targets whole-mesh streaming designs"),
+            Faults::Injector(_) if self.jobs.is_some() => {
+                unsupported("per-mesh fan-out takes a fault plan, not a shared injector")
+            }
+            Faults::Injector(_) => Ok(()),
+            Faults::Plan(_) if self.jobs.is_none() => {
+                unsupported("a fault plan seeds per-mesh injectors: set jobs")
+            }
+            Faults::Plan(_) => Ok(()),
+        }
+    }
+
+    /// [`Run::simulate`] on a given engine (kernels without a lane impl run
+    /// on [`ScalarEngine`]).
+    pub(crate) fn drive<B, E>(
+        &mut self,
+        engine: &E,
+        input: &B,
+        slabs: Option<&Slabs<'_>>,
+    ) -> Result<(B, SimReport, RecoveryStats), ExecError>
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        E: Engine<B, K>,
+    {
+        self.check(input, slabs.is_some())?;
+        let Run { dev, design, stages, niter, jobs, retry, recovery, .. } = *self;
+        let (wl, n_iter) = (input.workload(), niter as u64);
+        let (nx, ny) = input.unit_shape();
+        let px = Passes {
+            engine,
+            stages,
+            dev,
+            design,
+            unit_cycles: cycles::design_row_cycles(dev, design, nx, nx) * ny as u64,
+            jobs: jobs.unwrap_or(1),
+        };
+        let all = recovery::segment_passes(design.p, niter, usize::MAX);
+        let rec = &mut *self.rec;
+        let power_w = power::fpga_power_w(dev, design);
+        let with_stalls = |e: ExecError, rec: &Recorder| match e {
+            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
+            other => other,
+        };
+        let rollback = match recovery.map(|r| (r, r.policy)) {
+            Some((rcfg, RecoveryPolicy::Rollback { max_retries })) => Some((rcfg, max_retries)),
+            _ => None,
+        };
+        match &mut self.faults {
+            Faults::Off => {
+                if let Some(slabs) = slabs {
+                    let mut out = input.zeros(input.batch());
+                    let n = out.as_slice().len() / input.batch();
+                    for i in 0..input.batch() {
+                        let layout = Layout::Sharded { slabs, mesh: i };
+                        let mesh = px.run(input.member(i), &all, layout, rec, None)?;
+                        out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(mesh.as_slice());
+                    }
+                    let report = SimReport::from_plan(design, slabs.plan, n_iter, slabs.power_w);
+                    return Ok((out, report, RecoveryStats::default()));
+                }
+                let plan = profile::trace_schedule(dev, design, &wl, n_iter, rec);
+                let out = match jobs {
+                    None => px.run(input.clone(), &all, WHOLE, rec, None)?,
+                    Some(jobs) => {
+                        let (on, clock) = (rec.is_enabled(), rec.cycles_per_us());
+                        let mesh_cycles = input.mesh_units() as u64 * px.unit_cycles;
+                        let (out, shards) = per_mesh(jobs, input, |i, mesh| {
+                            let mut shard =
+                                if on { Recorder::enabled(clock) } else { Recorder::disabled() };
+                            // mesh i's units start at i · mesh_cycles in the batched stream
+                            let prefix = format!("mesh{i}/window/");
+                            let base_cycle = i as u64 * mesh_cycles;
+                            let layout = Layout::Whole { prefix: &prefix, base_cycle };
+                            Ok((px.run(mesh, &all, layout, &mut shard, None)?, shard))
+                        })?;
+                        rec.merge_shards(shards);
+                        out
+                    }
+                };
+                let report = SimReport::from_plan(design, &plan, n_iter, power_w);
+                Ok((out, report, RecoveryStats::default()))
+            }
+            Faults::Injector(inj) => {
+                let fp = plan_with_faults(dev, design, &wl, n_iter, inj, &retry)?;
+                let stream_units = (input.batch() * input.mesh_units()) as u64;
+                let budget = pass_budget(design, stream_units, px.unit_cycles);
+                let Some((rcfg, max_retries)) = rollback else {
+                    let mut hook = FaultHook::new(inj, budget);
+                    let out = px
+                        .run(input.clone(), &all, WHOLE, &mut Recorder::disabled(), Some(&mut hook))
+                        .map_err(|e| with_stalls(e, rec))?;
+                    rec.counter_add("fault.injected", inj.injected());
+                    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
+                    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
+                    let report = SimReport::from_plan(design, &fp.plan, n_iter, power_w);
+                    return Ok((out, report, RecoveryStats::default()));
+                };
+                let prm = RecoverParams::new(
+                    rcfg,
+                    max_retries,
+                    String::new(),
+                    dev,
+                    design,
+                    input,
+                    budget,
+                );
+                let (out, stats) = recovery::recover(&px, input, niter, inj, &prm)
+                    .map_err(|e| with_stalls(e, rec))?;
+                let report = recovery::finalize(
+                    dev,
+                    design,
+                    &fp,
+                    n_iter,
+                    prm.mesh_bytes,
+                    &stats,
+                    inj.injected(),
+                    rec,
+                );
+                Ok((out, report, stats))
+            }
+            Faults::Plan(base) => {
+                let base = *base;
+                let Some((rcfg, max_retries)) = rollback else {
+                    return Err(ExecError::Unsupported {
+                        detail: "batch-parallel recovery requires the rollback policy".to_string(),
+                    });
+                };
+                // AXI faults model the shared memory interface: one injector
+                // prices the whole batch's bursts.
+                let mut axi_inj = FaultInjector::new(base);
+                let fp = plan_with_faults(dev, design, &wl, n_iter, &mut axi_inj, &retry)?;
+                let budget = pass_budget(design, input.mesh_units() as u64, px.unit_cycles);
+                let (out, per) = per_mesh(jobs.unwrap_or(1), input, |i, mesh| {
+                    let mut inj = FaultInjector::new(recovery::derive_mesh_plan(&base, i));
+                    let prefix = format!("mesh{i}_");
+                    let prm =
+                        RecoverParams::new(rcfg, max_retries, prefix, dev, design, &mesh, budget);
+                    let (out, stats) = recovery::recover(&px, &mesh, niter, &mut inj, &prm)?;
+                    Ok((out, (stats, inj.injected())))
+                })
+                .map_err(|e| with_stalls(e, rec))?;
+                let mut stats = RecoveryStats::default();
+                let mut injected = axi_inj.injected();
+                for (s, n) in &per {
+                    stats.merge(s);
+                    injected += n;
+                }
+                let mesh_bytes =
+                    (input.as_slice().len() / input.batch() * B::Cell::size_bytes()) as u64;
+                let report =
+                    recovery::finalize(dev, design, &fp, n_iter, mesh_bytes, &stats, injected, rec);
+                Ok((out, report, stats))
+            }
+        }
+    }
+}
+
+/// What every pass of a run shares: the engine, one iteration's stages and
+/// the streaming cost of one unit.
+pub(crate) struct Passes<'p, K, E> {
+    engine: &'p E,
+    pub(crate) stages: &'p [K],
+    dev: &'p FpgaDevice,
+    pub(crate) design: &'p StencilDesign,
+    /// Cycles to stream one unit: a row, or a plane of `ny` rows.
+    unit_cycles: u64,
+    /// Workers for the slabs of a sharded pass.
+    jobs: usize,
+}
+
+impl<K: Clone + Sync, E> Passes<'_, K, E> {
+    /// The pass loop: advance `cur` by `passes` pipeline passes of
+    /// `passes[n]` chained iterations each. Window events of the first
+    /// pass go to `rec`; later passes repeat the same schedule untraced.
+    pub(crate) fn run<B: StreamGrid>(
+        &self,
+        mut cur: B,
+        passes: &[usize],
+        layout: Layout<'_>,
+        rec: &mut Recorder,
+        mut faults: Option<&mut FaultHook<'_>>,
+    ) -> Result<B, ExecError>
+    where
+        E: Engine<B, K>,
+    {
+        let tiled = matches!(self.design.mode, ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. });
+        let mut off = Recorder::disabled();
+        for (n, &p_eff) in passes.iter().enumerate() {
+            let chain: Vec<K> = (0..p_eff).flat_map(|_| self.stages.iter().cloned()).collect();
+            let pass_rec: &mut Recorder = if n == 0 { &mut *rec } else { &mut off };
+            cur = match layout {
+                _ if tiled => {
+                    B::tiled_pass(self.engine, self.dev, self.design, &chain, &cur, pass_rec)?
+                }
+                Layout::Whole { prefix, base_cycle } => {
+                    let trace = ChainTrace {
+                        rec: pass_rec,
+                        prefix,
+                        base_cycle,
+                        unit_cycles: self.unit_cycles,
+                    };
+                    let (len, mesh_units) = (cur.unit_len(), cur.mesh_units());
+                    let units = cur.as_slice().chunks(len).map(|u| u.to_vec());
+                    let stream_units = cur.batch() * mesh_units;
+                    let shape = cur.unit_shape();
+                    let done = run_chain(
+                        self.engine,
+                        &chain,
+                        shape,
+                        stream_units,
+                        mesh_units,
+                        units,
+                        trace,
+                        faults.as_deref_mut(),
+                    )?;
+                    let mut out = cur.zeros(cur.batch());
+                    for (j, u) in done.into_iter().enumerate() {
+                        out.as_mut_slice()[j * len..(j + 1) * len].copy_from_slice(&u);
+                    }
+                    out
+                }
+                Layout::Sharded { slabs, mesh } => {
+                    self.slab_pass(&chain, &cur, slabs, mesh, rec, n == 0)?
+                }
+            };
+        }
+        Ok(cur)
+    }
+
+    /// One pass of a sharded run over one mesh: every device streams its
+    /// extended slab of the pass-barrier state (the halo exchange) with the
+    /// slab as its seam period — slab edges are mesh boundaries to it — and
+    /// only its owned units are written back. A stage of radius `r` lets
+    /// boundary treatment contaminate `r` more units, so after a pass at
+    /// most `p · stages · ⌈D/2⌉ = halo` units next to a slab-interior edge
+    /// are wrong, and those are exactly the discarded halo.
+    fn slab_pass<B: StreamGrid>(
+        &self,
+        chain: &[K],
+        cur: &B,
+        slabs: &Slabs<'_>,
+        mesh: usize,
+        rec: &mut Recorder,
+        first_pass: bool,
+    ) -> Result<B, ExecError>
+    where
+        E: Engine<B, K>,
+    {
+        let (len, extent, h) = (cur.unit_len(), cur.mesh_units(), slabs.halo);
+        let items: Vec<_> = slabs
+            .owned
+            .iter()
+            .map(|s| {
+                let lo = s.start.saturating_sub(h);
+                let hi = (s.end + h).min(extent);
+                let units: Vec<Vec<B::Cell>> =
+                    (lo..hi).map(|u| cur.as_slice()[u * len..(u + 1) * len].to_vec()).collect();
+                (s.clone(), lo, units)
+            })
+            .collect();
+        let traced = rec.is_enabled() && first_pass;
+        let clock = rec.cycles_per_us();
+        let results = sf_par::par_map(self.jobs, items, |k, (s, lo, units)| {
+            let mut shard = if traced { Recorder::enabled(clock) } else { Recorder::disabled() };
+            let prefix = format!("dev{k}/mesh{mesh}/window/");
+            let trace = ChainTrace {
+                rec: &mut shard,
+                prefix: &prefix,
+                base_cycle: (mesh * extent + s.start) as u64 * self.unit_cycles,
+                unit_cycles: self.unit_cycles,
+            };
+            let slab = units.len();
+            let done = run_chain(
+                self.engine,
+                chain,
+                cur.unit_shape(),
+                slab,
+                slab,
+                units.into_iter(),
+                trace,
+                None,
+            );
+            let owned = done.map(|d| d.into_iter().skip(s.start - lo).take(s.len()).collect());
+            (s, owned, shard)
+        });
+        let mut next = cur.clone();
+        let mut shards = Vec::with_capacity(results.len());
+        for (s, owned, shard) in results {
+            let owned: Vec<Vec<B::Cell>> = owned?;
+            for (j, u) in owned.into_iter().enumerate() {
+                let at = (s.start + j) * len;
+                next.as_mut_slice()[at..at + len].copy_from_slice(&u);
+            }
+            shards.push(shard);
+        }
+        if traced {
+            rec.merge_shards(shards);
+        }
+        Ok(next)
+    }
+}
+
+/// Unwrap a fault-free run for an entry point that returns a bare tuple:
+/// such a run fails only its run check, which those entry points document
+/// as a panic.
+pub(crate) fn expect_checked<B>(
+    r: Result<(B, SimReport, RecoveryStats), ExecError>,
+) -> (B, SimReport) {
+    let failed = r.as_ref().err().map(ToString::to_string);
+    assert!(failed.is_none(), "{}", failed.unwrap_or_default());
+    let Ok((out, report, _)) = r else { unreachable!("the assertion above rejects errors") };
+    (out, report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::design::{synthesize, MemKind};
+    use sf_kernels::{Poisson2D, StencilSpec};
+    use sf_mesh::Batch2D;
+
+    fn design(mode: ExecMode, wl: &Workload) -> StencilDesign {
+        synthesize(&FpgaDevice::u280(), &StencilSpec::poisson(), 8, 4, mode, MemKind::Hbm, wl)
+            .unwrap()
+    }
+
+    #[test]
+    fn run_check_returns_typed_errors() {
+        let dev = FpgaDevice::u280();
+        let wl = Workload::D2 { nx: 64, ny: 16, batch: 1 };
+        let base = design(ExecMode::Baseline, &wl);
+        let tiled = design(ExecMode::Tiled1D { tile_m: 32 }, &wl);
+        let one = Batch2D::<f32>::zeros(64, 16, 1);
+        let two = Batch2D::<f32>::zeros(64, 16, 2);
+        let rcfg = RecoveryConfig { policy: RecoveryPolicy::Rerun, ..RecoveryConfig::default() };
+        let plan = FaultPlan::single(1, sf_faults::FaultKind::BitFlip, 1);
+        let mut rec = Recorder::disabled();
+        let shape = |r: Result<(Batch2D<f32>, SimReport, RecoveryStats), ExecError>| {
+            matches!(r, Err(ExecError::ShapeMismatch { .. }))
+        };
+        let unsupported = |r: Result<(Batch2D<f32>, SimReport, RecoveryStats), ExecError>| {
+            matches!(r, Err(ExecError::Unsupported { .. }))
+        };
+        assert!(shape(Run::new(&dev, &base, &[Poisson2D], 0, &mut rec).simulate(&one)));
+        assert!(shape(Run::new(&dev, &base, &[Poisson2D; 2], 4, &mut rec).simulate(&one)));
+        assert!(shape(Run::new(&dev, &base, &[Poisson2D], 4, &mut rec).simulate(&two)));
+        let r = Run { jobs: Some(2), ..Run::new(&dev, &tiled, &[Poisson2D], 4, &mut rec) }
+            .simulate(&one);
+        assert!(format!("{:?}", r.as_ref().err()).contains("Baseline or Batched"), "{r:?}");
+        let r = Run { recovery: Some(&rcfg), ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec) }
+            .simulate(&one);
+        assert!(unsupported(r));
+        let r =
+            Run { faults: Faults::Plan(plan), ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec) }
+                .simulate(&one);
+        assert!(unsupported(r));
+        let r = Run {
+            jobs: Some(1),
+            faults: Faults::Plan(plan),
+            recovery: Some(&rcfg),
+            ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec)
+        }
+        .simulate(&one);
+        assert!(unsupported(r), "a plan needs the rollback policy");
+        let plan = cycles::plan(&dev, &base, &wl, 4);
+        let owned = [0..8, 8..16];
+        let slabs = Slabs { owned: &owned, halo: 4, plan: &plan, power_w: 1.0 };
+        let r = Run::new(&dev, &base, &[Poisson2D], 4, &mut rec).simulate_slabs(&two, &slabs);
+        assert!(matches!(r, Err(ExecError::ShapeMismatch { .. })), "{r:?}");
+    }
+}

@@ -7,17 +7,21 @@
 //! * [`estimate_2d`] — timing/power only, for paper-scale workloads
 //!   (60 000 iterations on 400×400 meshes would be pointless to stream
 //!   cell by cell — the cycle plan is closed-form and exact either way).
+//!
+//! Both executors are one-line calls into [`crate::driver`]; this module
+//! supplies what is 2D about them: a `Batch2D` streams rows, and a tiled
+//! design blocks it along x only ([`StreamGrid::tiled_pass`]).
 
 use crate::cycles;
-use crate::design::{ExecMode, StencilDesign, Workload};
+use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
+use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
 use crate::error::ExecError;
 use crate::power;
-use crate::profile;
 use crate::report::SimReport;
-use crate::window::{run_chain_2d_engine_traced, Engine2D, ScalarEngine};
-use sf_kernels::StencilOp2D;
-use sf_mesh::{Batch2D, Element, Mesh2D, TileGrid1D};
+use crate::window::{run_chain, ChainTrace, Engine, ScalarEngine};
+use sf_kernels::{reference, StencilOp2D};
+use sf_mesh::{Batch2D, Element, Mesh2D};
 use sf_telemetry::Recorder;
 
 /// Timing/power estimate for a workload without executing the numerics.
@@ -40,8 +44,8 @@ pub fn estimate_2d(
 }
 
 /// Execute `niter` iterations of `stages_per_iter` on a (batch of) 2D
-/// mesh(es) through the design's dataflow pipeline. Returns the result and
-/// the report.
+/// mesh(es) through the design's dataflow pipeline on the scalar engine.
+/// Returns the result and the report.
 ///
 /// ```
 /// use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
@@ -72,95 +76,9 @@ pub fn simulate_2d<T: Element, K: StencilOp2D<T> + Clone>(
     input: &Batch2D<T>,
     niter: usize,
 ) -> (Batch2D<T>, SimReport) {
-    simulate_2d_traced(dev, design, stages_per_iter, input, niter, &mut Recorder::disabled())
-}
-
-/// [`simulate_2d`] with telemetry: emits the schedule trace
-/// ([`profile::trace_schedule`] — per-pass/per-tile spans, AXI channel
-/// utilisation, stall attribution) plus behavioral window-buffer events
-/// (fill gauges, primed/drain instants) for the first pass. The schedule
-/// repeats identically every pass, so later passes stream untraced.
-pub fn simulate_2d_traced<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    simulate_2d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-}
-
-/// [`simulate_2d_traced`] for any [`Engine2D`]: the pass loop, mode
-/// dispatch and plan accounting shared by the scalar and fast paths.
-pub(crate) fn simulate_2d_core<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    assert!(!matches!(design.mode, ExecMode::Tiled2D { .. }), "Tiled2D is a 3D mode");
-    match design.mode {
-        ExecMode::Baseline => assert_eq!(b, 1, "baseline design runs one mesh"),
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "tiled design runs one mesh"),
-    }
-    let wl = Workload::D2 { nx, ny, batch: b };
-    let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        cur = match design.mode {
-            ExecMode::Tiled1D { tile_m } => {
-                let mesh = cur.mesh(0);
-                let out = tiled_pass_2d(engine, dev, design, &chain, &mesh, tile_m, pass_rec);
-                Batch2D::from_meshes(&[out])
-            }
-            _ => {
-                let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-                let out_rows = run_chain_2d_engine_traced(
-                    engine,
-                    &chain,
-                    nx,
-                    b * ny,
-                    ny,
-                    rows,
-                    pass_rec,
-                    "window/",
-                    0,
-                    rc,
-                );
-                let mut out = Batch2D::<T>::zeros(nx, ny, b);
-                for (gy, row) in out_rows.into_iter().enumerate() {
-                    out.as_mut_slice()[gy * nx..(gy + 1) * nx].copy_from_slice(&row);
-                }
-                out
-            }
-        };
-        remaining -= p_eff;
-        first_pass = false;
-    }
-
-    let report =
-        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (cur, report)
+    let mut rec = Recorder::disabled();
+    let mut run = Run::new(dev, design, stages_per_iter, niter, &mut rec);
+    expect_checked(run.drive(&ScalarEngine, input, None))
 }
 
 /// Convenience wrapper for single-mesh simulation.
@@ -176,54 +94,91 @@ pub fn simulate_mesh_2d<T: Element, K: StencilOp2D<T> + Clone>(
     (out.mesh(0), rep)
 }
 
-/// One spatially-blocked pass (`chain.len()` chained iterations) over a 2D
-/// mesh: every tile is streamed through the pipeline against the pass-start
-/// mesh, and only its valid columns are written back — exactly the paper's
-/// overlapped-block scheme.
-fn tiled_pass_2d<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    chain: &[K],
-    mesh: &Mesh2D<T>,
-    tile_m: usize,
-    rec: &mut Recorder,
-) -> Mesh2D<T> {
-    let (nx, ny) = (mesh.nx(), mesh.ny());
-    // halo sized for the full design depth p (covers shorter final passes too)
-    let halo = design.p * design.spec.halo_order() / 2;
-    let align = (64 / design.spec.elem_bytes).max(1);
-    let grid = TileGrid1D::new(nx, tile_m, halo, align);
-    let mut out = Mesh2D::<T>::zeros(nx, ny);
-    let mut off = Recorder::disabled();
-    for (i, t) in grid.tiles().iter().enumerate() {
-        let rows = (0..ny).map(|y| {
-            let s = y * nx + t.read_start;
-            mesh.as_slice()[s..s + t.read_len].to_vec()
-        });
-        // Window-level events for the first tile only: every tile streams
-        // the same chain, differing only in width.
-        let tile_rec: &mut Recorder = if i == 0 { &mut *rec } else { &mut off };
-        let rc = cycles::design_row_cycles(dev, design, t.read_len, t.valid_len);
-        let tile_rows = run_chain_2d_engine_traced(
-            engine, chain, t.read_len, ny, ny, rows, tile_rec, "tile0/", 0, rc,
-        );
-        let off = t.valid_offset();
-        for (y, row) in tile_rows.into_iter().enumerate() {
-            let dst = y * nx + t.valid_start;
-            out.as_mut_slice()[dst..dst + t.valid_len]
-                .copy_from_slice(&row[off..off + t.valid_len]);
-        }
+impl<T: Element> StreamGrid for Batch2D<T> {
+    type Cell = T;
+    const UNITS: &'static str = "rows";
+    const STREAMED: &'static str = "window.rows_streamed";
+    const DRAINED: &'static str = "window.drain_rows";
+
+    fn unit_shape(&self) -> (usize, usize) {
+        (self.nx(), 1)
     }
-    out
+    fn mesh_units(&self) -> usize {
+        self.ny()
+    }
+    fn batch(&self) -> usize {
+        Batch2D::batch(self)
+    }
+    fn as_slice(&self) -> &[T] {
+        Batch2D::as_slice(self)
+    }
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        Batch2D::as_mut_slice(self)
+    }
+    fn zeros(&self, batch: usize) -> Self {
+        Batch2D::zeros(self.nx(), self.ny(), batch)
+    }
+    fn workload(&self) -> Workload {
+        Workload::D2 { nx: self.nx(), ny: self.ny(), batch: Batch2D::batch(self) }
+    }
+
+    /// Tiles along x, streaming full rows of each tile: the paper's
+    /// overlapped-block scheme, with only the valid columns written back.
+    fn tiled_pass<K, E: Engine<Self, K>>(
+        engine: &E,
+        dev: &FpgaDevice,
+        design: &StencilDesign,
+        chain: &[K],
+        cur: &Self,
+        rec: &mut Recorder,
+    ) -> Result<Self, ExecError> {
+        let (nx, ny) = (cur.nx(), cur.ny());
+        // halo sized for the full design depth p (covers shorter final passes too)
+        let (grid, _) = cycles::tile_grids(dev, design, nx, ny);
+        let mut out = Batch2D::zeros(nx, ny, 1);
+        let mut off = Recorder::disabled();
+        for (i, t) in grid.tiles().iter().enumerate() {
+            let rows = (0..ny).map(|y| {
+                let s = y * nx + t.read_start;
+                cur.as_slice()[s..s + t.read_len].to_vec()
+            });
+            // Window-level events for the first tile only: every tile streams
+            // the same chain, differing only in width.
+            let trace = ChainTrace {
+                rec: if i == 0 { &mut *rec } else { &mut off },
+                prefix: "tile0/",
+                base_cycle: 0,
+                unit_cycles: cycles::design_row_cycles(dev, design, t.read_len, t.valid_len),
+            };
+            let tile_rows = run_chain(engine, chain, (t.read_len, 1), ny, ny, rows, trace, None)?;
+            let off = t.valid_offset();
+            for (y, row) in tile_rows.into_iter().enumerate() {
+                let dst = y * nx + t.valid_start;
+                out.as_mut_slice()[dst..dst + t.valid_len]
+                    .copy_from_slice(&row[off..off + t.valid_len]);
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Element, K: StencilOp2D<T> + Clone> GridKernel<Batch2D<T>> for K {
+    fn reference(stages: &[K], input: &Batch2D<T>, iters: usize) -> Batch2D<T> {
+        let meshes: Vec<Mesh2D<T>> = (0..input.batch())
+            .map(|i| reference::run_stages_2d(stages, &input.mesh(i), iters))
+            .collect();
+        Batch2D::from_meshes(&meshes)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{synthesize, MemKind};
+    use crate::design::{synthesize, ExecMode, MemKind};
+    use crate::fast::{simulate_2d_exec, ExecEngine};
     use sf_kernels::{reference, Poisson2D, StencilSpec};
     use sf_mesh::norms;
+    use sf_telemetry::Recorder;
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
@@ -323,7 +278,8 @@ mod tests {
 
         let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let (traced, rep2) = simulate_2d_traced(&dev(), &ds, &[Poisson2D], &batch, 12, &mut rec);
+        let (traced, rep2) =
+            simulate_2d_exec(ExecEngine::Scalar, &dev(), &ds, &[Poisson2D], &batch, 12, &mut rec);
         assert!(norms::bit_equal(traced.mesh(0).as_slice(), plain.as_slice()));
         assert_eq!(rep.total_cycles, rep2.total_cycles);
 
@@ -343,7 +299,8 @@ mod tests {
         let ds = design(&wl, 8, 8, ExecMode::Tiled1D { tile_m: 64 });
         let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let (out, _) = simulate_2d_traced(&dev(), &ds, &[Poisson2D], &batch, 16, &mut rec);
+        let (out, _) =
+            simulate_2d_exec(ExecEngine::Scalar, &dev(), &ds, &[Poisson2D], &batch, 16, &mut rec);
         let expect = reference::run_2d(&Poisson2D, &m, 16);
         assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()));
         // Window tracks exist only for the first tile's chain.
@@ -372,7 +329,7 @@ mod multistage_2d_tests {
     //! the wave2d kick/drift pair through every execution mode.
 
     use super::*;
-    use crate::design::{synthesize, MemKind};
+    use crate::design::{synthesize, ExecMode, MemKind};
     use sf_kernels::reference;
     use sf_kernels::wave2d::{self, WaveParams};
     use sf_mesh::norms;

@@ -1,18 +1,23 @@
 //! 3D executors: baseline, batched and tiled execution (see [`crate::exec2d`]
-//! for the 2D twins). Multi-stage chains make these the RTM execution path:
+//! for the 2D side). Multi-stage chains make these the RTM execution path:
 //! one pass chains `p × stages` processors — the paper's "four fused loops
 //! … brought into a single pipeline", unrolled `p` times.
+//!
+//! Both executors are one-line calls into [`crate::driver`]; this module
+//! supplies what is 3D about them: a `Batch3D` streams planes, and a tiled
+//! design blocks it into `M × N` columns spanning the full `z` extent
+//! ([`StreamGrid::tiled_pass`]).
 
 use crate::cycles;
-use crate::design::{ExecMode, StencilDesign, Workload};
+use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
+use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
 use crate::error::ExecError;
 use crate::power;
-use crate::profile;
 use crate::report::SimReport;
-use crate::window::{run_chain_3d_engine_traced, Engine3D, ScalarEngine};
-use sf_kernels::StencilOp3D;
-use sf_mesh::{Batch3D, Element, Mesh3D, TileGrid1D};
+use crate::window::{run_chain, ChainTrace, Engine, ScalarEngine};
+use sf_kernels::{reference, StencilOp3D};
+use sf_mesh::{Batch3D, Element, Mesh3D};
 use sf_telemetry::Recorder;
 
 /// Timing/power estimate without executing the numerics.
@@ -35,7 +40,12 @@ pub fn estimate_3d(
 }
 
 /// Execute `niter` iterations (each = all `stages_per_iter` in order) on a
-/// (batch of) 3D mesh(es). Returns the result and the report.
+/// (batch of) 3D mesh(es) on the scalar engine. Returns the result and the
+/// report.
+///
+/// # Panics
+/// Panics if the design mode disagrees with the input batch, like
+/// [`crate::exec2d::simulate_2d`].
 pub fn simulate_3d<T: Element, K: StencilOp3D<T> + Clone>(
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -43,96 +53,9 @@ pub fn simulate_3d<T: Element, K: StencilOp3D<T> + Clone>(
     input: &Batch3D<T>,
     niter: usize,
 ) -> (Batch3D<T>, SimReport) {
-    simulate_3d_traced(dev, design, stages_per_iter, input, niter, &mut Recorder::disabled())
-}
-
-/// [`simulate_3d`] with telemetry (see [`crate::exec2d::simulate_2d_traced`]):
-/// schedule trace plus window-buffer events for the first pass / first tile.
-pub fn simulate_3d_traced<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    simulate_3d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-}
-
-/// [`simulate_3d_traced`] for any [`Engine3D`]: the pass loop, mode
-/// dispatch and plan accounting shared by the scalar and fast paths.
-pub(crate) fn simulate_3d_core<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    assert!(!matches!(design.mode, ExecMode::Tiled1D { .. }), "Tiled1D is a 2D mode");
-    match design.mode {
-        ExecMode::Baseline => assert_eq!(b, 1, "baseline design runs one mesh"),
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "tiled design runs one mesh"),
-    }
-    let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let plane = nx * ny;
-    let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    // The streamed unit is a plane: ny rows at the design's row rate.
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        cur = match design.mode {
-            ExecMode::Tiled2D { tile_m, tile_n } => {
-                let mesh = cur.mesh(0);
-                let out =
-                    tiled_pass_3d(engine, dev, design, &chain, &mesh, tile_m, tile_n, pass_rec);
-                Batch3D::from_meshes(&[out])
-            }
-            _ => {
-                let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-                let out_planes = run_chain_3d_engine_traced(
-                    engine,
-                    &chain,
-                    nx,
-                    ny,
-                    b * nz,
-                    nz,
-                    planes,
-                    pass_rec,
-                    "window/",
-                    0,
-                    plane_cycles,
-                );
-                let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-                for (gz, pl) in out_planes.into_iter().enumerate() {
-                    out.as_mut_slice()[gz * plane..(gz + 1) * plane].copy_from_slice(&pl);
-                }
-                out
-            }
-        };
-        remaining -= p_eff;
-        first_pass = false;
-    }
-
-    let report =
-        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (cur, report)
+    let mut rec = Recorder::disabled();
+    let mut run = Run::new(dev, design, stages_per_iter, niter, &mut rec);
+    expect_checked(run.drive(&ScalarEngine, input, None))
 }
 
 /// Convenience wrapper for single-mesh simulation.
@@ -148,73 +71,101 @@ pub fn simulate_mesh_3d<T: Element, K: StencilOp3D<T> + Clone>(
     (out.mesh(0), rep)
 }
 
-/// One spatially-blocked pass over a 3D mesh: `M × N` tiles spanning the
-/// full `z` extent, streamed plane by plane.
-#[allow(clippy::too_many_arguments)]
-fn tiled_pass_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    chain: &[K],
-    mesh: &Mesh3D<T>,
-    tile_m: usize,
-    tile_n: usize,
-    rec: &mut Recorder,
-) -> Mesh3D<T> {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
-    let halo = design.p * design.spec.halo_order() / 2;
-    let align = (64 / design.spec.elem_bytes).max(1);
-    let gx = TileGrid1D::new(nx, tile_m, halo, align);
-    let gy = TileGrid1D::new(ny, tile_n, halo, 1);
-    let mut out = Mesh3D::<T>::zeros(nx, ny, nz);
-    let mut off = Recorder::disabled();
-    let mut first_tile = true;
-    for ty in gy.tiles() {
-        for tx in gx.tiles() {
-            let planes = (0..nz).map(|z| {
-                let mut buf = Vec::with_capacity(tx.read_len * ty.read_len);
-                for y in ty.read_start..ty.read_end() {
-                    let s = (z * ny + y) * nx + tx.read_start;
-                    buf.extend_from_slice(&mesh.as_slice()[s..s + tx.read_len]);
-                }
-                buf
-            });
-            let tile_rec: &mut Recorder = if first_tile { &mut *rec } else { &mut off };
-            first_tile = false;
-            let plane_cycles = cycles::design_row_cycles(dev, design, tx.read_len, tx.valid_len)
-                * ty.read_len as u64;
-            let tile_planes = run_chain_3d_engine_traced(
-                engine,
-                chain,
-                tx.read_len,
-                ty.read_len,
-                nz,
-                nz,
-                planes,
-                tile_rec,
-                "tile0/",
-                0,
-                plane_cycles,
-            );
-            let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
-            for (z, pl) in tile_planes.into_iter().enumerate() {
-                for vy in 0..ty.valid_len {
-                    let src = (offy + vy) * tx.read_len + offx;
-                    let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
-                    out.as_mut_slice()[dst..dst + tx.valid_len]
-                        .copy_from_slice(&pl[src..src + tx.valid_len]);
+impl<T: Element> StreamGrid for Batch3D<T> {
+    type Cell = T;
+    const UNITS: &'static str = "planes";
+    const STREAMED: &'static str = "window.planes_streamed";
+    const DRAINED: &'static str = "window.drain_planes";
+
+    fn unit_shape(&self) -> (usize, usize) {
+        (self.nx(), self.ny())
+    }
+    fn mesh_units(&self) -> usize {
+        self.nz()
+    }
+    fn batch(&self) -> usize {
+        Batch3D::batch(self)
+    }
+    fn as_slice(&self) -> &[T] {
+        Batch3D::as_slice(self)
+    }
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        Batch3D::as_mut_slice(self)
+    }
+    fn zeros(&self, batch: usize) -> Self {
+        Batch3D::zeros(self.nx(), self.ny(), self.nz(), batch)
+    }
+    fn workload(&self) -> Workload {
+        let (nx, ny, nz) = (self.nx(), self.ny(), self.nz());
+        Workload::D3 { nx, ny, nz, batch: Batch3D::batch(self) }
+    }
+
+    /// `M × N` tiles spanning the full `z` extent, streamed plane by plane.
+    fn tiled_pass<K, E: Engine<Self, K>>(
+        engine: &E,
+        dev: &FpgaDevice,
+        design: &StencilDesign,
+        chain: &[K],
+        cur: &Self,
+        rec: &mut Recorder,
+    ) -> Result<Self, ExecError> {
+        let (nx, ny, nz) = (cur.nx(), cur.ny(), cur.nz());
+        let (gx, gy) = cycles::tile_grids(dev, design, nx, ny);
+        let mut out = Batch3D::zeros(nx, ny, nz, 1);
+        let mut off = Recorder::disabled();
+        let mut first_tile = true;
+        for ty in gy.tiles() {
+            for tx in gx.tiles() {
+                let planes = (0..nz).map(|z| {
+                    let mut buf = Vec::with_capacity(tx.read_len * ty.read_len);
+                    for y in ty.read_start..ty.read_end() {
+                        let s = (z * ny + y) * nx + tx.read_start;
+                        buf.extend_from_slice(&cur.as_slice()[s..s + tx.read_len]);
+                    }
+                    buf
+                });
+                let trace = ChainTrace {
+                    rec: if first_tile { &mut *rec } else { &mut off },
+                    prefix: "tile0/",
+                    base_cycle: 0,
+                    unit_cycles: cycles::design_row_cycles(dev, design, tx.read_len, tx.valid_len)
+                        * ty.read_len as u64,
+                };
+                first_tile = false;
+                let shape = (tx.read_len, ty.read_len);
+                let tile_planes = run_chain(engine, chain, shape, nz, nz, planes, trace, None)?;
+                let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
+                for (z, pl) in tile_planes.into_iter().enumerate() {
+                    for vy in 0..ty.valid_len {
+                        let src = (offy + vy) * tx.read_len + offx;
+                        let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
+                        out.as_mut_slice()[dst..dst + tx.valid_len]
+                            .copy_from_slice(&pl[src..src + tx.valid_len]);
+                    }
                 }
             }
         }
+        Ok(out)
     }
-    out
+}
+
+impl<T: Element, K: StencilOp3D<T> + Clone> GridKernel<Batch3D<T>> for K {
+    fn reference(stages: &[K], input: &Batch3D<T>, iters: usize) -> Batch3D<T> {
+        let meshes: Vec<Mesh3D<T>> = (0..input.batch())
+            .map(|i| reference::run_stages_3d(stages, &input.mesh(i), iters))
+            .collect();
+        Batch3D::from_meshes(&meshes)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{synthesize, MemKind};
-    use sf_kernels::{reference, rtm, Jacobi3D, RtmParams, RtmStage, StencilSpec};
+    use crate::design::{synthesize, ExecMode, MemKind};
+    use crate::ExecEngine;
+    use sf_kernels::{
+        reference, rtm, AppId, Jacobi3D, RtmParams, RtmStage, StarStencil3D, StencilSpec,
+    };
     use sf_mesh::norms;
 
     fn dev() -> FpgaDevice {
@@ -347,6 +298,38 @@ mod tests {
     }
 
     #[test]
+    fn tiled_odd_order_one_sided_kernel_bit_exact() {
+        // Order 3, radius 2, one-sided in y (reads y−2 ..= y+1): each chained
+        // stage reaches ⌈3/2⌉ = 2 cells towards −y, so the tile halo must be
+        // p · 2, not ⌊3p/2⌋. x tiles hide a short halo behind the 16-cell
+        // AXI alignment; y tiles are unaligned and expose it.
+        let k = StarStencil3D::new(vec![
+            (0, -2, 0, 0.1),
+            (0, -1, 0, 0.2),
+            (0, 0, 0, 0.3),
+            (0, 1, 0, 0.15),
+            (-1, 0, 0, 0.1),
+            (1, 0, 0, 0.1),
+            (0, 0, -1, 0.025),
+            (0, 0, 1, 0.025),
+        ]);
+        let spec = StencilSpec { app: AppId::Custom, order: 3, ..StencilSpec::jacobi() };
+        let m = Mesh3D::<f32>::random(40, 36, 7, 11, -1.0, 1.0);
+        let wl = Workload::D3 { nx: 40, ny: 36, nz: 7, batch: 1 };
+        for p in 1..=3 {
+            let mode = ExecMode::Tiled2D { tile_m: 32, tile_n: 16 };
+            let ds = synthesize(&dev(), &spec, 8, p, mode, MemKind::Hbm, &wl).unwrap();
+            let (out, _) = simulate_mesh_3d(&dev(), &ds, std::slice::from_ref(&k), &m, 2 * p);
+            let expect = reference::run_3d(&k, &m, 2 * p);
+            assert!(
+                norms::bit_equal(out.as_slice(), expect.as_slice()),
+                "p={p}: first mismatch at {:?}",
+                norms::first_mismatch(out.as_slice(), expect.as_slice())
+            );
+        }
+    }
+
+    #[test]
     fn traced_3d_simulation_matches_untraced() {
         let m = Mesh3D::<f32>::random(16, 12, 10, 3, -1.0, 1.0);
         let wl = Workload::D3 { nx: 16, ny: 12, nz: 10, batch: 1 };
@@ -357,7 +340,15 @@ mod tests {
         let (plain, rep) = simulate_mesh_3d(&dev(), &ds, &[k], &m, 9);
         let mut rec = crate::Recorder::enabled(ds.freq_hz / 1e6);
         let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
-        let (traced, rep2) = simulate_3d_traced(&dev(), &ds, &[k], &batch, 9, &mut rec);
+        let (traced, rep2) = crate::fast::simulate_3d_exec(
+            ExecEngine::Scalar,
+            &dev(),
+            &ds,
+            &[k],
+            &batch,
+            9,
+            &mut rec,
+        );
         assert!(norms::bit_equal(traced.mesh(0).as_slice(), plain.as_slice()));
         assert_eq!(rep.total_cycles, rep2.total_cycles);
         let pipe = rec.find_track("pipeline").unwrap();
@@ -412,7 +403,7 @@ mod rtm_tiling_future_work {
     //! real U280; p = 2 needs roughly a 2× device.
 
     use super::*;
-    use crate::design::{synthesize, MemKind, SynthesisError};
+    use crate::design::{synthesize, ExecMode, MemKind, SynthesisError};
     use sf_kernels::{reference, rtm, RtmParams, RtmStage, StencilSpec};
     use sf_mesh::norms;
 

@@ -1,343 +1,65 @@
 //! Parallel batched execution: the paper's eq. 15 batch of `B` independent
 //! meshes, fanned across worker threads.
 //!
-//! The single-stream executors ([`crate::exec2d::simulate_2d`],
-//! [`crate::exec3d::simulate_3d`]) stream a `Batched{b}` workload as one
-//! stacked mesh; per-mesh boundary handling inside the window chain makes
-//! each batch member's result bit-identical to solving it alone (the
-//! `batched_bit_exact_vs_independent_solves` invariant). This module
-//! exploits exactly that independence: each mesh becomes one work item for
-//! [`sf_par::par_map`], carrying a private [`Recorder`] shard, and shards
-//! are merged back in mesh order. The consequences:
+//! A single-stream run streams a `Batched{b}` workload as one stacked
+//! mesh; per-mesh boundary handling inside the window chain makes each
+//! batch member's result bit-identical to solving it alone (the
+//! `batched_bit_exact_vs_independent_solves` invariant). A run with
+//! `jobs: Some(n)` ([`crate::driver::Run`]) exploits exactly that
+//! independence: `per_mesh` makes each mesh one work item for
+//! [`sf_par::par_map`], and results come back in mesh order. The
+//! consequences:
 //!
-//! * **Numerics** — bit-identical to the single-stream executors, for any
-//!   worker count.
-//! * **Timing** — the [`SimReport`] comes from the same closed-form cycle
-//!   plan over the *full batched workload* (eq. 2–15 don't care how the
-//!   simulation was scheduled on host threads), so it is byte-identical to
-//!   the serial report.
-//! * **Traces** — each mesh records under a `mesh{i}/window/` track prefix
-//!   with its cycle stamps offset to the mesh's position in the batched
-//!   stream; the deterministic merge makes the exported Chrome trace and
-//!   flat-metrics JSON byte-identical for every `jobs` value.
+//! * **Numerics** — bit-identical to the single-stream run, for any worker
+//!   count.
+//! * **Timing** — the [`SimReport`](crate::SimReport) comes from the same
+//!   closed-form cycle plan over the *full batched workload* (eq. 2–15
+//!   don't care how the simulation was scheduled on host threads), so it is
+//!   byte-identical to the serial report.
+//! * **Traces** — each mesh records into a private recorder shard under a
+//!   `mesh{i}/window/` track prefix, with its cycle stamps offset to the
+//!   mesh's position in the batched stream; shards merge back in mesh
+//!   order, so the exported Chrome trace and flat-metrics JSON are
+//!   byte-identical for every `jobs` value.
+//! * **Faults** — a fault plan seeds one injector per mesh from the mesh
+//!   index, so per-mesh checkpoint/rollback runs are `jobs`-invariant too.
 
-use crate::cycles;
-use crate::design::{ExecMode, StencilDesign, Workload};
-use crate::device::FpgaDevice;
-use crate::power;
-use crate::profile;
-use crate::report::SimReport;
-use crate::window::{
-    run_chain_2d_engine_traced, run_chain_3d_engine_traced, Engine2D, Engine3D, ScalarEngine,
-};
-use sf_kernels::{StencilOp2D, StencilOp3D};
-use sf_mesh::{Batch2D, Batch3D, Element, Mesh2D, Mesh3D};
-use sf_telemetry::Recorder;
+use crate::driver::StreamGrid;
+use crate::error::ExecError;
 
-/// Check a batch executor's design/input agreement (2D and 3D share this).
-fn check_batch_mode(design: &StencilDesign, b: usize) {
-    assert!(
-        matches!(design.mode, ExecMode::Baseline | ExecMode::Batched { .. }),
-        "batch executor needs a Baseline or Batched design"
-    );
-    match design.mode {
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "baseline design runs one mesh"),
-    }
-}
-
-/// Run one mesh's full iteration schedule through the 2D window chain.
-///
-/// Mirrors the pass loop of [`crate::exec2d::simulate_2d_traced`] for one
-/// batch member: `ceil(niter / p)` passes, each chaining `p_eff × stages`
-/// processors, window events traced on the first pass only.
-#[allow(clippy::too_many_arguments)]
-fn run_mesh_passes_2d<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    mesh: &Mesh2D<T>,
-    niter: usize,
-    row_cycles: u64,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-) -> Mesh2D<T> {
-    let (nx, ny) = (mesh.nx(), mesh.ny());
-    let mut cur = mesh.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-        let out_rows = run_chain_2d_engine_traced(
-            engine,
-            &chain,
-            nx,
-            ny,
-            ny,
-            rows,
-            pass_rec,
-            track_prefix,
-            base_cycle,
-            row_cycles,
-        );
-        let mut out = Mesh2D::<T>::zeros(nx, ny);
-        for (y, row) in out_rows.into_iter().enumerate() {
-            out.as_mut_slice()[y * nx..(y + 1) * nx].copy_from_slice(&row);
-        }
-        cur = out;
-        remaining -= p_eff;
-        first_pass = false;
-    }
-    cur
-}
-
-/// 3D twin of [`run_mesh_passes_2d`]: streams planes instead of rows.
-#[allow(clippy::too_many_arguments)]
-fn run_mesh_passes_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    mesh: &Mesh3D<T>,
-    niter: usize,
-    plane_cycles: u64,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-) -> Mesh3D<T> {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
-    let plane = nx * ny;
-    let mut cur = mesh.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-        let out_planes = run_chain_3d_engine_traced(
-            engine,
-            &chain,
-            nx,
-            ny,
-            nz,
-            nz,
-            planes,
-            pass_rec,
-            track_prefix,
-            base_cycle,
-            plane_cycles,
-        );
-        let mut out = Mesh3D::<T>::zeros(nx, ny, nz);
-        for (z, pl) in out_planes.into_iter().enumerate() {
-            out.as_mut_slice()[z * plane..(z + 1) * plane].copy_from_slice(&pl);
-        }
-        cur = out;
-        remaining -= p_eff;
-        first_pass = false;
-    }
-    cur
-}
-
-/// Execute a (batch of) 2D mesh(es) with per-mesh fan-out across `jobs`
-/// worker threads.
-///
-/// Output, [`SimReport`] and every byte recorded into `rec` are identical
-/// for all `jobs` values (see the module docs for why); `jobs = 1` *is*
-/// the serial reference path. The numeric result is bit-identical to
-/// [`crate::exec2d::simulate_2d`] on the same inputs.
-///
-/// # Panics
-/// Panics on a design/input mismatch (wrong batch size, tiled mode) or
-/// `niter == 0`, like the single-stream executors.
-pub fn simulate_batch_2d_parallel<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    simulate_batch_2d_parallel_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_2d_parallel`]: the fast path
-/// reuses it with a lane-parallel engine, keeping fan-out, shard merge and
-/// cycle accounting identical between the two executors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_2d_parallel_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport)
+/// Run `f` on every member of `input` (as a batch of one) across `jobs`
+/// workers and reassemble the results in mesh order, with each member's
+/// side output. The first error in mesh order wins.
+pub(crate) fn per_mesh<B, R, F>(jobs: usize, input: &B, f: F) -> Result<(B, Vec<R>), ExecError>
 where
-    T: Element,
-    K: Clone + Sync,
-    E: Engine2D<T, K> + Sync,
+    B: StreamGrid,
+    R: Send,
+    F: Fn(usize, B) -> Result<(B, R), ExecError> + Sync,
 {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_batch_mode(design, b);
-    let wl = Workload::D2 { nx, ny, batch: b };
-    let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let trace_on = rec.is_enabled();
-    let clock = rec.cycles_per_us();
-
-    let meshes: Vec<Mesh2D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut shard = if trace_on { Recorder::enabled(clock) } else { Recorder::disabled() };
-        let prefix = format!("mesh{i}/window/");
-        // Cycle offset of this mesh's rows within the batched stream.
-        let base_cycle = (i * ny) as u64 * rc;
-        let out = run_mesh_passes_2d(
-            engine,
-            design,
-            stages_per_iter,
-            &mesh,
-            niter,
-            rc,
-            &mut shard,
-            &prefix,
-            base_cycle,
-        );
-        (out, shard)
-    });
-
-    let mut out = Batch2D::<T>::zeros(nx, ny, b);
-    let plane = nx * ny;
-    let mut shards = Vec::with_capacity(b);
-    for (i, (mesh, shard)) in results.into_iter().enumerate() {
-        out.as_mut_slice()[i * plane..(i + 1) * plane].copy_from_slice(mesh.as_slice());
-        shards.push(shard);
+    let b = input.batch();
+    let members: Vec<B> = (0..b).map(|i| input.member(i)).collect();
+    let results = sf_par::par_map(jobs, members, f);
+    let mut out = input.zeros(b);
+    let n = out.as_slice().len() / b;
+    let mut side = Vec::with_capacity(b);
+    for (i, r) in results.into_iter().enumerate() {
+        let (mesh, extra) = r?;
+        out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(mesh.as_slice());
+        side.push(extra);
     }
-    rec.merge_shards(shards);
-
-    let report =
-        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (out, report)
-}
-
-/// 3D twin of [`simulate_batch_2d_parallel`].
-pub fn simulate_batch_3d_parallel<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    simulate_batch_3d_parallel_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_3d_parallel`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_3d_parallel_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport)
-where
-    T: Element,
-    K: Clone + Sync,
-    E: Engine3D<T, K> + Sync,
-{
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_batch_mode(design, b);
-    let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let trace_on = rec.is_enabled();
-    let clock = rec.cycles_per_us();
-
-    let meshes: Vec<Mesh3D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut shard = if trace_on { Recorder::enabled(clock) } else { Recorder::disabled() };
-        let prefix = format!("mesh{i}/window/");
-        let base_cycle = (i * nz) as u64 * plane_cycles;
-        let out = run_mesh_passes_3d(
-            engine,
-            design,
-            stages_per_iter,
-            &mesh,
-            niter,
-            plane_cycles,
-            &mut shard,
-            &prefix,
-            base_cycle,
-        );
-        (out, shard)
-    });
-
-    let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-    let vol = nx * ny * nz;
-    let mut shards = Vec::with_capacity(b);
-    for (i, (mesh, shard)) in results.into_iter().enumerate() {
-        out.as_mut_slice()[i * vol..(i + 1) * vol].copy_from_slice(mesh.as_slice());
-        shards.push(shard);
-    }
-    rec.merge_shards(shards);
-
-    let report =
-        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (out, report)
+    Ok((out, side))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::design::{synthesize, MemKind};
+    use crate::design::{synthesize, ExecMode, MemKind, StencilDesign, Workload};
     use crate::exec2d::simulate_2d;
     use crate::exec3d::simulate_3d;
+    use crate::fast::{simulate_batch_2d_parallel_exec, simulate_batch_3d_parallel_exec};
+    use crate::{ExecEngine, FpgaDevice};
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
-    use sf_mesh::norms;
-    use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json};
+    use sf_mesh::{norms, Batch2D, Batch3D};
+    use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json, Recorder};
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
@@ -355,7 +77,8 @@ mod tests {
         let ds = design_2d(&wl, 5);
         let (legacy, legacy_rep) = simulate_2d(&dev(), &ds, &[Poisson2D], &batch, 9);
         for jobs in [1, 2, 4] {
-            let (out, rep) = simulate_batch_2d_parallel(
+            let (out, rep) = simulate_batch_2d_parallel_exec(
+                ExecEngine::Scalar,
                 &dev(),
                 &ds,
                 &[Poisson2D],
@@ -379,8 +102,16 @@ mod tests {
         let ds = design_2d(&wl, 4);
         let run = |jobs: usize| {
             let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-            let (out, _) =
-                simulate_batch_2d_parallel(&dev(), &ds, &[Poisson2D], &batch, 7, jobs, &mut rec);
+            let (out, _) = simulate_batch_2d_parallel_exec(
+                ExecEngine::Scalar,
+                &dev(),
+                &ds,
+                &[Poisson2D],
+                &batch,
+                7,
+                jobs,
+                &mut rec,
+            );
             (out, to_chrome_json(&rec), to_metrics_json(&rec))
         };
         let (out1, chrome1, metrics1) = run(1);
@@ -398,7 +129,16 @@ mod tests {
         let wl = Workload::D2 { nx: 16, ny: 8, batch: 3 };
         let ds = design_2d(&wl, 3);
         let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-        let _ = simulate_batch_2d_parallel(&dev(), &ds, &[Poisson2D], &batch, 6, 2, &mut rec);
+        let _ = simulate_batch_2d_parallel_exec(
+            ExecEngine::Scalar,
+            &dev(),
+            &ds,
+            &[Poisson2D],
+            &batch,
+            6,
+            2,
+            &mut rec,
+        );
         for i in 0..3 {
             let prefix = format!("mesh{i}/window/");
             assert!(
@@ -430,8 +170,16 @@ mod tests {
         let (legacy, legacy_rep) = simulate_3d(&dev(), &ds, &[k], &batch, 6);
         let run = |jobs: usize| {
             let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-            let (out, rep) =
-                simulate_batch_3d_parallel(&dev(), &ds, &[k], &batch, 6, jobs, &mut rec);
+            let (out, rep) = simulate_batch_3d_parallel_exec(
+                ExecEngine::Scalar,
+                &dev(),
+                &ds,
+                &[k],
+                &batch,
+                6,
+                jobs,
+                &mut rec,
+            );
             (out, rep, to_chrome_json(&rec))
         };
         let (out1, rep1, chrome1) = run(1);
@@ -446,7 +194,16 @@ mod tests {
         assert_eq!(
             {
                 let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-                let _ = simulate_batch_3d_parallel(&dev(), &ds, &[k], &batch, 6, 2, &mut rec);
+                let _ = simulate_batch_3d_parallel_exec(
+                    ExecEngine::Scalar,
+                    &dev(),
+                    &ds,
+                    &[k],
+                    &batch,
+                    6,
+                    2,
+                    &mut rec,
+                );
                 rec.counter("window.planes_streamed")
             },
             4 * 8
@@ -467,7 +224,8 @@ mod tests {
             &wl,
         )
         .unwrap();
-        let (out, _) = simulate_batch_2d_parallel(
+        let (out, _) = simulate_batch_2d_parallel_exec(
+            ExecEngine::Scalar,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -486,7 +244,8 @@ mod tests {
         let batch = Batch2D::<f32>::zeros(16, 8, 3);
         let wl = Workload::D2 { nx: 16, ny: 8, batch: 4 };
         let ds = design_2d(&wl, 4);
-        let _ = simulate_batch_2d_parallel(
+        let _ = simulate_batch_2d_parallel_exec(
+            ExecEngine::Scalar,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -512,7 +271,8 @@ mod tests {
             &wl,
         )
         .unwrap();
-        let _ = simulate_batch_2d_parallel(
+        let _ = simulate_batch_2d_parallel_exec(
+            ExecEngine::Scalar,
             &dev(),
             &ds,
             &[Poisson2D],

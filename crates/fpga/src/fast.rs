@@ -1,6 +1,6 @@
 //! Vectorized fast-path execution: lane-parallel stage processors that
 //! advance [`LANES`] adjacent cells per step through the same window-buffer
-//! chain the scalar executors stream.
+//! chain the scalar engine streams, plus the engine-selecting entry points.
 //!
 //! # Bit-exactness by construction
 //!
@@ -12,18 +12,21 @@
 //! no FMA contraction, just `LANES` independent IEEE streams evaluated side
 //! by side (see [`sf_kernels::lanes`]). Boundary cells and the ragged tail
 //! of each row go through the kernel's scalar `apply`/`on_boundary`
-//! methods. The result is bit-identical to the scalar executors (and hence
+//! methods. The result is bit-identical to the scalar engine (and hence
 //! to the golden reference) for every mesh shape, batch size and stencil.
 //!
 //! # What is shared, what is swapped
 //!
-//! The engine traits of [`crate::window`] confine the fast path to one
-//! swap point: the per-stage processor built by [`FastEngine`] instead of
-//! [`ScalarEngine`]. Streaming schedule, telemetry hooks (which fire per
-//! row/plane, never per cell), drain logic, cycle accounting, fault
-//! injection points, watchdog observation and recovery checkpointing are
-//! the *same code* for both engines, so traces, [`crate::report::SimReport`]s
-//! and fault campaigns are byte-identical across `--exec scalar|fast`.
+//! The [`Engine`] trait confines the fast path to one swap point: the
+//! per-stage processor built by [`FastEngine`] instead of
+//! [`ScalarEngine`](crate::window::ScalarEngine).
+//! Streaming schedule, telemetry hooks (which fire per row/plane, never per
+//! cell), drain logic, cycle accounting, fault injection points, watchdog
+//! observation and recovery checkpointing are the *same code*
+//! ([`crate::driver`]) for both engines, so traces,
+//! [`crate::report::SimReport`]s and fault campaigns are byte-identical
+//! across `--exec scalar|fast`. The entry points below only name the
+//! engine; [`ExecEngine`] is resolved to an [`Engine`] in one place.
 //!
 //! Iteration is row-blocked: each emitted row (2D) or row-of-plane (3D) is
 //! processed left boundary → lane packs → scalar epilogue → right boundary,
@@ -31,19 +34,12 @@
 
 use crate::design::StencilDesign;
 use crate::device::FpgaDevice;
+use crate::driver::{expect_checked, Faults, Run};
 use crate::error::ExecError;
-use crate::exec2d::simulate_2d_core;
-use crate::exec3d::simulate_3d_core;
-use crate::exec_batch::{simulate_batch_2d_parallel_core, simulate_batch_3d_parallel_core};
-use crate::recovery::{
-    simulate_2d_recoverable_core, simulate_3d_recoverable_core, simulate_batch_2d_recoverable_core,
-    simulate_batch_3d_recoverable_core,
-};
 use crate::report::SimReport;
-use crate::resilient::{simulate_2d_resilient_core, simulate_3d_resilient_core};
-use crate::window::{Engine2D, Engine3D, RingBuffer, ScalarEngine, Stage2D, Stage3D};
+use crate::window::{Engine, Stage, Window};
 use serde::{Deserialize, Serialize};
-use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
+use sf_faults::{FaultInjector, RetryPolicy};
 use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
 use sf_mesh::{Batch2D, Batch3D};
 use sf_recover::{RecoveryConfig, RecoveryStats};
@@ -57,46 +53,30 @@ use sf_telemetry::Recorder;
 pub struct FastStageProcessor2D<T: LaneElement, K: LaneOp2D<T>> {
     k: K,
     nx: usize,
-    stream_rows: usize,
-    /// Rows per independent mesh in the stream (seam period).
-    mesh_ny: usize,
-    r: usize,
-    ring: RingBuffer<T>,
-    next_out: usize,
+    win: Window<T>,
 }
 
 impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
     /// Create a processor for a stream of `stream_rows` rows of `nx` cells,
     /// where every `mesh_ny` rows form an independent mesh.
     pub fn new(k: K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self {
-        assert!(stream_rows.is_multiple_of(mesh_ny), "stream must be whole meshes");
-        let r = k.radius();
-        FastStageProcessor2D {
-            k,
-            nx,
-            stream_rows,
-            mesh_ny,
-            r,
-            ring: RingBuffer::new(2 * r + 1),
-            next_out: 0,
-        }
+        let win = Window::new(k.radius(), stream_rows, mesh_ny);
+        FastStageProcessor2D { k, nx, win }
     }
 
-    fn emit(&mut self, y: usize) -> Vec<T> {
-        let (nx, r) = (self.nx, self.r);
-        let ly = y % self.mesh_ny;
-        let y_interior = ly >= r && ly + r < self.mesh_ny;
+    fn emit(&self, y: usize) -> Vec<T> {
+        let (nx, r) = (self.nx, self.win.r);
         // Every cell is produced exactly once (left boundary, lane body,
         // scalar epilogue, right boundary), so the row is built by pushing
         // into reserved capacity — no default-fill pass over the row.
         let mut out = Vec::with_capacity(nx);
-        if !y_interior {
+        if !self.win.interior(y) {
             // Boundary row of its mesh: every cell is a boundary cell.
-            out.extend(self.ring.get(y).iter().map(|c| self.k.on_boundary(*c)));
+            out.extend(self.win.ring.get(y).iter().map(|c| self.k.on_boundary(*c)));
         } else {
             // Interior ly ≥ r implies y ≥ r, so the window rows y−r..=y+r
             // are all resident; hoist the borrows out of the cell loop.
-            let rows: Vec<&[T]> = (0..2 * r + 1).map(|d| self.ring.get(y + d - r)).collect();
+            let rows: Vec<&[T]> = (0..2 * r + 1).map(|d| self.win.ring.get(y + d - r)).collect();
             let center = rows[r];
             out.extend(center.iter().take(r.min(nx)).map(|c| self.k.on_boundary(*c)));
             let hi = nx.saturating_sub(r);
@@ -121,7 +101,6 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
             out.extend(center.iter().skip(hi.max(r)).map(|c| self.k.on_boundary(*c)));
         }
         debug_assert_eq!(out.len(), nx);
-        self.next_out = y + 1;
         out
     }
 
@@ -129,29 +108,18 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
     /// (none while the window is filling).
     pub fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(row.len(), self.nx, "row width mismatch");
-        assert!(self.ring.pushed() < self.stream_rows, "stream overrun");
-        self.ring.push(row);
-        let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        let y = self.win.push(row)?;
+        Some(self.emit(y))
     }
 
     /// After the last input row, drain the trailing `r` output rows.
     pub fn finish(&mut self) -> Vec<Vec<T>> {
-        assert_eq!(self.ring.pushed(), self.stream_rows, "stream incomplete");
-        let mut out = Vec::new();
-        while self.next_out < self.stream_rows {
-            out.push(self.emit(self.next_out));
-        }
-        out
+        self.win.drain().map(|y| self.emit(y)).collect()
     }
 
     /// Rows currently held in the window buffer.
     pub fn window_fill(&self) -> usize {
-        self.ring.resident()
+        self.win.fill()
     }
 }
 
@@ -162,44 +130,27 @@ pub struct FastStageProcessor3D<T: LaneElement, K: LaneOp3D<T>> {
     k: K,
     nx: usize,
     ny: usize,
-    stream_planes: usize,
-    /// Planes per independent mesh in the stream (seam period).
-    mesh_nz: usize,
-    r: usize,
-    ring: RingBuffer<T>,
-    next_out: usize,
+    win: Window<T>,
 }
 
 impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
     /// Create a processor for a stream of `stream_planes` planes of
     /// `nx × ny` cells, `mesh_nz` planes per independent mesh.
     pub fn new(k: K, nx: usize, ny: usize, stream_planes: usize, mesh_nz: usize) -> Self {
-        assert!(stream_planes.is_multiple_of(mesh_nz), "stream must be whole meshes");
-        let r = k.radius();
-        FastStageProcessor3D {
-            k,
-            nx,
-            ny,
-            stream_planes,
-            mesh_nz,
-            r,
-            ring: RingBuffer::new(2 * r + 1),
-            next_out: 0,
-        }
+        let win = Window::new(k.radius(), stream_planes, mesh_nz);
+        FastStageProcessor3D { k, nx, ny, win }
     }
 
-    fn emit(&mut self, z: usize) -> Vec<T> {
-        let (nx, ny, r) = (self.nx, self.ny, self.r);
-        let lz = z % self.mesh_nz;
-        let z_interior = lz >= r && lz + r < self.mesh_nz;
+    fn emit(&self, z: usize) -> Vec<T> {
+        let (nx, ny, r) = (self.nx, self.ny, self.win.r);
         // Built row by row in storage order by pushing into reserved
         // capacity — every cell is produced exactly once, so no
         // default-fill pass over the plane.
         let mut out = Vec::with_capacity(nx * ny);
-        if !z_interior {
-            out.extend(self.ring.get(z).iter().map(|c| self.k.on_boundary(*c)));
+        if !self.win.interior(z) {
+            out.extend(self.win.ring.get(z).iter().map(|c| self.k.on_boundary(*c)));
         } else {
-            let planes: Vec<&[T]> = (0..2 * r + 1).map(|d| self.ring.get(z + d - r)).collect();
+            let planes: Vec<&[T]> = (0..2 * r + 1).map(|d| self.win.ring.get(z + d - r)).collect();
             let center = planes[r];
             for y in 0..ny {
                 let row_off = y * nx;
@@ -235,60 +186,48 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
             }
         }
         debug_assert_eq!(out.len(), nx * ny);
-        self.next_out = z + 1;
         out
     }
 
     /// Feed the next plane; returns the output plane that became ready.
     pub fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
-        assert!(self.ring.pushed() < self.stream_planes, "stream overrun");
-        self.ring.push(plane);
-        let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        let z = self.win.push(plane)?;
+        Some(self.emit(z))
     }
 
     /// Drain the trailing `r` planes.
     pub fn finish(&mut self) -> Vec<Vec<T>> {
-        assert_eq!(self.ring.pushed(), self.stream_planes, "stream incomplete");
-        let mut out = Vec::new();
-        while self.next_out < self.stream_planes {
-            out.push(self.emit(self.next_out));
-        }
-        out
+        self.win.drain().map(|z| self.emit(z)).collect()
     }
 
     /// Planes currently held in the window buffer.
     pub fn window_fill(&self) -> usize {
-        self.ring.resident()
+        self.win.fill()
     }
 }
 
-impl<T: LaneElement, K: LaneOp2D<T>> Stage2D<T> for FastStageProcessor2D<T, K> {
-    fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
-        FastStageProcessor2D::push_row(self, row)
+impl<T: LaneElement, K: LaneOp2D<T>> Stage<T> for FastStageProcessor2D<T, K> {
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_row(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
-        FastStageProcessor2D::finish(self)
+        Self::finish(self)
     }
     fn window_fill(&self) -> usize {
-        FastStageProcessor2D::window_fill(self)
+        Self::window_fill(self)
     }
 }
 
-impl<T: LaneElement, K: LaneOp3D<T>> Stage3D<T> for FastStageProcessor3D<T, K> {
-    fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
-        FastStageProcessor3D::push_plane(self, plane)
+impl<T: LaneElement, K: LaneOp3D<T>> Stage<T> for FastStageProcessor3D<T, K> {
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_plane(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
-        FastStageProcessor3D::finish(self)
+        Self::finish(self)
     }
     fn window_fill(&self) -> usize {
-        FastStageProcessor3D::window_fill(self)
+        Self::window_fill(self)
     }
 }
 
@@ -298,24 +237,17 @@ impl<T: LaneElement, K: LaneOp3D<T>> Stage3D<T> for FastStageProcessor3D<T, K> {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FastEngine;
 
-impl<T: LaneElement, K: LaneOp2D<T> + Clone> Engine2D<T, K> for FastEngine {
+impl<T: LaneElement, K: LaneOp2D<T> + Clone> Engine<Batch2D<T>, K> for FastEngine {
     type Stage = FastStageProcessor2D<T, K>;
-    fn stage(&self, k: &K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self::Stage {
-        FastStageProcessor2D::new(k.clone(), nx, stream_rows, mesh_ny)
+    fn stage(&self, k: &K, unit: (usize, usize), stream: usize, mesh: usize) -> Self::Stage {
+        FastStageProcessor2D::new(k.clone(), unit.0, stream, mesh)
     }
 }
 
-impl<T: LaneElement, K: LaneOp3D<T> + Clone> Engine3D<T, K> for FastEngine {
+impl<T: LaneElement, K: LaneOp3D<T> + Clone> Engine<Batch3D<T>, K> for FastEngine {
     type Stage = FastStageProcessor3D<T, K>;
-    fn stage(
-        &self,
-        k: &K,
-        nx: usize,
-        ny: usize,
-        stream_planes: usize,
-        mesh_nz: usize,
-    ) -> Self::Stage {
-        FastStageProcessor3D::new(k.clone(), nx, ny, stream_planes, mesh_nz)
+    fn stage(&self, k: &K, unit: (usize, usize), stream: usize, mesh: usize) -> Self::Stage {
+        FastStageProcessor3D::new(k.clone(), unit.0, unit.1, stream, mesh)
     }
 }
 
@@ -333,21 +265,17 @@ pub enum ExecEngine {
 }
 
 impl ExecEngine {
+    /// The names of the variants, in declaration order.
+    const NAMES: [&'static str; 2] = ["scalar", "fast"];
+
     /// Stable lowercase name (CLI values, JSON keys).
     pub fn name(&self) -> &'static str {
-        match self {
-            ExecEngine::Scalar => "scalar",
-            ExecEngine::Fast => "fast",
-        }
+        Self::NAMES[*self as usize]
     }
 
     /// Parse a CLI engine name.
     pub fn parse(s: &str) -> Option<ExecEngine> {
-        match s {
-            "scalar" => Some(ExecEngine::Scalar),
-            "fast" => Some(ExecEngine::Fast),
-            _ => None,
-        }
+        [ExecEngine::Scalar, ExecEngine::Fast].into_iter().find(|e| e.name() == s)
     }
 }
 
@@ -357,90 +285,16 @@ impl std::fmt::Display for ExecEngine {
     }
 }
 
-/// [`crate::exec2d::simulate_2d`] through the fast path.
-pub fn simulate_2d_fast<T: LaneElement, K: LaneOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-) -> (Batch2D<T>, SimReport) {
-    simulate_2d_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`crate::exec3d::simulate_3d`] through the fast path.
-pub fn simulate_3d_fast<T: LaneElement, K: LaneOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-) -> (Batch3D<T>, SimReport) {
-    simulate_3d_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`crate::exec_batch::simulate_batch_2d_parallel`] through the fast path.
-pub fn simulate_batch_2d_fast<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    simulate_batch_2d_parallel_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// [`crate::exec_batch::simulate_batch_3d_parallel`] through the fast path.
-pub fn simulate_batch_3d_fast<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    simulate_batch_3d_parallel_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-dispatched [`crate::exec2d::simulate_2d_traced`]: `engine`
-/// selects scalar or fast stage processors; everything else is identical.
+/// Traced single-stream execution on `engine`: the schedule trace
+/// ([`crate::profile::trace_schedule`] — per-pass/per-tile spans, AXI
+/// channel utilisation, stall attribution) plus behavioral window-buffer
+/// events (fill gauges, primed/drain instants) for the first pass. The
+/// schedule repeats identically every pass, so later passes stream
+/// untraced.
+///
+/// # Panics
+/// Panics if the design mode disagrees with the input batch, like
+/// [`crate::exec2d::simulate_2d`].
 pub fn simulate_2d_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
     engine: ExecEngine,
     dev: &FpgaDevice,
@@ -450,17 +304,15 @@ pub fn simulate_2d_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
     niter: usize,
     rec: &mut Recorder,
 ) -> (Batch2D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => {
-            simulate_2d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-        }
-        ExecEngine::Fast => {
-            simulate_2d_core(&FastEngine, dev, design, stages_per_iter, input, niter, rec)
-        }
-    }
+    expect_checked(
+        Run { engine, ..Run::new(dev, design, stages_per_iter, niter, rec) }.simulate(input),
+    )
 }
 
-/// Engine-dispatched [`crate::exec3d::simulate_3d_traced`].
+/// [`simulate_2d_exec`] for 3D batches.
+///
+/// # Panics
+/// See [`simulate_2d_exec`].
 pub fn simulate_3d_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
     engine: ExecEngine,
     dev: &FpgaDevice,
@@ -470,17 +322,19 @@ pub fn simulate_3d_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
     niter: usize,
     rec: &mut Recorder,
 ) -> (Batch3D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => {
-            simulate_3d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-        }
-        ExecEngine::Fast => {
-            simulate_3d_core(&FastEngine, dev, design, stages_per_iter, input, niter, rec)
-        }
-    }
+    expect_checked(
+        Run { engine, ..Run::new(dev, design, stages_per_iter, niter, rec) }.simulate(input),
+    )
 }
 
-/// Engine-dispatched [`crate::exec_batch::simulate_batch_2d_parallel`].
+/// Execute a (batch of) 2D mesh(es) with per-mesh fan-out across `jobs`
+/// worker threads ([`crate::exec_batch`]). Output, [`SimReport`] and every
+/// byte recorded into `rec` are identical for all `jobs` values; the
+/// numeric result is bit-identical to [`simulate_2d_exec`].
+///
+/// # Panics
+/// Panics on a design/input mismatch (wrong batch size, a tiled design) or
+/// `niter == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batch_2d_parallel_exec<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
     engine: ExecEngine,
@@ -492,31 +346,15 @@ pub fn simulate_batch_2d_parallel_exec<T: LaneElement, K: LaneOp2D<T> + Clone + 
     jobs: usize,
     rec: &mut Recorder,
 ) -> (Batch2D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_2d_parallel_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_2d_parallel_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-    }
+    let mut run =
+        Run { engine, jobs: Some(jobs), ..Run::new(dev, design, stages_per_iter, niter, rec) };
+    expect_checked(run.simulate(input))
 }
 
-/// Engine-dispatched [`crate::exec_batch::simulate_batch_3d_parallel`].
+/// [`simulate_batch_2d_parallel_exec`] for 3D batches.
+///
+/// # Panics
+/// See [`simulate_batch_2d_parallel_exec`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batch_3d_parallel_exec<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
     engine: ExecEngine,
@@ -528,119 +366,22 @@ pub fn simulate_batch_3d_parallel_exec<T: LaneElement, K: LaneOp3D<T> + Clone + 
     jobs: usize,
     rec: &mut Recorder,
 ) -> (Batch3D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_3d_parallel_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_3d_parallel_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-    }
+    let mut run =
+        Run { engine, jobs: Some(jobs), ..Run::new(dev, design, stages_per_iter, niter, rec) };
+    expect_checked(run.simulate(input))
 }
 
-/// Engine-dispatched [`crate::resilient::simulate_2d_resilient`].
+/// Fault-aware single-stream execution on `engine` with checkpoint
+/// recovery ([`crate::recovery`]). With [`sf_recover::RecoveryPolicy::Rerun`]
+/// every detection surfaces to the caller and the stats are all-zero;
+/// with `Rollback` the run checkpoints every `checkpoint_every` passes,
+/// verifies each segment with an ABFT signature and rolls back on a
+/// watchdog or ABFT detection.
 ///
 /// # Errors
-/// Exactly the errors of the scalar resilient executor — injection points
-/// and watchdog behavior are engine-independent.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_resilient_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_2d_resilient_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_2d_resilient_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::resilient::simulate_3d_resilient`].
-///
-/// # Errors
-/// See [`simulate_2d_resilient_exec`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_resilient_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_3d_resilient_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_3d_resilient_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_2d_recoverable`].
-///
-/// # Errors
-/// Exactly the errors of the scalar recoverable executor.
+/// The run check's [`ExecError::ShapeMismatch`]/[`ExecError::Unsupported`]
+/// and the datapath errors of [`crate::driver::Run::simulate`]; injection
+/// points and watchdog behavior are engine-independent.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_2d_recoverable_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
     engine: ExecEngine,
@@ -654,35 +395,17 @@ pub fn simulate_2d_recoverable_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
     rcfg: &RecoveryConfig,
     rec: &mut Recorder,
 ) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_2d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_2d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
+    Run {
+        engine,
+        faults: Faults::Injector(inj),
+        retry: *policy,
+        recovery: Some(rcfg),
+        ..Run::new(dev, design, stages_per_iter, niter, rec)
     }
+    .simulate(input)
 }
 
-/// Engine-dispatched [`crate::recovery::simulate_3d_recoverable`].
+/// [`simulate_2d_recoverable_exec`] for 3D batches.
 ///
 /// # Errors
 /// See [`simulate_2d_recoverable_exec`].
@@ -699,138 +422,24 @@ pub fn simulate_3d_recoverable_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
     rcfg: &RecoveryConfig,
     rec: &mut Recorder,
 ) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_3d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_3d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
+    Run {
+        engine,
+        faults: Faults::Injector(inj),
+        retry: *policy,
+        recovery: Some(rcfg),
+        ..Run::new(dev, design, stages_per_iter, niter, rec)
     }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_batch_2d_recoverable`].
-///
-/// # Errors
-/// Exactly the errors of the scalar batch-recoverable executor.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_recoverable_exec<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_2d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_2d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_batch_3d_recoverable`].
-///
-/// # Errors
-/// See [`simulate_batch_2d_recoverable_exec`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_recoverable_exec<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_3d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_3d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-    }
+    .simulate(input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::{synthesize, ExecMode, MemKind, Workload};
-    use crate::exec2d::{simulate_2d, simulate_2d_traced, simulate_mesh_2d};
+    use crate::exec2d::{simulate_2d, simulate_mesh_2d};
     use crate::exec3d::simulate_3d;
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
-    use sf_mesh::{norms, Mesh2D, Mesh3D};
+    use sf_mesh::{norms, Batch2D, Batch3D, Mesh2D, Mesh3D};
     use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json};
 
     fn dev() -> FpgaDevice {
@@ -855,7 +464,15 @@ mod tests {
         .unwrap();
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
         let (scalar, scalar_rep) = simulate_2d(&dev(), &ds, &[Poisson2D], &batch, 12);
-        let (fast, fast_rep) = simulate_2d_fast(&dev(), &ds, &[Poisson2D], &batch, 12);
+        let (fast, fast_rep) = simulate_2d_exec(
+            ExecEngine::Fast,
+            &dev(),
+            &ds,
+            &[Poisson2D],
+            &batch,
+            12,
+            &mut Recorder::disabled(),
+        );
         assert!(norms::bit_equal(fast.as_slice(), scalar.as_slice()));
         assert_eq!(fast_rep.total_cycles, scalar_rep.total_cycles);
         let expect = reference::run_2d(&Poisson2D, &m, 12);
@@ -872,7 +489,15 @@ mod tests {
         let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
         let k = Jacobi3D::smoothing();
         let (scalar, _) = simulate_3d(&dev(), &ds, &[k], &batch, 6);
-        let (fast, _) = simulate_3d_fast(&dev(), &ds, &[k], &batch, 6);
+        let (fast, _) = simulate_3d_exec(
+            ExecEngine::Fast,
+            &dev(),
+            &ds,
+            &[k],
+            &batch,
+            6,
+            &mut Recorder::disabled(),
+        );
         assert!(norms::bit_equal(fast.as_slice(), scalar.as_slice()));
         let expect = reference::run_3d(&k, &m, 6);
         assert!(norms::bit_equal(fast.mesh(0).as_slice(), expect.as_slice()));
@@ -894,7 +519,15 @@ mod tests {
         .unwrap();
         let (scalar, _) = simulate_mesh_2d(&dev(), &ds, &[Poisson2D], &m, 16);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let (fast, _) = simulate_2d_fast(&dev(), &ds, &[Poisson2D], &batch, 16);
+        let (fast, _) = simulate_2d_exec(
+            ExecEngine::Fast,
+            &dev(),
+            &ds,
+            &[Poisson2D],
+            &batch,
+            16,
+            &mut Recorder::disabled(),
+        );
         assert!(norms::bit_equal(fast.mesh(0).as_slice(), scalar.as_slice()));
     }
 
@@ -914,7 +547,8 @@ mod tests {
         .unwrap();
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
         let mut rec_s = Recorder::enabled(ds.freq_hz / 1e6);
-        let _ = simulate_2d_traced(&dev(), &ds, &[Poisson2D], &batch, 8, &mut rec_s);
+        let _ =
+            simulate_2d_exec(ExecEngine::Scalar, &dev(), &ds, &[Poisson2D], &batch, 8, &mut rec_s);
         let mut rec_f = Recorder::enabled(ds.freq_hz / 1e6);
         let _ =
             simulate_2d_exec(ExecEngine::Fast, &dev(), &ds, &[Poisson2D], &batch, 8, &mut rec_f);

@@ -29,13 +29,23 @@
 //!   pipeline would, so results are bit-exact vs the golden reference.
 //! * [`cycles`] — the closed-form cycle model shared by the executor and the
 //!   estimator (and validated against the paper's equations in `sf-model`).
-//! * [`exec2d`]/[`exec3d`] — baseline / batched / tiled executors producing a
-//!   [`report::SimReport`]; `simulate_*` runs numerics + timing,
-//!   `estimate_*` produces timing only (for paper-scale workloads).
+//! * [`driver`] — the one pass driver behind every executor: a
+//!   [`driver::Run`] (design, stages, iterations, engine, fan-out, faults,
+//!   recovery, recorder) executes on a `Batch2D` or `Batch3D` through one
+//!   chain runner ([`window`]) and one pass loop, with per-mesh fan-out
+//!   ([`exec_batch`]), fault hooks ([`resilient`]) and checkpoint segments
+//!   ([`recovery`]) layered on it. Sharded runs (`sf-multi`) stream slabs
+//!   through the same loop.
+//! * [`fast`] — the lane-parallel engine and the engine-selecting entry
+//!   points (`simulate_*_exec`).
+//! * [`exec2d`]/[`exec3d`] — the scalar entry points and what is
+//!   dimension-specific (row vs plane streaming, 1D vs 2D tiling);
+//!   `simulate_*` runs numerics + timing, `estimate_*` produces timing only
+//!   (for paper-scale workloads).
 //! * [`power`] — the xbutil-equivalent power/energy model.
 //! * [`profile`] — schedule-level telemetry: feeds an `sf-telemetry`
 //!   [`Recorder`] with per-pass/per-tile spans, AXI channel utilisation,
-//!   FIFO backpressure and stall attribution; `simulate_*_traced` adds
+//!   FIFO backpressure and stall attribution; a fault-free run adds
 //!   behavioral window-buffer events on top.
 
 pub mod axi;
@@ -43,6 +53,7 @@ pub mod clock;
 pub mod cycles;
 pub mod design;
 pub mod device;
+pub mod driver;
 pub mod error;
 pub mod exec2d;
 pub mod exec3d;
@@ -61,19 +72,14 @@ pub mod window;
 
 pub use design::{ExecMode, MemKind, StencilDesign, SynthesisError};
 pub use device::{FpgaDevice, MemorySpec};
+pub use driver::{Faults, Run};
 pub use error::ExecError;
-pub use exec_batch::{simulate_batch_2d_parallel, simulate_batch_3d_parallel};
 pub use fast::{
-    simulate_2d_exec, simulate_2d_fast, simulate_3d_exec, simulate_3d_fast, simulate_batch_2d_fast,
-    simulate_batch_2d_parallel_exec, simulate_batch_3d_fast, simulate_batch_3d_parallel_exec,
-    ExecEngine, FastEngine,
-};
-pub use recovery::{
-    simulate_2d_recoverable, simulate_3d_recoverable, simulate_batch_2d_recoverable,
-    simulate_batch_3d_recoverable,
+    simulate_2d_exec, simulate_3d_exec, simulate_batch_2d_parallel_exec,
+    simulate_batch_3d_parallel_exec, ExecEngine, FastEngine,
 };
 pub use report::SimReport;
-pub use resilient::{plan_with_faults, simulate_2d_resilient, simulate_3d_resilient, FaultyPlan};
+pub use resilient::{plan_with_faults, FaultyPlan};
 pub use resources::ResourceUsage;
 pub use sf_faults::{
     AxiVerdict, FaultInjector, FaultKind, FaultPlan, RetryPolicy, Watchdog, WatchdogTrip,

@@ -1,12 +1,12 @@
 //! Recoverable execution: checkpoint/rollback with ABFT detection layered
-//! over the resilient executors.
+//! over the fault-aware pass loop.
 //!
-//! The temporal-batch loop of [`crate::resilient::simulate_2d_resilient`]
-//! already advances the solve `p_eff` iterations per pipeline pass; this
-//! module groups passes into **checkpoint segments** of
+//! A fault-aware run ([`crate::driver::Faults`]) advances the solve `p_eff`
+//! iterations per pipeline pass; with [`RecoveryPolicy::Rollback`](sf_recover::RecoveryPolicy::Rollback) the
+//! driver groups passes into **checkpoint segments** of
 //! [`RecoveryConfig::checkpoint_every`] passes. Per segment:
 //!
-//! 1. the segment is executed through the fault-aware chain runners;
+//! 1. the segment is executed through the fault-aware pass loop;
 //! 2. an [`AbftSignature`] (block row/column sums) of the segment output
 //!    is compared against the signature of the reference-propagated state
 //!    from the last verified checkpoint — silent data corruption the
@@ -14,9 +14,12 @@
 //! 3. on an ABFT mismatch *or* a watchdog deadlock, the last checkpoint
 //!    is restored from the in-memory [`CheckpointRing`] (its content
 //!    checksum re-verified) and only the lost passes are recomputed, up
-//!    to [`RecoveryPolicy::Rollback`]'s `max_retries` per segment;
+//!    to [`RecoveryPolicy::Rollback`](sf_recover::RecoveryPolicy::Rollback)'s `max_retries` per segment;
 //! 4. on success the new state is checkpointed (and optionally spilled
 //!    to the versioned on-disk format).
+//!
+//! With [`RecoveryPolicy::Rerun`](sf_recover::RecoveryPolicy::Rerun) a fault-aware run has no segments:
+//! detections surface to the caller.
 //!
 //! **Cost model.** Checkpoint writes are charged at the external-memory
 //! write bandwidth of eq. 4 (`bytes / (BW/f)` cycles), ABFT checks at one
@@ -28,30 +31,26 @@
 //!
 //! Determinism: the fault injector's RNG advances exactly once per
 //! opportunity, replays re-consult it (a single-injection plan is clean
-//! on replay — its budget is spent), and the batch-parallel variants
-//! derive per-mesh injector seeds by index, so outputs, stats and
+//! on replay — its budget is spent), and per-mesh runs derive their
+//! injector seeds by index ([`derive_mesh_plan`]), so outputs, stats and
 //! telemetry are byte-identical for any `--jobs` value and reproducible
 //! per seed.
 //!
 //! [`CyclePlan`]: crate::cycles::CyclePlan
 
-use crate::cycles;
 use crate::design::{MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
+use crate::driver::{GridKernel, Passes, StreamGrid, WHOLE};
 use crate::error::ExecError;
 use crate::power;
 use crate::report::SimReport;
-use crate::resilient::{
-    check_mode, pass_budget, plan_with_faults, run_chain_2d_resilient_engine,
-    run_chain_3d_resilient_engine, simulate_2d_resilient_core, simulate_3d_resilient_core,
-};
-use crate::window::{Engine2D, Engine3D, ScalarEngine};
-use sf_faults::{FaultInjector, FaultPlan, RetryPolicy, Watchdog};
-use sf_kernels::{reference, StencilOp2D, StencilOp3D};
-use sf_mesh::{Batch2D, Batch3D, Element, Mesh2D, Mesh3D};
+use crate::resilient::{FaultHook, FaultyPlan};
+use crate::window::Engine;
+use sf_faults::{FaultInjector, FaultPlan};
+use sf_mesh::Element;
 use sf_recover::{
-    abft_check_cycles, spill, AbftSignature, CheckpointRing, RecoveryConfig, RecoveryPolicy,
-    RecoveryStats, Snapshot,
+    abft_check_cycles, spill, AbftSignature, CheckpointRing, RecoveryConfig, RecoveryStats,
+    Snapshot,
 };
 use sf_telemetry::{Recorder, StallClass};
 use std::path::PathBuf;
@@ -70,8 +69,8 @@ pub fn checkpoint_cost_cycles(dev: &FpgaDevice, design: &StencilDesign, bytes: u
     (bytes as f64 / bytes_per_cycle).ceil() as u64
 }
 
-/// Per-segment execution parameters shared by the 2D/3D cores.
-struct RecoverParams {
+/// Per-stream parameters of the checkpoint/rollback loop.
+pub(crate) struct RecoverParams {
     /// Passes per checkpoint segment.
     interval: usize,
     /// Rollback attempts allowed per segment.
@@ -83,49 +82,64 @@ struct RecoverParams {
     /// Spill directory (optional) and file-name prefix for this stream.
     spill_dir: Option<PathBuf>,
     spill_prefix: String,
+    /// Bytes of one snapshot of the stream.
+    pub(crate) mesh_bytes: u64,
     /// Cycles charged per checkpoint write.
     ckpt_cost: u64,
     /// Cycles charged per ABFT check.
     abft_cost: u64,
-    /// Replay cost of one pipeline pass.
-    pass_cycles: u64,
+    /// Watchdog budget of one pass.
+    budget: u64,
 }
 
 impl RecoverParams {
-    fn from_config(
+    /// Parameters for recovering `stream` (a whole batch, or one member of
+    /// a per-mesh run) under `rcfg`.
+    pub(crate) fn new<B: StreamGrid>(
         rcfg: &RecoveryConfig,
         max_retries: u32,
-        spill_prefix: &str,
-        ckpt_cost: u64,
-        abft_cost: u64,
-        pass_cycles: u64,
+        spill_prefix: String,
+        dev: &FpgaDevice,
+        design: &StencilDesign,
+        stream: &B,
+        budget: u64,
     ) -> RecoverParams {
+        let cells = stream.as_slice().len();
+        let mesh_bytes = (cells * B::Cell::size_bytes()) as u64;
         RecoverParams {
             interval: rcfg.checkpoint_every.max(1),
             max_retries,
             ring_capacity: rcfg.ring_capacity,
             abft_tol: rcfg.abft_tol,
             spill_dir: rcfg.spill_dir.clone(),
-            spill_prefix: spill_prefix.to_string(),
-            ckpt_cost,
-            abft_cost,
-            pass_cycles,
+            spill_prefix,
+            mesh_bytes,
+            ckpt_cost: checkpoint_cost_cycles(dev, design, mesh_bytes),
+            abft_cost: abft_check_cycles(cells as u64, design.v),
+            budget,
         }
     }
 
     /// Capture (and optionally spill) a checkpoint, charging its cost.
-    #[allow(clippy::too_many_arguments)]
-    fn take_checkpoint<T: Element>(
+    fn take_checkpoint<B: StreamGrid>(
         &self,
         ring: &mut CheckpointRing,
         stats: &mut RecoveryStats,
-        dims: &[u64],
-        batch: u64,
-        cells: &[T],
+        state: &B,
         iters_done: u64,
         passes_done: u64,
     ) -> Result<(), ExecError> {
-        let snap = Snapshot::capture(iters_done, passes_done, dims, batch, cells);
+        let dims: Vec<u64> = match state.workload() {
+            Workload::D2 { nx, ny, .. } => vec![nx as u64, ny as u64],
+            Workload::D3 { nx, ny, nz, .. } => vec![nx as u64, ny as u64, nz as u64],
+        };
+        let snap = Snapshot::capture(
+            iters_done,
+            passes_done,
+            &dims,
+            state.batch() as u64,
+            state.as_slice(),
+        );
         if let Some(dir) = &self.spill_dir {
             let path = dir.join(format!("{}ckpt_{passes_done:06}.sfckpt", self.spill_prefix));
             spill::write_file(&path, &snap)
@@ -155,9 +169,9 @@ impl RecoverParams {
     }
 }
 
-/// Split the remaining iterations into per-pass `p_eff` chunks for one
-/// checkpoint segment (at most `interval` passes).
-fn segment_passes(p: usize, remaining: usize, interval: usize) -> Vec<usize> {
+/// Split `remaining` iterations into per-pass `p_eff` chunks, at most
+/// `interval` passes (one checkpoint segment).
+pub(crate) fn segment_passes(p: usize, remaining: usize, interval: usize) -> Vec<usize> {
     let mut seg = Vec::new();
     let mut rem = remaining;
     while rem > 0 && seg.len() < interval {
@@ -168,223 +182,43 @@ fn segment_passes(p: usize, remaining: usize, interval: usize) -> Vec<usize> {
     seg
 }
 
-/// Reference propagation of a 2D batch (per mesh, all stages per
-/// iteration) — the expected side of the ABFT comparison.
-fn reference_batch_2d<T: Element, K: StencilOp2D<T>>(
-    stages: &[K],
-    b: &Batch2D<T>,
-    iters: usize,
-) -> Batch2D<T> {
-    let meshes: Vec<Mesh2D<T>> =
-        (0..b.batch()).map(|i| reference::run_stages_2d(stages, &b.mesh(i), iters)).collect();
-    Batch2D::from_meshes(&meshes)
-}
-
-/// 3D twin of [`reference_batch_2d`].
-fn reference_batch_3d<T: Element, K: StencilOp3D<T>>(
-    stages: &[K],
-    b: &Batch3D<T>,
-    iters: usize,
-) -> Batch3D<T> {
-    let meshes: Vec<Mesh3D<T>> =
-        (0..b.batch()).map(|i| reference::run_stages_3d(stages, &b.mesh(i), iters)).collect();
-    Batch3D::from_meshes(&meshes)
-}
-
-/// Run one checkpoint segment (no recovery) through the fault-aware 2D
-/// chain runner.
-#[allow(clippy::too_many_arguments)]
-fn run_segment_2d<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    stages: &[K],
-    start: &Batch2D<T>,
-    seg: &[usize],
-    inj: &mut FaultInjector,
-    budget: u64,
-    rc: u64,
-) -> Result<Batch2D<T>, ExecError> {
-    let (nx, ny, b) = (start.nx(), start.ny(), start.batch());
-    let stream_rows = b * ny;
-    let mut cur = start.clone();
-    for &p_eff in seg {
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_rows as u64);
-        let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-        let out_rows = run_chain_2d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            stream_rows,
-            ny,
-            rows,
-            inj,
-            &mut dog,
-            rc,
-        )?;
-        let mut out = Batch2D::<T>::zeros(nx, ny, b);
-        for (gy, row) in out_rows.into_iter().enumerate() {
-            out.as_mut_slice()[gy * nx..(gy + 1) * nx].copy_from_slice(&row);
-        }
-        cur = out;
-    }
-    Ok(cur)
-}
-
-/// 3D twin of [`run_segment_2d`]: streams planes.
-#[allow(clippy::too_many_arguments)]
-fn run_segment_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    stages: &[K],
-    start: &Batch3D<T>,
-    seg: &[usize],
-    inj: &mut FaultInjector,
-    budget: u64,
-    plane_cycles: u64,
-) -> Result<Batch3D<T>, ExecError> {
-    let (nx, ny, nz, b) = (start.nx(), start.ny(), start.nz(), start.batch());
-    let plane = nx * ny;
-    let stream_planes = b * nz;
-    let mut cur = start.clone();
-    for &p_eff in seg {
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_planes as u64);
-        let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-        let out_planes = run_chain_3d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            ny,
-            stream_planes,
-            nz,
-            planes,
-            inj,
-            &mut dog,
-            plane_cycles,
-        )?;
-        let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-        for (gz, pl) in out_planes.into_iter().enumerate() {
-            out.as_mut_slice()[gz * plane..(gz + 1) * plane].copy_from_slice(&pl);
-        }
-        cur = out;
-    }
-    Ok(cur)
-}
-
-/// The checkpoint/ABFT/rollback loop over one 2D stream (a whole batch
-/// for the single-stream executor; one mesh for the batch-parallel path).
-#[allow(clippy::too_many_arguments)]
-fn recover_core_2d<T: Element, K: StencilOp2D<T> + Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    design: &StencilDesign,
-    stages: &[K],
-    input: &Batch2D<T>,
+/// The checkpoint/ABFT/rollback loop over one stream (a whole batch for a
+/// single-stream run, one mesh for a per-mesh run). Segments replay
+/// through the run's engine; the ABFT expected side is always the golden
+/// reference, so every engine is verified against the same signatures.
+pub(crate) fn recover<B, K, E>(
+    px: &Passes<'_, K, E>,
+    input: &B,
     niter: usize,
     inj: &mut FaultInjector,
-    rc: u64,
-    budget: u64,
     prm: &RecoverParams,
-) -> Result<(Batch2D<T>, RecoveryStats), ExecError> {
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    let dims = [nx as u64, ny as u64];
+) -> Result<(B, RecoveryStats), ExecError>
+where
+    B: StreamGrid,
+    K: GridKernel<B>,
+    E: Engine<B, K>,
+{
+    let unit = input.unit_len();
     let mut stats = RecoveryStats::default();
     let mut ring = CheckpointRing::new(prm.ring_capacity);
+    let mut hook = FaultHook::new(inj, prm.budget);
+    let mut off = Recorder::disabled();
     let mut verified = input.clone();
     let mut done = 0usize;
     let mut passes_done = 0u64;
-    prm.take_checkpoint(&mut ring, &mut stats, &dims, b as u64, verified.as_slice(), 0, 0)?;
+    prm.take_checkpoint(&mut ring, &mut stats, &verified, 0, 0)?;
 
     while done < niter {
-        let seg = segment_passes(design.p, niter - done, prm.interval);
+        let seg = segment_passes(px.design.p, niter - done, prm.interval);
         let seg_iters: usize = seg.iter().sum();
-        let seg_replay_cycles = seg.len() as u64 * prm.pass_cycles;
-        let expected = reference_batch_2d(stages, &verified, seg_iters);
-        let expected_sig = AbftSignature::compute(expected.as_slice(), nx);
-
-        let mut attempt = 0u32;
-        let state = loop {
-            let outcome = run_segment_2d(engine, stages, &verified, &seg, inj, budget, rc);
-            match outcome {
-                Ok(state) => {
-                    stats.abft_checks += 1;
-                    stats.abft_cycles += prm.abft_cost;
-                    let sig = AbftSignature::compute(state.as_slice(), nx);
-                    if sig.matches(&expected_sig, prm.abft_tol) {
-                        break state;
-                    }
-                    stats.sdc_detected += 1;
-                    if attempt >= prm.max_retries {
-                        return Err(ExecError::RecoveryExhausted {
-                            rollbacks: attempt,
-                            detail: format!(
-                                "ABFT signature mismatch persisted at iteration {done}"
-                            ),
-                        });
-                    }
-                }
-                Err(ExecError::Deadlock(trip)) => {
-                    if attempt >= prm.max_retries {
-                        return Err(ExecError::Deadlock(trip));
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-            attempt += 1;
-            stats.rollbacks += 1;
-            stats.batches_replayed += seg.len() as u64;
-            stats.recovery_cycles += seg_replay_cycles;
-            prm.rollback(&ring, verified.as_mut_slice(), attempt)?;
-        };
-        verified = state;
-        done += seg_iters;
-        passes_done += seg.len() as u64;
-        prm.take_checkpoint(
-            &mut ring,
-            &mut stats,
-            &dims,
-            b as u64,
-            verified.as_slice(),
-            done as u64,
-            passes_done,
-        )?;
-    }
-    Ok((verified, stats))
-}
-
-/// 3D twin of [`recover_core_2d`].
-#[allow(clippy::too_many_arguments)]
-fn recover_core_3d<T: Element, K: StencilOp3D<T> + Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    design: &StencilDesign,
-    stages: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    plane_cycles: u64,
-    budget: u64,
-    prm: &RecoverParams,
-) -> Result<(Batch3D<T>, RecoveryStats), ExecError> {
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    let dims = [nx as u64, ny as u64, nz as u64];
-    let unit = nx * ny;
-    let mut stats = RecoveryStats::default();
-    let mut ring = CheckpointRing::new(prm.ring_capacity);
-    let mut verified = input.clone();
-    let mut done = 0usize;
-    let mut passes_done = 0u64;
-    prm.take_checkpoint(&mut ring, &mut stats, &dims, b as u64, verified.as_slice(), 0, 0)?;
-
-    while done < niter {
-        let seg = segment_passes(design.p, niter - done, prm.interval);
-        let seg_iters: usize = seg.iter().sum();
-        let seg_replay_cycles = seg.len() as u64 * prm.pass_cycles;
-        let expected = reference_batch_3d(stages, &verified, seg_iters);
+        // replaying a segment costs its passes at the watchdog's pass price
+        let seg_replay_cycles = seg.len() as u64 * prm.budget.saturating_sub(1);
+        let expected = K::reference(px.stages, &verified, seg_iters);
         let expected_sig = AbftSignature::compute(expected.as_slice(), unit);
 
         let mut attempt = 0u32;
         let state = loop {
-            let outcome =
-                run_segment_3d(engine, stages, &verified, &seg, inj, budget, plane_cycles);
-            match outcome {
+            match px.run(verified.clone(), &seg, WHOLE, &mut off, Some(&mut hook)) {
                 Ok(state) => {
                     stats.abft_checks += 1;
                     stats.abft_cycles += prm.abft_cost;
@@ -418,33 +252,24 @@ fn recover_core_3d<T: Element, K: StencilOp3D<T> + Clone, E: Engine3D<T, K>>(
         verified = state;
         done += seg_iters;
         passes_done += seg.len() as u64;
-        prm.take_checkpoint(
-            &mut ring,
-            &mut stats,
-            &dims,
-            b as u64,
-            verified.as_slice(),
-            done as u64,
-            passes_done,
-        )?;
+        prm.take_checkpoint(&mut ring, &mut stats, &verified, done as u64, passes_done)?;
     }
     Ok((verified, stats))
 }
 
 /// Fold recovery stats into the plan, the recorder and the report.
 #[allow(clippy::too_many_arguments)]
-fn finalize(
+pub(crate) fn finalize(
     dev: &FpgaDevice,
     design: &StencilDesign,
-    mut plan: cycles::CyclePlan,
+    fp: &FaultyPlan,
     niter: u64,
     mesh_bytes: u64,
     stats: &RecoveryStats,
-    extra_axi_cycles: u64,
-    bursts_recovered: u64,
     injected: u64,
     rec: &mut Recorder,
 ) -> SimReport {
+    let mut plan = fp.plan;
     let overhead = stats.overhead_cycles();
     plan.total_cycles += overhead;
     plan.ext_write_bytes += stats.checkpoints_taken * mesh_bytes;
@@ -452,8 +277,8 @@ fn finalize(
         + plan.host_calls as f64 * dev.host_call_latency_s;
     rec.stall(StallClass::Checkpoint, overhead);
     rec.counter_add("fault.injected", injected);
-    rec.counter_add("fault.axi.extra_cycles", extra_axi_cycles);
-    rec.counter_add("fault.axi.recovered", bursts_recovered);
+    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
+    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
     rec.counter_add("fault.sdc_detected", stats.sdc_detected);
     rec.counter_add("recover.checkpoints", stats.checkpoints_taken);
     rec.counter_add("recover.checkpoint_cycles", stats.checkpoint_cycles);
@@ -466,257 +291,6 @@ fn finalize(
     SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design))
 }
 
-/// Retry budget of a policy; `None` means the policy is [`RecoveryPolicy::Rerun`].
-fn rollback_budget(policy: RecoveryPolicy) -> Option<u32> {
-    match policy {
-        RecoveryPolicy::Rerun => None,
-        RecoveryPolicy::Rollback { max_retries } => Some(max_retries),
-    }
-}
-
-/// Checkpoint/rollback variant of [`crate::resilient::simulate_2d_resilient`].
-///
-/// With [`RecoveryPolicy::Rerun`] this *is* the resilient executor (plus
-/// an empty [`RecoveryStats`]): detections surface to the caller exactly
-/// as before. With [`RecoveryPolicy::Rollback`] the run checkpoints every
-/// [`RecoveryConfig::checkpoint_every`] passes, verifies each segment
-/// with an ABFT signature, and rolls back/replays on watchdog or ABFT
-/// detection — returning the recovered result plus the accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_recoverable<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_2d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rcfg,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_2d_recoverable`]. The segment replay
-/// goes through the engine; the ABFT expected side always uses the scalar
-/// golden reference, so a lane-parallel engine is verified against the
-/// same signatures the scalar run produces.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_2d_recoverable_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError>
-where
-    T: Element,
-    K: StencilOp2D<T> + Clone,
-    E: Engine2D<T, K>,
-{
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        let (out, rep) = simulate_2d_resilient_core(
-            engine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        )?;
-        return Ok((out, rep, RecoveryStats::default()));
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_mode(design, b)?;
-    let wl = Workload::D2 { nx, ny, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let stream_rows = b * ny;
-    let budget = pass_budget(design, stream_rows as u64, rc);
-
-    let mesh_bytes = (input.as_slice().len() * T::size_bytes()) as u64;
-    let prm = RecoverParams::from_config(
-        rcfg,
-        max_retries,
-        "",
-        checkpoint_cost_cycles(dev, design, mesh_bytes),
-        abft_check_cycles(input.as_slice().len() as u64, design.v),
-        budget.saturating_sub(1),
-    );
-    let (out, stats) =
-        recover_core_2d(engine, design, stages_per_iter, input, niter, inj, rc, budget, &prm)
-            .map_err(|e| match e {
-                ExecError::Deadlock(t) => {
-                    ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown()))
-                }
-                other => other,
-            })?;
-    let report = finalize(
-        dev,
-        design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        inj.injected(),
-        rec,
-    );
-    Ok((out, report, stats))
-}
-
-/// Checkpoint/rollback variant of [`crate::resilient::simulate_3d_resilient`] (see
-/// [`simulate_2d_recoverable`]); the streamed unit is a plane.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_recoverable<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_3d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rcfg,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_3d_recoverable`] (see
-/// [`simulate_2d_recoverable_core`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_3d_recoverable_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError>
-where
-    T: Element,
-    K: StencilOp3D<T> + Clone,
-    E: Engine3D<T, K>,
-{
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        let (out, rep) = simulate_3d_resilient_core(
-            engine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        )?;
-        return Ok((out, rep, RecoveryStats::default()));
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_mode(design, b)?;
-    let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let stream_planes = b * nz;
-    let budget = pass_budget(design, stream_planes as u64, plane_cycles);
-
-    let mesh_bytes = (input.as_slice().len() * T::size_bytes()) as u64;
-    let prm = RecoverParams::from_config(
-        rcfg,
-        max_retries,
-        "",
-        checkpoint_cost_cycles(dev, design, mesh_bytes),
-        abft_check_cycles(input.as_slice().len() as u64, design.v),
-        budget.saturating_sub(1),
-    );
-    let (out, stats) = recover_core_3d(
-        engine,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        plane_cycles,
-        budget,
-        &prm,
-    )
-    .map_err(|e| match e {
-        ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-        other => other,
-    })?;
-    let report = finalize(
-        dev,
-        design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        inj.injected(),
-        rec,
-    );
-    Ok((out, report, stats))
-}
-
 /// SplitMix64 finalizer used to derive independent per-mesh fault seeds.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -725,8 +299,8 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-mesh fault plan for the batch-parallel paths: same kind, rate and
-/// injection budget, seed derived from the base seed and the mesh index.
+/// Per-mesh fault plan for per-mesh runs: same kind, rate and injection
+/// budget, seed derived from the base seed and the mesh index.
 pub fn derive_mesh_plan(base: &FaultPlan, mesh_index: usize) -> FaultPlan {
     FaultPlan {
         seed: mix(base.seed ^ (mesh_index as u64).wrapping_mul(0xa076_1d64_78bd_642f)),
@@ -734,283 +308,45 @@ pub fn derive_mesh_plan(base: &FaultPlan, mesh_index: usize) -> FaultPlan {
     }
 }
 
-/// Checkpoint/rollback variant of
-/// [`crate::exec_batch::simulate_batch_2d_parallel`]: each batch member
-/// runs its own checkpoint/ABFT/rollback loop as one work item for
-/// [`sf_par::par_map`], with a fault injector seeded from `base_plan` and
-/// the mesh index. AXI faults are applied once at the batched plan level
-/// (they model the shared memory interface, not a member stream).
-///
-/// Output, stats and report are byte-identical for every `jobs` value.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_recoverable<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_batch_2d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        base_plan,
-        policy,
-        rcfg,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_2d_recoverable`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_2d_recoverable_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError>
-where
-    T: Element,
-    K: StencilOp2D<T> + Clone + Sync,
-    E: Engine2D<T, K> + Sync,
-{
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        return Err(ExecError::Unsupported {
-            detail: "batch-parallel recovery requires the rollback policy".to_string(),
-        });
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_mode(design, b)?;
-    let wl = Workload::D2 { nx, ny, batch: b };
-    let mut axi_inj = FaultInjector::new(*base_plan);
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, &mut axi_inj, policy)?;
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let budget = pass_budget(design, ny as u64, rc);
-    let mesh_cells = nx * ny;
-    let mesh_bytes = (mesh_cells * T::size_bytes()) as u64;
-
-    let meshes: Vec<Mesh2D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut inj = FaultInjector::new(derive_mesh_plan(base_plan, i));
-        let prm = RecoverParams::from_config(
-            rcfg,
-            max_retries,
-            &format!("mesh{i}_"),
-            checkpoint_cost_cycles(dev, design, mesh_bytes),
-            abft_check_cycles(mesh_cells as u64, design.v),
-            budget.saturating_sub(1),
-        );
-        let single = Batch2D::from_meshes(std::slice::from_ref(&mesh));
-        let r = recover_core_2d(
-            engine,
-            design,
-            stages_per_iter,
-            &single,
-            niter,
-            &mut inj,
-            rc,
-            budget,
-            &prm,
-        );
-        (r, inj.injected())
-    });
-
-    let mut out = Batch2D::<T>::zeros(nx, ny, b);
-    let mut stats = RecoveryStats::default();
-    let mut injected = axi_inj.injected();
-    for (i, (r, inj_n)) in results.into_iter().enumerate() {
-        let (mesh_out, mesh_stats) = r.map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        out.as_mut_slice()[i * mesh_cells..(i + 1) * mesh_cells]
-            .copy_from_slice(mesh_out.as_slice());
-        stats.merge(&mesh_stats);
-        injected += inj_n;
-    }
-    let report = finalize(
-        dev,
-        design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        injected,
-        rec,
-    );
-    Ok((out, report, stats))
-}
-
-/// 3D twin of [`simulate_batch_2d_recoverable`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_recoverable<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_batch_3d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        base_plan,
-        policy,
-        rcfg,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_3d_recoverable`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_3d_recoverable_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError>
-where
-    T: Element,
-    K: StencilOp3D<T> + Clone + Sync,
-    E: Engine3D<T, K> + Sync,
-{
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        return Err(ExecError::Unsupported {
-            detail: "batch-parallel recovery requires the rollback policy".to_string(),
-        });
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_mode(design, b)?;
-    let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let mut axi_inj = FaultInjector::new(*base_plan);
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, &mut axi_inj, policy)?;
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let budget = pass_budget(design, nz as u64, plane_cycles);
-    let mesh_cells = nx * ny * nz;
-    let mesh_bytes = (mesh_cells * T::size_bytes()) as u64;
-
-    let meshes: Vec<Mesh3D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut inj = FaultInjector::new(derive_mesh_plan(base_plan, i));
-        let prm = RecoverParams::from_config(
-            rcfg,
-            max_retries,
-            &format!("mesh{i}_"),
-            checkpoint_cost_cycles(dev, design, mesh_bytes),
-            abft_check_cycles(mesh_cells as u64, design.v),
-            budget.saturating_sub(1),
-        );
-        let single = Batch3D::from_meshes(std::slice::from_ref(&mesh));
-        let r = recover_core_3d(
-            engine,
-            design,
-            stages_per_iter,
-            &single,
-            niter,
-            &mut inj,
-            plane_cycles,
-            budget,
-            &prm,
-        );
-        (r, inj.injected())
-    });
-
-    let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-    let mut stats = RecoveryStats::default();
-    let mut injected = axi_inj.injected();
-    for (i, (r, inj_n)) in results.into_iter().enumerate() {
-        let (mesh_out, mesh_stats) = r.map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        out.as_mut_slice()[i * mesh_cells..(i + 1) * mesh_cells]
-            .copy_from_slice(mesh_out.as_slice());
-        stats.merge(&mesh_stats);
-        injected += inj_n;
-    }
-    let report = finalize(
-        dev,
-        design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        injected,
-        rec,
-    );
-    Ok((out, report, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::{synthesize, ExecMode, MemKind};
+    use crate::driver::{Faults, Run};
+    use crate::fast::{ExecEngine, FastEngine};
+    use crate::window::ScalarEngine;
     use sf_faults::FaultKind;
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
-    use sf_mesh::norms;
+    use sf_mesh::{norms, Batch2D, Batch3D, Mesh2D, Mesh3D};
+    use sf_recover::RecoveryPolicy;
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
+    }
+
+    /// A single-stream recoverable run on the scalar engine.
+    fn recoverable<B, K>(
+        ds: &StencilDesign,
+        stages: &[K],
+        input: &B,
+        niter: usize,
+        inj: &mut FaultInjector,
+        rcfg: &RecoveryConfig,
+        rec: &mut Recorder,
+    ) -> Result<(B, SimReport, RecoveryStats), ExecError>
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        Run {
+            engine: ExecEngine::Scalar,
+            faults: Faults::Injector(inj),
+            recovery: Some(rcfg),
+            ..Run::new(&dev(), ds, stages, niter, rec)
+        }
+        .simulate(input)
     }
 
     fn poisson_setup() -> (StencilDesign, Batch2D<f32>, Mesh2D<f32>) {
@@ -1043,18 +379,9 @@ mod tests {
         let (ds, batch, m) = poisson_setup();
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::enabled(300.0);
-        let (out, rep, stats) = simulate_2d_recoverable(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            12,
-            &mut inj,
-            &RetryPolicy::default(),
-            &rollback_cfg(2),
-            &mut rec,
-        )
-        .unwrap();
+        let (out, rep, stats) =
+            recoverable(&ds, &[Poisson2D], &batch, 12, &mut inj, &rollback_cfg(2), &mut rec)
+                .unwrap();
         let expect = reference::run_2d(&Poisson2D, &m, 12);
         assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()));
         assert_eq!(stats.rollbacks, 0);
@@ -1072,18 +399,9 @@ mod tests {
         let (ds, batch, m) = poisson_setup();
         let mut inj = FaultInjector::new(FaultPlan::single(42, FaultKind::BitFlip, 1_000_000));
         let mut rec = Recorder::enabled(300.0);
-        let (out, _, stats) = simulate_2d_recoverable(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            12,
-            &mut inj,
-            &RetryPolicy::default(),
-            &rollback_cfg(4),
-            &mut rec,
-        )
-        .unwrap();
+        let (out, _, stats) =
+            recoverable(&ds, &[Poisson2D], &batch, 12, &mut inj, &rollback_cfg(4), &mut rec)
+                .unwrap();
         assert_eq!(inj.injected(), 1);
         assert_eq!(stats.sdc_detected, 1, "ABFT must catch the silent corruption");
         assert_eq!(stats.rollbacks, 1);
@@ -1106,18 +424,9 @@ mod tests {
         let (ds, batch, _) = poisson_setup();
         let mut inj = FaultInjector::new(FaultPlan::single(42, FaultKind::BitFlip, 1_000_000));
         let mut rec = Recorder::enabled(300.0);
-        let (_, _, stats) = simulate_2d_recoverable(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            12,
-            &mut inj,
-            &RetryPolicy::default(),
-            &rollback_cfg(4),
-            &mut rec,
-        )
-        .unwrap();
+        let (_, _, stats) =
+            recoverable(&ds, &[Poisson2D], &batch, 12, &mut inj, &rollback_cfg(4), &mut rec)
+                .unwrap();
         let doc = sf_telemetry::metrics::metrics(&rec);
         let counters = doc.get("counters").expect("counters block");
         let counter = |k: &str| counters.get(k).and_then(serde::Value::as_u64);
@@ -1142,18 +451,9 @@ mod tests {
         let (ds, batch, m) = poisson_setup();
         let mut inj = FaultInjector::new(FaultPlan::single(7, FaultKind::FifoDrop, 1_000_000));
         let mut rec = Recorder::disabled();
-        let (out, _, stats) = simulate_2d_recoverable(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            12,
-            &mut inj,
-            &RetryPolicy::default(),
-            &rollback_cfg(4),
-            &mut rec,
-        )
-        .unwrap();
+        let (out, _, stats) =
+            recoverable(&ds, &[Poisson2D], &batch, 12, &mut inj, &rollback_cfg(4), &mut rec)
+                .unwrap();
         assert_eq!(stats.rollbacks, 1, "watchdog trip must trigger a rollback, not an error");
         assert_eq!(stats.sdc_detected, 0);
         let expect = reference::run_2d(&Poisson2D, &m, 12);
@@ -1166,17 +466,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::single(7, FaultKind::FifoDrop, 1_000_000));
         let mut rec = Recorder::disabled();
         let cfg = RecoveryConfig { policy: RecoveryPolicy::Rerun, ..RecoveryConfig::default() };
-        let r = simulate_2d_recoverable(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            12,
-            &mut inj,
-            &RetryPolicy::default(),
-            &cfg,
-            &mut rec,
-        );
+        let r = recoverable(&ds, &[Poisson2D], &batch, 12, &mut inj, &cfg, &mut rec);
         assert!(matches!(r, Err(ExecError::Deadlock(_))), "{r:?}");
     }
 
@@ -1191,18 +481,8 @@ mod tests {
         let k = Jacobi3D::smoothing();
         let mut inj = FaultInjector::new(FaultPlan::single(21, FaultKind::BitFlip, 1_000_000));
         let mut rec = Recorder::disabled();
-        let (out, _, stats) = simulate_3d_recoverable(
-            &dev(),
-            &ds,
-            &[k],
-            &batch,
-            6,
-            &mut inj,
-            &RetryPolicy::default(),
-            &rollback_cfg(1),
-            &mut rec,
-        )
-        .unwrap();
+        let (out, _, stats) =
+            recoverable(&ds, &[k], &batch, 6, &mut inj, &rollback_cfg(1), &mut rec).unwrap();
         assert_eq!(stats.sdc_detected, 1);
         assert_eq!(stats.rollbacks, 1);
         let expect = reference::run_3d(&k, &m, 6);
@@ -1217,18 +497,8 @@ mod tests {
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::disabled();
         let cfg = RecoveryConfig { spill_dir: Some(dir.clone()), ..rollback_cfg(2) };
-        let (_, _, _stats) = simulate_2d_recoverable(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            12,
-            &mut inj,
-            &RetryPolicy::default(),
-            &cfg,
-            &mut rec,
-        )
-        .unwrap();
+        let (_, _, _stats) =
+            recoverable(&ds, &[Poisson2D], &batch, 12, &mut inj, &cfg, &mut rec).unwrap();
         let first = dir.join("ckpt_000000.sfckpt");
         let snap = spill::read_file(&first).expect("initial spilled checkpoint must decode");
         assert_eq!(snap.dims, vec![40, 24]);
@@ -1256,18 +526,14 @@ mod tests {
         let plan = FaultPlan::single(99, FaultKind::BitFlip, 200_000);
         let run = |jobs: usize| {
             let mut rec = Recorder::disabled();
-            simulate_batch_2d_recoverable(
-                &dev(),
-                &ds,
-                &[Poisson2D],
-                &batch,
-                8,
-                &plan,
-                &RetryPolicy::default(),
-                &rollback_cfg(2),
-                jobs,
-                &mut rec,
-            )
+            Run {
+                engine: ExecEngine::Scalar,
+                jobs: Some(jobs),
+                faults: Faults::Plan(plan),
+                recovery: Some(&rollback_cfg(2)),
+                ..Run::new(&dev(), &ds, &[Poisson2D], 8, &mut rec)
+            }
+            .simulate(&batch)
             .unwrap()
         };
         let (o1, r1, s1) = run(1);

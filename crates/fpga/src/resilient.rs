@@ -1,9 +1,10 @@
-//! Fault-aware execution: the plain executors with every panic replaced by a
-//! typed [`ExecError`] and every datapath guarded by the `sf-faults` hooks.
+//! Fault-aware execution: the fault hook of the chain runner and the AXI
+//! fault/retry model of the cycle plan.
 //!
-//! The resilient chain runners mirror [`crate::window::run_chain_2d_traced`] /
-//! `run_chain_3d_traced`, consulting a [`FaultInjector`] at each opportunity
-//! point:
+//! A run that carries a fault injector ([`crate::driver::Faults`]) streams
+//! through the same chain runner as every other run
+//! (`window::run_chain`), with a `FaultHook` consulting the
+//! [`FaultInjector`] at each opportunity point:
 //!
 //! * **window-buffer cells** — a [`FaultKind::BitFlip`](sf_faults::FaultKind)
 //!   flips one bit of one lane before the cell enters the first window
@@ -14,24 +15,20 @@
 //!   `FifoDup` overflows the input FIFO (the surplus element is discarded at
 //!   the full queue) and shifts the stream; `FifoCorrupt` mangles a payload.
 //! * **AXI bursts** — `AxiDelay`/`AxiFail` go through the
-//!   [`RetryPolicy`] backoff model: recovered bursts charge their extra
-//!   cycles to the [`CyclePlan`] (and telemetry), an exhausted retry budget
-//!   becomes [`ExecError::AxiExhausted`].
+//!   [`RetryPolicy`] backoff model ([`plan_with_faults`]): recovered bursts
+//!   charge their extra cycles to the [`CyclePlan`] (and telemetry), an
+//!   exhausted retry budget becomes [`ExecError::AxiExhausted`].
 //!
-//! With a [`FaultInjector::disabled`] injector the resilient executors are
-//! bit-exact with the plain ones.
+//! Every datapath fault and shape mismatch is a typed [`ExecError`], never
+//! a panic. With a [`FaultInjector::disabled`] injector a fault-aware run
+//! is bit-exact with a plain one.
 
 use crate::cycles::{self, CyclePlan};
-use crate::design::{ExecMode, StencilDesign, Workload};
+use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::error::ExecError;
-use crate::power;
-use crate::report::SimReport;
-use crate::window::{Engine2D, Engine3D, ScalarEngine, Stage2D, Stage3D};
 use sf_faults::{AxiVerdict, FaultInjector, RetryPolicy, StreamFault, Watchdog};
-use sf_kernels::{StencilOp2D, StencilOp3D};
-use sf_mesh::{Batch2D, Batch3D, Element};
-use sf_telemetry::Recorder;
+use sf_mesh::Element;
 
 /// Flip bit `bit` of lane `lane` of `cell` in a streamed unit.
 fn apply_bitflip<T: Element>(unit: &mut [T], cell: usize, lane: usize, bit: u32) {
@@ -41,252 +38,93 @@ fn apply_bitflip<T: Element>(unit: &mut [T], cell: usize, lane: usize, bit: u32)
     unit[cell] = v;
 }
 
-/// Deterministic payload corruption for `FifoCorrupt`: mangle the mantissa
-/// of the middle cell's first lane.
-fn corrupt_unit<T: Element>(unit: &mut [T]) {
-    let mid = unit.len() / 2;
-    apply_bitflip(unit, mid, 0, 22);
+/// The per-unit fault hook of a chain run: consults the injector once per
+/// input unit and watches for forward progress. One hook serves every
+/// pass of a run; each chain run starts a fresh watchdog.
+pub(crate) struct FaultHook<'i> {
+    inj: &'i mut FaultInjector,
+    /// Watchdog budget of one pass ([`pass_budget`]).
+    budget: u64,
+    dog: Watchdog,
+    stream_units: usize,
+    /// The streamed unit: `"rows"` or `"planes"`.
+    units: &'static str,
+    /// `"streaming input rows"` / `"streaming input planes"`.
+    streaming: String,
 }
 
-/// Fault-aware variant of [`crate::window::run_chain_2d`]: streams `rows`
-/// through the chain, consulting `inj` per stream unit and reporting forward
-/// progress to `dog`. Dropped units starve the pipeline and surface as
-/// [`ExecError::Deadlock`]; duplicated/corrupted/bit-flipped units complete
-/// with wrong data (caught downstream by checksum).
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_resilient<T: Element, K: StencilOp2D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_row: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    run_chain_2d_resilient_engine(
-        &ScalarEngine,
-        chain,
-        nx,
-        stream_rows,
-        mesh_ny,
-        rows,
-        inj,
-        dog,
-        cycles_per_row,
-    )
-}
-
-/// [`run_chain_2d_resilient`] for any [`Engine2D`]: injection points,
-/// watchdog accounting and drain order are independent of the stage
-/// implementation, so scalar and fast runs trip the same faults at the same
-/// stream offsets.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_resilient_engine<T: Element, K, E: Engine2D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_row: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, stream_rows, mesh_ny)).collect();
-    let mut out = Vec::with_capacity(stream_rows);
-
-    fn feed<T: Element, S: Stage2D<T>>(
-        procs: &mut [S],
-        from: usize,
-        row: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-    ) {
-        let mut current = row;
-        for p in procs[from..].iter_mut() {
-            match p.push_row(current) {
-                Some(r) => current = r,
-                None => return,
-            }
+impl<'i> FaultHook<'i> {
+    pub(crate) fn new(inj: &'i mut FaultInjector, budget: u64) -> Self {
+        FaultHook {
+            inj,
+            budget,
+            dog: Watchdog::new(budget, 0),
+            stream_units: 0,
+            units: "",
+            streaming: String::new(),
         }
-        out.push(current);
     }
 
-    let mut fed = 0usize;
-    let mut j = 0u64;
-    for mut row in rows {
-        let cycle = j * cycles_per_row;
-        if let Some(flip) = inj.window_bitflip(0, j as usize, nx, T::LANES) {
-            apply_bitflip(&mut row, flip.cell, flip.lane, flip.bit);
+    /// Arm the watchdog for a chain run of `stream_units` `units`.
+    pub(crate) fn start(&mut self, stream_units: usize, units: &'static str) {
+        self.dog = Watchdog::new(self.budget, stream_units as u64);
+        self.stream_units = stream_units;
+        self.units = units;
+        self.streaming = format!("streaming input {units}");
+    }
+
+    /// Apply the faults the injector draws for input unit `j`; returns how
+    /// many copies of it enter the input FIFO (0 drops it).
+    pub(crate) fn copies<T: Element>(&mut self, j: usize, unit: &mut [T]) -> usize {
+        if let Some(flip) = self.inj.window_bitflip(0, j, unit.len(), T::LANES) {
+            apply_bitflip(unit, flip.cell, flip.lane, flip.bit);
         }
-        let fault = inj.stream_fault(j as usize);
-        j += 1;
-        let copies: usize = match fault {
+        match self.inj.stream_fault(j) {
             StreamFault::Drop => 0,
             StreamFault::Dup => 2,
             StreamFault::Corrupt => {
-                corrupt_unit(&mut row);
+                // mangle the mantissa of the middle cell's first lane
+                let mid = unit.len() / 2;
+                apply_bitflip(unit, mid, 0, 22);
                 1
             }
             StreamFault::None => 1,
-        };
-        for c in 0..copies {
-            if fed == stream_rows {
-                // Input FIFO already holds the whole stream: the surplus
-                // element is discarded at the full queue.
-                break;
-            }
-            let r = if c + 1 < copies { row.clone() } else { std::mem::take(&mut row) };
-            let before = out.len();
-            feed(&mut procs, 0, r, &mut out);
-            fed += 1;
-            if out.len() > before {
-                dog.observe(cycle, (out.len() - before) as u64);
-            }
         }
-        dog.check(cycle, "streaming input rows")?;
     }
-    let end_cycle = j * cycles_per_row;
-    if fed < stream_rows {
-        // The stages wait forever for the missing rows — a starvation
-        // deadlock on real hardware; report it via the watchdog.
-        let detail = format!("input stream starved: {fed}/{stream_rows} rows reached the pipeline");
-        return Err(dog
-            .finish(end_cycle, &detail)
+
+    /// The chain's output grew from `before` to `after` units at `cycle`.
+    pub(crate) fn progress(&mut self, cycle: u64, before: usize, after: usize) {
+        if after > before {
+            self.dog.observe(cycle, (after - before) as u64);
+        }
+    }
+
+    /// Per-input-unit watchdog check.
+    pub(crate) fn check(&self, cycle: u64) -> Result<(), ExecError> {
+        Ok(self.dog.check(cycle, &self.streaming)?)
+    }
+
+    /// After the input ends: a stream that lost units waits forever for
+    /// them — a starvation deadlock on real hardware.
+    pub(crate) fn check_fed(&self, cycle: u64, fed: usize) -> Result<(), ExecError> {
+        if fed == self.stream_units {
+            return Ok(());
+        }
+        let detail = format!(
+            "input stream starved: {fed}/{} {} reached the pipeline",
+            self.stream_units, self.units
+        );
+        Err(self
+            .dog
+            .finish(cycle, &detail)
             .expect_err("starved stream cannot have emitted the full output")
-            .into());
-    }
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        for row in trailing {
-            let before = out.len();
-            feed(&mut procs, i + 1, row, &mut out);
-            if out.len() > before {
-                dog.observe(end_cycle, (out.len() - before) as u64);
-            }
-        }
-    }
-    dog.finish(end_cycle, "chain drained")?;
-    Ok(out)
-}
-
-/// Fault-aware variant of [`crate::window::run_chain_3d`] — the streamed
-/// unit is a plane of `nx × ny` cells.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_resilient<T: Element, K: StencilOp3D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_plane: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    run_chain_3d_resilient_engine(
-        &ScalarEngine,
-        chain,
-        nx,
-        ny,
-        stream_planes,
-        mesh_nz,
-        planes,
-        inj,
-        dog,
-        cycles_per_plane,
-    )
-}
-
-/// [`run_chain_3d_resilient`] for any [`Engine3D`] (see
-/// [`run_chain_2d_resilient_engine`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_resilient_engine<T: Element, K, E: Engine3D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_plane: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, ny, stream_planes, mesh_nz)).collect();
-    let mut out = Vec::with_capacity(stream_planes);
-
-    fn feed<T: Element, S: Stage3D<T>>(
-        procs: &mut [S],
-        from: usize,
-        plane: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-    ) {
-        let mut current = plane;
-        for p in procs[from..].iter_mut() {
-            match p.push_plane(current) {
-                Some(r) => current = r,
-                None => return,
-            }
-        }
-        out.push(current);
+            .into())
     }
 
-    let mut fed = 0usize;
-    let mut j = 0u64;
-    for mut plane in planes {
-        let cycle = j * cycles_per_plane;
-        if let Some(flip) = inj.window_bitflip(0, j as usize, nx * ny, T::LANES) {
-            apply_bitflip(&mut plane, flip.cell, flip.lane, flip.bit);
-        }
-        let fault = inj.stream_fault(j as usize);
-        j += 1;
-        let copies: usize = match fault {
-            StreamFault::Drop => 0,
-            StreamFault::Dup => 2,
-            StreamFault::Corrupt => {
-                corrupt_unit(&mut plane);
-                1
-            }
-            StreamFault::None => 1,
-        };
-        for c in 0..copies {
-            if fed == stream_planes {
-                break;
-            }
-            let r = if c + 1 < copies { plane.clone() } else { std::mem::take(&mut plane) };
-            let before = out.len();
-            feed(&mut procs, 0, r, &mut out);
-            fed += 1;
-            if out.len() > before {
-                dog.observe(cycle, (out.len() - before) as u64);
-            }
-        }
-        dog.check(cycle, "streaming input planes")?;
+    /// End-of-run check once the chain has drained.
+    pub(crate) fn drained(&self, cycle: u64) -> Result<(), ExecError> {
+        Ok(self.dog.finish(cycle, "chain drained")?)
     }
-    let end_cycle = j * cycles_per_plane;
-    if fed < stream_planes {
-        let detail =
-            format!("input stream starved: {fed}/{stream_planes} planes reached the pipeline");
-        return Err(dog
-            .finish(end_cycle, &detail)
-            .expect_err("starved stream cannot have emitted the full output")
-            .into());
-    }
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        for plane in trailing {
-            let before = out.len();
-            feed(&mut procs, i + 1, plane, &mut out);
-            if out.len() > before {
-                dog.observe(end_cycle, (out.len() - before) as u64);
-            }
-        }
-    }
-    dog.finish(end_cycle, "chain drained")?;
-    Ok(out)
 }
 
 /// A [`CyclePlan`] with the AXI fault/retry model applied.
@@ -346,231 +184,22 @@ pub fn plan_with_faults(
     Ok(FaultyPlan { plan, extra_axi_cycles: extra, bursts_recovered: recovered, bursts_total })
 }
 
-pub(crate) fn check_mode(design: &StencilDesign, b: usize) -> Result<(), ExecError> {
-    match design.mode {
-        ExecMode::Baseline if b != 1 => Err(ExecError::ShapeMismatch {
-            detail: format!("baseline design runs one mesh, got batch {b}"),
-        }),
-        ExecMode::Batched { b: db } if b != db => {
-            Err(ExecError::ShapeMismatch { detail: format!("design batch {db} fed batch {b}") })
-        }
-        ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. } => Err(ExecError::Unsupported {
-            detail: "fault injection targets whole-mesh streaming designs".to_string(),
-        }),
-        _ => Ok(()),
-    }
-}
-
 /// Watchdog budget for one pass: a full pass worth of cycles with no
 /// forward progress means the pipeline is wedged.
 pub(crate) fn pass_budget(design: &StencilDesign, stream_units: u64, unit_cycles: u64) -> u64 {
     unit_cycles * (stream_units + cycles::fill_units(design)) + design.pipeline_latency_cycles + 1
 }
 
-/// Fault-aware [`crate::exec2d::simulate_2d`]: never panics on datapath
-/// faults or shape mismatches, charges AXI retry backoff into the report,
-/// and feeds `fault.*` counters into `rec`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_resilient<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), ExecError> {
-    simulate_2d_resilient_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_2d_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_2d_resilient_core<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), ExecError> {
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_mode(design, b)?;
-    let wl = Workload::D2 { nx, ny, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let stream_rows = b * ny;
-    let budget = pass_budget(design, stream_rows as u64, rc);
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_rows as u64);
-        let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-        let out_rows = run_chain_2d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            stream_rows,
-            ny,
-            rows,
-            inj,
-            &mut dog,
-            rc,
-        )
-        .map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        let mut out = Batch2D::<T>::zeros(nx, ny, b);
-        for (gy, row) in out_rows.into_iter().enumerate() {
-            out.as_mut_slice()[gy * nx..(gy + 1) * nx].copy_from_slice(&row);
-        }
-        cur = out;
-        remaining -= p_eff;
-    }
-
-    rec.counter_add("fault.injected", inj.injected());
-    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
-    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
-    let report =
-        SimReport::from_plan(design, &fp.plan, niter as u64, power::fpga_power_w(dev, design));
-    Ok((cur, report))
-}
-
-/// Fault-aware [`crate::exec3d::simulate_3d`] (see
-/// [`simulate_2d_resilient`]); the streamed unit is a plane.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_resilient<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), ExecError> {
-    simulate_3d_resilient_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_3d_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_3d_resilient_core<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), ExecError> {
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_mode(design, b)?;
-    let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let plane = nx * ny;
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let stream_planes = b * nz;
-    let budget = pass_budget(design, stream_planes as u64, plane_cycles);
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_planes as u64);
-        let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-        let out_planes = run_chain_3d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            ny,
-            stream_planes,
-            nz,
-            planes,
-            inj,
-            &mut dog,
-            plane_cycles,
-        )
-        .map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-        for (gz, pl) in out_planes.into_iter().enumerate() {
-            out.as_mut_slice()[gz * plane..(gz + 1) * plane].copy_from_slice(&pl);
-        }
-        cur = out;
-        remaining -= p_eff;
-    }
-
-    rec.counter_add("fault.injected", inj.injected());
-    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
-    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
-    let report =
-        SimReport::from_plan(design, &fp.plan, niter as u64, power::fpga_power_w(dev, design));
-    Ok((cur, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{synthesize, MemKind};
+    use crate::design::{synthesize, ExecMode, MemKind};
+    use crate::driver::{Faults, Run};
+    use crate::report::SimReport;
     use sf_faults::{FaultKind, FaultPlan};
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
-    use sf_mesh::{norms, Mesh2D, Mesh3D};
+    use sf_mesh::{norms, Batch2D, Batch3D, Mesh2D, Mesh3D};
+    use sf_telemetry::Recorder;
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
@@ -591,18 +220,13 @@ mod tests {
         let ds = design_2d(&wl, 8, 4);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
         let mut inj = FaultInjector::new(plan);
-        let policy = RetryPolicy::default();
         let mut rec = Recorder::disabled();
-        let r = simulate_2d_resilient(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            niter,
-            &mut inj,
-            &policy,
-            &mut rec,
-        );
+        let r = Run {
+            faults: Faults::Injector(&mut inj),
+            ..Run::new(&dev(), &ds, &[Poisson2D], niter, &mut rec)
+        }
+        .simulate(&batch)
+        .map(|(out, rep, _)| (out, rep));
         (r, m, inj)
     }
 
@@ -712,66 +336,42 @@ mod tests {
         let batch = Batch2D::<f32>::zeros(16, 8, 3);
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::disabled();
-        let r = simulate_2d_resilient(
-            &dev(),
-            &ds,
-            &[Poisson2D],
-            &batch,
-            2,
-            &mut inj,
-            &RetryPolicy::default(),
-            &mut rec,
-        );
+        let r = Run {
+            faults: Faults::Injector(&mut inj),
+            ..Run::new(&dev(), &ds, &[Poisson2D], 2, &mut rec)
+        }
+        .simulate(&batch);
         assert!(matches!(r, Err(ExecError::ShapeMismatch { .. })), "{r:?}");
+    }
+
+    fn run_3d(plan: FaultPlan) -> (Result<Batch3D<f32>, ExecError>, Mesh3D<f32>) {
+        let m = Mesh3D::<f32>::random(12, 10, 8, 5, -1.0, 1.0);
+        let wl = Workload::D3 { nx: 12, ny: 10, nz: 8, batch: 1 };
+        let ds =
+            synthesize(&dev(), &StencilSpec::jacobi(), 8, 3, ExecMode::Baseline, MemKind::Hbm, &wl)
+                .unwrap();
+        let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
+        let mut inj = FaultInjector::new(plan);
+        let mut rec = Recorder::disabled();
+        let r = Run {
+            faults: Faults::Injector(&mut inj),
+            ..Run::new(&dev(), &ds, &[Jacobi3D::smoothing()], 6, &mut rec)
+        }
+        .simulate(&batch)
+        .map(|(out, _, _)| out);
+        (r, m)
     }
 
     #[test]
     fn resilient_3d_bit_exact_without_faults() {
-        let m = Mesh3D::<f32>::random(12, 10, 8, 5, -1.0, 1.0);
-        let wl = Workload::D3 { nx: 12, ny: 10, nz: 8, batch: 1 };
-        let ds =
-            synthesize(&dev(), &StencilSpec::jacobi(), 8, 3, ExecMode::Baseline, MemKind::Hbm, &wl)
-                .unwrap();
-        let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
-        let k = Jacobi3D::smoothing();
-        let mut inj = FaultInjector::disabled();
-        let mut rec = Recorder::disabled();
-        let (out, _) = simulate_3d_resilient(
-            &dev(),
-            &ds,
-            &[k],
-            &batch,
-            6,
-            &mut inj,
-            &RetryPolicy::default(),
-            &mut rec,
-        )
-        .unwrap();
-        let expect = reference::run_3d(&k, &m, 6);
-        assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()));
+        let (r, m) = run_3d(FaultInjector::disabled().plan().to_owned());
+        let expect = reference::run_3d(&Jacobi3D::smoothing(), &m, 6);
+        assert!(norms::bit_equal(r.unwrap().mesh(0).as_slice(), expect.as_slice()));
     }
 
     #[test]
     fn resilient_3d_drop_trips_watchdog() {
-        let m = Mesh3D::<f32>::random(12, 10, 8, 5, -1.0, 1.0);
-        let wl = Workload::D3 { nx: 12, ny: 10, nz: 8, batch: 1 };
-        let ds =
-            synthesize(&dev(), &StencilSpec::jacobi(), 8, 3, ExecMode::Baseline, MemKind::Hbm, &wl)
-                .unwrap();
-        let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
-        let k = Jacobi3D::smoothing();
-        let mut inj = FaultInjector::new(FaultPlan::single(13, FaultKind::FifoDrop, 1_000_000));
-        let mut rec = Recorder::disabled();
-        let r = simulate_3d_resilient(
-            &dev(),
-            &ds,
-            &[k],
-            &batch,
-            6,
-            &mut inj,
-            &RetryPolicy::default(),
-            &mut rec,
-        );
+        let (r, _) = run_3d(FaultPlan::single(13, FaultKind::FifoDrop, 1_000_000));
         assert!(matches!(r, Err(ExecError::Deadlock(_))), "{r:?}");
     }
 

@@ -11,7 +11,6 @@ use crate::cycles;
 use crate::design::{ExecMode, MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use serde::{Deserialize, Serialize};
-use sf_mesh::TileGrid1D;
 
 /// What limits a streamed row.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,7 +159,6 @@ fn seg(
 pub fn explain(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> PlanTrace {
     let plan = cycles::plan(dev, design, wl, niter);
     let fill = cycles::fill_units(design);
-    let spec = &design.spec;
     let mut segments = Vec::new();
     match (*wl, design.mode) {
         (Workload::D2 { nx, ny, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
@@ -177,10 +175,9 @@ pub fn explain(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u
                 nx,
             ));
         }
-        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { tile_m }) => {
-            let halo = design.p * spec.halo_order() / 2;
-            let align = (dev.axi_bus_bytes / spec.elem_bytes).max(1);
-            for (i, t) in TileGrid1D::new(nx, tile_m, halo, align).tiles().iter().enumerate() {
+        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { .. }) => {
+            let (grid, _) = cycles::tile_grids(dev, design, nx, ny);
+            for (i, t) in grid.tiles().iter().enumerate() {
                 segments.push(seg(
                     dev,
                     design,
@@ -192,11 +189,8 @@ pub fn explain(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u
                 ));
             }
         }
-        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
-            let halo = design.p * spec.halo_order() / 2;
-            let align = (dev.axi_bus_bytes / spec.elem_bytes).max(1);
-            let gx = TileGrid1D::new(nx, tile_m, halo, align);
-            let gy = TileGrid1D::new(ny, tile_n, halo, 1);
+        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { .. }) => {
+            let (gx, gy) = cycles::tile_grids(dev, design, nx, ny);
             for (j, ty) in gy.tiles().iter().enumerate() {
                 for (i, tx) in gx.tiles().iter().enumerate() {
                     segments.push(seg(

@@ -1,5 +1,5 @@
-//! Window buffers and streaming stage processors — the behavioral heart of
-//! the dataflow simulator.
+//! Window buffers, streaming stage processors and the chain runner — the
+//! behavioral heart of the dataflow simulator.
 //!
 //! An HLS stencil pipeline streams the mesh in row-major order and keeps the
 //! last `D` rows (2D) or planes (3D) in on-chip cyclic buffers so every
@@ -14,17 +14,22 @@
 //! own mesh (`mesh_extent`-periodic in the streaming dimension), so stencils
 //! never read across a batch seam.
 //!
-//! The chain runners are generic over an **execution engine**
-//! ([`Engine2D`]/[`Engine3D`]): a factory for the per-stage processors. The
-//! [`ScalarEngine`] builds the cell-at-a-time [`StageProcessor2D`]/
-//! [`StageProcessor3D`]; the vectorized fast path (`crate::fast`) plugs in
-//! lane-parallel processors through the same traits, so the streaming
-//! schedule, telemetry hooks and drain logic are shared — and therefore
-//! byte-identical — across both engines.
+//! The chain runner is generic over an **execution engine** ([`Engine`]): a
+//! factory for the per-stage processors, keyed by the streamed batch type
+//! ([`StreamGrid`]: a row of a `Batch2D`, a plane of a `Batch3D`). The
+//! [`ScalarEngine`] builds the cell-at-a-time processors; the vectorized
+//! fast path (`crate::fast`) plugs in lane-parallel processors through the
+//! same trait, so the streaming schedule, telemetry hooks, fault hooks and
+//! drain logic are one function — and therefore byte-identical — across
+//! both engines and both dimensionalities.
 
+use crate::driver::StreamGrid;
+use crate::error::ExecError;
+use crate::resilient::FaultHook;
 use sf_kernels::{StencilOp2D, StencilOp3D};
-use sf_mesh::Element;
+use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::{Recorder, TrackId};
+use std::ops::Range;
 
 /// Fixed-capacity ring of stream units (rows or planes), addressable by
 /// absolute unit index.
@@ -81,51 +86,83 @@ impl<T> RingBuffer<T> {
     }
 }
 
+/// The window every stage processor keeps: the ring of the last `2r+1`
+/// units, the seam period and the emit cursor. A stage differs from
+/// another only in how it computes one output unit.
+pub(crate) struct Window<T> {
+    pub(crate) ring: RingBuffer<T>,
+    pub(crate) r: usize,
+    stream_units: usize,
+    /// Units per independent mesh in the stream (seam period).
+    mesh_units: usize,
+    next_out: usize,
+}
+
+impl<T> Window<T> {
+    pub(crate) fn new(r: usize, stream_units: usize, mesh_units: usize) -> Self {
+        assert!(stream_units.is_multiple_of(mesh_units), "stream must be whole meshes");
+        Window { ring: RingBuffer::new(2 * r + 1), r, stream_units, mesh_units, next_out: 0 }
+    }
+
+    /// Push the next input unit; returns the index of the output unit it
+    /// completes (none while the window is filling).
+    pub(crate) fn push(&mut self, unit: Vec<T>) -> Option<usize> {
+        assert!(self.ring.pushed() < self.stream_units, "stream overrun");
+        self.ring.push(unit);
+        let j = self.ring.pushed() - 1;
+        let out = j.checked_sub(self.r)?;
+        self.next_out = out + 1;
+        Some(out)
+    }
+
+    /// After the last input unit: the trailing output units still owed.
+    pub(crate) fn drain(&mut self) -> Range<usize> {
+        assert_eq!(self.ring.pushed(), self.stream_units, "stream incomplete");
+        let rest = self.next_out..self.stream_units;
+        self.next_out = self.stream_units;
+        rest
+    }
+
+    /// Whether stream unit `z` is interior to its own mesh along the
+    /// streamed axis.
+    pub(crate) fn interior(&self, z: usize) -> bool {
+        let l = z % self.mesh_units;
+        l >= self.r && l + self.r < self.mesh_units
+    }
+
+    /// Units currently held in the window buffer.
+    pub(crate) fn fill(&self) -> usize {
+        self.ring.resident()
+    }
+}
+
 /// One pipeline stage streaming rows of a (possibly batched) 2D mesh.
 pub struct StageProcessor2D<T: Element, K: StencilOp2D<T>> {
     k: K,
     nx: usize,
-    stream_rows: usize,
-    /// Rows per independent mesh in the stream (seam period).
-    mesh_ny: usize,
-    r: usize,
-    ring: RingBuffer<T>,
-    next_out: usize,
+    win: Window<T>,
 }
 
 impl<T: Element, K: StencilOp2D<T>> StageProcessor2D<T, K> {
     /// Create a processor for a stream of `stream_rows` rows of `nx` cells,
     /// where every `mesh_ny` rows form an independent mesh.
     pub fn new(k: K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self {
-        assert!(stream_rows.is_multiple_of(mesh_ny), "stream must be whole meshes");
-        let r = k.radius();
-        StageProcessor2D {
-            k,
-            nx,
-            stream_rows,
-            mesh_ny,
-            r,
-            ring: RingBuffer::new(2 * r + 1),
-            next_out: 0,
-        }
+        let win = Window::new(k.radius(), stream_rows, mesh_ny);
+        StageProcessor2D { k, nx, win }
     }
 
-    fn emit(&mut self, y: usize) -> Vec<T> {
-        let (nx, r) = (self.nx, self.r);
-        let ly = y % self.mesh_ny;
-        let y_interior = ly >= r && ly + r < self.mesh_ny;
+    fn emit(&self, y: usize) -> Vec<T> {
+        let (nx, r, ring) = (self.nx, self.win.r, &self.win.ring);
+        let y_interior = self.win.interior(y);
         let mut out = Vec::with_capacity(nx);
         for x in 0..nx {
             let v = if y_interior && x >= r && x + r < nx {
-                self.k.apply(|dx, dy| {
-                    self.ring.get((y as i32 + dy) as usize)[(x as i32 + dx) as usize]
-                })
+                self.k.apply(|dx, dy| ring.get((y as i32 + dy) as usize)[(x as i32 + dx) as usize])
             } else {
-                self.k.on_boundary(self.ring.get(y)[x])
+                self.k.on_boundary(ring.get(y)[x])
             };
             out.push(v);
         }
-        self.next_out = y + 1;
         out
     }
 
@@ -133,29 +170,18 @@ impl<T: Element, K: StencilOp2D<T>> StageProcessor2D<T, K> {
     /// (none while the window is filling).
     pub fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(row.len(), self.nx, "row width mismatch");
-        assert!(self.ring.pushed() < self.stream_rows, "stream overrun");
-        self.ring.push(row);
-        let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        let y = self.win.push(row)?;
+        Some(self.emit(y))
     }
 
     /// After the last input row, drain the trailing `r` output rows.
     pub fn finish(&mut self) -> Vec<Vec<T>> {
-        assert_eq!(self.ring.pushed(), self.stream_rows, "stream incomplete");
-        let mut out = Vec::new();
-        while self.next_out < self.stream_rows {
-            out.push(self.emit(self.next_out));
-        }
-        out
+        self.win.drain().map(|y| self.emit(y)).collect()
     }
 
     /// Rows currently held in the window buffer.
     pub fn window_fill(&self) -> usize {
-        self.ring.resident()
+        self.win.fill()
     }
 }
 
@@ -165,157 +191,109 @@ pub struct StageProcessor3D<T: Element, K: StencilOp3D<T>> {
     k: K,
     nx: usize,
     ny: usize,
-    stream_planes: usize,
-    /// Planes per independent mesh in the stream (seam period).
-    mesh_nz: usize,
-    r: usize,
-    ring: RingBuffer<T>,
-    next_out: usize,
+    win: Window<T>,
 }
 
 impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
     /// Create a processor for a stream of `stream_planes` planes of
     /// `nx × ny` cells, `mesh_nz` planes per independent mesh.
     pub fn new(k: K, nx: usize, ny: usize, stream_planes: usize, mesh_nz: usize) -> Self {
-        assert!(stream_planes.is_multiple_of(mesh_nz), "stream must be whole meshes");
-        let r = k.radius();
-        StageProcessor3D {
-            k,
-            nx,
-            ny,
-            stream_planes,
-            mesh_nz,
-            r,
-            ring: RingBuffer::new(2 * r + 1),
-            next_out: 0,
-        }
+        let win = Window::new(k.radius(), stream_planes, mesh_nz);
+        StageProcessor3D { k, nx, ny, win }
     }
 
-    fn emit(&mut self, z: usize) -> Vec<T> {
-        let (nx, ny, r) = (self.nx, self.ny, self.r);
-        let lz = z % self.mesh_nz;
-        let z_interior = lz >= r && lz + r < self.mesh_nz;
+    fn emit(&self, z: usize) -> Vec<T> {
+        let (nx, ny, r, ring) = (self.nx, self.ny, self.win.r, &self.win.ring);
+        let z_interior = self.win.interior(z);
         let mut out = Vec::with_capacity(nx * ny);
         for y in 0..ny {
             let y_interior = y >= r && y + r < ny;
             for x in 0..nx {
                 let v = if z_interior && y_interior && x >= r && x + r < nx {
                     self.k.apply(|dx, dy, dz| {
-                        let plane = self.ring.get((z as i32 + dz) as usize);
+                        let plane = ring.get((z as i32 + dz) as usize);
                         plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
                     })
                 } else {
-                    self.k.on_boundary(self.ring.get(z)[y * nx + x])
+                    self.k.on_boundary(ring.get(z)[y * nx + x])
                 };
                 out.push(v);
             }
         }
-        self.next_out = z + 1;
         out
     }
 
     /// Feed the next plane; returns the output plane that became ready.
     pub fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
-        assert!(self.ring.pushed() < self.stream_planes, "stream overrun");
-        self.ring.push(plane);
-        let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        let z = self.win.push(plane)?;
+        Some(self.emit(z))
     }
 
     /// Drain the trailing `r` planes.
     pub fn finish(&mut self) -> Vec<Vec<T>> {
-        assert_eq!(self.ring.pushed(), self.stream_planes, "stream incomplete");
-        let mut out = Vec::new();
-        while self.next_out < self.stream_planes {
-            out.push(self.emit(self.next_out));
-        }
-        out
+        self.win.drain().map(|z| self.emit(z)).collect()
     }
 
     /// Planes currently held in the window buffer.
     pub fn window_fill(&self) -> usize {
-        self.ring.resident()
+        self.win.fill()
     }
 }
 
-/// One streaming pipeline stage of a 2D chain, as seen by the chain
-/// runners: rows go in, ready rows come out, trailing rows drain at the
-/// end. Implemented by the scalar [`StageProcessor2D`] and the fast path's
-/// lane-parallel processor.
-pub trait Stage2D<T: Element> {
-    /// Feed the next input row; returns the output row that became ready
+/// One streaming pipeline stage, as the chain runner sees it: units go
+/// in, ready units come out, trailing units drain at the end. Implemented
+/// by the scalar and the lane-parallel processors of both dimensions.
+pub trait Stage<T> {
+    /// Feed the next input unit; returns the output unit that became ready
     /// (none while the window is filling).
-    fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>>;
-    /// After the last input row, drain the trailing output rows.
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>>;
+    /// After the last input unit, drain the trailing output units.
     fn finish(&mut self) -> Vec<Vec<T>>;
-    /// Rows currently held in the window buffer.
+    /// Units currently held in the window buffer.
     fn window_fill(&self) -> usize;
 }
 
-/// The 3D twin of [`Stage2D`]: the streamed unit is a plane.
-pub trait Stage3D<T: Element> {
-    /// Feed the next plane; returns the output plane that became ready.
-    fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>>;
-    /// Drain the trailing planes.
-    fn finish(&mut self) -> Vec<Vec<T>>;
-    /// Planes currently held in the window buffer.
-    fn window_fill(&self) -> usize;
-}
-
-impl<T: Element, K: StencilOp2D<T>> Stage2D<T> for StageProcessor2D<T, K> {
-    fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
-        StageProcessor2D::push_row(self, row)
+impl<T: Element, K: StencilOp2D<T>> Stage<T> for StageProcessor2D<T, K> {
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_row(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
-        StageProcessor2D::finish(self)
+        Self::finish(self)
     }
     fn window_fill(&self) -> usize {
-        StageProcessor2D::window_fill(self)
+        Self::window_fill(self)
     }
 }
 
-impl<T: Element, K: StencilOp3D<T>> Stage3D<T> for StageProcessor3D<T, K> {
-    fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
-        StageProcessor3D::push_plane(self, plane)
+impl<T: Element, K: StencilOp3D<T>> Stage<T> for StageProcessor3D<T, K> {
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_plane(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
-        StageProcessor3D::finish(self)
+        Self::finish(self)
     }
     fn window_fill(&self) -> usize {
-        StageProcessor3D::window_fill(self)
+        Self::window_fill(self)
     }
 }
 
-/// An execution engine for 2D chains: a factory turning one kernel of the
-/// chain into a streaming stage. The chain runners own everything else
-/// (feed cascade, telemetry, drain), so two engines that build
-/// cell-for-cell-equal stages produce byte-identical runs.
-pub trait Engine2D<T: Element, K> {
+/// An execution engine: a factory turning one kernel of the chain into a
+/// streaming stage over batches of type `B`. The chain runner owns
+/// everything else (feed cascade, telemetry, faults, drain), so two engines
+/// that build cell-for-cell-equal stages produce byte-identical runs.
+pub trait Engine<B: StreamGrid, K>: Sync {
     /// The stage processor this engine builds.
-    type Stage: Stage2D<T>;
-    /// Build the stage for kernel `k` over a stream of `stream_rows` rows
-    /// of `nx` cells, `mesh_ny` rows per independent mesh.
-    fn stage(&self, k: &K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self::Stage;
-}
-
-/// The 3D twin of [`Engine2D`].
-pub trait Engine3D<T: Element, K> {
-    /// The stage processor this engine builds.
-    type Stage: Stage3D<T>;
-    /// Build the stage for kernel `k` over a stream of `stream_planes`
-    /// planes of `nx × ny` cells, `mesh_nz` planes per independent mesh.
+    type Stage: Stage<B::Cell>;
+    /// Build the stage for kernel `k` over a stream of `stream_units` units
+    /// of `unit.1` rows of `unit.0` cells (a 2D row has `unit.1 == 1`),
+    /// `mesh_units` units per independent mesh.
     fn stage(
         &self,
         k: &K,
-        nx: usize,
-        ny: usize,
-        stream_planes: usize,
-        mesh_nz: usize,
+        unit: (usize, usize),
+        stream_units: usize,
+        mesh_units: usize,
     ) -> Self::Stage;
 }
 
@@ -323,35 +301,95 @@ pub trait Engine3D<T: Element, K> {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScalarEngine;
 
-impl<T: Element, K: StencilOp2D<T> + Clone> Engine2D<T, K> for ScalarEngine {
+impl<T: Element, K: StencilOp2D<T> + Clone> Engine<Batch2D<T>, K> for ScalarEngine {
     type Stage = StageProcessor2D<T, K>;
-    fn stage(&self, k: &K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self::Stage {
-        StageProcessor2D::new(k.clone(), nx, stream_rows, mesh_ny)
+    fn stage(&self, k: &K, unit: (usize, usize), stream: usize, mesh: usize) -> Self::Stage {
+        StageProcessor2D::new(k.clone(), unit.0, stream, mesh)
     }
 }
 
-impl<T: Element, K: StencilOp3D<T> + Clone> Engine3D<T, K> for ScalarEngine {
+impl<T: Element, K: StencilOp3D<T> + Clone> Engine<Batch3D<T>, K> for ScalarEngine {
     type Stage = StageProcessor3D<T, K>;
-    fn stage(
-        &self,
-        k: &K,
-        nx: usize,
-        ny: usize,
-        stream_planes: usize,
-        mesh_nz: usize,
-    ) -> Self::Stage {
-        StageProcessor3D::new(k.clone(), nx, ny, stream_planes, mesh_nz)
+    fn stage(&self, k: &K, unit: (usize, usize), stream: usize, mesh: usize) -> Self::Stage {
+        StageProcessor3D::new(k.clone(), unit.0, unit.1, stream, mesh)
     }
 }
 
-/// Per-stage telemetry state shared by the traced chain runners.
+/// Where a chain run's window events go: per-stage tracks named
+/// `{prefix}stage:{i}`, with input unit `j` stamped at cycle
+/// `base_cycle + j · unit_cycles`.
+pub(crate) struct ChainTrace<'r> {
+    pub(crate) rec: &'r mut Recorder,
+    pub(crate) prefix: &'r str,
+    pub(crate) base_cycle: u64,
+    pub(crate) unit_cycles: u64,
+}
+
+/// Per-stage telemetry state of a chain run.
 struct StageTrace {
     track: TrackId,
     primed: bool,
 }
 
-fn stage_tracks(rec: &mut Recorder, prefix: &str, n: usize) -> Vec<StageTrace> {
-    (0..n)
+/// Push `unit` into stage `from` and cascade: an emitted unit continues
+/// down the chain, a buffered one stops. A stage's first emission records
+/// a "primed" instant; a buffering push samples its window fill.
+fn feed<T, S: Stage<T>>(
+    stages: &mut [S],
+    tr: &mut [StageTrace],
+    from: usize,
+    unit: Vec<T>,
+    out: &mut Vec<Vec<T>>,
+    rec: &mut Recorder,
+    cycle: u64,
+) {
+    let mut current = unit;
+    for i in from..stages.len() {
+        match stages[i].push(current) {
+            Some(u) => {
+                if !tr[i].primed {
+                    tr[i].primed = true;
+                    rec.instant(tr[i].track, "primed", cycle);
+                }
+                current = u;
+            }
+            None => {
+                rec.gauge(tr[i].track, "window_fill", cycle, stages[i].window_fill() as f64);
+                return;
+            }
+        }
+    }
+    out.push(current);
+}
+
+/// Stream `units` through the chain of stages `engine` builds from `chain`
+/// (the unrolled pipeline of Fig. 2) and collect the final output units.
+///
+/// Telemetry: per-stage fill gauges while each window primes, a "primed"
+/// instant when a stage first emits, a "drain" instant when its trailing
+/// units flush, and streamed/drained unit counters. With a disabled
+/// recorder every hook is a single predictable branch.
+///
+/// With a fault hook the runner consults the injector once per input unit
+/// and reports forward progress to the hook's watchdog: a dropped unit
+/// starves the pipeline and surfaces as [`ExecError::Deadlock`];
+/// duplicated, corrupted and bit-flipped units complete with wrong data.
+/// Without one the run cannot fail.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_chain<B: StreamGrid, K, E: Engine<B, K>>(
+    engine: &E,
+    chain: &[K],
+    unit: (usize, usize),
+    stream_units: usize,
+    mesh_units: usize,
+    units: impl Iterator<Item = Vec<B::Cell>>,
+    trace: ChainTrace<'_>,
+    mut faults: Option<&mut FaultHook<'_>>,
+) -> Result<Vec<Vec<B::Cell>>, ExecError> {
+    let ChainTrace { rec, prefix, base_cycle, unit_cycles } = trace;
+    let mut stages: Vec<E::Stage> =
+        chain.iter().map(|k| engine.stage(k, unit, stream_units, mesh_units)).collect();
+    let mut tr: Vec<StageTrace> = (0..stages.len())
         .map(|i| StageTrace {
             track: if rec.is_enabled() {
                 rec.track(&format!("{prefix}stage:{i}"))
@@ -360,253 +398,106 @@ fn stage_tracks(rec: &mut Recorder, prefix: &str, n: usize) -> Vec<StageTrace> {
             },
             primed: false,
         })
-        .collect()
-}
-
-/// Stream a row iterator through a chain of 2D stages (the unrolled pipeline
-/// of Fig. 2) and collect the final output rows.
-pub fn run_chain_2d<T: Element, K: StencilOp2D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-) -> Vec<Vec<T>> {
-    run_chain_2d_traced(chain, nx, stream_rows, mesh_ny, rows, &mut Recorder::disabled(), "", 0, 1)
-}
-
-/// [`run_chain_2d`] with window-buffer telemetry: per-stage fill gauges while
-/// each window primes, a "primed" instant when a stage first emits, a
-/// "drain" instant when its trailing rows flush, and row counters. Cycle
-/// stamps follow the streaming schedule: input unit `j` arrives at
-/// `base_cycle + j · cycles_per_row`. With a disabled recorder every hook
-/// is a single predictable branch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_traced<T: Element, K: StencilOp2D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    run_chain_2d_engine_traced(
-        &ScalarEngine,
-        chain,
-        nx,
-        stream_rows,
-        mesh_ny,
-        rows,
-        rec,
-        track_prefix,
-        base_cycle,
-        cycles_per_row,
-    )
-}
-
-/// [`run_chain_2d_traced`] for any [`Engine2D`]: the one streaming loop
-/// both the scalar and the fast path execute. Engine choice only swaps the
-/// per-stage processor; schedule, telemetry and drain are this function.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_engine_traced<T: Element, K, E: Engine2D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, stream_rows, mesh_ny)).collect();
-    let mut tr = stage_tracks(rec, track_prefix, procs.len());
-    let mut out = Vec::with_capacity(stream_rows);
-
-    // Iterative feed (equivalent to cascading recursion): push into stage
-    // `from`; an emitted row continues down the chain, a buffered row stops.
-    fn feed<T: Element, S: Stage2D<T>>(
-        procs: &mut [S],
-        tr: &mut [StageTrace],
-        from: usize,
-        row: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-        rec: &mut Recorder,
-        cycle: u64,
-    ) {
-        let mut current = row;
-        for i in from..procs.len() {
-            match procs[i].push_row(current) {
-                Some(r) => {
-                    if !tr[i].primed {
-                        tr[i].primed = true;
-                        rec.instant(tr[i].track, "primed", cycle);
-                    }
-                    current = r;
-                }
-                None => {
-                    rec.gauge(tr[i].track, "window_fill", cycle, procs[i].window_fill() as f64);
-                    return;
-                }
+        .collect();
+    if let Some(f) = faults.as_deref_mut() {
+        f.start(stream_units, B::UNITS);
+    }
+    let mut out = Vec::with_capacity(stream_units);
+    let (mut j, mut fed) = (0u64, 0usize);
+    for mut u in units {
+        let cycle = base_cycle + j * unit_cycles;
+        let copies = faults.as_deref_mut().map_or(1, |f| f.copies(j as usize, &mut u));
+        j += 1;
+        for c in 0..copies {
+            if fed == stream_units {
+                // Input FIFO already holds the whole stream: the surplus
+                // element is discarded at the full queue.
+                break;
+            }
+            let x = if c + 1 < copies { u.clone() } else { std::mem::take(&mut u) };
+            let before = out.len();
+            feed(&mut stages, &mut tr, 0, x, &mut out, rec, cycle);
+            fed += 1;
+            if let Some(f) = faults.as_deref_mut() {
+                f.progress(cycle, before, out.len());
             }
         }
-        out.push(current);
-    }
-
-    let mut j: u64 = 0;
-    for row in rows {
-        let cycle = base_cycle + j * cycles_per_row;
-        feed(&mut procs, &mut tr, 0, row, &mut out, rec, cycle);
-        j += 1;
-    }
-    rec.counter_add("window.rows_streamed", j);
-    // flush stage by stage, cascading trailing rows downstream
-    let end_cycle = base_cycle + j * cycles_per_row;
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        rec.counter_add("window.drain_rows", trailing.len() as u64);
-        rec.instant(tr[i].track, "drain", end_cycle);
-        for row in trailing {
-            feed(&mut procs, &mut tr, i + 1, row, &mut out, rec, end_cycle);
+        if let Some(f) = faults.as_deref_mut() {
+            f.check(cycle)?;
         }
     }
-    assert_eq!(out.len(), stream_rows, "chain must emit the full stream");
-    out
-}
-
-/// Stream a plane iterator through a chain of 3D stages.
-pub fn run_chain_3d<T: Element, K: StencilOp3D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-) -> Vec<Vec<T>> {
-    run_chain_3d_traced(
-        chain,
-        nx,
-        ny,
-        stream_planes,
-        mesh_nz,
-        planes,
-        &mut Recorder::disabled(),
-        "",
-        0,
-        1,
-    )
-}
-
-/// [`run_chain_3d`] with window-buffer telemetry (see
-/// [`run_chain_2d_traced`]); the streamed unit is a plane, so
-/// `cycles_per_row` here is cycles per *plane*.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_traced<T: Element, K: StencilOp3D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    run_chain_3d_engine_traced(
-        &ScalarEngine,
-        chain,
-        nx,
-        ny,
-        stream_planes,
-        mesh_nz,
-        planes,
-        rec,
-        track_prefix,
-        base_cycle,
-        cycles_per_row,
-    )
-}
-
-/// [`run_chain_3d_traced`] for any [`Engine3D`] (see
-/// [`run_chain_2d_engine_traced`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_engine_traced<T: Element, K, E: Engine3D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, ny, stream_planes, mesh_nz)).collect();
-    let mut tr = stage_tracks(rec, track_prefix, procs.len());
-    let mut out = Vec::with_capacity(stream_planes);
-
-    fn feed<T: Element, S: Stage3D<T>>(
-        procs: &mut [S],
-        tr: &mut [StageTrace],
-        from: usize,
-        plane: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-        rec: &mut Recorder,
-        cycle: u64,
-    ) {
-        let mut current = plane;
-        for i in from..procs.len() {
-            match procs[i].push_plane(current) {
-                Some(p) => {
-                    if !tr[i].primed {
-                        tr[i].primed = true;
-                        rec.instant(tr[i].track, "primed", cycle);
-                    }
-                    current = p;
-                }
-                None => {
-                    rec.gauge(tr[i].track, "window_fill", cycle, procs[i].window_fill() as f64);
-                    return;
-                }
+    rec.counter_add(B::STREAMED, j);
+    let end_cycle = base_cycle + j * unit_cycles;
+    if let Some(f) = faults.as_deref_mut() {
+        f.check_fed(end_cycle, fed)?;
+    }
+    // flush stage by stage, cascading trailing units downstream
+    for i in 0..stages.len() {
+        let trailing = stages[i].finish();
+        rec.counter_add(B::DRAINED, trailing.len() as u64);
+        rec.instant(tr[i].track, "drain", end_cycle);
+        for x in trailing {
+            let before = out.len();
+            feed(&mut stages, &mut tr, i + 1, x, &mut out, rec, end_cycle);
+            if let Some(f) = faults.as_deref_mut() {
+                f.progress(end_cycle, before, out.len());
             }
         }
-        out.push(current);
     }
-
-    let mut j: u64 = 0;
-    for plane in planes {
-        let cycle = base_cycle + j * cycles_per_row;
-        feed(&mut procs, &mut tr, 0, plane, &mut out, rec, cycle);
-        j += 1;
+    if let Some(f) = faults {
+        f.drained(end_cycle)?;
     }
-    rec.counter_add("window.planes_streamed", j);
-    let end_cycle = base_cycle + j * cycles_per_row;
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        rec.counter_add("window.drain_planes", trailing.len() as u64);
-        rec.instant(tr[i].track, "drain", end_cycle);
-        for plane in trailing {
-            feed(&mut procs, &mut tr, i + 1, plane, &mut out, rec, end_cycle);
-        }
-    }
-    assert_eq!(out.len(), stream_planes, "chain must emit the full stream");
-    out
+    assert_eq!(out.len(), stream_units, "chain must emit the full stream");
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sf_kernels::{reference, Jacobi3D, Poisson2D};
-    use sf_mesh::{norms, Batch2D, Mesh2D, Mesh3D};
+    use sf_mesh::{norms, Mesh2D, Mesh3D};
+
+    /// The chain runner without faults, as the executors call it.
+    #[allow(clippy::too_many_arguments)]
+    fn chain<B: StreamGrid, K>(
+        chain: &[K],
+        unit: (usize, usize),
+        stream_units: usize,
+        mesh_units: usize,
+        units: impl Iterator<Item = Vec<B::Cell>>,
+        rec: &mut Recorder,
+        prefix: &str,
+        base_cycle: u64,
+        unit_cycles: u64,
+    ) -> Vec<Vec<B::Cell>>
+    where
+        ScalarEngine: Engine<B, K>,
+    {
+        let trace = ChainTrace { rec, prefix, base_cycle, unit_cycles };
+        let r = run_chain(&ScalarEngine, chain, unit, stream_units, mesh_units, units, trace, None);
+        r.unwrap()
+    }
+
+    fn run_2d(
+        k: &[Poisson2D],
+        nx: usize,
+        rows: usize,
+        mesh_ny: usize,
+        cells: &[f32],
+    ) -> Vec<Vec<f32>> {
+        let units = cells.chunks(nx).map(|r| r.to_vec());
+        chain::<Batch2D<f32>, _>(
+            k,
+            (nx, 1),
+            rows,
+            mesh_ny,
+            units,
+            &mut Recorder::disabled(),
+            "",
+            0,
+            1,
+        )
+    }
 
     #[test]
     fn ring_buffer_eviction_and_access() {
@@ -622,8 +513,7 @@ mod tests {
     #[test]
     fn single_stage_equals_reference_step() {
         let m = Mesh2D::<f32>::random(17, 9, 3, -1.0, 1.0);
-        let rows =
-            run_chain_2d(&[Poisson2D], 17, 9, 9, m.as_slice().chunks(17).map(|r| r.to_vec()));
+        let rows = run_2d(&[Poisson2D], 17, 9, 9, m.as_slice());
         let expect = reference::step_2d(&Poisson2D, &m);
         let got: Vec<f32> = rows.into_iter().flatten().collect();
         assert!(norms::bit_equal(&got, expect.as_slice()));
@@ -632,8 +522,7 @@ mod tests {
     #[test]
     fn chained_stages_equal_iterated_reference() {
         let m = Mesh2D::<f32>::random(21, 13, 4, -1.0, 1.0);
-        let chain = vec![Poisson2D; 5];
-        let rows = run_chain_2d(&chain, 21, 13, 13, m.as_slice().chunks(21).map(|r| r.to_vec()));
+        let rows = run_2d(&[Poisson2D; 5], 21, 13, 13, m.as_slice());
         let expect = reference::run_2d(&Poisson2D, &m, 5);
         let got: Vec<f32> = rows.into_iter().flatten().collect();
         assert!(norms::bit_equal(&got, expect.as_slice()));
@@ -643,25 +532,24 @@ mod tests {
     fn batched_stream_respects_seams() {
         // 3 stacked meshes must come out exactly as 3 independent solves
         let batch = Batch2D::<f32>::random(11, 7, 3, 9, -1.0, 1.0);
-        let chain = vec![Poisson2D; 4];
-        let rows = run_chain_2d(
-            &chain,
-            11,
-            21,
-            7, // seam period = per-mesh rows
-            batch.as_slice().chunks(11).map(|r| r.to_vec()),
-        );
+        // seam period = per-mesh rows
+        let rows = run_2d(&[Poisson2D; 4], 11, 21, 7, batch.as_slice());
         let got: Vec<f32> = rows.into_iter().flatten().collect();
         let expect = reference::run_batch_2d(&Poisson2D, &batch, 4);
         assert!(norms::bit_equal(&got, expect.as_slice()));
+    }
+
+    fn run_3d(k: &[Jacobi3D], m: &Mesh3D<f32>, rec: &mut Recorder, cpp: u64) -> Vec<Vec<f32>> {
+        let (nx, ny, nz) = (m.nx(), m.ny(), m.nz());
+        let units = m.as_slice().chunks(nx * ny).map(|p| p.to_vec());
+        chain::<Batch3D<f32>, _>(k, (nx, ny), nz, nz, units, rec, "", 0, cpp)
     }
 
     #[test]
     fn chain_3d_equals_reference() {
         let m = Mesh3D::<f32>::random(9, 8, 7, 5, -1.0, 1.0);
         let k = Jacobi3D::smoothing();
-        let chain = vec![k; 3];
-        let planes = run_chain_3d(&chain, 9, 8, 7, 7, m.as_slice().chunks(72).map(|p| p.to_vec()));
+        let planes = run_3d(&[k; 3], &m, &mut Recorder::disabled(), 1);
         let got: Vec<f32> = planes.into_iter().flatten().collect();
         let expect = reference::run_3d(&k, &m, 3);
         assert!(norms::bit_equal(&got, expect.as_slice()));
@@ -670,21 +558,13 @@ mod tests {
     #[test]
     fn traced_chain_matches_untraced_and_records_events() {
         let m = Mesh2D::<f32>::random(21, 13, 4, -1.0, 1.0);
-        let chain = vec![Poisson2D; 3];
-        let plain = run_chain_2d(&chain, 21, 13, 13, m.as_slice().chunks(21).map(|r| r.to_vec()));
+        let chain3 = [Poisson2D; 3];
+        let plain = run_2d(&chain3, 21, 13, 13, m.as_slice());
 
         let mut rec = Recorder::enabled(300.0);
-        let traced = run_chain_2d_traced(
-            &chain,
-            21,
-            13,
-            13,
-            m.as_slice().chunks(21).map(|r| r.to_vec()),
-            &mut rec,
-            "p0/",
-            100,
-            28,
-        );
+        let units = m.as_slice().chunks(21).map(|r| r.to_vec());
+        let traced =
+            chain::<Batch2D<f32>, _>(&chain3, (21, 1), 13, 13, units, &mut rec, "p0/", 100, 28);
         assert_eq!(plain, traced, "telemetry must not change results");
 
         // One track per stage, each primed exactly once and drained once.
@@ -706,21 +586,9 @@ mod tests {
     fn traced_chain_3d_matches_untraced() {
         let m = Mesh3D::<f32>::random(9, 8, 7, 5, -1.0, 1.0);
         let k = Jacobi3D::smoothing();
-        let chain = vec![k; 2];
-        let plain = run_chain_3d(&chain, 9, 8, 7, 7, m.as_slice().chunks(72).map(|p| p.to_vec()));
+        let plain = run_3d(&[k; 2], &m, &mut Recorder::disabled(), 1);
         let mut rec = Recorder::enabled(300.0);
-        let traced = run_chain_3d_traced(
-            &chain,
-            9,
-            8,
-            7,
-            7,
-            m.as_slice().chunks(72).map(|p| p.to_vec()),
-            &mut rec,
-            "",
-            0,
-            10,
-        );
+        let traced = run_3d(&[k; 2], &m, &mut rec, 10);
         assert_eq!(plain, traced);
         assert_eq!(rec.counter("window.planes_streamed"), 7);
         assert_eq!(rec.instants().iter().filter(|i| i.name == "primed").count(), 2);
@@ -730,7 +598,7 @@ mod tests {
     fn tiny_mesh_all_boundary() {
         // 2×2 mesh with radius-1 stencil: everything is boundary
         let m = Mesh2D::<f32>::random(2, 2, 1, 0.0, 1.0);
-        let rows = run_chain_2d(&[Poisson2D], 2, 2, 2, m.as_slice().chunks(2).map(|r| r.to_vec()));
+        let rows = run_2d(&[Poisson2D], 2, 2, 2, m.as_slice());
         let got: Vec<f32> = rows.into_iter().flatten().collect();
         assert!(norms::bit_equal(&got, m.as_slice()));
     }

@@ -173,7 +173,7 @@ fn multi_mesh_3d_stream_reenters_boundaries_at_seams() {
 #[test]
 fn executor_level_ragged_2d_and_3d() {
     use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-    use sf_fpga::{exec2d, exec3d, fast, FpgaDevice};
+    use sf_fpga::{exec2d, exec3d, fast, ExecEngine, FpgaDevice, Recorder};
     use sf_kernels::{Jacobi3D, StencilSpec};
     use sf_mesh::{Batch2D, Batch3D};
 
@@ -184,7 +184,15 @@ fn executor_level_ragged_2d_and_3d() {
         .unwrap();
     let input = Batch2D::<f32>::random(nx, 11, 1, 42, -1.0, 1.0);
     let (scalar, _) = exec2d::simulate_2d(&dev, &ds, &[Poisson2D], &input, 7);
-    let (fast_out, _) = fast::simulate_2d_fast(&dev, &ds, &[Poisson2D], &input, 7);
+    let (fast_out, _) = fast::simulate_2d_exec(
+        ExecEngine::Fast,
+        &dev,
+        &ds,
+        &[Poisson2D],
+        &input,
+        7,
+        &mut Recorder::disabled(),
+    );
     assert!(norms::bit_equal(scalar.as_slice(), fast_out.as_slice()));
 
     let nx3 = 2 * LANES + 5;
@@ -195,6 +203,14 @@ fn executor_level_ragged_2d_and_3d() {
     let input3 = Batch3D::<f32>::random(nx3, 7, 6, 1, 43, -1.0, 1.0);
     let k = Jacobi3D::smoothing();
     let (scalar3, _) = exec3d::simulate_3d(&dev, &ds3, &[k], &input3, 4);
-    let (fast3, _) = fast::simulate_3d_fast(&dev, &ds3, &[k], &input3, 4);
+    let (fast3, _) = fast::simulate_3d_exec(
+        ExecEngine::Fast,
+        &dev,
+        &ds3,
+        &[k],
+        &input3,
+        4,
+        &mut Recorder::disabled(),
+    );
     assert!(norms::bit_equal(scalar3.as_slice(), fast3.as_slice()));
 }

@@ -175,6 +175,15 @@ impl StencilSpec {
         self.order * self.stages
     }
 
+    /// Halo depth of `p` chained iterations, in cells (rows or planes
+    /// along the streamed axis): each of the `p · stages` chained stages
+    /// reaches `⌈D/2⌉` further. The ceiling is per stage, so an odd-order
+    /// stencil that reads one side further keeps its full reach. Tile
+    /// halos, multi-device slab halos and pipeline fill all use this depth.
+    pub const fn halo(&self, p: usize) -> usize {
+        p * self.stages * self.order.div_ceil(2)
+    }
+
     /// The paper's `G_dsp` for one mesh-point update of the fused pipeline,
     /// under the spec's number representation.
     pub const fn gdsp(&self) -> usize {

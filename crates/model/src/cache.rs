@@ -52,8 +52,18 @@ pub fn predict_cached(
     niter: u64,
     level: PredictionLevel,
 ) -> Result<Prediction, ModelError> {
-    let key = format!("predict|{}|{design:?}|{wl:?}|{niter}|{level:?}", device_key(dev));
+    let key = prediction_key(dev, design, wl, niter, level);
     prediction_memo().try_get_or_insert_with(&key, || predict(dev, design, wl, niter, level))
+}
+
+fn prediction_key(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    wl: &Workload,
+    niter: u64,
+    level: PredictionLevel,
+) -> String {
+    format!("predict|{}|{design:?}|{wl:?}|{niter}|{level:?}", device_key(dev))
 }
 
 /// [`sf_check::check`] behind the process-wide check-report cache.
@@ -79,6 +89,18 @@ pub fn check_cache_stats() -> MemoStats {
 pub fn clear_caches() {
     prediction_memo().clear();
     check_memo().clear();
+}
+
+/// The cached prediction for these inputs, without computing one on a miss.
+#[cfg(test)]
+pub(crate) fn cached_prediction(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    wl: &Workload,
+    niter: u64,
+    level: PredictionLevel,
+) -> Option<Prediction> {
+    prediction_memo().get(&prediction_key(dev, design, wl, niter, level))
 }
 
 #[cfg(test)]

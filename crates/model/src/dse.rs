@@ -168,15 +168,13 @@ pub fn explore_jobs(
                         ExecMode::Tiled2D { tile_m: m, tile_n: n }
                     }
                 };
+                let both_halos = 2 * spec.halo(p);
                 let tile_fits_mesh = match (wl, mode) {
                     (Workload::D2 { nx, .. }, ExecMode::Tiled1D { tile_m }) => {
-                        tile_m > p * spec.halo_order() && tile_m <= *nx
+                        tile_m > both_halos && tile_m <= *nx
                     }
                     (Workload::D3 { nx, ny, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
-                        tile_m > p * spec.halo_order()
-                            && tile_n > p * spec.halo_order()
-                            && tile_m <= *nx
-                            && tile_n <= *ny
+                        tile_m > both_halos && tile_n > both_halos && tile_m <= *nx && tile_n <= *ny
                     }
                     _ => false,
                 };
@@ -512,15 +510,20 @@ mod tests {
         let spec = StencilSpec::poisson();
         let opts = DseOptions { allow_tiling: false, ..DseOptions::default() };
         let first = explore_jobs(&d, &spec, &wl, 500, &opts, 1).unwrap();
-        let before = crate::cache::prediction_cache_stats();
+        // The sweep's own keys: one extended prediction per single-device
+        // candidate. Sibling tests share the process-wide memo, so only
+        // these keys — not its global entry count — are asserted on.
+        let singles: Vec<&Candidate> = first.iter().filter(|c| c.devices == 1).collect();
+        assert!(!singles.is_empty());
+        for c in &singles {
+            assert_eq!(
+                crate::cache::cached_prediction(&d, &c.design, &wl, 500, PredictionLevel::Extended),
+                Some(c.prediction),
+                "the first sweep must leave every prediction it made cached"
+            );
+        }
         let second = explore_jobs(&d, &spec, &wl, 500, &opts, 1).unwrap();
-        let after = crate::cache::prediction_cache_stats();
-        assert_eq!(first, second);
-        assert_eq!(
-            after.entries, before.entries,
-            "an identical sweep must not add prediction entries"
-        );
-        assert!(after.hits > before.hits, "second sweep must be served from cache");
+        assert_eq!(first, second, "the second sweep is served those cached predictions");
     }
 
     #[test]

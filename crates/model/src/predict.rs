@@ -15,9 +15,9 @@
 
 use crate::error::ModelError;
 use serde::{Deserialize, Serialize};
+use sf_fpga::cycles::tile_grids;
 use sf_fpga::design::{ExecMode, StencilDesign, Workload};
 use sf_fpga::FpgaDevice;
-use sf_mesh::TileGrid1D;
 use sf_multi::{sharded_plan, MultiConfig, MultiError};
 
 /// Fidelity of a prediction.
@@ -60,8 +60,7 @@ fn shape(
     // Fill term of eqs. (2)/(3): ⌈D/2⌉ rows held back per chained stage.
     // Ceiling per stage (not of the product) keeps odd-order stencils in
     // lockstep with the simulator's `sf_fpga::cycles::fill_units`.
-    let p = design.p as u64;
-    let fill = p * (design.spec.stages * design.spec.order.div_ceil(2)) as u64;
+    let fill = design.spec.halo(design.p) as u64;
     Ok(match (*wl, design.mode) {
         (Workload::D2 { nx, ny, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
             StreamShape {
@@ -75,10 +74,8 @@ fn shape(
                 per_segment_overhead: 0,
             }
         }
-        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { tile_m }) => {
-            let halo = design.p * design.spec.halo_order() / 2;
-            let align = (dev.axi_bus_bytes / design.spec.elem_bytes).max(1);
-            let grid = TileGrid1D::new(nx, tile_m, halo, align);
+        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { .. }) => {
+            let (grid, _) = tile_grids(dev, design, nx, ny);
             StreamShape {
                 segments: grid
                     .tiles()
@@ -88,11 +85,8 @@ fn shape(
                 per_segment_overhead: dev.axi_latency_cycles as u64,
             }
         }
-        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
-            let halo = design.p * design.spec.halo_order() / 2;
-            let align = (dev.axi_bus_bytes / design.spec.elem_bytes).max(1);
-            let gx = TileGrid1D::new(nx, tile_m, halo, align);
-            let gy = TileGrid1D::new(ny, tile_n, halo, 1);
+        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { .. }) => {
+            let (gx, gy) = tile_grids(dev, design, nx, ny);
             let mut segments = Vec::new();
             for ty in gy.tiles() {
                 for tx in gx.tiles() {

@@ -1,49 +1,38 @@
 //! Sharded executors: run each slab on its own simulated device and
 //! exchange halos at every pass barrier.
 //!
-//! Bit-exactness is by construction, not by luck. Each pass, device `k`
-//! streams the *extended* slab `[start−h, end+h) ∩ [0, extent)` of the
-//! current global state through the same window chain the single-device
-//! executors use, with the slab length as its seam period (slab edges are
-//! treated as mesh boundaries). A pass chains at most `p · stages`
-//! processors and a stage of radius `r` only lets boundary treatment
-//! contaminate `r` more units, so after the whole pass at most
-//! `p · stages · ⌈D/2⌉ = h` units adjacent to a *fake* (slab-interior)
-//! edge are wrong — exactly the halo, which is discarded: only the owned
-//! units `[start, end)` are written back. Real mesh boundaries are never
-//! clamped away because the extension is clipped to `[0, extent)`. The
-//! result is bit-identical to the single-device executors for any device
-//! count, engine, and `jobs` value.
+//! The executors are thin: they price the sharded schedule
+//! ([`sharded_plan`]), decompose the outermost axis ([`slab_partition`]) and
+//! hand both to the pass driver ([`sf_fpga::driver::Run::simulate_slabs`]),
+//! which streams every device's extended slab `[start−h, end+h) ∩
+//! [0, extent)` through the same window chain the single-device executors
+//! use and writes back only the owned units. Bit-exactness is by
+//! construction: a pass chains at most `p · stages` processors and a stage
+//! of radius `r` only lets boundary treatment contaminate `r` more units,
+//! so after the whole pass at most `p · stages · ⌈D/2⌉ = h` units adjacent
+//! to a *fake* (slab-interior) edge are wrong — exactly the discarded
+//! halo. Real mesh boundaries are never clamped away because the extension
+//! is clipped to `[0, extent)`. The result is bit-identical to the
+//! single-device executors for any device count, engine, and `jobs` value.
 //!
-//! Telemetry mirrors [`sf_fpga::exec_batch`]: each (device, mesh) pair
-//! records its first pass under a `dev{k}/mesh{i}/window/` track prefix
-//! with deterministic cycle offsets, shard recorders merge in slab order,
-//! and the halo-exchange cost is charged analytically from the
-//! [`ShardedPlan`] — `exchange.bytes` / `exchange.messages` counters plus
-//! the exposed (non-overlapped) cycles as
+//! Telemetry mirrors the per-mesh fan-out of [`sf_fpga::exec_batch`]: each
+//! (device, mesh) pair records its first pass under a
+//! `dev{k}/mesh{i}/window/` track prefix with deterministic cycle offsets,
+//! shard recorders merge in slab order, and the halo-exchange cost is
+//! charged analytically from the [`ShardedPlan`] — `exchange.bytes` /
+//! `exchange.messages` counters plus the exposed (non-overlapped) cycles as
 //! [`sf_telemetry::StallClass::Exchange`] — so traces stay byte-identical
 //! for every `jobs` value.
 
 use crate::partition::slab_partition;
 use crate::plan::{sharded_plan, MultiConfig, MultiError, ShardedPlan};
-use sf_fpga::cycles;
-use sf_fpga::design::{ExecMode, StencilDesign, Workload};
-use sf_fpga::window::{
-    run_chain_2d_engine_traced, run_chain_3d_engine_traced, Engine2D, Engine3D, ScalarEngine,
-};
+use sf_fpga::design::{StencilDesign, Workload};
+use sf_fpga::driver::{GridKernel, Run, Slabs, StreamGrid};
+use sf_fpga::window::{Engine, ScalarEngine};
 use sf_fpga::{ExecEngine, FastEngine, FpgaDevice, SimReport};
-use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D, StencilOp2D, StencilOp3D};
-use sf_mesh::{Batch2D, Batch3D, Element};
+use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
+use sf_mesh::{Batch2D, Batch3D};
 use sf_telemetry::{Recorder, StallClass};
-
-/// Shared design/input agreement checks (same contract as the batch
-/// executors: wrong batch size or stage count is a programming error).
-fn check_batch_mode(design: &StencilDesign, b: usize) {
-    match design.mode {
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "baseline design runs one mesh"),
-    }
-}
 
 /// Charge the analytic exchange cost into the recorder. Counters and the
 /// [`StallClass::Exchange`] stall come from the plan, not from measuring
@@ -57,217 +46,30 @@ fn charge_exchange(rec: &mut Recorder, plan: &ShardedPlan) {
     rec.stall(StallClass::Exchange, plan.exchange_exposed_cycles);
 }
 
-/// Engine-generic body of [`simulate_batch_2d_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_2d_sharded_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
+/// Run `run` sharded across `cfg.devices`: plan, stream the slabs, then
+/// record the schedule metadata and the exchange charges.
+fn sharded<B, K>(
+    mut run: Run<'_, K>,
+    input: &B,
     cfg: &MultiConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), MultiError>
+) -> Result<(B, SimReport), MultiError>
 where
-    T: Element,
-    K: Clone + Sync,
-    E: Engine2D<T, K> + Sync,
+    B: StreamGrid,
+    K: GridKernel<B>,
+    ScalarEngine: Engine<B, K>,
+    FastEngine: Engine<B, K>,
 {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_batch_mode(design, b);
-    let wl = Workload::D2 { nx, ny, batch: b };
-    let plan = sharded_plan(dev, design, &wl, niter as u64, cfg)?;
-    let h = plan.halo;
-    let shards = slab_partition(ny, cfg.devices);
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let trace_on = rec.is_enabled();
-    let clock = rec.cycles_per_us();
-    if trace_on {
-        annotate(rec, &plan);
+    let plan = sharded_plan(run.dev, run.design, &input.workload(), run.niter as u64, cfg)?;
+    let owned: Vec<_> =
+        slab_partition(input.mesh_units(), cfg.devices).iter().map(|s| s.start..s.end()).collect();
+    let power_w = sf_fpga::power::fpga_power_w(run.dev, run.design) * cfg.devices as f64;
+    let slabs = Slabs { owned: &owned, halo: plan.halo, plan: &plan.merged, power_w };
+    let out = run.simulate_slabs(input, &slabs).map_err(MultiError::Exec)?;
+    if run.rec.is_enabled() {
+        annotate(run.rec, &plan);
     }
-
-    let mut out = Batch2D::<T>::zeros(nx, ny, b);
-    let plane = nx * ny;
-    for i in 0..b {
-        let mut cur = input.mesh(i);
-        let mut remaining = niter;
-        let mut first_pass = true;
-        while remaining > 0 {
-            let p_eff = design.p.min(remaining);
-            let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-            // Halo exchange happens here: every device's extended slab is
-            // gathered from the pass-barrier global state.
-            let items: Vec<_> = shards
-                .iter()
-                .map(|s| {
-                    let lo = s.start.saturating_sub(h);
-                    let hi = (s.end() + h).min(ny);
-                    let rows: Vec<Vec<T>> =
-                        (lo..hi).map(|y| cur.as_slice()[y * nx..(y + 1) * nx].to_vec()).collect();
-                    (*s, lo, rows)
-                })
-                .collect();
-            let trace_this = trace_on && first_pass;
-            let results = sf_par::par_map(jobs, items, |k, (s, lo, rows)| {
-                let mut shard_rec =
-                    if trace_this { Recorder::enabled(clock) } else { Recorder::disabled() };
-                let slab = rows.len();
-                let prefix = format!("dev{k}/mesh{i}/window/");
-                let base_cycle = (i * ny + s.start) as u64 * rc;
-                let out_rows = run_chain_2d_engine_traced(
-                    engine,
-                    &chain,
-                    nx,
-                    slab,
-                    slab,
-                    rows.into_iter(),
-                    &mut shard_rec,
-                    &prefix,
-                    base_cycle,
-                    rc,
-                );
-                let owned: Vec<Vec<T>> =
-                    out_rows.into_iter().skip(s.start - lo).take(s.len).collect();
-                (s, owned, shard_rec)
-            });
-            let mut next = cur.clone();
-            let mut shard_recs = Vec::with_capacity(shards.len());
-            for (s, owned, sr) in results {
-                for (j, row) in owned.into_iter().enumerate() {
-                    let y = s.start + j;
-                    next.as_mut_slice()[y * nx..(y + 1) * nx].copy_from_slice(&row);
-                }
-                shard_recs.push(sr);
-            }
-            if trace_this {
-                rec.merge_shards(shard_recs);
-            }
-            cur = next;
-            remaining -= p_eff;
-            first_pass = false;
-        }
-        out.as_mut_slice()[i * plane..(i + 1) * plane].copy_from_slice(cur.as_slice());
-    }
-    charge_exchange(rec, &plan);
-
-    let power = sf_fpga::power::fpga_power_w(dev, design) * cfg.devices as f64;
-    let report = SimReport::from_plan(design, &plan.merged, niter as u64, power);
-    Ok((out, report))
-}
-
-/// Engine-generic body of [`simulate_batch_3d_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_3d_sharded_core<T, K, E>(
-    engine: &E,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    cfg: &MultiConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), MultiError>
-where
-    T: Element,
-    K: Clone + Sync,
-    E: Engine3D<T, K> + Sync,
-{
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_batch_mode(design, b);
-    let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let plan = sharded_plan(dev, design, &wl, niter as u64, cfg)?;
-    let h = plan.halo;
-    let shards = slab_partition(nz, cfg.devices);
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let plane = nx * ny;
-    let trace_on = rec.is_enabled();
-    let clock = rec.cycles_per_us();
-    if trace_on {
-        annotate(rec, &plan);
-    }
-
-    let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-    let vol = plane * nz;
-    for i in 0..b {
-        let mut cur = input.mesh(i);
-        let mut remaining = niter;
-        let mut first_pass = true;
-        while remaining > 0 {
-            let p_eff = design.p.min(remaining);
-            let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-            let items: Vec<_> = shards
-                .iter()
-                .map(|s| {
-                    let lo = s.start.saturating_sub(h);
-                    let hi = (s.end() + h).min(nz);
-                    let planes: Vec<Vec<T>> = (lo..hi)
-                        .map(|z| cur.as_slice()[z * plane..(z + 1) * plane].to_vec())
-                        .collect();
-                    (*s, lo, planes)
-                })
-                .collect();
-            let trace_this = trace_on && first_pass;
-            let results = sf_par::par_map(jobs, items, |k, (s, lo, planes)| {
-                let mut shard_rec =
-                    if trace_this { Recorder::enabled(clock) } else { Recorder::disabled() };
-                let slab = planes.len();
-                let prefix = format!("dev{k}/mesh{i}/window/");
-                let base_cycle = (i * nz + s.start) as u64 * plane_cycles;
-                let out_planes = run_chain_3d_engine_traced(
-                    engine,
-                    &chain,
-                    nx,
-                    ny,
-                    slab,
-                    slab,
-                    planes.into_iter(),
-                    &mut shard_rec,
-                    &prefix,
-                    base_cycle,
-                    plane_cycles,
-                );
-                let owned: Vec<Vec<T>> =
-                    out_planes.into_iter().skip(s.start - lo).take(s.len).collect();
-                (s, owned, shard_rec)
-            });
-            let mut next = cur.clone();
-            let mut shard_recs = Vec::with_capacity(shards.len());
-            for (s, owned, sr) in results {
-                for (j, pl) in owned.into_iter().enumerate() {
-                    let z = s.start + j;
-                    next.as_mut_slice()[z * plane..(z + 1) * plane].copy_from_slice(&pl);
-                }
-                shard_recs.push(sr);
-            }
-            if trace_this {
-                rec.merge_shards(shard_recs);
-            }
-            cur = next;
-            remaining -= p_eff;
-            first_pass = false;
-        }
-        out.as_mut_slice()[i * vol..(i + 1) * vol].copy_from_slice(cur.as_slice());
-    }
-    charge_exchange(rec, &plan);
-
-    let power = sf_fpga::power::fpga_power_w(dev, design) * cfg.devices as f64;
-    let report = SimReport::from_plan(design, &plan.merged, niter as u64, power);
-    Ok((out, report))
+    charge_exchange(run.rec, &plan);
+    Ok(out)
 }
 
 /// Schedule-only telemetry for a sharded run: per-pass spans from the
@@ -333,84 +135,17 @@ fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
     rec.set_meta("exchange_bytes_per_pass", Value::U64(plan.exchange_bytes_per_pass));
 }
 
-/// Multi-device sharded twin of
-/// [`sf_fpga::exec_batch::simulate_batch_2d_parallel`] (scalar engine).
+/// Multi-device sharded execution of a (batch of) 2D mesh(es) on `engine`,
+/// with each pass's slabs fanned out over `jobs` workers.
 ///
 /// Output is bit-identical to the single-device executors for every
 /// device count and `jobs` value; the [`SimReport`] prices the sharded
 /// schedule (slowest device per pass, exchange exposure included).
 ///
 /// # Errors
-/// The [`MultiError`]s of [`sharded_plan`]: zero devices, more devices
-/// than outermost units, or a tiled design.
-///
-/// # Panics
-/// Panics on a design/input mismatch (wrong batch size, stage count) or
-/// `niter == 0`, exactly like the single-device batch executors.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_sharded<T: Element, K: StencilOp2D<T> + Clone + Sync>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    cfg: &MultiConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), MultiError> {
-    simulate_batch_2d_sharded_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        cfg,
-        jobs,
-        rec,
-    )
-}
-
-/// 3D twin of [`simulate_batch_2d_sharded`].
-///
-/// # Errors
-/// See [`simulate_batch_2d_sharded`].
-///
-/// # Panics
-/// See [`simulate_batch_2d_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_sharded<T: Element, K: StencilOp3D<T> + Clone + Sync>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    cfg: &MultiConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), MultiError> {
-    simulate_batch_3d_sharded_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        cfg,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-dispatched [`simulate_batch_2d_sharded`]: scalar or vectorized
-/// fast path, selected at runtime like
-/// [`sf_fpga::fast::simulate_batch_2d_parallel_exec`].
-///
-/// # Errors
-/// See [`simulate_batch_2d_sharded`].
-///
-/// # Panics
-/// See [`simulate_batch_2d_sharded`].
+/// The [`MultiError`]s of [`sharded_plan`] (zero devices, more devices
+/// than outermost units, a tiled design), and [`MultiError::Exec`] for a
+/// design/input mismatch (wrong batch size, stage count) or `niter == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batch_2d_sharded_exec<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
     engine: ExecEngine,
@@ -423,39 +158,15 @@ pub fn simulate_batch_2d_sharded_exec<T: LaneElement, K: LaneOp2D<T> + Clone + S
     jobs: usize,
     rec: &mut Recorder,
 ) -> Result<(Batch2D<T>, SimReport), MultiError> {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_2d_sharded_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            cfg,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_2d_sharded_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            cfg,
-            jobs,
-            rec,
-        ),
-    }
+    let run =
+        Run { engine, jobs: Some(jobs), ..Run::new(dev, design, stages_per_iter, niter, rec) };
+    sharded(run, input, cfg)
 }
 
-/// Engine-dispatched [`simulate_batch_3d_sharded`].
+/// [`simulate_batch_2d_sharded_exec`] for 3D batches.
 ///
 /// # Errors
-/// See [`simulate_batch_2d_sharded`].
-///
-/// # Panics
-/// See [`simulate_batch_2d_sharded`].
+/// See [`simulate_batch_2d_sharded_exec`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batch_3d_sharded_exec<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
     engine: ExecEngine,
@@ -468,28 +179,7 @@ pub fn simulate_batch_3d_sharded_exec<T: LaneElement, K: LaneOp3D<T> + Clone + S
     jobs: usize,
     rec: &mut Recorder,
 ) -> Result<(Batch3D<T>, SimReport), MultiError> {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_3d_sharded_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            cfg,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_3d_sharded_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            cfg,
-            jobs,
-            rec,
-        ),
-    }
+    let run =
+        Run { engine, jobs: Some(jobs), ..Run::new(dev, design, stages_per_iter, niter, rec) };
+    sharded(run, input, cfg)
 }

@@ -17,10 +17,12 @@
 //!   [`sf_fpga::cycles::CyclePlan`] whose pass wall-clock is the slowest
 //!   device.
 //! * [`exec`] — sharded executors for 2D/3D batches under both the scalar
-//!   and vectorized fast engines, **bit-identical** to the single-device
-//!   executors for every device count and `jobs` value, with per-device
-//!   swimlanes (`dev{k}/mesh{i}/window/`), `exchange.*` counters, and
-//!   exposed exchange charged as [`sf_telemetry::StallClass::Exchange`].
+//!   and vectorized fast engines: thin calls that hand the slab
+//!   decomposition to `sf-fpga`'s pass driver. **Bit-identical** to the
+//!   single-device executors for every device count and `jobs` value, with
+//!   per-device swimlanes (`dev{k}/mesh{i}/window/`), `exchange.*`
+//!   counters, and exposed exchange charged as
+//!   [`sf_telemetry::StallClass::Exchange`].
 //!
 //! Single-device degeneration is exact: `devices = 1` produces the same
 //! numerics *and* the same [`sf_fpga::cycles::CyclePlan`] as the
@@ -35,8 +37,7 @@ pub mod partition;
 pub mod plan;
 
 pub use exec::{
-    simulate_batch_2d_sharded, simulate_batch_2d_sharded_exec, simulate_batch_3d_sharded,
-    simulate_batch_3d_sharded_exec, trace_sharded_schedule,
+    simulate_batch_2d_sharded_exec, simulate_batch_3d_sharded_exec, trace_sharded_schedule,
 };
 pub use link::LinkModel;
 pub use partition::{halo_depth, slab_partition, Shard};

@@ -24,7 +24,7 @@ use crate::link::LinkModel;
 use crate::partition::{halo_depth, slab_partition};
 use serde::{Deserialize, Serialize};
 use sf_fpga::cycles::{self, CyclePlan};
-use sf_fpga::{ExecMode, FpgaDevice, StencilDesign};
+use sf_fpga::{ExecError, ExecMode, FpgaDevice, StencilDesign};
 
 /// How a workload is spread over accelerators.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ impl Default for MultiConfig {
 }
 
 /// Why a workload cannot be sharded as requested.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MultiError {
     /// `devices == 0` — there is no accelerator to run on.
     NoDevices,
@@ -65,6 +65,8 @@ pub enum MultiError {
     /// Sharding composes with whole-mesh streaming only; tiled designs
     /// already decompose the mesh their own way.
     UnsupportedMode,
+    /// The run does not fit its input (batch size, stage count, `niter`).
+    Exec(ExecError),
 }
 
 impl std::fmt::Display for MultiError {
@@ -79,6 +81,7 @@ impl std::fmt::Display for MultiError {
             Self::UnsupportedMode => {
                 write!(f, "multi-device sharding requires a Baseline or Batched design")
             }
+            Self::Exec(e) => write!(f, "{e}"),
         }
     }
 }
