@@ -8,9 +8,15 @@
 //! whole kernel family, on widths that deliberately include ragged and
 //! sub-lane interiors.
 //!
+//! Every sampled point also runs a halving-boundary variant of its star
+//! ([`HalvingStar2D`]/[`HalvingStar3D`]): the paper's kernels hold boundary
+//! cells, so a pass that failed to write a boundary cell would still look
+//! right; halving them makes every boundary write visible.
+//!
 //! The deterministic tests pin the interop surface: batch-parallel
-//! telemetry byte-identical across `jobs` × engine, and checkpoint/rollback
-//! recovery byte-identical under `--exec scalar` vs `--exec fast`.
+//! telemetry byte-identical across `jobs` × engine, checkpoint/rollback
+//! recovery byte-identical under `--exec scalar` vs `--exec fast`, and the
+//! halving kernels through tiled and 2-device sharded passes.
 //!
 //! The quick variants run in the default suite; the `deep_*` variants are
 //! `#[ignore]`d 200-case sweeps for the nightly-style
@@ -19,7 +25,10 @@
 use proptest::prelude::*;
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
 use sf_fpga::{exec2d, exec3d, fast, ExecEngine, FpgaDevice, Recorder};
-use sf_kernels::{reference, StarStencil2D, StarStencil3D, StencilOp2D, StencilOp3D};
+use sf_kernels::{
+    reference, LaneElement, LaneOp2D, LaneOp3D, StarStencil2D, StarStencil3D, StencilOp2D,
+    StencilOp3D, StencilSpec,
+};
 use sf_mesh::{norms, Batch2D, Batch3D};
 use sf_telemetry::{chrome, metrics};
 
@@ -75,12 +84,90 @@ fn star_3d(r: usize, w: [i32; 4]) -> StarStencil3D {
     StarStencil3D::new(pts)
 }
 
+/// The f32 lane pack the fast engine evaluates a kernel at.
+type Pack = <f32 as LaneElement>::Lanes;
+
+/// A kernel the differential checks can synthesize a design for.
+trait Specified {
+    /// The stencil's shape and cost, for `synthesize`.
+    fn spec(&self) -> StencilSpec;
+}
+
+impl Specified for StarStencil2D {
+    fn spec(&self) -> StencilSpec {
+        StarStencil2D::spec(self)
+    }
+}
+
+impl Specified for StarStencil3D {
+    fn spec(&self) -> StencilSpec {
+        StarStencil3D::spec(self)
+    }
+}
+
+/// A 2D star whose boundary cells are halved instead of held. The interior
+/// update is the star's own generic one, so both engines run it.
+#[derive(Clone, Debug)]
+struct HalvingStar2D(StarStencil2D);
+
+impl StencilOp2D<f32> for HalvingStar2D {
+    fn radius(&self) -> usize {
+        self.0.radius()
+    }
+    fn apply<F: Fn(i32, i32) -> f32>(&self, at: F) -> f32 {
+        self.0.apply(at)
+    }
+    fn on_boundary(&self, center: f32) -> f32 {
+        0.5 * center
+    }
+}
+
+impl LaneOp2D<f32> for HalvingStar2D {
+    fn apply_lanes<F: Fn(i32, i32) -> Pack>(&self, at: &F) -> Pack {
+        self.0.apply_lanes(at)
+    }
+}
+
+impl Specified for HalvingStar2D {
+    fn spec(&self) -> StencilSpec {
+        self.0.spec()
+    }
+}
+
+/// The 3D twin of [`HalvingStar2D`].
+#[derive(Clone, Debug)]
+struct HalvingStar3D(StarStencil3D);
+
+impl StencilOp3D<f32> for HalvingStar3D {
+    fn radius(&self) -> usize {
+        self.0.radius()
+    }
+    fn apply<F: Fn(i32, i32, i32) -> f32>(&self, at: F) -> f32 {
+        self.0.apply(at)
+    }
+    fn on_boundary(&self, center: f32) -> f32 {
+        0.5 * center
+    }
+}
+
+impl LaneOp3D<f32> for HalvingStar3D {
+    fn apply_lanes<F: Fn(i32, i32, i32) -> Pack>(&self, at: &F) -> Pack {
+        self.0.apply_lanes(at)
+    }
+}
+
+impl Specified for HalvingStar3D {
+    fn spec(&self) -> StencilSpec {
+        self.0.spec()
+    }
+}
+
 /// One 2D fast-vs-scalar differential check on a random star stencil.
 /// `Ok(false)` means the sampled point does not synthesize (rejected,
 /// resampled); `Err` is a genuine conformance failure.
 #[allow(clippy::too_many_arguments)]
-fn check_2d(
-    k: &StarStencil2D,
+fn check_2d<K: LaneOp2D<f32> + Specified + Clone>(
+    k: &K,
     nx: usize,
     ny: usize,
     batch: usize,
@@ -169,8 +256,8 @@ fn check_2d(
 
 /// 3D counterpart of [`check_2d`].
 #[allow(clippy::too_many_arguments)]
-fn check_3d(
-    k: &StarStencil3D,
+fn check_3d<K: LaneOp3D<f32> + Specified + Clone>(
+    k: &K,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -277,6 +364,8 @@ proptest! {
         let k = star_2d(r, [w0, w1, w2, w3, w4]);
         let res = check_2d(&k, nx, ny, batch, V_CHOICES[vi], p, niter);
         prop_assert!(res.is_ok(), "{}", res.as_ref().err().cloned().unwrap_or_default());
+        let halving = check_2d(&HalvingStar2D(k), nx, ny, batch, V_CHOICES[vi], p, niter);
+        prop_assert!(halving.is_ok(), "halving: {}", halving.err().unwrap_or_default());
         prop_assume!(matches!(res, Ok(true)));
     }
 }
@@ -302,6 +391,8 @@ proptest! {
         let k = star_3d(r, [w0, w1, w2, w3]);
         let res = check_3d(&k, nx, ny, nz, batch, V_CHOICES[vi], p, niter);
         prop_assert!(res.is_ok(), "{}", res.as_ref().err().cloned().unwrap_or_default());
+        let halving = check_3d(&HalvingStar3D(k), nx, ny, nz, batch, V_CHOICES[vi], p, niter);
+        prop_assert!(halving.is_ok(), "halving: {}", halving.err().unwrap_or_default());
         prop_assume!(matches!(res, Ok(true)));
     }
 }
@@ -329,6 +420,8 @@ proptest! {
         let k = star_2d(r, [w0, w1, w2, w3, w4]);
         let res = check_2d(&k, nx, ny, batch, V_CHOICES[vi], p, niter);
         prop_assert!(res.is_ok(), "{}", res.as_ref().err().cloned().unwrap_or_default());
+        let halving = check_2d(&HalvingStar2D(k), nx, ny, batch, V_CHOICES[vi], p, niter);
+        prop_assert!(halving.is_ok(), "halving: {}", halving.err().unwrap_or_default());
         prop_assume!(matches!(res, Ok(true)));
     }
 }
@@ -356,6 +449,8 @@ proptest! {
         let k = star_3d(r, [w0, w1, w2, w3]);
         let res = check_3d(&k, nx, ny, nz, batch, V_CHOICES[vi], p, niter);
         prop_assert!(res.is_ok(), "{}", res.as_ref().err().cloned().unwrap_or_default());
+        let halving = check_3d(&HalvingStar3D(k), nx, ny, nz, batch, V_CHOICES[vi], p, niter);
+        prop_assert!(halving.is_ok(), "halving: {}", halving.err().unwrap_or_default());
         prop_assume!(matches!(res, Ok(true)));
     }
 }
@@ -461,4 +556,85 @@ fn rollback_recovery_3d_is_engine_invariant() {
     assert!(st_s.sdc_detected > 0, "the saturation bit-flip must trip the ABFT check");
     let expect = reference::run_3d(&k, &input.mesh(0), 6);
     assert!(norms::bit_equal(o_s.mesh(0).as_slice(), expect.as_slice()));
+}
+
+// ---------------------------------------------------------------------------
+// Non-identity boundaries through tiled and sharded passes.
+// ---------------------------------------------------------------------------
+
+/// A halving radius-1 2D star (the Poisson weights, exactly representable).
+fn halving_2d() -> HalvingStar2D {
+    HalvingStar2D(StarStencil2D::laplace5(0.25, 0.0))
+}
+
+#[test]
+fn halving_boundary_tiled_1d_matches_reference() {
+    let (nx, ny, p) = (203, 30, 4);
+    assert_ne!(nx % lanes(), 0);
+    let k = halving_2d();
+    let dev = FpgaDevice::u280();
+    let wl = Workload::D2 { nx, ny, batch: 1 };
+    let mode = ExecMode::Tiled1D { tile_m: 64 };
+    let ds = synthesize(&dev, &k.spec(), 8, p, mode, MemKind::Hbm, &wl).unwrap();
+    let input = Batch2D::<f32>::random(nx, ny, 1, INPUT_SEED, -1.0, 1.0);
+    let niter = 2 * p + 1;
+    let golden = reference::run_batch_2d(&k, &input, niter);
+    for engine in [ExecEngine::Scalar, ExecEngine::Fast] {
+        let mut rec = Recorder::disabled();
+        let stages = std::slice::from_ref(&k);
+        let (out, _) = fast::simulate_2d_exec(engine, &dev, &ds, stages, &input, niter, &mut rec);
+        assert!(norms::bit_equal(out.as_slice(), golden.as_slice()), "engine={engine}");
+    }
+}
+
+#[test]
+fn halving_boundary_tiled_2d_matches_reference() {
+    let (nx, ny, nz, p) = (45, 40, 8, 2);
+    assert_ne!(nx % lanes(), 0);
+    let k = HalvingStar3D(StarStencil3D::high_order(&[-6.0 / 8.0, 1.0 / 8.0], 0.5, 1.0));
+    let dev = FpgaDevice::u280();
+    let wl = Workload::D3 { nx, ny, nz, batch: 1 };
+    let mode = ExecMode::Tiled2D { tile_m: 32, tile_n: 16 };
+    let ds = synthesize(&dev, &k.spec(), 8, p, mode, MemKind::Hbm, &wl).unwrap();
+    let input = Batch3D::<f32>::random(nx, ny, nz, 1, INPUT_SEED, -1.0, 1.0);
+    let niter = 2 * p + 1;
+    let golden = reference::run_batch_3d(&k, &input, niter);
+    for engine in [ExecEngine::Scalar, ExecEngine::Fast] {
+        let mut rec = Recorder::disabled();
+        let stages = std::slice::from_ref(&k);
+        let (out, _) = fast::simulate_3d_exec(engine, &dev, &ds, stages, &input, niter, &mut rec);
+        assert!(norms::bit_equal(out.as_slice(), golden.as_slice()), "engine={engine}");
+    }
+}
+
+#[test]
+fn halving_boundary_two_device_slabs_match_reference() {
+    let (nx, ny, p) = (37, 40, 3);
+    assert_ne!(nx % lanes(), 0);
+    let k = halving_2d();
+    let dev = FpgaDevice::u280();
+    let wl = Workload::D2 { nx, ny, batch: 2 };
+    let ds =
+        synthesize(&dev, &k.spec(), 8, p, ExecMode::Batched { b: 2 }, MemKind::Hbm, &wl).unwrap();
+    let input = Batch2D::<f32>::random(nx, ny, 2, INPUT_SEED, -1.0, 1.0);
+    let niter = 2 * p + 1;
+    let golden = reference::run_batch_2d(&k, &input, niter);
+    let cfg = sf_multi::MultiConfig::new(2);
+    for engine in [ExecEngine::Scalar, ExecEngine::Fast] {
+        for jobs in [1, 2] {
+            let mut rec = Recorder::disabled();
+            let stages = std::slice::from_ref(&k);
+            let (out, _) = sf_multi::simulate_batch_2d_sharded_exec(
+                engine, &dev, &ds, stages, &input, niter, &cfg, jobs, &mut rec,
+            )
+            .unwrap();
+            let case = format!("engine={engine} jobs={jobs}");
+            assert!(norms::bit_equal(out.as_slice(), golden.as_slice()), "{case}");
+        }
+    }
+}
+
+/// The fast engine's lane count.
+fn lanes() -> usize {
+    std::mem::size_of::<Pack>() / std::mem::size_of::<f32>()
 }

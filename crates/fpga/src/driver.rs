@@ -10,10 +10,15 @@
 //! * one chain runner (`window::run_chain`) with an optional fault
 //!   hook ([`crate::resilient`]);
 //! * one pass loop: `⌈niter/p⌉` passes, each chaining `p_eff × stages`
-//!   stages, with window events traced on the first pass only. A pass
-//!   streams the whole batch, its tiles ([`StreamGrid::tiled_pass`]) or —
-//!   for a sharded run ([`Run::simulate_slabs`]) — each device's
-//!   halo-extended slab, writing back the units that slab owns;
+//!   stages, with window events traced on the first pass only. The loop
+//!   owns two batch buffers for the whole run and ping-pongs them: a pass
+//!   reads the pass-start state from one and its last stage writes straight
+//!   into the other. A whole-stream pass reuses one stage chain, windows
+//!   included, for every pass. A pass streams the whole batch, its tiles
+//!   ([`StreamGrid::tiled_pass`]) or — for a sharded run
+//!   ([`Run::simulate_slabs`]) — each device's halo-extended slab, borrowed
+//!   in place from the pass-start buffer, with each device writing the
+//!   units it owns into its own disjoint chunk of the other buffer;
 //! * per-mesh `jobs` fan-out ([`crate::exec_batch`]);
 //! * checkpoint segments with ABFT checks and rollback
 //!   ([`crate::recovery`]).
@@ -30,7 +35,7 @@ use crate::fast::{ExecEngine, FastEngine};
 use crate::recovery::{self, RecoverParams};
 use crate::report::SimReport;
 use crate::resilient::{pass_budget, plan_with_faults, FaultHook};
-use crate::window::{run_chain, ChainTrace, Engine, ScalarEngine};
+use crate::window::{build_chain, run_chain, ChainTrace, Engine, Flat, ScalarEngine};
 use crate::{power, profile};
 use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_mesh::Element;
@@ -65,9 +70,10 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
     /// The workload this batch is.
     fn workload(&self) -> Workload;
     /// One spatially blocked pass of a tiled design over a single mesh:
-    /// every tile streams `chain` against the pass-start state and writes
-    /// back its valid region. 1D (2D-mesh) and 2D (3D-mesh) tiling differ,
-    /// so each dimension brings its own.
+    /// every tile streams `chain` against the pass-start state `cur` and
+    /// writes its valid region into `next`; the valid regions cover the
+    /// mesh. 1D (2D-mesh) and 2D (3D-mesh) tiling differ, so each
+    /// dimension brings its own.
     ///
     /// # Errors
     /// None today: a tiled pass runs no fault hook.
@@ -77,8 +83,9 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
         design: &StencilDesign,
         chain: &[K],
         cur: &Self,
+        next: &mut Self,
         rec: &mut Recorder,
-    ) -> Result<Self, ExecError>;
+    ) -> Result<(), ExecError>;
 
     /// Cells per unit.
     fn unit_len(&self) -> usize {
@@ -171,9 +178,12 @@ pub struct Run<'a, K> {
 /// every slab streams its owned units plus `halo` units on either side
 /// (clipped to the mesh) and writes back only the units it owns.
 pub struct Slabs<'s> {
-    /// The units each device owns, in device order.
+    /// The units each device owns, in device order: non-empty, contiguous
+    /// ranges that tile the mesh's units exactly (the run check rejects
+    /// any other layout).
     pub owned: &'s [Range<usize>],
-    /// Halo depth in units.
+    /// Halo depth in units: at least the design's
+    /// [`StencilSpec::halo`](sf_kernels::StencilSpec::halo).
     pub halo: usize,
     /// The schedule the report prices.
     pub plan: &'s CyclePlan,
@@ -279,7 +289,11 @@ impl<'a, K> Run<'a, K> {
     }
 
     /// The run check: does this run fit `input`?
-    pub(crate) fn check<B: StreamGrid>(&self, input: &B, sharded: bool) -> Result<(), ExecError> {
+    pub(crate) fn check<B: StreamGrid>(
+        &self,
+        input: &B,
+        slabs: Option<&Slabs<'_>>,
+    ) -> Result<(), ExecError> {
         let shape = |detail: String| Err(ExecError::ShapeMismatch { detail });
         let unsupported = |detail: &str| Err(ExecError::Unsupported { detail: detail.to_string() });
         let (design, b) = (self.design, input.batch());
@@ -311,7 +325,31 @@ impl<'a, K> Run<'a, K> {
             }
             _ => {}
         }
+        if let Some(slabs) = slabs {
+            // Every unit of the next-pass buffer is written by exactly one
+            // slab, and each slab's discarded halo covers the units its
+            // fake edges contaminate.
+            let tiles = slabs
+                .owned
+                .iter()
+                .try_fold(0, |end, s| (s.start == end && s.end > s.start).then_some(s.end));
+            if tiles != Some(input.mesh_units()) {
+                return shape(format!(
+                    "slabs {:?} do not tile units 0..{} in order",
+                    slabs.owned,
+                    input.mesh_units()
+                ));
+            }
+            let need = design.spec.halo(design.p);
+            if slabs.halo < need {
+                return shape(format!(
+                    "slab halo {} is shallower than the design's {need}-unit halo",
+                    slabs.halo
+                ));
+            }
+        }
         let tiled = matches!(design.mode, ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. });
+        let sharded = slabs.is_some();
         match self.faults {
             _ if tiled && (self.jobs.is_some() || sharded) => {
                 unsupported("batch and sharded executors need a Baseline or Batched design")
@@ -346,7 +384,7 @@ impl<'a, K> Run<'a, K> {
         K: GridKernel<B>,
         E: Engine<B, K>,
     {
-        self.check(input, slabs.is_some())?;
+        self.check(input, slabs)?;
         let Run { dev, design, stages, niter, jobs, retry, recovery, .. } = *self;
         let (wl, n_iter) = (input.workload(), niter as u64);
         let (nx, ny) = input.unit_shape();
@@ -494,8 +532,11 @@ pub(crate) struct Passes<'p, K, E> {
 
 impl<K: Clone + Sync, E> Passes<'_, K, E> {
     /// The pass loop: advance `cur` by `passes` pipeline passes of
-    /// `passes[n]` chained iterations each. Window events of the first
-    /// pass go to `rec`; later passes repeat the same schedule untraced.
+    /// `passes[n]` chained iterations each. Two batch buffers serve the
+    /// whole loop: each pass streams the pass-start state out of one and
+    /// writes the next state into the other, then they swap. Window events
+    /// of the first pass go to `rec`; later passes repeat the same schedule
+    /// untraced.
     pub(crate) fn run<B: StreamGrid>(
         &self,
         mut cur: B,
@@ -508,14 +549,26 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
         E: Engine<B, K>,
     {
         let tiled = matches!(self.design.mode, ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. });
+        // the deepest pass's chain; a shorter pass streams a prefix of it
+        let depth = passes.iter().copied().max().unwrap_or(0);
+        let full: Vec<K> = (0..depth).flat_map(|_| self.stages.iter().cloned()).collect();
+        let mut next = cur.zeros(cur.batch());
+        // one whole-stream chain for every pass; a shorter pass runs a prefix
+        let mut whole = Vec::new();
         let mut off = Recorder::disabled();
         for (n, &p_eff) in passes.iter().enumerate() {
-            let chain: Vec<K> = (0..p_eff).flat_map(|_| self.stages.iter().cloned()).collect();
+            let chain = &full[..p_eff * self.stages.len()];
             let pass_rec: &mut Recorder = if n == 0 { &mut *rec } else { &mut off };
-            cur = match layout {
-                _ if tiled => {
-                    B::tiled_pass(self.engine, self.dev, self.design, &chain, &cur, pass_rec)?
-                }
+            match layout {
+                _ if tiled => B::tiled_pass(
+                    self.engine,
+                    self.dev,
+                    self.design,
+                    chain,
+                    &cur,
+                    &mut next,
+                    pass_rec,
+                )?,
                 Layout::Whole { prefix, base_cycle } => {
                     let trace = ChainTrace {
                         rec: pass_rec,
@@ -524,67 +577,70 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
                         unit_cycles: self.unit_cycles,
                     };
                     let (len, mesh_units) = (cur.unit_len(), cur.mesh_units());
-                    let units = cur.as_slice().chunks(len).map(|u| u.to_vec());
-                    let stream_units = cur.batch() * mesh_units;
-                    let shape = cur.unit_shape();
-                    let done = run_chain(
-                        self.engine,
-                        &chain,
-                        shape,
-                        stream_units,
-                        mesh_units,
+                    let units = cur.batch() * mesh_units;
+                    if whole.is_empty() {
+                        whole =
+                            build_chain(self.engine, &full, cur.unit_shape(), units, mesh_units);
+                    }
+                    let src = cur.as_slice();
+                    let input = |j: usize, slot: &mut [B::Cell]| {
+                        slot.copy_from_slice(&src[j * len..(j + 1) * len]);
+                    };
+                    run_chain::<B, _>(
+                        &mut whole[..chain.len()],
                         units,
+                        input,
+                        &mut Flat::new(next.as_mut_slice(), len, 0),
                         trace,
                         faults.as_deref_mut(),
                     )?;
-                    let mut out = cur.zeros(cur.batch());
-                    for (j, u) in done.into_iter().enumerate() {
-                        out.as_mut_slice()[j * len..(j + 1) * len].copy_from_slice(&u);
-                    }
-                    out
                 }
                 Layout::Sharded { slabs, mesh } => {
-                    self.slab_pass(&chain, &cur, slabs, mesh, rec, n == 0)?
+                    self.slab_pass(chain, &cur, &mut next, slabs, mesh, rec, n == 0)?
                 }
-            };
+            }
+            std::mem::swap(&mut cur, &mut next);
         }
         Ok(cur)
     }
 
     /// One pass of a sharded run over one mesh: every device streams its
-    /// extended slab of the pass-barrier state (the halo exchange) with the
-    /// slab as its seam period — slab edges are mesh boundaries to it — and
-    /// only its owned units are written back. A stage of radius `r` lets
-    /// boundary treatment contaminate `r` more units, so after a pass at
-    /// most `p · stages · ⌈D/2⌉ = halo` units next to a slab-interior edge
-    /// are wrong, and those are exactly the discarded halo.
+    /// extended slab of the pass-barrier state `cur` (the halo exchange),
+    /// borrowed in place, with the slab as its seam period — slab edges are
+    /// mesh boundaries to it — and emits only its owned units, straight
+    /// into its own chunk of `next`. A stage of radius `r` lets boundary
+    /// treatment contaminate `r` more units, so after a pass at most
+    /// `p · stages · ⌈D/2⌉ = halo` units next to a slab-interior edge are
+    /// wrong, and those are exactly the discarded halo.
+    #[allow(clippy::too_many_arguments)]
     fn slab_pass<B: StreamGrid>(
         &self,
         chain: &[K],
         cur: &B,
+        next: &mut B,
         slabs: &Slabs<'_>,
         mesh: usize,
         rec: &mut Recorder,
         first_pass: bool,
-    ) -> Result<B, ExecError>
+    ) -> Result<(), ExecError>
     where
         E: Engine<B, K>,
     {
-        let (len, extent, h) = (cur.unit_len(), cur.mesh_units(), slabs.halo);
-        let items: Vec<_> = slabs
-            .owned
-            .iter()
-            .map(|s| {
-                let lo = s.start.saturating_sub(h);
-                let hi = (s.end + h).min(extent);
-                let units: Vec<Vec<B::Cell>> =
-                    (lo..hi).map(|u| cur.as_slice()[u * len..(u + 1) * len].to_vec()).collect();
-                (s.clone(), lo, units)
-            })
-            .collect();
+        let (len, extent, h, shape) =
+            (cur.unit_len(), cur.mesh_units(), slabs.halo, cur.unit_shape());
+        let src = cur.as_slice();
+        // The run check made the owned ranges tile the mesh in order, so
+        // splitting `next` in slab order hands each device its own chunk.
+        let mut rest = next.as_mut_slice();
+        let mut items = Vec::with_capacity(slabs.owned.len());
+        for s in slabs.owned {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(s.len() * len);
+            rest = tail;
+            items.push((s.clone(), chunk));
+        }
         let traced = rec.is_enabled() && first_pass;
         let clock = rec.cycles_per_us();
-        let results = sf_par::par_map(self.jobs, items, |k, (s, lo, units)| {
+        let results = sf_par::par_map(self.jobs, items, |k, (s, chunk)| {
             let mut shard = if traced { Recorder::enabled(clock) } else { Recorder::disabled() };
             let prefix = format!("dev{k}/mesh{mesh}/window/");
             let trace = ChainTrace {
@@ -593,34 +649,25 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
                 base_cycle: (mesh * extent + s.start) as u64 * self.unit_cycles,
                 unit_cycles: self.unit_cycles,
             };
-            let slab = units.len();
-            let done = run_chain(
-                self.engine,
-                chain,
-                cur.unit_shape(),
-                slab,
-                slab,
-                units.into_iter(),
-                trace,
-                None,
-            );
-            let owned = done.map(|d| d.into_iter().skip(s.start - lo).take(s.len()).collect());
-            (s, owned, shard)
+            let lo = s.start.saturating_sub(h);
+            let slab = (s.end + h).min(extent) - lo;
+            let input = |j: usize, slot: &mut [B::Cell]| {
+                slot.copy_from_slice(&src[(lo + j) * len..(lo + j + 1) * len]);
+            };
+            let mut sink = Flat::new(chunk, len, s.start - lo);
+            let mut stages = build_chain(self.engine, chain, shape, slab, slab);
+            let done = run_chain::<B, _>(&mut stages, slab, input, &mut sink, trace, None);
+            (done, shard)
         });
-        let mut next = cur.clone();
         let mut shards = Vec::with_capacity(results.len());
-        for (s, owned, shard) in results {
-            let owned: Vec<Vec<B::Cell>> = owned?;
-            for (j, u) in owned.into_iter().enumerate() {
-                let at = (s.start + j) * len;
-                next.as_mut_slice()[at..at + len].copy_from_slice(&u);
-            }
+        for (done, shard) in results {
+            done?;
             shards.push(shard);
         }
         if traced {
             rec.merge_shards(shards);
         }
-        Ok(next)
+        Ok(())
     }
 }
 
@@ -691,5 +738,27 @@ mod tests {
         let slabs = Slabs { owned: &owned, halo: 4, plan: &plan, power_w: 1.0 };
         let r = Run::new(&dev, &base, &[Poisson2D], 4, &mut rec).simulate_slabs(&two, &slabs);
         assert!(matches!(r, Err(ExecError::ShapeMismatch { .. })), "{r:?}");
+        // Slab layouts must tile the mesh's 16 rows in order, with at least
+        // the design's halo (StencilSpec::halo(4) = 4): a gap, an overlap,
+        // a slab past the extent and a short halo are all rejected.
+        let input = Batch2D::<f32>::random(64, 16, 1, 3, -1.0, 1.0);
+        let mut sharded = |owned: &[Range<usize>], halo: usize| {
+            let slabs = Slabs { owned, halo, plan: &plan, power_w: 1.0 };
+            Run { jobs: Some(2), ..Run::new(&dev, &base, &[Poisson2D], 8, &mut rec) }
+                .simulate_slabs(&input, &slabs)
+        };
+        for (owned, halo) in
+            [(&[0..7, 8..16][..], 4), (&[0..9, 8..16], 4), (&[0..8, 8..20], 4), (&owned, 1)]
+        {
+            let r = sharded(owned, halo);
+            assert!(
+                matches!(r, Err(ExecError::ShapeMismatch { .. })),
+                "slabs {owned:?} halo {halo}: {:?}",
+                r.map(|_| ())
+            );
+        }
+        let (out, _) = sharded(&owned, 4).unwrap();
+        let golden = sf_kernels::reference::run_batch_2d(&Poisson2D, &input, 8);
+        assert!(sf_mesh::norms::bit_equal(out.as_slice(), golden.as_slice()));
     }
 }

@@ -19,7 +19,7 @@ use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
 use crate::error::ExecError;
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{run_chain, ChainTrace, Engine, ScalarEngine};
+use crate::window::{build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter};
 use sf_kernels::{reference, StencilOp2D};
 use sf_mesh::{Batch2D, Element, Mesh2D};
 use sf_telemetry::Recorder;
@@ -124,24 +124,29 @@ impl<T: Element> StreamGrid for Batch2D<T> {
 
     /// Tiles along x, streaming full rows of each tile: the paper's
     /// overlapped-block scheme, with only the valid columns written back.
+    /// Tile rows are gathered straight into the first stage's window slot;
+    /// the last stage emits into one scratch row, reused by every tile,
+    /// whose valid columns are copied into `next`.
     fn tiled_pass<K, E: Engine<Self, K>>(
         engine: &E,
         dev: &FpgaDevice,
         design: &StencilDesign,
         chain: &[K],
         cur: &Self,
+        next: &mut Self,
         rec: &mut Recorder,
-    ) -> Result<Self, ExecError> {
+    ) -> Result<(), ExecError> {
         let (nx, ny) = (cur.nx(), cur.ny());
         // halo sized for the full design depth p (covers shorter final passes too)
         let (grid, _) = cycles::tile_grids(dev, design, nx, ny);
-        let mut out = Batch2D::zeros(nx, ny, 1);
+        let (src, out) = (cur.as_slice(), next.as_mut_slice());
+        let mut scratch = Vec::new();
         let mut off = Recorder::disabled();
         for (i, t) in grid.tiles().iter().enumerate() {
-            let rows = (0..ny).map(|y| {
+            let input = |y: usize, slot: &mut [T]| {
                 let s = y * nx + t.read_start;
-                cur.as_slice()[s..s + t.read_len].to_vec()
-            });
+                slot.copy_from_slice(&src[s..s + t.read_len]);
+            };
             // Window-level events for the first tile only: every tile streams
             // the same chain, differing only in width.
             let trace = ChainTrace {
@@ -150,15 +155,17 @@ impl<T: Element> StreamGrid for Batch2D<T> {
                 base_cycle: 0,
                 unit_cycles: cycles::design_row_cycles(dev, design, t.read_len, t.valid_len),
             };
-            let tile_rows = run_chain(engine, chain, (t.read_len, 1), ny, ny, rows, trace, None)?;
-            let off = t.valid_offset();
-            for (y, row) in tile_rows.into_iter().enumerate() {
+            let valid = t.valid_offset()..t.valid_offset() + t.valid_len;
+            scratch.resize(t.read_len, T::default());
+            let put = |y: usize, row: &[T]| {
                 let dst = y * nx + t.valid_start;
-                out.as_mut_slice()[dst..dst + t.valid_len]
-                    .copy_from_slice(&row[off..off + t.valid_len]);
-            }
+                out[dst..dst + t.valid_len].copy_from_slice(&row[valid.clone()]);
+            };
+            let mut sink = Scatter { scratch: &mut scratch, put };
+            let mut stages = build_chain(engine, chain, (t.read_len, 1), ny, ny);
+            run_chain::<Self, _>(&mut stages, ny, input, &mut sink, trace, None)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 

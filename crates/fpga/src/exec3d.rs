@@ -15,7 +15,7 @@ use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
 use crate::error::ExecError;
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{run_chain, ChainTrace, Engine, ScalarEngine};
+use crate::window::{build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter};
 use sf_kernels::{reference, StencilOp3D};
 use sf_mesh::{Batch3D, Element, Mesh3D};
 use sf_telemetry::Recorder;
@@ -107,23 +107,24 @@ impl<T: Element> StreamGrid for Batch3D<T> {
         design: &StencilDesign,
         chain: &[K],
         cur: &Self,
+        next: &mut Self,
         rec: &mut Recorder,
-    ) -> Result<Self, ExecError> {
+    ) -> Result<(), ExecError> {
         let (nx, ny, nz) = (cur.nx(), cur.ny(), cur.nz());
         let (gx, gy) = cycles::tile_grids(dev, design, nx, ny);
-        let mut out = Batch3D::zeros(nx, ny, nz, 1);
+        let (src, out) = (cur.as_slice(), next.as_mut_slice());
+        let mut scratch = Vec::new();
         let mut off = Recorder::disabled();
         let mut first_tile = true;
         for ty in gy.tiles() {
             for tx in gx.tiles() {
-                let planes = (0..nz).map(|z| {
-                    let mut buf = Vec::with_capacity(tx.read_len * ty.read_len);
-                    for y in ty.read_start..ty.read_end() {
+                let input = |z: usize, slot: &mut [T]| {
+                    let rows = slot.chunks_exact_mut(tx.read_len);
+                    for (y, row) in (ty.read_start..ty.read_end()).zip(rows) {
                         let s = (z * ny + y) * nx + tx.read_start;
-                        buf.extend_from_slice(&cur.as_slice()[s..s + tx.read_len]);
+                        row.copy_from_slice(&src[s..s + tx.read_len]);
                     }
-                    buf
-                });
+                };
                 let trace = ChainTrace {
                     rec: if first_tile { &mut *rec } else { &mut off },
                     prefix: "tile0/",
@@ -132,20 +133,22 @@ impl<T: Element> StreamGrid for Batch3D<T> {
                         * ty.read_len as u64,
                 };
                 first_tile = false;
-                let shape = (tx.read_len, ty.read_len);
-                let tile_planes = run_chain(engine, chain, shape, nz, nz, planes, trace, None)?;
                 let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
-                for (z, pl) in tile_planes.into_iter().enumerate() {
+                scratch.resize(tx.read_len * ty.read_len, T::default());
+                let put = |z: usize, pl: &[T]| {
                     for vy in 0..ty.valid_len {
                         let src = (offy + vy) * tx.read_len + offx;
                         let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
-                        out.as_mut_slice()[dst..dst + tx.valid_len]
-                            .copy_from_slice(&pl[src..src + tx.valid_len]);
+                        out[dst..dst + tx.valid_len].copy_from_slice(&pl[src..src + tx.valid_len]);
                     }
-                }
+                };
+                let mut sink = Scatter { scratch: &mut scratch, put };
+                let shape = (tx.read_len, ty.read_len);
+                let mut stages = build_chain(engine, chain, shape, nz, nz);
+                run_chain::<Self, _>(&mut stages, nz, input, &mut sink, trace, None)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 

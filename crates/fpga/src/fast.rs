@@ -30,7 +30,11 @@
 //!
 //! Iteration is row-blocked: each emitted row (2D) or row-of-plane (3D) is
 //! processed left boundary → lane packs → scalar epilogue → right boundary,
-//! touching each cache line once per stencil row.
+//! touching each cache line once per stencil row. Every cell is written in
+//! place into the output unit the chain runner hands over — the next
+//! stage's window slot, or the pass's output buffer — and each lane pack is
+//! scattered straight into it, so an emitted unit costs no allocation and
+//! no copy.
 
 use crate::design::StencilDesign;
 use crate::device::FpgaDevice;
@@ -60,66 +64,53 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
     /// Create a processor for a stream of `stream_rows` rows of `nx` cells,
     /// where every `mesh_ny` rows form an independent mesh.
     pub fn new(k: K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self {
-        let win = Window::new(k.radius(), stream_rows, mesh_ny);
+        let win = Window::new(k.radius(), nx, stream_rows, mesh_ny);
         FastStageProcessor2D { k, nx, win }
     }
+}
 
-    fn emit(&self, y: usize) -> Vec<T> {
-        let (nx, r) = (self.nx, self.win.r);
-        // Every cell is produced exactly once (left boundary, lane body,
-        // scalar epilogue, right boundary), so the row is built by pushing
-        // into reserved capacity — no default-fill pass over the row.
-        let mut out = Vec::with_capacity(nx);
+impl<T: LaneElement, K: LaneOp2D<T>> Stage<T> for FastStageProcessor2D<T, K> {
+    fn window(&self) -> &Window<T> {
+        &self.win
+    }
+    fn window_mut(&mut self) -> &mut Window<T> {
+        &mut self.win
+    }
+    fn emit(&self, y: usize, out: &mut [T]) {
+        let (nx, r) = (self.nx, self.win.radius());
+        assert_eq!(out.len(), nx, "unit size mismatch");
+        let center = self.win.get(y);
         if !self.win.interior(y) {
             // Boundary row of its mesh: every cell is a boundary cell.
-            out.extend(self.win.ring.get(y).iter().map(|c| self.k.on_boundary(*c)));
-        } else {
-            // Interior ly ≥ r implies y ≥ r, so the window rows y−r..=y+r
-            // are all resident; hoist the borrows out of the cell loop.
-            let rows: Vec<&[T]> = (0..2 * r + 1).map(|d| self.win.ring.get(y + d - r)).collect();
-            let center = rows[r];
-            out.extend(center.iter().take(r.min(nx)).map(|c| self.k.on_boundary(*c)));
-            let hi = nx.saturating_sub(r);
-            let mut x = r;
-            while x + LANES <= hi {
-                let at = |dx: i32, dy: i32| {
-                    T::gather(rows[(dy + r as i32) as usize], (x as i32 + dx) as usize)
-                };
-                let lanes = self.k.apply_lanes(&at);
-                let mut buf = [T::default(); LANES];
-                T::scatter(lanes, &mut buf, 0);
-                out.extend_from_slice(&buf);
-                x += LANES;
+            for (o, c) in out.iter_mut().zip(center) {
+                *o = self.k.on_boundary(*c);
             }
-            // Scalar epilogue for the ragged tail (hi − x < LANES cells).
-            while x < hi {
-                out.push(
-                    self.k.apply(|dx, dy| rows[(dy + r as i32) as usize][(x as i32 + dx) as usize]),
-                );
-                x += 1;
-            }
-            out.extend(center.iter().skip(hi.max(r)).map(|c| self.k.on_boundary(*c)));
+            return;
         }
-        debug_assert_eq!(out.len(), nx);
-        out
-    }
-
-    /// Feed the next input row; returns the output row that became ready
-    /// (none while the window is filling).
-    pub fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
-        assert_eq!(row.len(), self.nx, "row width mismatch");
-        let y = self.win.push(row)?;
-        Some(self.emit(y))
-    }
-
-    /// After the last input row, drain the trailing `r` output rows.
-    pub fn finish(&mut self) -> Vec<Vec<T>> {
-        self.win.drain().map(|y| self.emit(y)).collect()
-    }
-
-    /// Rows currently held in the window buffer.
-    pub fn window_fill(&self) -> usize {
-        self.win.fill()
+        // Interior ly ≥ r implies y ≥ r, so the window rows y−r..=y+r are
+        // all resident; hoist the borrows out of the cell loop.
+        let rows = self.win.around(y);
+        let hi = nx.saturating_sub(r);
+        for x in 0..r.min(nx) {
+            out[x] = self.k.on_boundary(center[x]);
+        }
+        let mut x = r;
+        while x + LANES <= hi {
+            let at = |dx: i32, dy: i32| {
+                T::gather(rows[(dy + r as i32) as usize], (x as i32 + dx) as usize)
+            };
+            T::scatter(self.k.apply_lanes(&at), out, x);
+            x += LANES;
+        }
+        // Scalar epilogue for the ragged tail (hi − x < LANES cells).
+        while x < hi {
+            out[x] =
+                self.k.apply(|dx, dy| rows[(dy + r as i32) as usize][(x as i32 + dx) as usize]);
+            x += 1;
+        }
+        for x in hi.max(r)..nx {
+            out[x] = self.k.on_boundary(center[x]);
+        }
     }
 }
 
@@ -137,97 +128,61 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
     /// Create a processor for a stream of `stream_planes` planes of
     /// `nx × ny` cells, `mesh_nz` planes per independent mesh.
     pub fn new(k: K, nx: usize, ny: usize, stream_planes: usize, mesh_nz: usize) -> Self {
-        let win = Window::new(k.radius(), stream_planes, mesh_nz);
+        let win = Window::new(k.radius(), nx * ny, stream_planes, mesh_nz);
         FastStageProcessor3D { k, nx, ny, win }
-    }
-
-    fn emit(&self, z: usize) -> Vec<T> {
-        let (nx, ny, r) = (self.nx, self.ny, self.win.r);
-        // Built row by row in storage order by pushing into reserved
-        // capacity — every cell is produced exactly once, so no
-        // default-fill pass over the plane.
-        let mut out = Vec::with_capacity(nx * ny);
-        if !self.win.interior(z) {
-            out.extend(self.win.ring.get(z).iter().map(|c| self.k.on_boundary(*c)));
-        } else {
-            let planes: Vec<&[T]> = (0..2 * r + 1).map(|d| self.win.ring.get(z + d - r)).collect();
-            let center = planes[r];
-            for y in 0..ny {
-                let row_off = y * nx;
-                let row_center = &center[row_off..row_off + nx];
-                let y_interior = y >= r && y + r < ny;
-                if !y_interior {
-                    out.extend(row_center.iter().map(|c| self.k.on_boundary(*c)));
-                    continue;
-                }
-                out.extend(row_center.iter().take(r.min(nx)).map(|c| self.k.on_boundary(*c)));
-                let hi = nx.saturating_sub(r);
-                let mut x = r;
-                while x + LANES <= hi {
-                    let at = |dx: i32, dy: i32, dz: i32| {
-                        let plane = planes[(dz + r as i32) as usize];
-                        let idx = ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize;
-                        T::gather(plane, idx)
-                    };
-                    let lanes = self.k.apply_lanes(&at);
-                    let mut buf = [T::default(); LANES];
-                    T::scatter(lanes, &mut buf, 0);
-                    out.extend_from_slice(&buf);
-                    x += LANES;
-                }
-                while x < hi {
-                    out.push(self.k.apply(|dx, dy, dz| {
-                        let plane = planes[(dz + r as i32) as usize];
-                        plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
-                    }));
-                    x += 1;
-                }
-                out.extend(row_center.iter().skip(hi.max(r)).map(|c| self.k.on_boundary(*c)));
-            }
-        }
-        debug_assert_eq!(out.len(), nx * ny);
-        out
-    }
-
-    /// Feed the next plane; returns the output plane that became ready.
-    pub fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
-        assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
-        let z = self.win.push(plane)?;
-        Some(self.emit(z))
-    }
-
-    /// Drain the trailing `r` planes.
-    pub fn finish(&mut self) -> Vec<Vec<T>> {
-        self.win.drain().map(|z| self.emit(z)).collect()
-    }
-
-    /// Planes currently held in the window buffer.
-    pub fn window_fill(&self) -> usize {
-        self.win.fill()
-    }
-}
-
-impl<T: LaneElement, K: LaneOp2D<T>> Stage<T> for FastStageProcessor2D<T, K> {
-    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
-        self.push_row(unit)
-    }
-    fn finish(&mut self) -> Vec<Vec<T>> {
-        Self::finish(self)
-    }
-    fn window_fill(&self) -> usize {
-        Self::window_fill(self)
     }
 }
 
 impl<T: LaneElement, K: LaneOp3D<T>> Stage<T> for FastStageProcessor3D<T, K> {
-    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
-        self.push_plane(unit)
+    fn window(&self) -> &Window<T> {
+        &self.win
     }
-    fn finish(&mut self) -> Vec<Vec<T>> {
-        Self::finish(self)
+    fn window_mut(&mut self) -> &mut Window<T> {
+        &mut self.win
     }
-    fn window_fill(&self) -> usize {
-        Self::window_fill(self)
+    fn emit(&self, z: usize, out: &mut [T]) {
+        let (nx, ny, r) = (self.nx, self.ny, self.win.radius());
+        assert_eq!(out.len(), nx * ny, "unit size mismatch");
+        let center = self.win.get(z);
+        if !self.win.interior(z) {
+            for (o, c) in out.iter_mut().zip(center) {
+                *o = self.k.on_boundary(*c);
+            }
+            return;
+        }
+        let planes = self.win.around(z);
+        let hi = nx.saturating_sub(r);
+        for (y, row) in out.chunks_exact_mut(nx).enumerate() {
+            let row_center = &center[y * nx..(y + 1) * nx];
+            if y < r || y + r >= ny {
+                for (o, c) in row.iter_mut().zip(row_center) {
+                    *o = self.k.on_boundary(*c);
+                }
+                continue;
+            }
+            for x in 0..r.min(nx) {
+                row[x] = self.k.on_boundary(row_center[x]);
+            }
+            let mut x = r;
+            while x + LANES <= hi {
+                let at = |dx: i32, dy: i32, dz: i32| {
+                    let plane = planes[(dz + r as i32) as usize];
+                    T::gather(plane, ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize)
+                };
+                T::scatter(self.k.apply_lanes(&at), row, x);
+                x += LANES;
+            }
+            while x < hi {
+                row[x] = self.k.apply(|dx, dy, dz| {
+                    let plane = planes[(dz + r as i32) as usize];
+                    plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
+                });
+                x += 1;
+            }
+            for x in hi.max(r)..nx {
+                row[x] = self.k.on_boundary(row_center[x]);
+            }
+        }
     }
 }
 

@@ -23,10 +23,12 @@
 //! * [`design`] — [`design::StencilDesign`]: a synthesized configuration
 //!   (`V`, `p`, execution mode, memory binding, achieved clock, resources),
 //!   produced by [`design::synthesize`].
-//! * [`window`] — genuine ring-buffer window buffers and streaming stage
-//!   processors: the behavioral heart of the simulator. Cells stream in
-//!   row-major order through chained stages exactly as the HLS dataflow
-//!   pipeline would, so results are bit-exact vs the golden reference.
+//! * [`window`] — genuine ring-buffer window buffers (one flat allocation
+//!   of `2r+1` unit slots per stage) and streaming stage processors: the
+//!   behavioral heart of the simulator. Cells stream in row-major order
+//!   through chained stages exactly as the HLS dataflow pipeline would, each
+//!   stage writing its output straight into the next stage's window, so
+//!   results are bit-exact vs the golden reference.
 //! * [`cycles`] — the closed-form cycle model shared by the executor and the
 //!   estimator (and validated against the paper's equations in `sf-model`).
 //! * [`driver`] — the one pass driver behind every executor: a

@@ -4,10 +4,19 @@
 //! An HLS stencil pipeline streams the mesh in row-major order and keeps the
 //! last `D` rows (2D) or planes (3D) in on-chip cyclic buffers so every
 //! neighborhood read is served on-chip (Fig. 1 of the paper, "window
-//! buffers"). [`StageProcessor2D`]/[`StageProcessor3D`] implement exactly
-//! that: a ring of `2r+1` rows/planes; a stage emits output row `y` once
-//! input row `y+r` has arrived. Chaining `p × stages` processors reproduces
-//! the unrolled iterative pipeline of Fig. 2.
+//! buffers"). A [`Window`] is exactly that buffer: one flat, preallocated
+//! allocation of `2r+1` unit slots, unit `j` living in slot `j mod (2r+1)`.
+//! A stage emits output unit `y` once input unit `y+r` has arrived.
+//! Chaining `p × stages` processors reproduces the unrolled iterative
+//! pipeline of Fig. 2.
+//!
+//! The [`Stage`] contract mirrors the hardware channel between two
+//! processing elements: [`Stage::push`] copies a borrowed input unit into
+//! the window's next slot, and [`Stage::emit`] writes a ready output unit
+//! into a caller-owned buffer. The chain runner hands each stage the next
+//! stage's free slot as that buffer — the last stage writes straight into
+//! the pass's output — so a cell moves down the chain without any per-unit
+//! allocation or intermediate copy.
 //!
 //! The processors are *seam-aware* for batched execution: the stream may
 //! carry `B` stacked meshes, and a cell is only interior with respect to its
@@ -31,96 +40,132 @@ use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::{Recorder, TrackId};
 use std::ops::Range;
 
-/// Fixed-capacity ring of stream units (rows or planes), addressable by
-/// absolute unit index.
+/// The window buffer of one stage: the last `2r+1` stream units (rows or
+/// planes) in one flat allocation of `2r+1` unit slots, addressable by
+/// absolute unit index, plus the seam period and the emit cursor. The
+/// buffer outlives a stream: a chain reused for the next pass restarts its
+/// windows and keeps their slots. A stage
+/// differs from another only in how it computes one output unit. Stages
+/// build and drive their windows inside this crate; callers reach one
+/// through the [`Stage`] methods.
 #[derive(Debug)]
-pub struct RingBuffer<T> {
-    slots: Vec<Vec<T>>,
-    capacity: usize,
-    /// Number of units pushed so far; unit `i` lives in slot `i % capacity`
-    /// while `i ≥ pushed − capacity`.
-    pushed: usize,
-}
-
-impl<T> RingBuffer<T> {
-    /// Create a ring holding up to `capacity` units.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        RingBuffer { slots: Vec::with_capacity(capacity), capacity, pushed: 0 }
-    }
-
-    /// Push the next unit (evicting the oldest once full).
-    pub fn push(&mut self, unit: Vec<T>) {
-        if self.slots.len() < self.capacity {
-            self.slots.push(unit);
-        } else {
-            self.slots[self.pushed % self.capacity] = unit;
-        }
-        self.pushed += 1;
-    }
-
-    /// Borrow unit `abs` (must still be resident).
-    pub fn get(&self, abs: usize) -> &[T] {
-        debug_assert!(
-            abs < self.pushed && abs + self.capacity >= self.pushed,
-            "unit {abs} evicted (pushed {}, capacity {})",
-            self.pushed,
-            self.capacity
-        );
-        &self.slots[abs % self.capacity]
-    }
-
+pub struct Window<T> {
+    /// Up to `slots × unit_len` cells, reserved up front; unit `i` lives in
+    /// slot `i % slots` while `i ≥ pushed − slots`.
+    cells: Vec<T>,
+    unit_len: usize,
+    slots: usize,
+    r: usize,
     /// Units pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Units currently resident (≤ capacity).
-    pub fn resident(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// The window every stage processor keeps: the ring of the last `2r+1`
-/// units, the seam period and the emit cursor. A stage differs from
-/// another only in how it computes one output unit.
-pub(crate) struct Window<T> {
-    pub(crate) ring: RingBuffer<T>,
-    pub(crate) r: usize,
+    pushed: usize,
     stream_units: usize,
     /// Units per independent mesh in the stream (seam period).
     mesh_units: usize,
     next_out: usize,
 }
 
-impl<T> Window<T> {
-    pub(crate) fn new(r: usize, stream_units: usize, mesh_units: usize) -> Self {
+impl<T: Element> Window<T> {
+    /// A window for a radius-`r` stage over a stream of `stream_units`
+    /// units of `unit_len` cells, `mesh_units` units per independent mesh.
+    ///
+    /// # Panics
+    /// Panics unless the stream is a whole number of meshes.
+    pub(crate) fn new(r: usize, unit_len: usize, stream_units: usize, mesh_units: usize) -> Self {
         assert!(stream_units.is_multiple_of(mesh_units), "stream must be whole meshes");
-        Window { ring: RingBuffer::new(2 * r + 1), r, stream_units, mesh_units, next_out: 0 }
+        let slots = 2 * r + 1;
+        Window {
+            cells: Vec::with_capacity(slots * unit_len),
+            unit_len,
+            slots,
+            r,
+            pushed: 0,
+            stream_units,
+            mesh_units,
+            next_out: 0,
+        }
     }
 
-    /// Push the next input unit; returns the index of the output unit it
-    /// completes (none while the window is filling).
-    pub(crate) fn push(&mut self, unit: Vec<T>) -> Option<usize> {
-        assert!(self.ring.pushed() < self.stream_units, "stream overrun");
-        self.ring.push(unit);
-        let j = self.ring.pushed() - 1;
-        let out = j.checked_sub(self.r)?;
+    /// Copy the next input unit into the window; returns the index of the
+    /// output unit it completes (none while the window is filling).
+    ///
+    /// # Panics
+    /// Panics if `unit` is not one unit long or the stream is complete.
+    pub(crate) fn push(&mut self, unit: &[T]) -> Option<usize> {
+        assert_eq!(unit.len(), self.unit_len, "unit size mismatch");
+        self.slot_mut().copy_from_slice(unit);
+        self.commit()
+    }
+
+    /// The free slot the next input unit goes into. It holds no live
+    /// unit: the one it last held is older than every unit a pending
+    /// output still reads.
+    pub(crate) fn slot_mut(&mut self) -> &mut [T] {
+        let s = self.pushed % self.slots;
+        let end = (s + 1) * self.unit_len;
+        if self.cells.len() < end {
+            // Slots are handed out in order, so the first stream through a
+            // window initializes each slot just before its first write, and
+            // a stream shorter than the window never touches the rest.
+            self.cells.resize(end, T::default());
+        }
+        &mut self.cells[s * self.unit_len..end]
+    }
+
+    /// Accept the unit written into [`Window::slot_mut`] as the next input
+    /// unit; returns the index of the output unit it completes.
+    pub(crate) fn commit(&mut self) -> Option<usize> {
+        assert!(self.pushed < self.stream_units, "stream overrun");
+        self.pushed += 1;
+        let out = (self.pushed - 1).checked_sub(self.r)?;
         self.next_out = out + 1;
         Some(out)
     }
 
+    /// Copy the last accepted unit into the free slot (a duplicated stream
+    /// element enters the window twice).
+    pub(crate) fn repeat(&mut self) {
+        // the free slot may not have been handed out yet
+        self.slot_mut();
+        let last = (self.pushed - 1) % self.slots;
+        let next = self.pushed % self.slots;
+        let len = self.unit_len;
+        self.cells.copy_within(last * len..(last + 1) * len, next * len);
+    }
+
+    /// Start the stream over, keeping the buffer: every slot is written
+    /// before it is read again.
+    pub(crate) fn reset(&mut self) {
+        self.pushed = 0;
+        self.next_out = 0;
+    }
+
     /// After the last input unit: the trailing output units still owed.
+    ///
+    /// # Panics
+    /// Panics if the stream is incomplete.
     pub(crate) fn drain(&mut self) -> Range<usize> {
-        assert_eq!(self.ring.pushed(), self.stream_units, "stream incomplete");
+        assert_eq!(self.pushed, self.stream_units, "stream incomplete");
         let rest = self.next_out..self.stream_units;
         self.next_out = self.stream_units;
         rest
+    }
+
+    /// Borrow unit `abs` (must still be resident).
+    pub(crate) fn get(&self, abs: usize) -> &[T] {
+        debug_assert!(
+            abs < self.pushed && abs + self.slots >= self.pushed,
+            "unit {abs} evicted (pushed {}, slots {})",
+            self.pushed,
+            self.slots
+        );
+        let s = abs % self.slots;
+        &self.cells[s * self.unit_len..(s + 1) * self.unit_len]
+    }
+
+    /// The `2r+1` units centered on unit `z` (`z ≥ r`, all resident), in
+    /// stream order: what an output unit `z` interior to its mesh reads.
+    pub(crate) fn around(&self, z: usize) -> Vec<&[T]> {
+        (z - self.r..=z + self.r).map(|u| self.get(u)).collect()
     }
 
     /// Whether stream unit `z` is interior to its own mesh along the
@@ -130,9 +175,42 @@ impl<T> Window<T> {
         l >= self.r && l + self.r < self.mesh_units
     }
 
-    /// Units currently held in the window buffer.
+    /// The stage radius `r`.
+    pub(crate) fn radius(&self) -> usize {
+        self.r
+    }
+
+    /// Units currently resident in the window (≤ `2r+1`).
     pub(crate) fn fill(&self) -> usize {
-        self.ring.resident()
+        self.pushed.min(self.slots)
+    }
+}
+
+/// One streaming pipeline stage, as the chain runner sees it: a window and
+/// a rule for computing one output unit from it. Implemented by the scalar
+/// and the lane-parallel processors of both dimensions.
+pub trait Stage<T: Element> {
+    /// The stage's window buffer.
+    fn window(&self) -> &Window<T>;
+    /// Mutable access to the window buffer.
+    fn window_mut(&mut self) -> &mut Window<T>;
+    /// Write output unit `j` — one the window has completed ([`Stage::push`]
+    /// returned it, or [`Stage::drain`] listed it) — into `out`, which is
+    /// exactly one unit long.
+    fn emit(&self, j: usize, out: &mut [T]);
+
+    /// Copy the next input unit into the window; returns the index of the
+    /// output unit that became ready (none while the window is filling).
+    fn push(&mut self, unit: &[T]) -> Option<usize> {
+        self.window_mut().push(unit)
+    }
+    /// After the last input unit: the trailing output units still owed.
+    fn drain(&mut self) -> Range<usize> {
+        self.window_mut().drain()
+    }
+    /// Units currently held in the window buffer.
+    fn window_fill(&self) -> usize {
+        self.window().fill()
     }
 }
 
@@ -147,41 +225,36 @@ impl<T: Element, K: StencilOp2D<T>> StageProcessor2D<T, K> {
     /// Create a processor for a stream of `stream_rows` rows of `nx` cells,
     /// where every `mesh_ny` rows form an independent mesh.
     pub fn new(k: K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self {
-        let win = Window::new(k.radius(), stream_rows, mesh_ny);
+        let win = Window::new(k.radius(), nx, stream_rows, mesh_ny);
         StageProcessor2D { k, nx, win }
     }
+}
 
-    fn emit(&self, y: usize) -> Vec<T> {
-        let (nx, r, ring) = (self.nx, self.win.r, &self.win.ring);
-        let y_interior = self.win.interior(y);
-        let mut out = Vec::with_capacity(nx);
-        for x in 0..nx {
-            let v = if y_interior && x >= r && x + r < nx {
-                self.k.apply(|dx, dy| ring.get((y as i32 + dy) as usize)[(x as i32 + dx) as usize])
-            } else {
-                self.k.on_boundary(ring.get(y)[x])
-            };
-            out.push(v);
+impl<T: Element, K: StencilOp2D<T>> Stage<T> for StageProcessor2D<T, K> {
+    fn window(&self) -> &Window<T> {
+        &self.win
+    }
+    fn window_mut(&mut self) -> &mut Window<T> {
+        &mut self.win
+    }
+    fn emit(&self, y: usize, out: &mut [T]) {
+        let (nx, r) = (self.nx, self.win.radius());
+        assert_eq!(out.len(), nx, "unit size mismatch");
+        let center = self.win.get(y);
+        if !self.win.interior(y) {
+            for (o, c) in out.iter_mut().zip(center) {
+                *o = self.k.on_boundary(*c);
+            }
+            return;
         }
-        out
-    }
-
-    /// Feed the next input row; returns the output row that became ready
-    /// (none while the window is filling).
-    pub fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
-        assert_eq!(row.len(), self.nx, "row width mismatch");
-        let y = self.win.push(row)?;
-        Some(self.emit(y))
-    }
-
-    /// After the last input row, drain the trailing `r` output rows.
-    pub fn finish(&mut self) -> Vec<Vec<T>> {
-        self.win.drain().map(|y| self.emit(y)).collect()
-    }
-
-    /// Rows currently held in the window buffer.
-    pub fn window_fill(&self) -> usize {
-        self.win.fill()
+        let rows = self.win.around(y);
+        for (x, o) in out.iter_mut().enumerate() {
+            *o = if x >= r && x + r < nx {
+                self.k.apply(|dx, dy| rows[(r as i32 + dy) as usize][(x as i32 + dx) as usize])
+            } else {
+                self.k.on_boundary(center[x])
+            };
+        }
     }
 }
 
@@ -198,83 +271,42 @@ impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
     /// Create a processor for a stream of `stream_planes` planes of
     /// `nx × ny` cells, `mesh_nz` planes per independent mesh.
     pub fn new(k: K, nx: usize, ny: usize, stream_planes: usize, mesh_nz: usize) -> Self {
-        let win = Window::new(k.radius(), stream_planes, mesh_nz);
+        let win = Window::new(k.radius(), nx * ny, stream_planes, mesh_nz);
         StageProcessor3D { k, nx, ny, win }
-    }
-
-    fn emit(&self, z: usize) -> Vec<T> {
-        let (nx, ny, r, ring) = (self.nx, self.ny, self.win.r, &self.win.ring);
-        let z_interior = self.win.interior(z);
-        let mut out = Vec::with_capacity(nx * ny);
-        for y in 0..ny {
-            let y_interior = y >= r && y + r < ny;
-            for x in 0..nx {
-                let v = if z_interior && y_interior && x >= r && x + r < nx {
-                    self.k.apply(|dx, dy, dz| {
-                        let plane = ring.get((z as i32 + dz) as usize);
-                        plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
-                    })
-                } else {
-                    self.k.on_boundary(ring.get(z)[y * nx + x])
-                };
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    /// Feed the next plane; returns the output plane that became ready.
-    pub fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
-        assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
-        let z = self.win.push(plane)?;
-        Some(self.emit(z))
-    }
-
-    /// Drain the trailing `r` planes.
-    pub fn finish(&mut self) -> Vec<Vec<T>> {
-        self.win.drain().map(|z| self.emit(z)).collect()
-    }
-
-    /// Planes currently held in the window buffer.
-    pub fn window_fill(&self) -> usize {
-        self.win.fill()
-    }
-}
-
-/// One streaming pipeline stage, as the chain runner sees it: units go
-/// in, ready units come out, trailing units drain at the end. Implemented
-/// by the scalar and the lane-parallel processors of both dimensions.
-pub trait Stage<T> {
-    /// Feed the next input unit; returns the output unit that became ready
-    /// (none while the window is filling).
-    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>>;
-    /// After the last input unit, drain the trailing output units.
-    fn finish(&mut self) -> Vec<Vec<T>>;
-    /// Units currently held in the window buffer.
-    fn window_fill(&self) -> usize;
-}
-
-impl<T: Element, K: StencilOp2D<T>> Stage<T> for StageProcessor2D<T, K> {
-    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
-        self.push_row(unit)
-    }
-    fn finish(&mut self) -> Vec<Vec<T>> {
-        Self::finish(self)
-    }
-    fn window_fill(&self) -> usize {
-        Self::window_fill(self)
     }
 }
 
 impl<T: Element, K: StencilOp3D<T>> Stage<T> for StageProcessor3D<T, K> {
-    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
-        self.push_plane(unit)
+    fn window(&self) -> &Window<T> {
+        &self.win
     }
-    fn finish(&mut self) -> Vec<Vec<T>> {
-        Self::finish(self)
+    fn window_mut(&mut self) -> &mut Window<T> {
+        &mut self.win
     }
-    fn window_fill(&self) -> usize {
-        Self::window_fill(self)
+    fn emit(&self, z: usize, out: &mut [T]) {
+        let (nx, ny, r) = (self.nx, self.ny, self.win.radius());
+        assert_eq!(out.len(), nx * ny, "unit size mismatch");
+        let center = self.win.get(z);
+        if !self.win.interior(z) {
+            for (o, c) in out.iter_mut().zip(center) {
+                *o = self.k.on_boundary(*c);
+            }
+            return;
+        }
+        let planes = self.win.around(z);
+        for (y, row) in out.chunks_exact_mut(nx).enumerate() {
+            let y_interior = y >= r && y + r < ny;
+            for (x, o) in row.iter_mut().enumerate() {
+                *o = if y_interior && x >= r && x + r < nx {
+                    self.k.apply(|dx, dy, dz| {
+                        let plane = planes[(r as i32 + dz) as usize];
+                        plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
+                    })
+                } else {
+                    self.k.on_boundary(center[y * nx + x])
+                };
+            }
+        }
     }
 }
 
@@ -315,6 +347,60 @@ impl<T: Element, K: StencilOp3D<T> + Clone> Engine<Batch3D<T>, K> for ScalarEngi
     }
 }
 
+/// Where the last stage of a chain run writes its output units.
+pub(crate) trait Sink<T> {
+    /// The one-unit buffer output unit `j` is emitted into.
+    fn unit(&mut self, j: usize) -> &mut [T];
+    /// Output unit `j` is complete in [`Sink::unit`]'s buffer.
+    fn done(&mut self, _j: usize) {}
+}
+
+/// A contiguous run of output units: unit `first + i` is emitted straight
+/// into `out[i·len..(i+1)·len]`; units outside the run go to a scratch
+/// unit and are dropped (a slab's halo).
+pub(crate) struct Flat<'o, T> {
+    out: &'o mut [T],
+    len: usize,
+    first: usize,
+    kept: usize,
+    scratch: Vec<T>,
+}
+
+impl<'o, T> Flat<'o, T> {
+    pub(crate) fn new(out: &'o mut [T], len: usize, first: usize) -> Self {
+        let kept = out.len() / len;
+        Flat { out, len, first, kept, scratch: Vec::new() }
+    }
+}
+
+impl<T: Element> Sink<T> for Flat<'_, T> {
+    fn unit(&mut self, j: usize) -> &mut [T] {
+        let i = j.wrapping_sub(self.first);
+        if i < self.kept {
+            &mut self.out[i * self.len..(i + 1) * self.len]
+        } else {
+            self.scratch.resize(self.len, T::default());
+            &mut self.scratch
+        }
+    }
+}
+
+/// Output units emitted into one reused scratch unit, then handed to
+/// `put` (a tile's valid region is scattered into the mesh).
+pub(crate) struct Scatter<'s, T, F> {
+    pub(crate) scratch: &'s mut Vec<T>,
+    pub(crate) put: F,
+}
+
+impl<T: Element, F: FnMut(usize, &[T])> Sink<T> for Scatter<'_, T, F> {
+    fn unit(&mut self, _j: usize) -> &mut [T] {
+        self.scratch
+    }
+    fn done(&mut self, j: usize) {
+        (self.put)(j, self.scratch)
+    }
+}
+
 /// Where a chain run's window events go: per-stage tracks named
 /// `{prefix}stage:{i}`, with input unit `j` stamped at cycle
 /// `base_cycle + j · unit_cycles`.
@@ -331,64 +417,93 @@ struct StageTrace {
     primed: bool,
 }
 
-/// Push `unit` into stage `from` and cascade: an emitted unit continues
-/// down the chain, a buffered one stops. A stage's first emission records
-/// a "primed" instant; a buffering push samples its window fill.
-fn feed<T, S: Stage<T>>(
+/// Stage `i` emits its ready output unit `y` into the free slot of stage
+/// `i + 1`, or into the sink after the last stage.
+fn emit_down<T: Element, S: Stage<T>>(
+    stages: &mut [S],
+    i: usize,
+    y: usize,
+    sink: &mut impl Sink<T>,
+) {
+    let (up, down) = stages.split_at_mut(i + 1);
+    match down.first_mut() {
+        Some(next) => up[i].emit(y, next.window_mut().slot_mut()),
+        None => {
+            up[i].emit(y, sink.unit(y));
+            sink.done(y);
+        }
+    }
+}
+
+/// Accept the unit waiting in stage `from`'s free slot and cascade: a stage
+/// that completes an output unit emits it into the next stage's slot (the
+/// last into the sink) and the cascade continues; a buffering stage stops
+/// it. Returns how many units reached the sink (0 or 1). A stage's first
+/// emission records a "primed" instant; a buffering push samples its
+/// window fill.
+fn feed<T: Element, S: Stage<T>>(
     stages: &mut [S],
     tr: &mut [StageTrace],
     from: usize,
-    unit: Vec<T>,
-    out: &mut Vec<Vec<T>>,
+    sink: &mut impl Sink<T>,
     rec: &mut Recorder,
     cycle: u64,
-) {
-    let mut current = unit;
+) -> usize {
     for i in from..stages.len() {
-        match stages[i].push(current) {
-            Some(u) => {
-                if !tr[i].primed {
-                    tr[i].primed = true;
-                    rec.instant(tr[i].track, "primed", cycle);
-                }
-                current = u;
-            }
-            None => {
-                rec.gauge(tr[i].track, "window_fill", cycle, stages[i].window_fill() as f64);
-                return;
-            }
+        let Some(y) = stages[i].window_mut().commit() else {
+            rec.gauge(tr[i].track, "window_fill", cycle, stages[i].window_fill() as f64);
+            return 0;
+        };
+        if !tr[i].primed {
+            tr[i].primed = true;
+            rec.instant(tr[i].track, "primed", cycle);
         }
+        emit_down(stages, i, y, sink);
     }
-    out.push(current);
+    1
 }
 
-/// Stream `units` through the chain of stages `engine` builds from `chain`
-/// (the unrolled pipeline of Fig. 2) and collect the final output units.
+/// The stages `engine` builds from `chain` (the unrolled pipeline of
+/// Fig. 2) for a stream of `stream_units` units of shape `unit`,
+/// `mesh_units` units per independent mesh.
+pub(crate) fn build_chain<B: StreamGrid, K, E: Engine<B, K>>(
+    engine: &E,
+    chain: &[K],
+    unit: (usize, usize),
+    stream_units: usize,
+    mesh_units: usize,
+) -> Vec<E::Stage> {
+    chain.iter().map(|k| engine.stage(k, unit, stream_units, mesh_units)).collect()
+}
+
+/// Stream `stream_units` units through `stages` (built for that stream by
+/// [`build_chain`]; a chain run restarts their windows, so a pass loop
+/// reuses one chain for every pass). `input(j, slot)` writes input unit
+/// `j` into the first stage's free slot; the last stage emits every output
+/// unit into `sink`.
 ///
 /// Telemetry: per-stage fill gauges while each window primes, a "primed"
 /// instant when a stage first emits, a "drain" instant when its trailing
 /// units flush, and streamed/drained unit counters. With a disabled
 /// recorder every hook is a single predictable branch.
 ///
-/// With a fault hook the runner consults the injector once per input unit
-/// and reports forward progress to the hook's watchdog: a dropped unit
-/// starves the pipeline and surfaces as [`ExecError::Deadlock`];
-/// duplicated, corrupted and bit-flipped units complete with wrong data.
-/// Without one the run cannot fail.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chain<B: StreamGrid, K, E: Engine<B, K>>(
-    engine: &E,
-    chain: &[K],
-    unit: (usize, usize),
+/// With a fault hook the runner consults the injector once per input unit,
+/// on the first stage's copy of it, and reports forward progress to the
+/// hook's watchdog: a dropped unit starves the pipeline and surfaces as
+/// [`ExecError::Deadlock`]; duplicated, corrupted and bit-flipped units
+/// complete with wrong data. Without one the run cannot fail.
+pub(crate) fn run_chain<B: StreamGrid, S: Stage<B::Cell>>(
+    stages: &mut [S],
     stream_units: usize,
-    mesh_units: usize,
-    units: impl Iterator<Item = Vec<B::Cell>>,
+    mut input: impl FnMut(usize, &mut [B::Cell]),
+    sink: &mut impl Sink<B::Cell>,
     trace: ChainTrace<'_>,
     mut faults: Option<&mut FaultHook<'_>>,
-) -> Result<Vec<Vec<B::Cell>>, ExecError> {
+) -> Result<(), ExecError> {
     let ChainTrace { rec, prefix, base_cycle, unit_cycles } = trace;
-    let mut stages: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, unit, stream_units, mesh_units)).collect();
+    for s in stages.iter_mut() {
+        s.window_mut().reset();
+    }
     let mut tr: Vec<StageTrace> = (0..stages.len())
         .map(|i| StageTrace {
             track: if rec.is_enabled() {
@@ -402,53 +517,56 @@ pub(crate) fn run_chain<B: StreamGrid, K, E: Engine<B, K>>(
     if let Some(f) = faults.as_deref_mut() {
         f.start(stream_units, B::UNITS);
     }
-    let mut out = Vec::with_capacity(stream_units);
-    let (mut j, mut fed) = (0u64, 0usize);
-    for mut u in units {
-        let cycle = base_cycle + j * unit_cycles;
-        let copies = faults.as_deref_mut().map_or(1, |f| f.copies(j as usize, &mut u));
-        j += 1;
+    let (mut fed, mut emitted) = (0usize, 0usize);
+    for j in 0..stream_units {
+        let cycle = base_cycle + j as u64 * unit_cycles;
+        let slot = stages[0].window_mut().slot_mut();
+        input(j, slot);
+        let copies = faults.as_deref_mut().map_or(1, |f| f.copies(j, slot));
         for c in 0..copies {
             if fed == stream_units {
                 // Input FIFO already holds the whole stream: the surplus
                 // element is discarded at the full queue.
                 break;
             }
-            let x = if c + 1 < copies { u.clone() } else { std::mem::take(&mut u) };
-            let before = out.len();
-            feed(&mut stages, &mut tr, 0, x, &mut out, rec, cycle);
+            if c > 0 {
+                stages[0].window_mut().repeat();
+            }
+            let before = emitted;
+            emitted += feed(stages, &mut tr, 0, sink, rec, cycle);
             fed += 1;
             if let Some(f) = faults.as_deref_mut() {
-                f.progress(cycle, before, out.len());
+                f.progress(cycle, before, emitted);
             }
         }
         if let Some(f) = faults.as_deref_mut() {
             f.check(cycle)?;
         }
     }
-    rec.counter_add(B::STREAMED, j);
-    let end_cycle = base_cycle + j * unit_cycles;
+    rec.counter_add(B::STREAMED, stream_units as u64);
+    let end_cycle = base_cycle + stream_units as u64 * unit_cycles;
     if let Some(f) = faults.as_deref_mut() {
         f.check_fed(end_cycle, fed)?;
     }
     // flush stage by stage, cascading trailing units downstream
     for i in 0..stages.len() {
-        let trailing = stages[i].finish();
+        let trailing = stages[i].drain();
         rec.counter_add(B::DRAINED, trailing.len() as u64);
         rec.instant(tr[i].track, "drain", end_cycle);
-        for x in trailing {
-            let before = out.len();
-            feed(&mut stages, &mut tr, i + 1, x, &mut out, rec, end_cycle);
+        for y in trailing {
+            emit_down(stages, i, y, sink);
+            let before = emitted;
+            emitted += feed(stages, &mut tr, i + 1, sink, rec, end_cycle);
             if let Some(f) = faults.as_deref_mut() {
-                f.progress(end_cycle, before, out.len());
+                f.progress(end_cycle, before, emitted);
             }
         }
     }
     if let Some(f) = faults {
         f.drained(end_cycle)?;
     }
-    assert_eq!(out.len(), stream_units, "chain must emit the full stream");
-    Ok(out)
+    assert_eq!(emitted, stream_units, "chain must emit the full stream");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -457,74 +575,76 @@ mod tests {
     use sf_kernels::{reference, Jacobi3D, Poisson2D};
     use sf_mesh::{norms, Mesh2D, Mesh3D};
 
-    /// The chain runner without faults, as the executors call it.
+    /// The chain runner without faults, as the executors call it: `cells`
+    /// streamed unit by unit, the output collected into one flat buffer.
     #[allow(clippy::too_many_arguments)]
     fn chain<B: StreamGrid, K>(
         chain: &[K],
         unit: (usize, usize),
         stream_units: usize,
         mesh_units: usize,
-        units: impl Iterator<Item = Vec<B::Cell>>,
+        cells: &[B::Cell],
         rec: &mut Recorder,
         prefix: &str,
         base_cycle: u64,
         unit_cycles: u64,
-    ) -> Vec<Vec<B::Cell>>
+    ) -> Vec<B::Cell>
     where
         ScalarEngine: Engine<B, K>,
     {
+        let len = unit.0 * unit.1;
+        let mut out = vec![B::Cell::default(); cells.len()];
+        let input = |j: usize, slot: &mut [B::Cell]| {
+            slot.copy_from_slice(&cells[j * len..(j + 1) * len]);
+        };
         let trace = ChainTrace { rec, prefix, base_cycle, unit_cycles };
-        let r = run_chain(&ScalarEngine, chain, unit, stream_units, mesh_units, units, trace, None);
-        r.unwrap()
+        let mut sink = Flat::new(&mut out, len, 0);
+        let mut stages = build_chain(&ScalarEngine, chain, unit, stream_units, mesh_units);
+        run_chain::<B, _>(&mut stages, stream_units, input, &mut sink, trace, None).unwrap();
+        out
     }
 
-    fn run_2d(
-        k: &[Poisson2D],
-        nx: usize,
-        rows: usize,
-        mesh_ny: usize,
-        cells: &[f32],
-    ) -> Vec<Vec<f32>> {
-        let units = cells.chunks(nx).map(|r| r.to_vec());
-        chain::<Batch2D<f32>, _>(
-            k,
-            (nx, 1),
-            rows,
-            mesh_ny,
-            units,
-            &mut Recorder::disabled(),
-            "",
-            0,
-            1,
-        )
+    fn run_2d(k: &[Poisson2D], nx: usize, rows: usize, mesh_ny: usize, cells: &[f32]) -> Vec<f32> {
+        let mut rec = Recorder::disabled();
+        chain::<Batch2D<f32>, _>(k, (nx, 1), rows, mesh_ny, cells, &mut rec, "", 0, 1)
     }
 
     #[test]
     fn ring_buffer_eviction_and_access() {
-        let mut r = RingBuffer::<f32>::new(3);
-        for i in 0..5 {
-            r.push(vec![i as f32]);
-        }
-        assert_eq!(r.pushed(), 5);
-        assert_eq!(r.get(2), &[2.0]);
-        assert_eq!(r.get(4), &[4.0]);
+        let mut w = Window::<f32>::new(1, 1, 5, 5);
+        let done: Vec<_> = (0..5).map(|i| w.push(&[i as f32])).collect();
+        assert_eq!(done, [None, Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(w.fill(), 3);
+        assert_eq!(w.get(2), &[2.0]);
+        assert_eq!(w.get(4), &[4.0]);
+        assert_eq!(w.around(3), [&[2.0][..], &[3.0], &[4.0]]);
+        assert_eq!(w.drain(), 4..5);
+    }
+
+    #[test]
+    fn repeat_fills_the_free_slot_while_priming() {
+        // a duplicated first unit enters before its slot was ever handed out
+        let mut w = Window::<f32>::new(1, 2, 4, 4);
+        assert_eq!(w.push(&[1.0, 2.0]), None);
+        w.repeat();
+        assert_eq!(w.commit(), Some(0));
+        assert_eq!(w.get(1), &[1.0, 2.0]);
+        assert_eq!(w.fill(), 2);
     }
 
     #[test]
     fn single_stage_equals_reference_step() {
         let m = Mesh2D::<f32>::random(17, 9, 3, -1.0, 1.0);
-        let rows = run_2d(&[Poisson2D], 17, 9, 9, m.as_slice());
+        let got = run_2d(&[Poisson2D], 17, 9, 9, m.as_slice());
         let expect = reference::step_2d(&Poisson2D, &m);
-        let got: Vec<f32> = rows.into_iter().flatten().collect();
         assert!(norms::bit_equal(&got, expect.as_slice()));
     }
 
     #[test]
     fn chained_stages_equal_iterated_reference() {
         let m = Mesh2D::<f32>::random(21, 13, 4, -1.0, 1.0);
-        let rows = run_2d(&[Poisson2D; 5], 21, 13, 13, m.as_slice());
+        let got = run_2d(&[Poisson2D; 5], 21, 13, 13, m.as_slice());
         let expect = reference::run_2d(&Poisson2D, &m, 5);
-        let got: Vec<f32> = rows.into_iter().flatten().collect();
         assert!(norms::bit_equal(&got, expect.as_slice()));
     }
 
@@ -533,24 +653,21 @@ mod tests {
         // 3 stacked meshes must come out exactly as 3 independent solves
         let batch = Batch2D::<f32>::random(11, 7, 3, 9, -1.0, 1.0);
         // seam period = per-mesh rows
-        let rows = run_2d(&[Poisson2D; 4], 11, 21, 7, batch.as_slice());
-        let got: Vec<f32> = rows.into_iter().flatten().collect();
+        let got = run_2d(&[Poisson2D; 4], 11, 21, 7, batch.as_slice());
         let expect = reference::run_batch_2d(&Poisson2D, &batch, 4);
         assert!(norms::bit_equal(&got, expect.as_slice()));
     }
 
-    fn run_3d(k: &[Jacobi3D], m: &Mesh3D<f32>, rec: &mut Recorder, cpp: u64) -> Vec<Vec<f32>> {
+    fn run_3d(k: &[Jacobi3D], m: &Mesh3D<f32>, rec: &mut Recorder, cpp: u64) -> Vec<f32> {
         let (nx, ny, nz) = (m.nx(), m.ny(), m.nz());
-        let units = m.as_slice().chunks(nx * ny).map(|p| p.to_vec());
-        chain::<Batch3D<f32>, _>(k, (nx, ny), nz, nz, units, rec, "", 0, cpp)
+        chain::<Batch3D<f32>, _>(k, (nx, ny), nz, nz, m.as_slice(), rec, "", 0, cpp)
     }
 
     #[test]
     fn chain_3d_equals_reference() {
         let m = Mesh3D::<f32>::random(9, 8, 7, 5, -1.0, 1.0);
         let k = Jacobi3D::smoothing();
-        let planes = run_3d(&[k; 3], &m, &mut Recorder::disabled(), 1);
-        let got: Vec<f32> = planes.into_iter().flatten().collect();
+        let got = run_3d(&[k; 3], &m, &mut Recorder::disabled(), 1);
         let expect = reference::run_3d(&k, &m, 3);
         assert!(norms::bit_equal(&got, expect.as_slice()));
     }
@@ -562,9 +679,17 @@ mod tests {
         let plain = run_2d(&chain3, 21, 13, 13, m.as_slice());
 
         let mut rec = Recorder::enabled(300.0);
-        let units = m.as_slice().chunks(21).map(|r| r.to_vec());
-        let traced =
-            chain::<Batch2D<f32>, _>(&chain3, (21, 1), 13, 13, units, &mut rec, "p0/", 100, 28);
+        let traced = chain::<Batch2D<f32>, _>(
+            &chain3,
+            (21, 1),
+            13,
+            13,
+            m.as_slice(),
+            &mut rec,
+            "p0/",
+            100,
+            28,
+        );
         assert_eq!(plain, traced, "telemetry must not change results");
 
         // One track per stage, each primed exactly once and drained once.
@@ -598,8 +723,7 @@ mod tests {
     fn tiny_mesh_all_boundary() {
         // 2×2 mesh with radius-1 stencil: everything is boundary
         let m = Mesh2D::<f32>::random(2, 2, 1, 0.0, 1.0);
-        let rows = run_2d(&[Poisson2D], 2, 2, 2, m.as_slice());
-        let got: Vec<f32> = rows.into_iter().flatten().collect();
+        let got = run_2d(&[Poisson2D], 2, 2, 2, m.as_slice());
         assert!(norms::bit_equal(&got, m.as_slice()));
     }
 
@@ -610,9 +734,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row width mismatch")]
+    #[should_panic(expected = "unit size mismatch")]
     fn row_width_checked() {
         let mut p = StageProcessor2D::new(Poisson2D, 4, 4, 4);
-        let _ = p.push_row(vec![0.0; 5]);
+        let _ = p.push(&[0.0; 5]);
     }
 }

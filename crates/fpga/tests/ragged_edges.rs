@@ -11,10 +11,23 @@
 //! scalar [`StageProcessor2D`]/[`StageProcessor3D`] fed the same stream.
 
 use sf_fpga::fast::{FastStageProcessor2D, FastStageProcessor3D};
-use sf_fpga::window::{StageProcessor2D, StageProcessor3D};
+use sf_fpga::window::{Stage, StageProcessor2D, StageProcessor3D};
 use sf_kernels::{LaneOp2D, LaneOp3D, Poisson2D, StarStencil2D, StarStencil3D};
 use sf_mesh::{norms, Mesh2D, Mesh3D};
 use sf_simd::LANES;
+
+/// Emit output unit `j` of both stages into fresh `len`-cell buffers.
+fn emit_both<S: Stage<f32>, F: Stage<f32>>(
+    scalar: &S,
+    fast: &F,
+    j: usize,
+    len: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let (mut a, mut b) = (vec![0.0; len], vec![0.0; len]);
+    scalar.emit(j, &mut a);
+    fast.emit(j, &mut b);
+    (a, b)
+}
 
 /// Stream `meshes` random 2D meshes through a scalar and a fast stage and
 /// demand bit-identical rows at every step (incremental emissions, drain,
@@ -27,21 +40,25 @@ fn conform_2d<K: LaneOp2D<f32> + Clone>(k: K, nx: usize, ny: usize, meshes: usiz
     for m in 0..meshes {
         let mesh = Mesh2D::<f32>::random(nx, ny, seed + m as u64, -1.0, 1.0);
         for j in 0..ny {
-            let row = mesh.as_slice()[j * nx..(j + 1) * nx].to_vec();
-            let a = scalar.push_row(row.clone());
-            let b = fast.push_row(row);
+            let row = &mesh.as_slice()[j * nx..(j + 1) * nx];
+            let a = scalar.push(row);
+            let b = fast.push(row);
             assert_eq!(a.is_some(), b.is_some(), "emission schedule diverged ({tag})");
-            if let (Some(a), Some(b)) = (&a, &b) {
-                assert!(norms::bit_equal(a, b), "row differs mid-stream ({tag})");
+            if let (Some(ya), Some(yb)) = (a, b) {
+                assert_eq!(ya, yb, "emission schedule diverged ({tag})");
+                let (a, b) = emit_both(&scalar, &fast, ya, nx);
+                assert!(norms::bit_equal(&a, &b), "row differs mid-stream ({tag})");
             }
             assert_eq!(scalar.window_fill(), fast.window_fill(), "window fill ({tag})");
         }
     }
-    let da = scalar.finish();
-    let db = fast.finish();
+    let da = scalar.drain();
+    let db = fast.drain();
     assert_eq!(da.len(), db.len(), "drain length ({tag})");
-    for (a, b) in da.iter().zip(db.iter()) {
-        assert!(norms::bit_equal(a, b), "drained row differs ({tag})");
+    for (ya, yb) in da.zip(db) {
+        assert_eq!(ya, yb, "drain schedule diverged ({tag})");
+        let (a, b) = emit_both(&scalar, &fast, ya, nx);
+        assert!(norms::bit_equal(&a, &b), "drained row differs ({tag})");
     }
 }
 
@@ -61,21 +78,25 @@ fn conform_3d<K: LaneOp3D<f32> + Clone>(
     for m in 0..meshes {
         let mesh = Mesh3D::<f32>::random(nx, ny, nz, seed + m as u64, -1.0, 1.0);
         for zp in 0..nz {
-            let plane = mesh.as_slice()[zp * nx * ny..(zp + 1) * nx * ny].to_vec();
-            let a = scalar.push_plane(plane.clone());
-            let b = fast.push_plane(plane);
+            let plane = &mesh.as_slice()[zp * nx * ny..(zp + 1) * nx * ny];
+            let a = scalar.push(plane);
+            let b = fast.push(plane);
             assert_eq!(a.is_some(), b.is_some(), "emission schedule diverged ({tag})");
-            if let (Some(a), Some(b)) = (&a, &b) {
-                assert!(norms::bit_equal(a, b), "plane differs mid-stream ({tag})");
+            if let (Some(za), Some(zb)) = (a, b) {
+                assert_eq!(za, zb, "emission schedule diverged ({tag})");
+                let (a, b) = emit_both(&scalar, &fast, za, nx * ny);
+                assert!(norms::bit_equal(&a, &b), "plane differs mid-stream ({tag})");
             }
             assert_eq!(scalar.window_fill(), fast.window_fill(), "window fill ({tag})");
         }
     }
-    let da = scalar.finish();
-    let db = fast.finish();
+    let da = scalar.drain();
+    let db = fast.drain();
     assert_eq!(da.len(), db.len(), "drain length ({tag})");
-    for (a, b) in da.iter().zip(db.iter()) {
-        assert!(norms::bit_equal(a, b), "drained plane differs ({tag})");
+    for (za, zb) in da.zip(db) {
+        assert_eq!(za, zb, "drain schedule diverged ({tag})");
+        let (a, b) = emit_both(&scalar, &fast, za, nx * ny);
+        assert!(norms::bit_equal(&a, &b), "drained plane differs ({tag})");
     }
 }
 

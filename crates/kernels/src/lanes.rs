@@ -83,11 +83,15 @@ impl<const N: usize> LaneElement for VecN<N> {
 
     #[inline]
     fn gather(row: &[Self], x: usize) -> [F32xL; N] {
+        // One bounds check for the whole run: a packed kernel reads one
+        // component of most gathered neighbours, and the unread ones only
+        // fold away when the gather stays small enough to inline.
+        let cells = &row[x..x + LANES];
         let mut out = [F32xL::default(); N];
         for (c, pack) in out.iter_mut().enumerate() {
             let mut lanes = [0.0f32; LANES];
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                *lane = row[x + i].0[c];
+            for (lane, cell) in lanes.iter_mut().zip(cells) {
+                *lane = cell.0[c];
             }
             *pack = F32xL(lanes);
         }
@@ -96,9 +100,10 @@ impl<const N: usize> LaneElement for VecN<N> {
 
     #[inline]
     fn scatter(lanes: [F32xL; N], row: &mut [Self], x: usize) {
+        let cells = &mut row[x..x + LANES];
         for (c, pack) in lanes.iter().enumerate() {
-            for i in 0..LANES {
-                row[x + i].0[c] = pack.lane(i);
+            for (i, cell) in cells.iter_mut().enumerate() {
+                cell.0[c] = pack.lane(i);
             }
         }
     }

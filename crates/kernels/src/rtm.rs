@@ -195,21 +195,31 @@ pub fn f_pml_abs<V: AbstractValue, F: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES]
         c: usize,
         axis: usize,
     ) -> V {
-        let off = |d: i32| -> (i32, i32, i32) {
+        // Functions, not closures: the compiler may keep a closure out of
+        // line, and then each lane-parallel neighbour read in it gathers all
+        // RTM_PACKED_LANES components instead of the one `t` keeps.
+        #[inline(always)]
+        fn off(axis: usize, d: i32) -> (i32, i32, i32) {
             match axis {
                 0 => (d, 0, 0),
                 1 => (0, d, 0),
                 _ => (0, 0, d),
             }
-        };
-        let term = |d: i32| -> V {
-            let (px, py, pz) = off(d);
-            let (mx, my, mz) = off(-d);
+        }
+        #[inline(always)]
+        fn term<V: AbstractValue>(
+            at: &impl Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES],
+            c: usize,
+            axis: usize,
+            d: i32,
+        ) -> V {
+            let (px, py, pz) = off(axis, d);
+            let (mx, my, mz) = off(axis, -d);
             V::constant(W1[d as usize - 1]) * (t(at, px, py, pz, c) - t(at, mx, my, mz, c))
-        };
-        let mut acc = term(1);
+        }
+        let mut acc = term(at, c, axis, 1);
         for d in 2..=4i32 {
-            acc = acc + term(d);
+            acc = acc + term(at, c, axis, d);
         }
         acc
     }
