@@ -206,8 +206,9 @@ pub fn kernel_diagnostics(
 
 /// The cached analysis of one of the paper's applications (`None` for
 /// [`AppId::Custom`] — custom stencils are analyzed against their own op via
-/// [`analyze_2d`]/[`analyze_3d`]). The probe cost is paid once per process,
-/// like `sf_model::check_cached`.
+/// [`analyze_2d`]/[`analyze_3d`]). The probe cost is paid once per process:
+/// each app's analysis is a fixed constant of the kernel, unlike the
+/// design-rule checks and model predictions, which run afresh per design.
 pub fn analyze_app(app: AppId) -> Option<&'static KernelAnalysis> {
     static POISSON: OnceLock<KernelAnalysis> = OnceLock::new();
     static JACOBI: OnceLock<KernelAnalysis> = OnceLock::new();

@@ -1,6 +1,5 @@
-//! The PR's parallel execution layer under the stopwatch: batched 2D/3D
-//! simulation across worker counts, the parallel DSE sweep, and the
-//! process-wide prediction cache on its hit and miss paths.
+//! The parallel execution layer under the stopwatch: batched 2D/3D
+//! simulation across worker counts and the parallel DSE sweep.
 //!
 //! On a multi-core host the `jobs=4` rows should beat `jobs=1` roughly
 //! linearly until the batch runs out; on a single-core CI runner they
@@ -13,7 +12,6 @@ use sf_fpga::design::synthesize;
 use sf_fpga::{fast, ExecEngine, Recorder};
 use sf_kernels::{Jacobi3D, Poisson2D};
 use sf_mesh::{Batch2D, Batch3D};
-use sf_model::{clear_caches, predict_cached};
 
 const SEED: u64 = 42;
 
@@ -99,45 +97,11 @@ fn bench_dse_parallel(c: &mut Criterion) {
     g.sample_size(10);
     for jobs in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
-            b.iter(|| {
-                // cold sweep: the memoized prediction cache would otherwise
-                // turn every iteration after the first into pure lookups
-                clear_caches();
-                wf.explore_jobs(&StencilSpec::poisson(), &wl, 60_000, jobs).unwrap()
-            })
+            b.iter(|| wf.explore_jobs(&StencilSpec::poisson(), &wl, 60_000, jobs).unwrap())
         });
     }
     g.finish();
 }
 
-fn bench_prediction_cache(c: &mut Criterion) {
-    let dev = FpgaDevice::u280();
-    let wl = Workload::D2 { nx: 400, ny: 400, batch: 1 };
-    let ds =
-        synthesize(&dev, &StencilSpec::poisson(), 8, 60, ExecMode::Baseline, MemKind::Hbm, &wl)
-            .unwrap();
-    let mut g = c.benchmark_group("prediction_cache");
-    g.sample_size(10);
-    g.bench_function("miss", |b| {
-        b.iter(|| {
-            clear_caches();
-            predict_cached(&dev, &ds, &wl, 60_000, PredictionLevel::Extended).unwrap()
-        })
-    });
-    // warm the entry once, then every lookup is a hit
-    clear_caches();
-    predict_cached(&dev, &ds, &wl, 60_000, PredictionLevel::Extended).unwrap();
-    g.bench_function("hit", |b| {
-        b.iter(|| predict_cached(&dev, &ds, &wl, 60_000, PredictionLevel::Extended).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_batch_2d,
-    bench_batch_3d,
-    bench_dse_parallel,
-    bench_prediction_cache
-);
+criterion_group!(benches, bench_batch_2d, bench_batch_3d, bench_dse_parallel);
 criterion_main!(benches);

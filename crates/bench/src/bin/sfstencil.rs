@@ -4,7 +4,8 @@
 //! sfstencil feasibility --app jacobi --mesh 200x200x200 [--json]
 //! sfstencil dse         --app poisson --mesh 400x400 --iters 60000 [--top 5] [--json]
 //! sfstencil compare     --app rtm --mesh 50x50x50 --batch 40 --iters 180
-//! sfstencil report      --app poisson --mesh 400x400 --v 8 --p 60 [--json]
+//! sfstencil report      --app poisson --mesh 400x400 --v 8 --p 60 \
+//!                       [--mem hbm|ddr4] [--tile M[xN]] [--json]
 //! sfstencil explain     --app rtm --mesh 32x32x32 --iters 1800
 //! sfstencil profile     --app poisson --mesh 200x100 --iters 100 \
 //!                       [--devices K] [--link aurora|pcie] \
@@ -253,23 +254,26 @@ fn run_explain(code: &str) -> ! {
     }
 }
 
+/// The execution mode of an explicit `--v/--p` design (`check`, `report`):
+/// tiled with `--tile`, batched with `--batch`, baseline otherwise.
+fn explicit_mode(a: &Args) -> ExecMode {
+    match (a.tile, a.app.dims) {
+        (Some((m, None)), 2) => ExecMode::Tiled1D { tile_m: m },
+        (Some((m, n)), 3) => ExecMode::Tiled2D { tile_m: m, tile_n: n.unwrap_or(m) },
+        (Some((_, Some(_))), _) => fail("--tile MxN is for 3D apps; 2D tiling takes one M"),
+        (None, _) if a.wl.batch() > 1 => ExecMode::Batched { b: a.wl.batch() },
+        (None, _) => ExecMode::Baseline,
+        (Some(_), d) => fail(&format!("--tile unsupported for a {d}D app")),
+    }
+}
+
 /// The `check` subcommand: static design-rule analysis, no execution.
 fn run_check(a: &Args, wf: &Workflow) {
     let (design, source) = if a.v > 0 || a.p > 0 {
         if a.v == 0 || a.p == 0 {
             fail("check needs both --v and --p (or neither, for the DSE-selected design)");
         }
-        let batch = match a.wl {
-            Workload::D2 { batch, .. } | Workload::D3 { batch, .. } => batch,
-        };
-        let mode = match (a.tile, a.app.dims) {
-            (Some((m, None)), 2) => ExecMode::Tiled1D { tile_m: m },
-            (Some((m, n)), 3) => ExecMode::Tiled2D { tile_m: m, tile_n: n.unwrap_or(m) },
-            (Some((_, Some(_))), _) => fail("--tile MxN is for 3D apps; 2D tiling takes one M"),
-            (None, _) if batch > 1 => ExecMode::Batched { b: batch },
-            (None, _) => ExecMode::Baseline,
-            (Some(_), d) => fail(&format!("--tile unsupported for a {d}D app")),
-        };
+        let mode = explicit_mode(a);
         let mut d = sf_check::Design::new(a.app, a.v, a.p, mode, a.mem, a.wl);
         d.fifo_depth = a.fifo_depth;
         d.window_units = a.window_units;
@@ -556,8 +560,7 @@ fn main() {
             if a.v == 0 || a.p == 0 {
                 fail("report needs explicit --v and --p");
             }
-            match synthesize(&wf.device, &a.app, a.v, a.p, ExecMode::Baseline, MemKind::Hbm, &a.wl)
-            {
+            match synthesize(&wf.device, &a.app, a.v, a.p, explicit_mode(&a), a.mem, &a.wl) {
                 Ok(ds) => {
                     let rep = wf.fpga_estimate(&ds, &a.wl, a.iters);
                     if a.json {

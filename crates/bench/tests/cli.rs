@@ -290,6 +290,40 @@ fn check_tile_halo_violation_exits_1() {
     assert!(stdout.contains("SFC-T01"), "{stdout}");
 }
 
+#[test]
+fn report_honours_tile_batch_and_mem() {
+    let report = |args: &[&str]| {
+        let out = sfstencil().arg("report").args(["--app", "poisson"]).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "report {args:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // the paper's DDR4 tiled design, which `check` passes, synthesizes
+    let tiled = report(&[
+        "--mesh",
+        "15000x15000",
+        "--v",
+        "8",
+        "--p",
+        "60",
+        "--tile",
+        "4096",
+        "--mem",
+        "ddr4",
+    ]);
+    assert!(tiled.contains("Tiled1D { tile_m: 4096 }"), "{tiled}");
+    assert!(!tiled.contains("synthesis rejected"), "{tiled}");
+    // --batch reports the batched design
+    let batched = report(&["--mesh", "200x100", "--v", "8", "--p", "60", "--batch", "4", "--json"]);
+    let mode: Value = serde_json::from_str(&batched).unwrap();
+    let b = mode.get("mode").and_then(|m| m.get("Batched")).and_then(|m| m.get("b"));
+    assert_eq!(b.and_then(Value::as_u64), Some(4), "{batched}");
+    // --mem ddr4 binds one DDR4 bank per direction, which cannot feed V=32
+    let wide = ["--mesh", "400x400", "--v", "32", "--p", "10"];
+    assert!(!report(&wide).contains("synthesis rejected"));
+    let ddr4 = report(&[&wide[..], &["--mem", "ddr4"]].concat());
+    assert!(ddr4.contains("synthesis rejected") && ddr4.contains("memory has 1"), "{ddr4}");
+}
+
 /// Golden file location anchored to the crate, not the invocation CWD, so
 /// the test passes from any working directory (workspace root, crate dir,
 /// CI). Regenerate with `SF_UPDATE_GOLDEN=1 cargo test -p sf-bench`.

@@ -22,7 +22,7 @@ use sf_fpga::trace::PlanTrace;
 use sf_fpga::{fast, trace, ExecEngine, Recorder, SimReport};
 use sf_kernels::{rtm, AppId, Jacobi3D, Poisson2D, RtmStage, StencilSpec};
 use sf_mesh::{Batch2D, Batch3D};
-use sf_model::{predict_cached, Prediction, PredictionLevel};
+use sf_model::{predict, Prediction, PredictionLevel};
 use sf_multi::{MultiConfig, MultiError, ShardedPlan};
 use sf_telemetry::Divergence;
 
@@ -202,7 +202,7 @@ impl Workflow {
         let prediction = if cfg.devices > 1 {
             sf_model::predict_sharded(dev, &design, wl, niter, cfg)?
         } else {
-            predict_cached(dev, &design, wl, niter, PredictionLevel::Extended)?
+            predict(dev, &design, wl, niter, PredictionLevel::Extended)?
         };
         let divergence = Divergence::new(prediction.cycles, report.total_cycles);
         rec.set_divergence(divergence);

@@ -100,10 +100,9 @@ impl Workflow {
     /// included); callers that must not proceed on errors convert it with
     /// [`sf_check::CheckReport::into_result`].
     ///
-    /// Served from the process-wide check-report cache shared with the DSE
-    /// pruning filter (design rules) and `sf-absint`'s per-process kernel
-    /// analysis cache, so preflighting a design the DSE already vetted is
-    /// a lookup, not a re-derivation.
+    /// The design rules run afresh on every call — they cost microseconds,
+    /// and no cache stands in front of them; the kernel analysis behind
+    /// the paper's three apps is computed once per process by `sf-absint`.
     pub fn preflight(&self, design: &StencilDesign, wl: &Workload) -> sf_check::CheckReport {
         self.preflight_devices(design, wl, 1)
     }
@@ -119,7 +118,7 @@ impl Workflow {
         wl: &Workload,
         devices: usize,
     ) -> sf_check::CheckReport {
-        let mut rep = sf_model::check_cached(
+        let mut rep = sf_check::check(
             &self.device,
             &sf_check::Design::from_synthesized(design, wl).with_devices(devices),
         );

@@ -1,4 +1,5 @@
-//! The closed-form cycle/traffic model of the streaming executors.
+//! The closed-form cycle/traffic model of the streaming executors, and the
+//! one schedule walker every consumer of that model folds over.
 //!
 //! This is the simulator's ground truth for *time*: the streaming executors
 //! process exactly the row/plane schedule priced here, so the numbers below
@@ -6,24 +7,38 @@
 //! implements the paper's eq. (2)/(3) structure plus the measured overheads:
 //!
 //! * per-row issue gap (`axi_issue_gap_cycles`, ≈ 3),
-//! * pipeline fill of `p · stages · D/2` rows/planes per pass,
-//! * compute/memory max per row ([`crate::axi::row_cycles`]),
+//! * pipeline fill of `p · stages · ⌈D/2⌉` rows/planes per pass,
+//! * compute/memory max per row ([`crate::axi::row_timing`]),
 //! * compute-pipeline latency plus residual host enqueue latency per pass,
 //! * per-tile control-loop turnaround for blocked execution.
+//!
+//! [`Schedule`] is the only code that turns a (device, design, workload)
+//! — plus a sharded run's owned slabs and halo — into the [`Segment`]s one
+//! pass streams: the whole batch, each tile, or each device's
+//! halo-extended slab, each with its geometry, its data, fill and written
+//! rows, its turnaround and its [`axi::RowTiming`]. It is also the only
+//! place that rejects a mode the workload cannot stream. Everything else
+//! folds over its segments: [`Schedule::plan`] sums the totals, the plan
+//! explanation ([`crate::trace`]) narrates them, the recorder sink
+//! ([`crate::profile`]) draws them, the tiled passes of the executors
+//! stream them, and `sf-model`'s predictions and `sf-multi`'s sharded plan
+//! price them.
 //!
 //! The *predictive* model in `sf-model` is the paper's idealized equations;
 //! comparing it against this module is the reproduction of the paper's
 //! "±15 %" accuracy claim.
 
-use crate::axi;
+use crate::axi::{self, RowTiming};
 use crate::design::{ExecMode, MemKind, StencilDesign, Workload};
-use crate::device::{FpgaDevice, MemorySpec};
+use crate::device::FpgaDevice;
+use crate::error::ExecError;
 use serde::{Deserialize, Serialize};
-use sf_mesh::TileGrid1D;
+use sf_mesh::{Tile1D, TileGrid1D};
+use std::ops::Range;
 
 /// Timing and traffic for a full solve (`niter` iterations of a workload on
 /// a design).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CyclePlan {
     /// Kernel passes (each pass advances `p` iterations).
     pub passes: u64,
@@ -67,160 +82,273 @@ impl CyclePlan {
     }
 }
 
-fn mem_spec(dev: &FpgaDevice, mem: MemKind) -> &MemorySpec {
-    match mem {
-        MemKind::Hbm => &dev.hbm,
-        MemKind::Ddr4 => &dev.ddr4,
+/// What limits a streamed row.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RowBound {
+    /// The `V`-wide compute issue dominates.
+    Compute,
+    /// The memory channels dominate (strided tiles, narrow `V·k` budgets).
+    Memory,
+}
+
+/// One homogeneous streaming segment of a pass, as [`Schedule::segments`]
+/// yields it: the whole batch, one tile, or one device's slab. Each pass
+/// streams `data_rows + fill_rows` rows of `x.read_len` cells at
+/// `timing.total()` cycles per row, then pays `turnaround`.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct Segment {
+    /// The device that streams it: 0 unless the run is sharded.
+    pub device: usize,
+    /// Tile index along x and y; `(0, 0)` for an untiled stream.
+    pub tile: (usize, usize),
+    /// The columns of a row: read, and written back (`valid_*`).
+    pub x: Tile1D,
+    /// The rows of a streamed unit: one row in 2D; the plane's rows, or
+    /// the tile's, in 3D.
+    pub y: Tile1D,
+    /// First streamed unit (row in 2D, plane in 3D) of each mesh.
+    pub first_unit: usize,
+    /// Units streamed per mesh: the whole extent, or a slab with its
+    /// halos.
+    pub units: usize,
+    /// Data rows streamed per pass.
+    pub data_rows: u64,
+    /// Fill rows per pass: each of the `p · stages` chained stages holds
+    /// back `⌈D/2⌉` units before its window is primed
+    /// ([`sf_kernels::StencilSpec::halo`]).
+    pub fill_rows: u64,
+    /// Rows written back per pass, `x.valid_len` cells each.
+    pub written_rows: u64,
+    /// Control-loop turnaround per pass (the AXI latency of a tile).
+    pub turnaround: u64,
+    /// Per-row timing: compute issue, read and write beats, issue gap.
+    pub timing: RowTiming,
+}
+
+impl Segment {
+    /// Rows streamed per pass, fill included.
+    pub fn rows(&self) -> u64 {
+        self.data_rows + self.fill_rows
+    }
+
+    /// Cycles per pass: every row at its row rate, plus the turnaround.
+    pub fn cycles(&self) -> u64 {
+        self.rows() * self.timing.total() + self.turnaround
+    }
+
+    /// Cycles to stream one unit: a row, or a plane of `y.read_len` rows.
+    pub fn unit_cycles(&self) -> u64 {
+        self.timing.total() * self.y.read_len as u64
+    }
+
+    /// Which side bounds the segment's rows.
+    pub(crate) fn bound(&self) -> RowBound {
+        if self.timing.busy() > self.timing.compute {
+            RowBound::Memory
+        } else {
+            RowBound::Compute
+        }
     }
 }
 
-/// Fill rows/planes per pass: each of the `p · stages` chained stages delays
-/// the stream by `⌈D/2⌉` rows (2D) or planes (3D) — the `p·D/2` term of
-/// eqs. (2)/(3) generalized to fused multi-stage pipelines. The division is
-/// a ceiling *per chained stage*: an odd-order stencil still holds back a
-/// whole extra row before its window is primed, so flooring the product
-/// (`p·stages·D/2`) would under-price fill latency for odd `D`.
-pub fn fill_units(design: &StencilDesign) -> u64 {
-    design.spec.halo(design.p) as u64
+/// The streaming schedule of one pass of a design over a workload: see
+/// the module docs.
+#[derive(Clone, Debug)]
+pub struct Schedule<'a> {
+    pub(crate) dev: &'a FpgaDevice,
+    pub(crate) design: &'a StencilDesign,
+    wl: Workload,
+    /// Column tiles of a row, with each one's row timing.
+    xs: Vec<(Tile1D, RowTiming)>,
+    /// Row tiles of a unit.
+    ys: Vec<Tile1D>,
+    /// Per device: first streamed unit, units streamed, units owned.
+    slabs: Vec<(usize, usize, usize)>,
+    sharded: bool,
+    /// Meshes streamed back to back: the batch, or one for a tiled design.
+    meshes: u64,
+    turnaround: u64,
 }
 
-/// The tile grids of a design over an `nx × ny` plane — the one place the
-/// tile halo ([`sf_kernels::StencilSpec::halo`]) and the AXI alignment are
-/// applied. x tiles of `tile_m` read cells align to the bus word; `Tiled2D`
-/// y tiles of `tile_n` are unaligned. An axis the mode does not tile is a
-/// single whole-extent tile.
-pub fn tile_grids(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    nx: usize,
-    ny: usize,
-) -> (TileGrid1D, TileGrid1D) {
-    let halo = design.spec.halo(design.p);
-    let align = (dev.axi_bus_bytes / design.spec.elem_bytes).max(1);
-    let whole = |n| TileGrid1D::new(n, n, 0, 1);
-    match design.mode {
-        ExecMode::Tiled1D { tile_m } => (TileGrid1D::new(nx, tile_m, halo, align), whole(ny)),
-        ExecMode::Tiled2D { tile_m, tile_n } => {
-            (TileGrid1D::new(nx, tile_m, halo, align), TileGrid1D::new(ny, tile_n, halo, 1))
-        }
-        ExecMode::Baseline | ExecMode::Batched { .. } => (whole(nx), whole(ny)),
-    }
-}
-
-/// Cycles for one streamed row of the design: the max of compute issue and
-/// AXI read/write service for `cells` lanes-worth of elements, plus the
-/// per-row issue gap. Exposed for the multi-device planner (`sf-multi`),
-/// which prices per-shard slabs with the same per-row cost.
-pub fn design_row_cycles(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    cells: usize,
-    write_cells: usize,
-) -> u64 {
-    axi::row_cycles(
-        dev,
-        mem_spec(dev, design.mem),
-        design.freq_hz,
-        design.v,
-        cells,
-        cells * design.spec.ext_read_bytes,
-        write_cells * design.spec.ext_write_bytes,
-        design.read_channels,
-        design.write_channels,
-    )
-}
-
-/// Plan a full solve.
-///
-/// # Panics
-/// Panics if the design's mode/workload dimensionality disagree (synthesis
-/// prevents constructing such designs).
-pub fn plan(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> CyclePlan {
-    let p = design.p as u64;
-    let passes = niter.div_ceil(p).max(1);
-    let spec = &design.spec;
-    let fill = fill_units(design);
-
-    let (cycles_per_pass, read_per_pass, write_per_pass) = match (*wl, design.mode) {
-        // ---- whole-mesh streaming (baseline / batched), 2D ----
-        (Workload::D2 { nx, ny, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-            let rows = (batch * ny) as u64 + fill;
-            let rc = design_row_cycles(dev, design, nx, nx);
-            let cells = (batch * ny * nx) as u64;
-            (
-                rows * rc + design.pipeline_latency_cycles,
-                cells * spec.ext_read_bytes as u64,
-                cells * spec.ext_write_bytes as u64,
-            )
-        }
-        // ---- whole-mesh streaming, 3D ----
-        (Workload::D3 { nx, ny, nz, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-            let planes = (batch * nz) as u64 + fill;
-            let rows = planes * ny as u64;
-            let rc = design_row_cycles(dev, design, nx, nx);
-            let cells = (batch * nz * ny * nx) as u64;
-            (
-                rows * rc + design.pipeline_latency_cycles,
-                cells * spec.ext_read_bytes as u64,
-                cells * spec.ext_write_bytes as u64,
-            )
-        }
-        // ---- 2D spatial blocking: tiles along x, full y extent ----
-        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { .. }) => {
-            let (grid, _) = tile_grids(dev, design, nx, ny);
-            let mut cycles = 0u64;
-            let mut read = 0u64;
-            let mut write = 0u64;
-            for t in grid.tiles() {
-                let rows = ny as u64 + fill;
-                let rc = design_row_cycles(dev, design, t.read_len, t.valid_len);
-                cycles += rows * rc + dev.axi_latency_cycles as u64;
-                read += (t.read_len * ny) as u64 * spec.ext_read_bytes as u64;
-                write += (t.valid_len * ny) as u64 * spec.ext_write_bytes as u64;
+impl<'a> Schedule<'a> {
+    /// Walk `design` over `wl`; `slabs` are a sharded run's owned unit
+    /// ranges, in device order, and the halo each slab streams on either
+    /// side (clipped to the mesh).
+    ///
+    /// # Errors
+    /// [`ExecError::ShapeMismatch`] for a tiled mode of the other
+    /// dimension, slabs that do not tile the mesh's units in order, or a
+    /// halo shallower than [`sf_kernels::StencilSpec::halo`];
+    /// [`ExecError::Unsupported`] for slabs of a tiled design.
+    pub fn new(
+        dev: &'a FpgaDevice,
+        design: &'a StencilDesign,
+        wl: &Workload,
+        slabs: Option<(&[Range<usize>], usize)>,
+    ) -> Result<Self, ExecError> {
+        let shape = |detail: String| ExecError::ShapeMismatch { detail };
+        let spec = &design.spec;
+        let halo = spec.halo(design.p);
+        // x tiles of `tile_m` read cells align to the bus word; `Tiled2D`
+        // y tiles of `tile_n` are unaligned; an untiled axis is one tile
+        let align = (dev.axi_bus_bytes / spec.elem_bytes).max(1);
+        let tiles = |n, tile, align| TileGrid1D::new(n, tile, halo, align).tiles().to_vec();
+        let whole = |n| vec![Tile1D { read_start: 0, read_len: n, valid_start: 0, valid_len: n }];
+        let (xs, ys, extent) = match (*wl, design.mode) {
+            (Workload::D2 { nx, ny, .. }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
+                (whole(nx), whole(1), ny)
             }
-            (cycles + design.pipeline_latency_cycles, read, write)
-        }
-        // ---- 3D spatial blocking: M × N tiles, full z extent ----
-        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { .. }) => {
-            let (gx, gy) = tile_grids(dev, design, nx, ny);
-            let mut cycles = 0u64;
-            let mut read = 0u64;
-            let mut write = 0u64;
-            for ty in gy.tiles() {
-                for tx in gx.tiles() {
-                    let planes = nz as u64 + fill;
-                    let rows = planes * ty.read_len as u64;
-                    let rc = design_row_cycles(dev, design, tx.read_len, tx.valid_len);
-                    cycles += rows * rc + dev.axi_latency_cycles as u64;
-                    read += (tx.read_len * ty.read_len * nz) as u64 * spec.ext_read_bytes as u64;
-                    write +=
-                        (tx.valid_len * ty.valid_len * nz) as u64 * spec.ext_write_bytes as u64;
+            (Workload::D3 { nx, ny, nz, .. }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
+                (whole(nx), whole(ny), nz)
+            }
+            (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { tile_m }) => {
+                (tiles(nx, tile_m, align), whole(1), ny)
+            }
+            (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
+                (tiles(nx, tile_m, align), tiles(ny, tile_n, 1), nz)
+            }
+            (Workload::D3 { .. }, ExecMode::Tiled1D { .. }) => {
+                return Err(shape("Tiled1D is a 2D mode".to_string()))
+            }
+            (Workload::D2 { .. }, ExecMode::Tiled2D { .. }) => {
+                return Err(shape("Tiled2D is a 3D mode".to_string()))
+            }
+        };
+        let tiled = design.mode.is_tiled();
+        let devices = match slabs {
+            None => vec![(0, extent, extent)],
+            Some(_) if tiled => {
+                return Err(ExecError::Unsupported {
+                    detail: "sharded runs need a Baseline or Batched design".to_string(),
+                })
+            }
+            Some((owned, h)) => {
+                // every unit is owned by exactly one slab, and each slab's
+                // discarded halo covers the units its fake edges contaminate
+                let end = owned
+                    .iter()
+                    .try_fold(0, |end, s| (s.start == end && s.end > s.start).then_some(s.end));
+                if end != Some(extent) {
+                    return Err(shape(format!(
+                        "slabs {owned:?} do not tile units 0..{extent} in order"
+                    )));
                 }
+                if h < halo {
+                    return Err(shape(format!(
+                        "slab halo {h} is shallower than the design's {halo}-unit halo"
+                    )));
+                }
+                let slab = |s: &Range<usize>| {
+                    let lo = s.start.saturating_sub(h);
+                    (lo, (s.end + h).min(extent) - lo, s.len())
+                };
+                owned.iter().map(slab).collect()
             }
-            (cycles + design.pipeline_latency_cycles, read, write)
-        }
-        (Workload::D2 { .. }, ExecMode::Tiled2D { .. })
-        | (Workload::D3 { .. }, ExecMode::Tiled1D { .. }) => {
-            unreachable!("synthesis rejects mismatched mode/workload dims")
-        }
-    };
-
-    let total_cycles = passes * cycles_per_pass;
-    let host_calls = passes;
-    let runtime_s =
-        total_cycles as f64 / design.freq_hz + host_calls as f64 * dev.host_call_latency_s;
-    let cell_iters = niter * wl.total_cells();
-    CyclePlan {
-        passes,
-        cycles_per_pass,
-        total_cycles,
-        host_calls,
-        runtime_s,
-        ext_read_bytes: passes * read_per_pass,
-        ext_write_bytes: passes * write_per_pass,
-        logical_bytes: cell_iters * spec.logical_rw_bytes as u64,
-        cell_iters,
+        };
+        let mem = match design.mem {
+            MemKind::Hbm => &dev.hbm,
+            MemKind::Ddr4 => &dev.ddr4,
+        };
+        let timing = |x: &Tile1D| {
+            axi::row_timing(
+                dev,
+                mem,
+                design.freq_hz,
+                design.v,
+                x.read_len,
+                x.read_len * spec.ext_read_bytes,
+                x.valid_len * spec.ext_write_bytes,
+                design.read_channels,
+                design.write_channels,
+            )
+        };
+        Ok(Schedule {
+            dev,
+            design,
+            wl: *wl,
+            xs: xs.iter().map(|x| (*x, timing(x))).collect(),
+            ys,
+            sharded: slabs.is_some(),
+            slabs: devices,
+            meshes: if tiled { 1 } else { wl.batch() as u64 },
+            turnaround: if tiled { dev.axi_latency_cycles as u64 } else { 0 },
+        })
     }
+
+    /// Whether the schedule streams a sharded run's slabs.
+    pub(crate) fn is_sharded(&self) -> bool {
+        self.sharded
+    }
+
+    /// The segments one pass streams: device by device, then y tile by y
+    /// tile, then x tile by x tile.
+    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
+        let fill = self.design.spec.halo(self.design.p) as u64;
+        self.slabs.iter().enumerate().flat_map(move |(device, &(first_unit, units, owned))| {
+            self.ys.iter().enumerate().flat_map(move |(j, &y)| {
+                self.xs.iter().enumerate().map(move |(i, &(x, timing))| Segment {
+                    device,
+                    tile: (i, j),
+                    x,
+                    y,
+                    first_unit,
+                    units,
+                    data_rows: self.meshes * (units * y.read_len) as u64,
+                    fill_rows: fill * y.read_len as u64,
+                    written_rows: self.meshes * (owned * y.valid_len) as u64,
+                    turnaround: self.turnaround,
+                    timing,
+                })
+            })
+        })
+    }
+
+    /// Plan a full solve of `niter` iterations: every device streams its
+    /// segments and closes the pass with the pipeline latency plus its
+    /// `exposed[device]` cycles (a sharded run's exchange; missing entries
+    /// are 0), and the pass lasts as long as the slowest device. Traffic
+    /// sums every segment, and each device enqueues once per pass.
+    pub fn plan(&self, niter: u64, exposed: &[u64]) -> CyclePlan {
+        let (dev, design, spec) = (self.dev, self.design, &self.design.spec);
+        let passes = niter.div_ceil(design.p as u64).max(1);
+        let mut busy = vec![0u64; self.slabs.len()];
+        let (mut read, mut write) = (0u64, 0u64);
+        for s in self.segments() {
+            busy[s.device] += s.cycles();
+            read += s.data_rows * (s.x.read_len * spec.ext_read_bytes) as u64;
+            write += s.written_rows * (s.x.valid_len * spec.ext_write_bytes) as u64;
+        }
+        let exposed = |k: usize| exposed.get(k).copied().unwrap_or(0);
+        let cycles_per_pass = busy
+            .iter()
+            .enumerate()
+            .map(|(k, b)| b + design.pipeline_latency_cycles + exposed(k))
+            .max()
+            .unwrap_or(0);
+        let total_cycles = passes * cycles_per_pass;
+        let host_calls = passes * self.slabs.len() as u64;
+        let runtime_s =
+            total_cycles as f64 / design.freq_hz + host_calls as f64 * dev.host_call_latency_s;
+        let cell_iters = niter * self.wl.total_cells();
+        CyclePlan {
+            passes,
+            cycles_per_pass,
+            total_cycles,
+            host_calls,
+            runtime_s,
+            ext_read_bytes: passes * read,
+            ext_write_bytes: passes * write,
+            logical_bytes: cell_iters * spec.logical_rw_bytes as u64,
+            cell_iters,
+        }
+    }
+}
+
+/// Plan a full solve on one device. A design whose mode cannot stream
+/// `wl` plans nothing (the all-zero plan); [`Schedule::new`] names why.
+pub fn plan(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> CyclePlan {
+    Schedule::new(dev, design, wl, None)
+        .map_or_else(|_| CyclePlan::default(), |s| s.plan(niter, &[]))
 }
 
 #[cfg(test)]
@@ -442,13 +570,16 @@ mod tests {
         let wl = Workload::D2 { nx: 128, ny: 64, batch: 1 };
         let mut spec = StencilSpec::poisson();
         spec.order = 3;
+        let fill = |ds: &StencilDesign| {
+            Schedule::new(&d, ds, &wl, None).unwrap().segments().map(|s| s.fill_rows).sum::<u64>()
+        };
         let ds = synthesize(&d, &spec, 8, 5, ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
-        assert_eq!(fill_units(&ds), 10); // p=5 · stages=1 · ⌈3/2⌉=2
-                                         // even orders are unchanged from the paper's p·stages·D/2 term
+        assert_eq!(fill(&ds), 10); // p=5 · stages=1 · ⌈3/2⌉=2
+                                   // even orders are unchanged from the paper's p·stages·D/2 term
         let ds_even =
             synthesize(&d, &StencilSpec::poisson(), 8, 60, ExecMode::Baseline, MemKind::Hbm, &wl)
                 .unwrap();
-        assert_eq!(fill_units(&ds_even), 60);
+        assert_eq!(fill(&ds_even), 60);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! or fault mode, so the simulator runs it as one. A [`Run`] describes what
 //! to execute; [`Run::simulate`] executes it on a `Batch2D` or `Batch3D`
 //! ([`StreamGrid`]: the streamed unit is a row in 2D and a plane in 3D).
-//! Underneath there is:
+//! The run check walks the run's schedule once ([`crate::cycles::Schedule`]):
+//! its segments give the unit cost and a tiled pass's tiles. Underneath
+//! there is:
 //!
 //! * one chain runner (`window::run_chain`) with an optional fault
 //!   hook ([`crate::resilient`]);
@@ -26,7 +28,7 @@
 //! [`ExecEngine`] is matched in one function; everything below it is
 //! monomorphized per engine and dimension.
 
-use crate::cycles::{self, CyclePlan};
+use crate::cycles::{CyclePlan, Schedule};
 use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::error::ExecError;
@@ -70,17 +72,16 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
     /// The workload this batch is.
     fn workload(&self) -> Workload;
     /// One spatially blocked pass of a tiled design over a single mesh:
-    /// every tile streams `chain` against the pass-start state `cur` and
-    /// writes its valid region into `next`; the valid regions cover the
-    /// mesh. 1D (2D-mesh) and 2D (3D-mesh) tiling differ, so each
-    /// dimension brings its own.
+    /// every tile of `sched` ([`Schedule::segments`]) streams `chain`
+    /// against the pass-start state `cur` and writes its valid region into
+    /// `next`; the valid regions cover the mesh. 1D (2D-mesh) and 2D
+    /// (3D-mesh) tiling differ, so each dimension brings its own.
     ///
     /// # Errors
     /// None today: a tiled pass runs no fault hook.
     fn tiled_pass<K, E: Engine<Self, K>>(
         engine: &E,
-        dev: &FpgaDevice,
-        design: &StencilDesign,
+        sched: &Schedule<'_>,
         chain: &[K],
         cur: &Self,
         next: &mut Self,
@@ -288,12 +289,14 @@ impl<'a, K> Run<'a, K> {
         }
     }
 
-    /// The run check: does this run fit `input`?
+    /// The run check: does this run fit `input`? The schedule walk
+    /// ([`Schedule::new`]) rejects modes and slab layouts the input cannot
+    /// stream; the rest is about batch size, fan-out and faults.
     pub(crate) fn check<B: StreamGrid>(
         &self,
         input: &B,
         slabs: Option<&Slabs<'_>>,
-    ) -> Result<(), ExecError> {
+    ) -> Result<Schedule<'a>, ExecError> {
         let shape = |detail: String| Err(ExecError::ShapeMismatch { detail });
         let unsupported = |detail: &str| Err(ExecError::Unsupported { detail: detail.to_string() });
         let (design, b) = (self.design, input.batch());
@@ -307,50 +310,23 @@ impl<'a, K> Run<'a, K> {
                 self.stages.len()
             ));
         }
-        match (design.mode, input.workload()) {
-            (ExecMode::Tiled1D { .. }, Workload::D3 { .. }) => {
-                return shape("Tiled1D is a 2D mode".to_string())
-            }
-            (ExecMode::Tiled2D { .. }, Workload::D2 { .. }) => {
-                return shape("Tiled2D is a 3D mode".to_string())
-            }
-            (ExecMode::Batched { b: db }, _) if b != db => {
+        let sched =
+            Schedule::new(self.dev, design, &input.workload(), slabs.map(|s| (s.owned, s.halo)))?;
+        match design.mode {
+            ExecMode::Batched { b: db } if b != db => {
                 return shape(format!("batch size mismatch: design batch {db} fed batch {b}"))
             }
-            (ExecMode::Baseline, _) if b != 1 => {
+            ExecMode::Baseline if b != 1 => {
                 return shape(format!("baseline design runs one mesh, got batch {b}"))
             }
-            (ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. }, _) if b != 1 => {
+            ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. } if b != 1 => {
                 return shape(format!("tiled design runs one mesh, got batch {b}"))
             }
             _ => {}
         }
-        if let Some(slabs) = slabs {
-            // Every unit of the next-pass buffer is written by exactly one
-            // slab, and each slab's discarded halo covers the units its
-            // fake edges contaminate.
-            let tiles = slabs
-                .owned
-                .iter()
-                .try_fold(0, |end, s| (s.start == end && s.end > s.start).then_some(s.end));
-            if tiles != Some(input.mesh_units()) {
-                return shape(format!(
-                    "slabs {:?} do not tile units 0..{} in order",
-                    slabs.owned,
-                    input.mesh_units()
-                ));
-            }
-            let need = design.spec.halo(design.p);
-            if slabs.halo < need {
-                return shape(format!(
-                    "slab halo {} is shallower than the design's {need}-unit halo",
-                    slabs.halo
-                ));
-            }
-        }
-        let tiled = matches!(design.mode, ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. });
+        let tiled = design.mode.is_tiled();
         let sharded = slabs.is_some();
-        match self.faults {
+        let combination = match self.faults {
             _ if tiled && (self.jobs.is_some() || sharded) => {
                 unsupported("batch and sharded executors need a Baseline or Batched design")
             }
@@ -368,7 +344,8 @@ impl<'a, K> Run<'a, K> {
                 unsupported("a fault plan seeds per-mesh injectors: set jobs")
             }
             Faults::Plan(_) => Ok(()),
-        }
+        };
+        combination.map(|()| sched)
     }
 
     /// [`Run::simulate`] on a given engine (kernels without a lane impl run
@@ -384,16 +361,16 @@ impl<'a, K> Run<'a, K> {
         K: GridKernel<B>,
         E: Engine<B, K>,
     {
-        self.check(input, slabs)?;
+        let sched = self.check(input, slabs)?;
         let Run { dev, design, stages, niter, jobs, retry, recovery, .. } = *self;
         let (wl, n_iter) = (input.workload(), niter as u64);
-        let (nx, ny) = input.unit_shape();
         let px = Passes {
             engine,
             stages,
-            dev,
-            design,
-            unit_cycles: cycles::design_row_cycles(dev, design, nx, nx) * ny as u64,
+            sched: &sched,
+            // whole-stream and slab segments stream the same unit; a tiled
+            // pass reads each tile's own
+            unit_cycles: sched.segments().next().map_or(0, |s| s.unit_cycles()),
             jobs: jobs.unwrap_or(1),
         };
         let all = recovery::segment_passes(design.p, niter, usize::MAX);
@@ -417,6 +394,7 @@ impl<'a, K> Run<'a, K> {
                         let mesh = px.run(input.member(i), &all, layout, rec, None)?;
                         out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(mesh.as_slice());
                     }
+                    profile::attribute_stalls(rec, &sched, slabs.plan.passes);
                     let report = SimReport::from_plan(design, slabs.plan, n_iter, slabs.power_w);
                     return Ok((out, report, RecoveryStats::default()));
                 }
@@ -517,13 +495,12 @@ impl<'a, K> Run<'a, K> {
     }
 }
 
-/// What every pass of a run shares: the engine, one iteration's stages and
-/// the streaming cost of one unit.
+/// What every pass of a run shares: the engine, one iteration's stages, the
+/// schedule walk and the streaming cost of one unit.
 pub(crate) struct Passes<'p, K, E> {
     engine: &'p E,
     pub(crate) stages: &'p [K],
-    dev: &'p FpgaDevice,
-    pub(crate) design: &'p StencilDesign,
+    pub(crate) sched: &'p Schedule<'p>,
     /// Cycles to stream one unit: a row, or a plane of `ny` rows.
     unit_cycles: u64,
     /// Workers for the slabs of a sharded pass.
@@ -548,7 +525,7 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     where
         E: Engine<B, K>,
     {
-        let tiled = matches!(self.design.mode, ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. });
+        let tiled = self.sched.design.mode.is_tiled();
         // the deepest pass's chain; a shorter pass streams a prefix of it
         let depth = passes.iter().copied().max().unwrap_or(0);
         let full: Vec<K> = (0..depth).flat_map(|_| self.stages.iter().cloned()).collect();
@@ -560,15 +537,9 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
             let chain = &full[..p_eff * self.stages.len()];
             let pass_rec: &mut Recorder = if n == 0 { &mut *rec } else { &mut off };
             match layout {
-                _ if tiled => B::tiled_pass(
-                    self.engine,
-                    self.dev,
-                    self.design,
-                    chain,
-                    &cur,
-                    &mut next,
-                    pass_rec,
-                )?,
+                _ if tiled => {
+                    B::tiled_pass(self.engine, self.sched, chain, &cur, &mut next, pass_rec)?
+                }
                 Layout::Whole { prefix, base_cycle } => {
                     let trace = ChainTrace {
                         rec: pass_rec,
@@ -686,6 +657,7 @@ pub(crate) fn expect_checked<B>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycles;
     use crate::design::{synthesize, MemKind};
     use sf_kernels::{Poisson2D, StencilSpec};
     use sf_mesh::Batch2D;

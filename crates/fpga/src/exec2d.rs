@@ -10,9 +10,11 @@
 //!
 //! Both executors are one-line calls into [`crate::driver`]; this module
 //! supplies what is 2D about them: a `Batch2D` streams rows, and a tiled
-//! design blocks it along x only ([`StreamGrid::tiled_pass`]).
+//! design blocks it along x only ([`StreamGrid::tiled_pass`]), streaming
+//! the tiles of the schedule walk ([`Schedule`]) with each tile's own row
+//! cost.
 
-use crate::cycles;
+use crate::cycles::Schedule;
 use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
@@ -27,7 +29,8 @@ use sf_telemetry::Recorder;
 /// Timing/power estimate for a workload without executing the numerics.
 ///
 /// # Errors
-/// [`ExecError::ShapeMismatch`] if the workload is not 2D.
+/// [`ExecError::ShapeMismatch`] if the workload is not 2D, or if the
+/// design's mode cannot stream it (a `Tiled2D` design).
 pub fn estimate_2d(
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -39,7 +42,7 @@ pub fn estimate_2d(
             detail: "2D estimator needs a 2D workload".to_string(),
         });
     }
-    let plan = cycles::plan(dev, design, wl, niter);
+    let plan = Schedule::new(dev, design, wl, None)?.plan(niter, &[]);
     Ok(SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design)))
 }
 
@@ -129,20 +132,19 @@ impl<T: Element> StreamGrid for Batch2D<T> {
     /// whose valid columns are copied into `next`.
     fn tiled_pass<K, E: Engine<Self, K>>(
         engine: &E,
-        dev: &FpgaDevice,
-        design: &StencilDesign,
+        sched: &Schedule<'_>,
         chain: &[K],
         cur: &Self,
         next: &mut Self,
         rec: &mut Recorder,
     ) -> Result<(), ExecError> {
         let (nx, ny) = (cur.nx(), cur.ny());
-        // halo sized for the full design depth p (covers shorter final passes too)
-        let (grid, _) = cycles::tile_grids(dev, design, nx, ny);
         let (src, out) = (cur.as_slice(), next.as_mut_slice());
         let mut scratch = Vec::new();
         let mut off = Recorder::disabled();
-        for (i, t) in grid.tiles().iter().enumerate() {
+        // halo sized for the full design depth p (covers shorter final passes too)
+        for seg in sched.segments() {
+            let t = seg.x;
             let input = |y: usize, slot: &mut [T]| {
                 let s = y * nx + t.read_start;
                 slot.copy_from_slice(&src[s..s + t.read_len]);
@@ -150,10 +152,10 @@ impl<T: Element> StreamGrid for Batch2D<T> {
             // Window-level events for the first tile only: every tile streams
             // the same chain, differing only in width.
             let trace = ChainTrace {
-                rec: if i == 0 { &mut *rec } else { &mut off },
+                rec: if seg.tile == (0, 0) { &mut *rec } else { &mut off },
                 prefix: "tile0/",
                 base_cycle: 0,
-                unit_cycles: cycles::design_row_cycles(dev, design, t.read_len, t.valid_len),
+                unit_cycles: seg.unit_cycles(),
             };
             let valid = t.valid_offset()..t.valid_offset() + t.valid_len;
             scratch.resize(t.read_len, T::default());
@@ -274,6 +276,27 @@ mod tests {
         let err = estimate_2d(&dev(), &ds, &bad, 8).unwrap_err();
         assert!(matches!(err, ExecError::ShapeMismatch { .. }), "{err:?}");
         assert!(format!("{err}").contains("2D estimator needs a 2D workload"));
+    }
+
+    #[test]
+    fn estimate_rejects_a_mode_the_workload_cannot_stream() {
+        // a Tiled2D design (a 3D mode) priced on a 2D workload used to panic
+        // in the cycle plan; the schedule walk rejects it
+        let wl3 = Workload::D3 { nx: 64, ny: 64, nz: 16, batch: 1 };
+        let ds = synthesize(
+            &dev(),
+            &sf_kernels::StencilSpec::jacobi(),
+            8,
+            2,
+            ExecMode::Tiled2D { tile_m: 32, tile_n: 32 },
+            MemKind::Hbm,
+            &wl3,
+        )
+        .unwrap();
+        let wl2 = Workload::D2 { nx: 64, ny: 32, batch: 1 };
+        let err = estimate_2d(&dev(), &ds, &wl2, 8).unwrap_err();
+        assert!(matches!(err, ExecError::ShapeMismatch { .. }), "{err:?}");
+        assert!(format!("{err}").contains("Tiled2D is a 3D mode"), "{err}");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! Both executors are one-line calls into [`crate::driver`]; this module
 //! supplies what is 3D about them: a `Batch3D` streams planes, and a tiled
 //! design blocks it into `M × N` columns spanning the full `z` extent
-//! ([`StreamGrid::tiled_pass`]).
+//! ([`StreamGrid::tiled_pass`]), streaming the tiles of the schedule walk
+//! ([`Schedule`]) with each tile's own plane cost.
 
-use crate::cycles;
+use crate::cycles::Schedule;
 use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
@@ -23,7 +24,8 @@ use sf_telemetry::Recorder;
 /// Timing/power estimate without executing the numerics.
 ///
 /// # Errors
-/// [`ExecError::ShapeMismatch`] if the workload is not 3D.
+/// [`ExecError::ShapeMismatch`] if the workload is not 3D, or if the
+/// design's mode cannot stream it (a `Tiled1D` design).
 pub fn estimate_3d(
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -35,7 +37,7 @@ pub fn estimate_3d(
             detail: "3D estimator needs a 3D workload".to_string(),
         });
     }
-    let plan = cycles::plan(dev, design, wl, niter);
+    let plan = Schedule::new(dev, design, wl, None)?.plan(niter, &[]);
     Ok(SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design)))
 }
 
@@ -103,50 +105,44 @@ impl<T: Element> StreamGrid for Batch3D<T> {
     /// `M × N` tiles spanning the full `z` extent, streamed plane by plane.
     fn tiled_pass<K, E: Engine<Self, K>>(
         engine: &E,
-        dev: &FpgaDevice,
-        design: &StencilDesign,
+        sched: &Schedule<'_>,
         chain: &[K],
         cur: &Self,
         next: &mut Self,
         rec: &mut Recorder,
     ) -> Result<(), ExecError> {
         let (nx, ny, nz) = (cur.nx(), cur.ny(), cur.nz());
-        let (gx, gy) = cycles::tile_grids(dev, design, nx, ny);
         let (src, out) = (cur.as_slice(), next.as_mut_slice());
         let mut scratch = Vec::new();
         let mut off = Recorder::disabled();
-        let mut first_tile = true;
-        for ty in gy.tiles() {
-            for tx in gx.tiles() {
-                let input = |z: usize, slot: &mut [T]| {
-                    let rows = slot.chunks_exact_mut(tx.read_len);
-                    for (y, row) in (ty.read_start..ty.read_end()).zip(rows) {
-                        let s = (z * ny + y) * nx + tx.read_start;
-                        row.copy_from_slice(&src[s..s + tx.read_len]);
-                    }
-                };
-                let trace = ChainTrace {
-                    rec: if first_tile { &mut *rec } else { &mut off },
-                    prefix: "tile0/",
-                    base_cycle: 0,
-                    unit_cycles: cycles::design_row_cycles(dev, design, tx.read_len, tx.valid_len)
-                        * ty.read_len as u64,
-                };
-                first_tile = false;
-                let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
-                scratch.resize(tx.read_len * ty.read_len, T::default());
-                let put = |z: usize, pl: &[T]| {
-                    for vy in 0..ty.valid_len {
-                        let src = (offy + vy) * tx.read_len + offx;
-                        let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
-                        out[dst..dst + tx.valid_len].copy_from_slice(&pl[src..src + tx.valid_len]);
-                    }
-                };
-                let mut sink = Scatter { scratch: &mut scratch, put };
-                let shape = (tx.read_len, ty.read_len);
-                let mut stages = build_chain(engine, chain, shape, nz, nz);
-                run_chain::<Self, _>(&mut stages, nz, input, &mut sink, trace, None)?;
-            }
+        for seg in sched.segments() {
+            let (tx, ty) = (seg.x, seg.y);
+            let input = |z: usize, slot: &mut [T]| {
+                let rows = slot.chunks_exact_mut(tx.read_len);
+                for (y, row) in (ty.read_start..ty.read_end()).zip(rows) {
+                    let s = (z * ny + y) * nx + tx.read_start;
+                    row.copy_from_slice(&src[s..s + tx.read_len]);
+                }
+            };
+            let trace = ChainTrace {
+                rec: if seg.tile == (0, 0) { &mut *rec } else { &mut off },
+                prefix: "tile0/",
+                base_cycle: 0,
+                unit_cycles: seg.unit_cycles(),
+            };
+            let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
+            scratch.resize(tx.read_len * ty.read_len, T::default());
+            let put = |z: usize, pl: &[T]| {
+                for vy in 0..ty.valid_len {
+                    let src = (offy + vy) * tx.read_len + offx;
+                    let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
+                    out[dst..dst + tx.valid_len].copy_from_slice(&pl[src..src + tx.valid_len]);
+                }
+            };
+            let mut sink = Scatter { scratch: &mut scratch, put };
+            let shape = (tx.read_len, ty.read_len);
+            let mut stages = build_chain(engine, chain, shape, nz, nz);
+            run_chain::<Self, _>(&mut stages, nz, input, &mut sink, trace, None)?;
         }
         Ok(())
     }
@@ -383,6 +379,27 @@ mod tests {
         let err = estimate_3d(&dev(), &ds, &bad, 4).unwrap_err();
         assert!(matches!(err, ExecError::ShapeMismatch { .. }), "{err:?}");
         assert!(format!("{err}").contains("3D estimator needs a 3D workload"));
+    }
+
+    #[test]
+    fn estimate_rejects_a_mode_the_workload_cannot_stream() {
+        // a Tiled1D design (a 2D mode) priced on a 3D workload used to panic
+        // in the cycle plan; the schedule walk rejects it
+        let wl2 = Workload::D2 { nx: 64, ny: 32, batch: 1 };
+        let ds = synthesize(
+            &dev(),
+            &StencilSpec::poisson(),
+            8,
+            2,
+            ExecMode::Tiled1D { tile_m: 32 },
+            MemKind::Hbm,
+            &wl2,
+        )
+        .unwrap();
+        let wl3 = Workload::D3 { nx: 64, ny: 32, nz: 16, batch: 1 };
+        let err = estimate_3d(&dev(), &ds, &wl3, 4).unwrap_err();
+        assert!(matches!(err, ExecError::ShapeMismatch { .. }), "{err:?}");
+        assert!(format!("{err}").contains("Tiled1D is a 2D mode"), "{err}");
     }
 }
 

@@ -29,8 +29,11 @@
 //!   through chained stages exactly as the HLS dataflow pipeline would, each
 //!   stage writing its output straight into the next stage's window, so
 //!   results are bit-exact vs the golden reference.
-//! * [`cycles`] — the closed-form cycle model shared by the executor and the
-//!   estimator (and validated against the paper's equations in `sf-model`).
+//! * [`cycles`] — the closed-form cycle model and the one schedule walker
+//!   ([`cycles::Schedule`]): the per-pass segments (mesh, tile or device
+//!   slab) that the plan, the explainer ([`trace`]), the telemetry sink
+//!   ([`profile`]), the tiled passes and `sf-model`'s predictions all fold
+//!   over.
 //! * [`driver`] — the one pass driver behind every executor: a
 //!   [`driver::Run`] (design, stages, iterations, engine, fan-out, faults,
 //!   recovery, recorder) executes on a `Batch2D` or `Batch3D` through one
@@ -45,10 +48,11 @@
 //!   `simulate_*` runs numerics + timing, `estimate_*` produces timing only
 //!   (for paper-scale workloads).
 //! * [`power`] — the xbutil-equivalent power/energy model.
-//! * [`profile`] — schedule-level telemetry: feeds an `sf-telemetry`
-//!   [`Recorder`] with per-pass/per-tile spans, AXI channel utilisation,
-//!   FIFO backpressure and stall attribution; a fault-free run adds
-//!   behavioral window-buffer events on top.
+//! * [`profile`] — schedule-level telemetry, the recorder sink of the
+//!   schedule walk: feeds an `sf-telemetry` [`Recorder`] with per-pass,
+//!   per-tile and per-device spans, AXI channel utilisation, FIFO
+//!   backpressure and stall attribution; a fault-free run adds behavioral
+//!   window-buffer events on top.
 
 pub mod axi;
 pub mod clock;

@@ -1,26 +1,30 @@
-//! Schedule-level telemetry: turn a design's cycle plan into recorder
+//! Schedule-level telemetry: the recorder sink of the schedule walk
+//! ([`crate::cycles::Schedule`]). It turns a walked schedule into recorder
 //! events — per-pass and per-segment spans, per-channel AXI utilisation,
-//! FIFO backpressure, and a compute/memory/backpressure stall breakdown.
+//! FIFO backpressure, and a compute/memory/backpressure stall breakdown —
+//! for single-device runs ([`trace_schedule`]) and sharded ones
+//! (`sf_multi::trace_sharded_schedule`, and the stall attribution of a
+//! sharded streaming run).
 //!
-//! The emitted spans follow the *deterministic* streaming schedule of
-//! [`crate::cycles::plan`] (model cycles, not wall clock), so they
-//! reconcile exactly with the plan's totals:
+//! The emitted spans follow the *deterministic* streaming schedule (model
+//! cycles, not wall clock), so they reconcile exactly with the plan's
+//! totals:
 //!
 //! * spans on the `pipeline` track sum to `total_cycles`;
-//! * spans on the `segments` track (tiles plus the pipeline-latency
-//!   remainder) sum to `cycles_per_pass`;
+//! * on one device, spans on the `segments` track (tiles plus the
+//!   pipeline-latency remainder) sum to `cycles_per_pass`; a sharded run
+//!   draws each device's pass and exposed exchange on `dev{k}/pipeline`;
 //! * the compute/memory stall attribution equals
-//!   [`crate::trace::PlanTrace::stall_breakdown`] by construction, with
+//!   [`crate::trace::PlanTrace::stall_breakdown`] summed over devices, with
 //!   FIFO backpressure observed by a producer/consumer model on top.
 //!
 //! Both invariants are pinned by property tests.
 
-use crate::axi;
-use crate::cycles::{self, CyclePlan};
-use crate::design::{ExecMode, MemKind, StencilDesign, Workload};
-use crate::device::{FpgaDevice, MemorySpec};
+use crate::cycles::{CyclePlan, RowBound, Schedule};
+use crate::design::{StencilDesign, Workload};
+use crate::device::FpgaDevice;
 use crate::fifo;
-use crate::trace;
+use crate::trace::{self, PlanTrace};
 use serde::Value;
 use sf_telemetry::{Recorder, StallClass};
 
@@ -33,16 +37,10 @@ const MAX_PASS_SPANS: u64 = 256;
 /// are sampled and scaled.
 const MAX_BACKPRESSURE_ROWS: u64 = 4096;
 
-fn mem_spec(dev: &FpgaDevice, mem: MemKind) -> &MemorySpec {
-    match mem {
-        MemKind::Hbm => &dev.hbm,
-        MemKind::Ddr4 => &dev.ddr4,
-    }
-}
-
 /// Emit the full schedule trace for `(design, wl, niter)` into `rec` and
 /// return the cycle plan it narrates. With a disabled recorder this is
-/// exactly [`cycles::plan`].
+/// exactly [`crate::cycles::plan`] (the all-zero plan for a mode that
+/// cannot stream `wl`).
 pub fn trace_schedule(
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -50,21 +48,43 @@ pub fn trace_schedule(
     niter: u64,
     rec: &mut Recorder,
 ) -> CyclePlan {
-    let plan = cycles::plan(dev, design, wl, niter);
-    if !rec.is_enabled() {
-        return plan;
+    let Ok(sched) = Schedule::new(dev, design, wl, None) else {
+        return CyclePlan::default();
+    };
+    let plan = sched.plan(niter, &[]);
+    if rec.is_enabled() {
+        rec.set_meta("mode", Value::String(format!("{:?}", design.mode)));
+        rec.set_meta("v", Value::U64(design.v as u64));
+        rec.set_meta("p", Value::U64(design.p as u64));
+        rec.set_meta("freq_mhz", Value::F64(design.freq_hz / 1e6));
+        rec.set_meta("passes", Value::U64(plan.passes));
+        rec.set_meta("cycles_per_pass", Value::U64(plan.cycles_per_pass));
+        rec.set_meta("total_cycles", Value::U64(plan.total_cycles));
+        record_schedule(rec, &sched, &plan, &[]);
     }
-    let tr = trace::explain(dev, design, wl, niter);
+    plan
+}
 
-    rec.set_meta("mode", Value::String(format!("{:?}", design.mode)));
-    rec.set_meta("v", Value::U64(design.v as u64));
-    rec.set_meta("p", Value::U64(design.p as u64));
-    rec.set_meta("freq_mhz", Value::F64(design.freq_hz / 1e6));
-    rec.set_meta("passes", Value::U64(plan.passes));
-    rec.set_meta("cycles_per_pass", Value::U64(plan.cycles_per_pass));
-    rec.set_meta("total_cycles", Value::U64(plan.total_cycles));
-
-    // ---- per-pass spans: pass i occupies [i·cpp, (i+1)·cpp) ----------------
+/// Record a walked schedule whose plan is `plan`: pass `i` spans
+/// `[i·cycles_per_pass, (i+1)·cycles_per_pass)` on the `pipeline` track;
+/// the first pass's segments are drawn under their [`trace::explain`]
+/// labels; and every segment's streamed rows are charged to the stall
+/// class its row bound names.
+///
+/// On one device the segments tile the `segments` track with their AXI
+/// channel utilisation, closed by the pipeline latency, and a FIFO model
+/// prices backpressure. A sharded schedule draws each device's pass on
+/// `dev{k}/pipeline`, followed by the `exposed[k]` exchange cycles its
+/// interior compute could not hide.
+pub fn record_schedule(
+    rec: &mut Recorder,
+    sched: &Schedule<'_>,
+    plan: &CyclePlan,
+    exposed: &[u64],
+) {
+    if !rec.is_enabled() {
+        return;
+    }
     let pipe = rec.track("pipeline");
     let cpp = plan.cycles_per_pass;
     let shown = plan.passes.min(MAX_PASS_SPANS);
@@ -80,70 +100,85 @@ pub fn trace_schedule(
             vec![("aggregated_passes".into(), Value::U64(plan.passes - shown))],
         );
     }
+    let tr = trace::narrate(sched, plan);
+    if sched.is_sharded() {
+        let latency = sched.design.pipeline_latency_cycles;
+        for (s, t) in sched.segments().zip(&tr.segments) {
+            let lane = rec.track(&format!("dev{}/pipeline", s.device));
+            let pass = s.cycles() + latency;
+            rec.span(lane, &t.label, 0, pass);
+            let exposed = exposed.get(s.device).copied().unwrap_or(0);
+            if exposed > 0 {
+                rec.span(lane, "exchange (exposed)", pass, pass + exposed);
+            }
+        }
+        attribute_stalls(rec, sched, plan.passes);
+    } else {
+        record_segments(rec, sched, &tr, plan);
+    }
+}
 
-    // ---- per-segment (tile) spans inside the first pass --------------------
-    // Each segment costs (data + fill) rows at its row rate, plus — for
-    // blocked modes — the per-tile AXI turnaround; the pass closes with the
-    // compute-pipeline latency. The sum reproduces cycles_per_pass exactly.
+/// Charge each segment's `passes × rows × row cycles` to the stall class
+/// its [`RowBound`] names, summed over devices. The static plan sizes
+/// inter-stage FIFOs so chained stages never backpressure
+/// ([`fifo::interstage_depth`]); observed backpressure is recorded
+/// separately.
+pub(crate) fn attribute_stalls(rec: &mut Recorder, sched: &Schedule<'_>, passes: u64) {
+    let (mut compute, mut memory) = (0u64, 0u64);
+    for s in sched.segments() {
+        let cycles = passes * s.rows() * s.timing.total();
+        match s.bound() {
+            RowBound::Compute => compute += cycles,
+            RowBound::Memory => memory += cycles,
+        }
+    }
+    rec.stall(StallClass::Compute, compute);
+    rec.stall(StallClass::Memory, memory);
+}
+
+/// The single-device detail of [`record_schedule`]: segment spans with
+/// AXI utilisation, stall attribution and the FIFO backpressure model.
+fn record_segments(rec: &mut Recorder, sched: &Schedule<'_>, tr: &PlanTrace, plan: &CyclePlan) {
+    let (dev, design) = (sched.dev, sched.design);
+    // Each segment costs (data + fill) rows at its row rate plus its
+    // turnaround; the pass closes with the compute-pipeline latency. The
+    // sum reproduces cycles_per_pass exactly.
     let seg_track = rec.track("segments");
-    let tile_overhead = match design.mode {
-        ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. } => dev.axi_latency_cycles as u64,
-        _ => 0,
-    };
-    let mem = mem_spec(dev, design.mem);
-    let spec = &design.spec;
     let mut cursor = 0u64;
-    for s in &tr.segments {
-        let dur = (s.data_rows + s.fill_rows) * s.row_cycles + tile_overhead;
+    for (s, t) in sched.segments().zip(&tr.segments) {
+        let dur = s.cycles();
         rec.span_with_args(
             seg_track,
-            &s.label,
+            &t.label,
             cursor,
             cursor + dur,
             vec![
                 ("data_rows".into(), Value::U64(s.data_rows)),
                 ("fill_rows".into(), Value::U64(s.fill_rows)),
-                ("row_cycles".into(), Value::U64(s.row_cycles)),
-                ("bound".into(), Value::String(format!("{:?}", s.bound))),
+                ("row_cycles".into(), Value::U64(s.timing.total())),
+                ("bound".into(), Value::String(format!("{:?}", s.bound()))),
             ],
         );
         // Per-channel burst utilisation for this segment's rows: bytes are
         // spread evenly across the assigned channels, so every channel in a
         // direction sees the same duty cycle.
-        let t = axi::row_timing(
-            dev,
-            mem,
-            design.freq_hz,
-            design.v,
-            s.cells_per_row,
-            s.cells_per_row * spec.ext_read_bytes,
-            s.write_cells_per_row * spec.ext_write_bytes,
-            design.read_channels,
-            design.write_channels,
-        );
         for ch in 0..design.read_channels {
             let track = rec.track(&format!("axi:rd{ch}"));
-            rec.gauge(track, "utilization", cursor, t.read_utilization());
+            rec.gauge(track, "utilization", cursor, s.timing.read_utilization());
         }
         for ch in 0..design.write_channels {
             let track = rec.track(&format!("axi:wr{ch}"));
-            rec.gauge(track, "utilization", cursor, t.write_utilization());
+            rec.gauge(track, "utilization", cursor, s.timing.write_utilization());
         }
         cursor += dur;
     }
     rec.span(seg_track, "pipeline latency", cursor, cursor + design.pipeline_latency_cycles);
     debug_assert_eq!(
         cursor + design.pipeline_latency_cycles,
-        cpp,
+        plan.cycles_per_pass,
         "segment spans must tile cycles_per_pass"
     );
-
-    // ---- stall attribution --------------------------------------------------
-    // Compute/memory come straight from the plan's per-row classification;
-    // backpressure from a FIFO model below.
-    let b = tr.stall_breakdown();
-    rec.stall(StallClass::Compute, b.compute_cycles);
-    rec.stall(StallClass::Memory, b.memory_cycles);
+    attribute_stalls(rec, sched, plan.passes);
 
     // ---- FIFO backpressure between the compute chain and the write engine --
     // The producer emits one row every max(compute, read) + gap cycles; the
@@ -152,23 +187,14 @@ pub fn trace_schedule(
     // the static plan calls compute- or read-bound) the FIFO never fills and
     // zero backpressure is recorded — matching PlanTrace. A write-dominated
     // segment fills the FIFO and surfaces producer stalls here.
-    if let Some(s) = tr.segments.iter().max_by_key(|s| s.data_rows + s.fill_rows) {
-        let t = axi::row_timing(
-            dev,
-            mem,
-            design.freq_hz,
-            design.v,
-            s.cells_per_row,
-            s.cells_per_row * spec.ext_read_bytes,
-            s.write_cells_per_row * spec.ext_write_bytes,
-            design.read_channels,
-            design.write_channels,
-        );
+    if let Some(s) = sched.segments().max_by_key(|s| s.rows()) {
+        let t = s.timing;
         let produce = t.compute.max(t.read) + t.gap;
         let drain = t.write.max(1);
-        let depth_words = fifo::interstage_depth(dev.axi_burst_bytes, design.v, spec.elem_bytes);
-        let cap_rows = (depth_words * design.v / s.cells_per_row.max(1)).max(1);
-        let rows_per_pass = s.data_rows + s.fill_rows;
+        let depth_words =
+            fifo::interstage_depth(dev.axi_burst_bytes, design.v, design.spec.elem_bytes);
+        let cap_rows = (depth_words * design.v / s.x.read_len.max(1)).max(1);
+        let rows_per_pass = s.rows();
         let sim_rows = rows_per_pass.min(MAX_BACKPRESSURE_ROWS);
         let bp = fifo::simulate_backpressure(sim_rows, produce, drain, cap_rows);
         // Scale the sampled pass back up to the full run.
@@ -190,14 +216,13 @@ pub fn trace_schedule(
         });
         rec.stall(StallClass::Backpressure, scale(bp.stall_cycles));
     }
-
-    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::synthesize;
+    use crate::cycles;
+    use crate::design::{synthesize, ExecMode, MemKind};
     use sf_kernels::StencilSpec;
 
     fn dev() -> FpgaDevice {

@@ -209,7 +209,7 @@ where
     prm.take_checkpoint(&mut ring, &mut stats, &verified, 0, 0)?;
 
     while done < niter {
-        let seg = segment_passes(px.design.p, niter - done, prm.interval);
+        let seg = segment_passes(px.sched.design.p, niter - done, prm.interval);
         let seg_iters: usize = seg.iter().sum();
         // replaying a segment costs its passes at the watchdog's pass price
         let seg_replay_cycles = seg.len() as u64 * prm.budget.saturating_sub(1);

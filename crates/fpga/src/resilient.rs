@@ -187,7 +187,8 @@ pub fn plan_with_faults(
 /// Watchdog budget for one pass: a full pass worth of cycles with no
 /// forward progress means the pipeline is wedged.
 pub(crate) fn pass_budget(design: &StencilDesign, stream_units: u64, unit_cycles: u64) -> u64 {
-    unit_cycles * (stream_units + cycles::fill_units(design)) + design.pipeline_latency_cycles + 1
+    let fill = design.spec.halo(design.p) as u64;
+    unit_cycles * (stream_units + fill) + design.pipeline_latency_cycles + 1
 }
 
 #[cfg(test)]

@@ -1,30 +1,24 @@
 //! Plan explanation: an annotated breakdown of where a design's cycles go.
 //!
-//! [`explain`] walks the same streaming schedule as [`crate::cycles::plan`]
-//! and narrates it — fill vs data rows, per-row compute/memory occupancy and
-//! which side bounds the row, per-tile geometry, pass overheads — the
-//! reasoning a designer does over an HLS latency report. Used by the CLI and
-//! examples; tests pin the classifications for the paper's designs.
+//! [`explain`] narrates the schedule walk of [`crate::cycles::Schedule`] —
+//! fill vs data rows, per-row compute/memory occupancy and which side bounds
+//! the row, per-tile geometry, pass overheads — the reasoning a designer
+//! does over an HLS latency report. It is the one sink of the walk that
+//! formats labels; the recorder sink ([`crate::profile`]) draws segments
+//! under these names. Used by the CLI and examples; tests pin the
+//! classifications for the paper's designs.
 
-use crate::axi;
-use crate::cycles;
-use crate::design::{ExecMode, MemKind, StencilDesign, Workload};
+pub use crate::cycles::RowBound;
+use crate::cycles::{CyclePlan, Schedule};
+use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use serde::{Deserialize, Serialize};
 
-/// What limits a streamed row.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowBound {
-    /// The `V`-wide compute issue dominates.
-    Compute,
-    /// The memory channels dominate (strided tiles, narrow `V·k` budgets).
-    Memory,
-}
-
-/// One homogeneous streaming segment (whole mesh, or one tile column).
+/// One homogeneous streaming segment (whole mesh, one tile, or one
+/// device's slab).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SegmentTrace {
-    /// Human label ("mesh", "tile 3 [4096..8192)").
+    /// Human label ("mesh", "tile 3 [4096..8192)", "stream 190 units").
     pub label: String,
     /// Data rows streamed per pass.
     pub data_rows: u64,
@@ -114,115 +108,62 @@ impl PlanTrace {
     }
 }
 
-fn seg(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    label: String,
-    data_rows: u64,
-    fill_rows: u64,
-    cells: usize,
-    write_cells: usize,
-) -> SegmentTrace {
-    let mem = match design.mem {
-        MemKind::Hbm => &dev.hbm,
-        MemKind::Ddr4 => &dev.ddr4,
-    };
-    let row_cycles = axi::row_cycles(
-        dev,
-        mem,
-        design.freq_hz,
-        design.v,
-        cells,
-        cells * design.spec.ext_read_bytes,
-        write_cells * design.spec.ext_write_bytes,
-        design.read_channels,
-        design.write_channels,
-    );
-    let compute = cells.div_ceil(design.v) as u64;
-    SegmentTrace {
-        label,
-        data_rows,
-        fill_rows,
-        cells_per_row: cells,
-        write_cells_per_row: write_cells,
-        row_cycles,
-        compute_cycles: compute,
-        bound: if row_cycles - dev.axi_issue_gap_cycles as u64 > compute {
-            RowBound::Memory
-        } else {
-            RowBound::Compute
-        },
-    }
-}
-
-/// Explain where a design's cycles go on a workload.
-pub fn explain(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> PlanTrace {
-    let plan = cycles::plan(dev, design, wl, niter);
-    let fill = cycles::fill_units(design);
-    let mut segments = Vec::new();
-    match (*wl, design.mode) {
-        (Workload::D2 { nx, ny, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-            segments.push(seg(dev, design, "mesh".into(), (batch * ny) as u64, fill, nx, nx));
-        }
-        (Workload::D3 { nx, ny, nz, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-            segments.push(seg(
-                dev,
-                design,
-                "mesh".into(),
-                (batch * nz) as u64 * ny as u64,
-                fill * ny as u64,
-                nx,
-                nx,
-            ));
-        }
-        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { .. }) => {
-            let (grid, _) = cycles::tile_grids(dev, design, nx, ny);
-            for (i, t) in grid.tiles().iter().enumerate() {
-                segments.push(seg(
-                    dev,
-                    design,
-                    format!("tile {i} [{}..{})", t.read_start, t.read_end()),
-                    ny as u64,
-                    fill,
-                    t.read_len,
-                    t.valid_len,
-                ));
-            }
-        }
-        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { .. }) => {
-            let (gx, gy) = cycles::tile_grids(dev, design, nx, ny);
-            for (j, ty) in gy.tiles().iter().enumerate() {
-                for (i, tx) in gx.tiles().iter().enumerate() {
-                    segments.push(seg(
-                        dev,
-                        design,
-                        format!("tile ({i},{j})"),
-                        nz as u64 * ty.read_len as u64,
-                        fill * ty.read_len as u64,
-                        tx.read_len,
-                        tx.valid_len,
-                    ));
+/// Narrate a walked schedule whose plan is `plan`.
+pub(crate) fn narrate(sched: &Schedule<'_>, plan: &CyclePlan) -> PlanTrace {
+    let design = sched.design;
+    let segments: Vec<SegmentTrace> = sched
+        .segments()
+        .map(|s| SegmentTrace {
+            label: match design.mode {
+                _ if sched.is_sharded() => format!("stream {} units", s.units),
+                ExecMode::Baseline | ExecMode::Batched { .. } => "mesh".to_string(),
+                ExecMode::Tiled1D { .. } => {
+                    format!("tile {} [{}..{})", s.tile.0, s.x.read_start, s.x.read_end())
                 }
-            }
-        }
-        _ => unreachable!("synthesis rejects mismatched mode/workload"),
-    }
+                ExecMode::Tiled2D { .. } => format!("tile ({},{})", s.tile.0, s.tile.1),
+            },
+            data_rows: s.data_rows,
+            fill_rows: s.fill_rows,
+            cells_per_row: s.x.read_len,
+            write_cells_per_row: s.x.valid_len,
+            row_cycles: s.timing.total(),
+            compute_cycles: s.timing.compute,
+            bound: s.bound(),
+        })
+        .collect();
     let total_rows: u64 = segments.iter().map(|s| s.data_rows + s.fill_rows).sum();
     let fill_rows: u64 = segments.iter().map(|s| s.fill_rows).sum();
     PlanTrace {
         segments,
         passes: plan.passes,
         pipeline_latency_cycles: design.pipeline_latency_cycles,
-        host_latency_s: dev.host_call_latency_s,
+        host_latency_s: sched.dev.host_call_latency_s,
         total_cycles: plan.total_cycles,
         fill_fraction: fill_rows as f64 / total_rows.max(1) as f64,
+    }
+}
+
+/// Explain where a design's cycles go on a workload. A mode that cannot
+/// stream `wl` explains nothing: no segments and zero cycles
+/// ([`Schedule::new`] names why).
+pub fn explain(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> PlanTrace {
+    match Schedule::new(dev, design, wl, None) {
+        Ok(sched) => narrate(&sched, &sched.plan(niter, &[])),
+        Err(_) => PlanTrace {
+            segments: Vec::new(),
+            passes: 0,
+            pipeline_latency_cycles: design.pipeline_latency_cycles,
+            host_latency_s: dev.host_call_latency_s,
+            total_cycles: 0,
+            fill_fraction: 0.0,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::synthesize;
+    use crate::design::{synthesize, MemKind};
     use sf_kernels::StencilSpec;
 
     fn dev() -> FpgaDevice {
@@ -337,7 +278,7 @@ mod tests {
         assert!(tr.segments.len() > 1);
         assert!(tr.render().contains("more segments") || tr.segments.len() <= 6);
         // totals must agree with the plan it explains
-        let plan = cycles::plan(&dev(), &ds, &wl, 6_000);
+        let plan = crate::cycles::plan(&dev(), &ds, &wl, 6_000);
         assert_eq!(tr.total_cycles, plan.total_cycles);
     }
 

@@ -17,9 +17,8 @@
 //! designs out of the ranking entirely.
 
 use crate::blocking;
-use crate::cache::{check_cached, predict_cached};
 use crate::error::ModelError;
-use crate::predict::{Prediction, PredictionLevel};
+use crate::predict::{predict, Prediction, PredictionLevel};
 use serde::{Deserialize, Serialize};
 use sf_fpga::design::{synthesize, ExecMode, StencilDesign, Workload};
 use sf_fpga::{FpgaDevice, MemKind};
@@ -111,9 +110,9 @@ pub fn explore(
 /// `jobs` threads via [`sf_par::par_map`], then re-assembled in sweep
 /// order before ranking — so the returned vector is identical for every
 /// `jobs` value, including the tie-break order among equal runtimes.
-/// Predictions and check reports go through the process-wide caches in
-/// [`crate::cache`], so a repeated sweep (or a following
-/// `Workflow::preflight`) is mostly cache hits.
+/// Every candidate is distinct, so each is checked (`sf_check::check`) and
+/// predicted ([`predict`]) directly; nothing is memoized between
+/// candidates, sweeps or callers.
 pub fn explore_jobs(
     dev: &FpgaDevice,
     spec: &StencilSpec,
@@ -227,8 +226,8 @@ fn statically_legal(
     wl: &Workload,
     devices: usize,
 ) -> bool {
-    !check_cached(dev, &sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices))
-        .has_errors()
+    let design = sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices);
+    !sf_check::check(dev, &design).has_errors()
 }
 
 fn candidate(
@@ -247,7 +246,7 @@ fn candidate(
         let pr = crate::predict::predict_sharded(dev, &design, wl, niter, &cfg)?;
         (pr, pr.runtime_s)
     } else {
-        let pr = predict_cached(dev, &design, wl, niter, PredictionLevel::Extended)?;
+        let pr = predict(dev, &design, wl, niter, PredictionLevel::Extended)?;
         (pr, sf_fpga::cycles::plan(dev, &design, wl, niter).runtime_s)
     };
     if !planned_runtime_s.is_finite() {
@@ -501,29 +500,6 @@ mod tests {
             let par = explore_jobs(&d, &spec, &wl, 1000, &opts, jobs).unwrap();
             assert_eq!(par, serial, "jobs={jobs} must reproduce the serial ranking exactly");
         }
-    }
-
-    #[test]
-    fn repeated_sweeps_hit_the_prediction_cache() {
-        let d = dev();
-        let wl = Workload::D2 { nx: 180, ny: 180, batch: 1 };
-        let spec = StencilSpec::poisson();
-        let opts = DseOptions { allow_tiling: false, ..DseOptions::default() };
-        let first = explore_jobs(&d, &spec, &wl, 500, &opts, 1).unwrap();
-        // The sweep's own keys: one extended prediction per single-device
-        // candidate. Sibling tests share the process-wide memo, so only
-        // these keys — not its global entry count — are asserted on.
-        let singles: Vec<&Candidate> = first.iter().filter(|c| c.devices == 1).collect();
-        assert!(!singles.is_empty());
-        for c in &singles {
-            assert_eq!(
-                crate::cache::cached_prediction(&d, &c.design, &wl, 500, PredictionLevel::Extended),
-                Some(c.prediction),
-                "the first sweep must leave every prediction it made cached"
-            );
-        }
-        let second = explore_jobs(&d, &spec, &wl, 500, &opts, 1).unwrap();
-        assert_eq!(first, second, "the second sweep is served those cached predictions");
     }
 
     #[test]

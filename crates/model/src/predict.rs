@@ -12,11 +12,17 @@
 //!   `max()` of strided tile rows — so 3D tiled predictions under-estimate,
 //!   reproducing the paper's own observation that its "model predictions
 //!   \[are\] slightly less accurate" for Jacobi spatial blocking (Fig. 4c).
+//!
+//! Both levels price the segments of `sf-fpga`'s schedule walk
+//! ([`Schedule`]) — the rows the executors stream, fill included — with
+//! their own per-row cost: `⌈cells/V⌉` compute cycles, plus the issue gap
+//! and each tile's turnaround at Extended level. There is no cache in
+//! front of the model: a prediction is a walk over a handful of segments.
 
 use crate::error::ModelError;
 use serde::{Deserialize, Serialize};
-use sf_fpga::cycles::tile_grids;
-use sf_fpga::design::{ExecMode, StencilDesign, Workload};
+use sf_fpga::cycles::Schedule;
+use sf_fpga::design::{StencilDesign, Workload};
 use sf_fpga::FpgaDevice;
 use sf_multi::{sharded_plan, MultiConfig, MultiError};
 
@@ -42,72 +48,11 @@ pub struct Prediction {
     pub bandwidth_gbs: f64,
 }
 
-/// Rows (2D) or plane-rows (3D) streamed per pass, including fill, together
-/// with the per-row compute cycles — the common core of both levels.
-struct StreamShape {
-    /// (rows, cells_per_row) segments; tiled modes have one per tile.
-    segments: Vec<(u64, u64)>,
-    /// Per-pass extra cycles charged per segment at Extended level
-    /// (per-tile control turnaround).
-    per_segment_overhead: u64,
-}
-
-fn shape(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    wl: &Workload,
-) -> Result<StreamShape, ModelError> {
-    // Fill term of eqs. (2)/(3): ⌈D/2⌉ rows held back per chained stage.
-    // Ceiling per stage (not of the product) keeps odd-order stencils in
-    // lockstep with the simulator's `sf_fpga::cycles::fill_units`.
-    let fill = design.spec.halo(design.p) as u64;
-    Ok(match (*wl, design.mode) {
-        (Workload::D2 { nx, ny, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-            StreamShape {
-                segments: vec![((batch * ny) as u64 + fill, nx as u64)],
-                per_segment_overhead: 0,
-            }
-        }
-        (Workload::D3 { nx, ny, nz, batch }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-            StreamShape {
-                segments: vec![(((batch * nz) as u64 + fill) * ny as u64, nx as u64)],
-                per_segment_overhead: 0,
-            }
-        }
-        (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { .. }) => {
-            let (grid, _) = tile_grids(dev, design, nx, ny);
-            StreamShape {
-                segments: grid
-                    .tiles()
-                    .iter()
-                    .map(|t| (ny as u64 + fill, t.read_len as u64))
-                    .collect(),
-                per_segment_overhead: dev.axi_latency_cycles as u64,
-            }
-        }
-        (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { .. }) => {
-            let (gx, gy) = tile_grids(dev, design, nx, ny);
-            let mut segments = Vec::new();
-            for ty in gy.tiles() {
-                for tx in gx.tiles() {
-                    segments.push(((nz as u64 + fill) * ty.read_len as u64, tx.read_len as u64));
-                }
-            }
-            StreamShape { segments, per_segment_overhead: dev.axi_latency_cycles as u64 }
-        }
-        _ => {
-            return Err(ModelError::WorkloadMismatch {
-                detail: format!("mode {:?} cannot stream workload {:?}", design.mode, wl),
-            })
-        }
-    })
-}
-
 /// Predict the execution of `niter` iterations of a workload on a design.
 ///
 /// Fails with [`ModelError::WorkloadMismatch`] when the design's execution
-/// mode cannot stream the workload shape (the plain executors assert on the
-/// same condition), and with [`ModelError::NonFiniteRuntime`] when the
+/// mode cannot stream the workload shape (the schedule walk rejects it),
+/// and with [`ModelError::NonFiniteRuntime`] when the
 /// design point falls outside the calibrated model's domain.
 pub fn predict(
     dev: &FpgaDevice,
@@ -116,28 +61,22 @@ pub fn predict(
     niter: u64,
     level: PredictionLevel,
 ) -> Result<Prediction, ModelError> {
-    let p = design.p as u64;
-    let passes = niter.div_ceil(p).max(1);
-    let v = design.v as u64;
-    let sh = shape(dev, design, wl)?;
-
-    let gap = match level {
-        PredictionLevel::Ideal => 0,
-        PredictionLevel::Extended => dev.axi_issue_gap_cycles as u64,
-    };
-    let mut per_pass = 0u64;
-    for &(rows, cells) in &sh.segments {
-        per_pass += rows * (cells.div_ceil(v) + gap);
-        if level == PredictionLevel::Extended {
-            per_pass += sh.per_segment_overhead;
+    let passes = niter.div_ceil(design.p as u64).max(1);
+    let sched = Schedule::new(dev, design, wl, None).map_err(|_| ModelError::WorkloadMismatch {
+        detail: format!("mode {:?} cannot stream workload {:?}", design.mode, wl),
+    })?;
+    let extended = level == PredictionLevel::Extended;
+    let mut per_pass = if extended { design.pipeline_latency_cycles } else { 0 };
+    for s in sched.segments() {
+        if extended {
+            per_pass += s.rows() * (s.timing.compute + s.timing.gap) + s.turnaround;
+        } else {
+            per_pass += s.rows() * s.timing.compute;
         }
-    }
-    if level == PredictionLevel::Extended {
-        per_pass += design.pipeline_latency_cycles;
     }
     let cycles = passes * per_pass;
     let mut runtime_s = cycles as f64 / design.freq_hz;
-    if level == PredictionLevel::Extended {
+    if extended {
         runtime_s += passes as f64 * dev.host_call_latency_s;
     }
     let logical = niter * wl.total_cells() * design.spec.logical_rw_bytes as u64;
@@ -200,7 +139,7 @@ mod tests {
     use super::*;
     use crate::equations;
     use sf_fpga::cycles;
-    use sf_fpga::design::{synthesize, MemKind};
+    use sf_fpga::design::{synthesize, ExecMode, MemKind};
     use sf_kernels::StencilSpec;
 
     fn dev() -> FpgaDevice {
@@ -380,5 +319,33 @@ mod tests {
         let wl3 = Workload::D3 { nx: 64, ny: 64, nz: 64, batch: 1 };
         let err = predict(&d, &ds, &wl3, 100, PredictionLevel::Extended).unwrap_err();
         assert!(matches!(err, ModelError::WorkloadMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn cached_prediction_matches_uncached() {
+        // predict_cached is kept for the benchmark package and is predict
+        let dev = FpgaDevice::u280();
+        let wl = Workload::D2 { nx: 96, ny: 96, batch: 1 };
+        let ds =
+            synthesize(&dev, &StencilSpec::poisson(), 8, 4, ExecMode::Baseline, MemKind::Hbm, &wl)
+                .unwrap();
+        let direct = predict(&dev, &ds, &wl, 500, PredictionLevel::Extended).unwrap();
+        let c1 = crate::predict_cached(&dev, &ds, &wl, 500, PredictionLevel::Extended).unwrap();
+        let c2 = crate::predict_cached(&dev, &ds, &wl, 500, PredictionLevel::Extended).unwrap();
+        assert_eq!(direct.cycles, c1.cycles);
+        assert_eq!(c1.cycles, c2.cycles);
+        assert_eq!(direct.runtime_s.to_bits(), c2.runtime_s.to_bits());
+    }
+
+    #[test]
+    fn distinct_levels_and_iters_get_distinct_entries() {
+        let dev = FpgaDevice::u280();
+        let wl = Workload::D2 { nx: 80, ny: 80, batch: 1 };
+        let ds =
+            synthesize(&dev, &StencilSpec::poisson(), 8, 2, ExecMode::Baseline, MemKind::Hbm, &wl)
+                .unwrap();
+        let a = predict(&dev, &ds, &wl, 100, PredictionLevel::Ideal).unwrap();
+        let b = predict(&dev, &ds, &wl, 200, PredictionLevel::Ideal).unwrap();
+        assert!(b.cycles > a.cycles, "different iteration counts must not collide");
     }
 }

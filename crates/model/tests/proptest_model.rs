@@ -122,9 +122,10 @@ proptest! {
     }
 
     /// The pipeline-fill term is in lockstep between the simulator's
-    /// `sf_fpga::cycles::fill_units` and the model's eq. (2) fill — including
-    /// odd-order stencils, where both apply ⌈D/2⌉ per chained stage (the old
-    /// floored product `p·stages·D/2` under-priced fill for odd D).
+    /// schedule walk (`sf_fpga::cycles::Schedule`) and the model's eq. (2)
+    /// fill — including odd-order stencils, where both apply ⌈D/2⌉ per
+    /// chained stage (the old floored product `p·stages·D/2` under-priced
+    /// fill for odd D).
     #[test]
     fn fill_term_locksteps_simulator_and_model(
         order in 1usize..9,
@@ -142,7 +143,8 @@ proptest! {
             Err(_) => return Ok(()), // infeasible corner of the sweep
         };
         let fill = (p * stages * order.div_ceil(2)) as u64;
-        prop_assert_eq!(sf_fpga::cycles::fill_units(&ds), fill);
+        let walk = sf_fpga::cycles::Schedule::new(&d, &ds, &wl, None).unwrap();
+        prop_assert_eq!(walk.segments().map(|s| s.fill_rows).sum::<u64>(), fill);
         // the ideal prediction is eq. (2) with the effective (even) order
         // 2·stages·⌈D/2⌉ — i.e. the same fill rows per pass
         let d_eff = 2 * (stages * order.div_ceil(2)) as u64;

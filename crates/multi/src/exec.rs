@@ -4,28 +4,31 @@
 //! The executors are thin: they price the sharded schedule
 //! ([`sharded_plan`]), decompose the outermost axis ([`slab_partition`]) and
 //! hand both to the pass driver ([`sf_fpga::driver::Run::simulate_slabs`]),
-//! which streams every device's extended slab `[start−h, end+h) ∩
-//! [0, extent)` through the same window chain the single-device executors
-//! use and writes back only the owned units. Bit-exactness is by
-//! construction: a pass chains at most `p · stages` processors and a stage
-//! of radius `r` only lets boundary treatment contaminate `r` more units,
-//! so after the whole pass at most `p · stages · ⌈D/2⌉ = h` units adjacent
-//! to a *fake* (slab-interior) edge are wrong — exactly the discarded
-//! halo. Real mesh boundaries are never clamped away because the extension
-//! is clipped to `[0, extent)`. The result is bit-identical to the
-//! single-device executors for any device count, engine, and `jobs` value.
+//! which walks the slabs ([`sf_fpga::cycles::Schedule`]), streams every
+//! device's extended slab `[start−h, end+h) ∩ [0, extent)` through the same
+//! window chain the single-device executors use and writes back only the
+//! owned units. Bit-exactness is by construction: a pass chains at most
+//! `p · stages` processors and a stage of radius `r` only lets boundary
+//! treatment contaminate `r` more units, so after the whole pass at most
+//! `p · stages · ⌈D/2⌉ = h` units adjacent to a *fake* (slab-interior) edge
+//! are wrong — exactly the discarded halo. Real mesh boundaries are never
+//! clamped away because the extension is clipped to `[0, extent)`. The
+//! result is bit-identical to the single-device executors for any device
+//! count, engine, and `jobs` value.
 //!
 //! Telemetry mirrors the per-mesh fan-out of [`sf_fpga::exec_batch`]: each
 //! (device, mesh) pair records its first pass under a
 //! `dev{k}/mesh{i}/window/` track prefix with deterministic cycle offsets,
-//! shard recorders merge in slab order, and the halo-exchange cost is
-//! charged analytically from the [`ShardedPlan`] — `exchange.bytes` /
-//! `exchange.messages` counters plus the exposed (non-overlapped) cycles as
-//! [`sf_telemetry::StallClass::Exchange`] — so traces stay byte-identical
-//! for every `jobs` value.
+//! shard recorders merge in slab order, each device's streamed rows are
+//! attributed to compute or memory stalls by their row bound (the driver
+//! charges them through the recorder sink of [`sf_fpga::profile`]), and
+//! the halo-exchange cost is charged analytically from the [`ShardedPlan`]
+//! — `exchange.bytes` / `exchange.messages` counters plus the exposed
+//! (non-overlapped) cycles as [`sf_telemetry::StallClass::Exchange`] — so
+//! traces stay byte-identical for every `jobs` value.
 
 use crate::partition::slab_partition;
-use crate::plan::{sharded_plan, MultiConfig, MultiError, ShardedPlan};
+use crate::plan::{sharded_plan, slab_schedule, MultiConfig, MultiError, ShardedPlan};
 use sf_fpga::design::{StencilDesign, Workload};
 use sf_fpga::driver::{GridKernel, Run, Slabs, StreamGrid};
 use sf_fpga::window::{Engine, ScalarEngine};
@@ -72,13 +75,15 @@ where
     Ok(out)
 }
 
-/// Schedule-only telemetry for a sharded run: per-pass spans from the
-/// merged plan (pass wall-clock = slowest device, exposed exchange
-/// included), first-pass spans per device on `dev{k}/pipeline`, the
-/// sharded-schedule metadata, and the analytic exchange charges — without
-/// streaming any numerics. The multi-device twin of
-/// [`sf_fpga::profile::trace_schedule`] for paper-scale workloads: spans
-/// on the `pipeline` track sum to `merged.total_cycles`.
+/// Schedule-only telemetry for a sharded run: the sharded-schedule
+/// metadata, then the slab walk drawn by `sf-fpga`'s recorder sink
+/// ([`sf_fpga::profile::record_schedule`], the one behind
+/// [`sf_fpga::profile::trace_schedule`]) — per-pass spans from the merged
+/// plan (pass wall-clock = slowest device, exposed exchange included),
+/// first-pass spans per device on `dev{k}/pipeline`, each device's
+/// streamed rows attributed to compute or memory stalls — and the analytic
+/// exchange charges, without streaming any numerics. For paper-scale
+/// workloads: spans on the `pipeline` track sum to `merged.total_cycles`.
 ///
 /// # Errors
 /// The [`MultiError`]s of [`sharded_plan`]: zero devices, more devices
@@ -91,36 +96,14 @@ pub fn trace_sharded_schedule(
     cfg: &MultiConfig,
     rec: &mut Recorder,
 ) -> Result<ShardedPlan, MultiError> {
-    // Same collapse threshold as the single-device schedule tracer.
-    const MAX_PASS_SPANS: u64 = 256;
     let plan = sharded_plan(dev, design, wl, niter, cfg)?;
     if !rec.is_enabled() {
         return Ok(plan);
     }
     annotate(rec, &plan);
-    let pipe = rec.track("pipeline");
-    let cpp = plan.merged.cycles_per_pass;
-    let shown = plan.merged.passes.min(MAX_PASS_SPANS);
-    for i in 0..shown {
-        rec.span(pipe, &format!("pass {i}"), i * cpp, (i + 1) * cpp);
-    }
-    if plan.merged.passes > shown {
-        rec.span(
-            pipe,
-            &format!("passes {shown}..{}", plan.merged.passes),
-            shown * cpp,
-            plan.merged.passes * cpp,
-        );
-    }
-    // First pass per device: the streamed extended slab, then whatever
-    // exchange its interior compute could not hide.
-    for d in &plan.per_device {
-        let t = rec.track(&format!("dev{}/pipeline", d.device));
-        rec.span(t, &format!("stream {} units", d.extended_len), 0, d.pass_cycles);
-        if d.exposed_cycles > 0 {
-            rec.span(t, "exchange (exposed)", d.pass_cycles, d.pass_cycles + d.exposed_cycles);
-        }
-    }
+    let (_, sched) = slab_schedule(dev, design, wl, cfg.devices)?;
+    let exposed: Vec<u64> = plan.per_device.iter().map(|d| d.exposed_cycles).collect();
+    sf_fpga::profile::record_schedule(rec, &sched, &plan.merged, &exposed);
     charge_exchange(rec, &plan);
     Ok(plan)
 }
@@ -182,4 +165,55 @@ pub fn simulate_batch_3d_sharded_exec<T: LaneElement, K: LaneOp3D<T> + Clone + S
     let run =
         Run { engine, jobs: Some(jobs), ..Run::new(dev, design, stages_per_iter, niter, rec) };
     sharded(run, input, cfg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sf_fpga::design::{synthesize, ExecMode, MemKind};
+    use sf_kernels::{Poisson2D, StencilSpec};
+
+    #[test]
+    fn sharded_runs_attribute_each_devices_streamed_rows() {
+        let dev = FpgaDevice::u280();
+        let wl = Workload::D2 { nx: 64, ny: 300, batch: 1 };
+        let ds =
+            synthesize(&dev, &StencilSpec::poisson(), 8, 40, ExecMode::Baseline, MemKind::Hbm, &wl)
+                .unwrap();
+        let cfg = MultiConfig::new(2);
+        let plan = sharded_plan(&dev, &ds, &wl, 40, &cfg).unwrap();
+        // every device's streamed rows, summed over devices like the exchange stall
+        let streamed: u64 = plan
+            .per_device
+            .iter()
+            .map(|d| plan.merged.passes * (d.pass_cycles - ds.pipeline_latency_cycles))
+            .sum();
+        assert!(streamed > 0);
+        let input = Batch2D::<f32>::random(64, 300, 1, 7, -1.0, 1.0);
+        let mut breakdowns = Vec::new();
+        for jobs in [1, 2] {
+            let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
+            simulate_batch_2d_sharded_exec(
+                ExecEngine::Fast,
+                &dev,
+                &ds,
+                &[Poisson2D],
+                &input,
+                40,
+                &cfg,
+                jobs,
+                &mut rec,
+            )
+            .unwrap();
+            breakdowns.push(rec.stall_breakdown());
+        }
+        let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
+        trace_sharded_schedule(&dev, &ds, &wl, 40, &cfg, &mut rec).unwrap();
+        breakdowns.push(rec.stall_breakdown());
+        for b in &breakdowns {
+            assert_eq!(b.compute_cycles + b.memory_cycles, streamed, "{b:?}");
+            assert_eq!(b, &breakdowns[0], "streamed, at any jobs, or schedule-only");
+        }
+        assert!(breakdowns[0].compute_cycles > 0, "Poisson rows are compute-bound");
+    }
 }

@@ -9,19 +9,22 @@
 //!
 //! The crate provides three layers:
 //!
-//! * [`partition`] — balanced slab decomposition and the halo-depth rule
-//!   (`p · stages · ⌈D/2⌉` units, the pipeline-fill depth).
+//! * [`partition`] — balanced slab decomposition of the outermost axis;
+//!   each slab streams a halo of `p · stages · ⌈D/2⌉` units, the
+//!   pipeline-fill depth.
 //! * [`link`] + [`plan`] — the latency/bandwidth link model and the
-//!   sharded cycle plan: per-device streaming cost, link occupancy,
-//!   exposed (non-overlapped) exchange, merged into one
-//!   [`sf_fpga::cycles::CyclePlan`] whose pass wall-clock is the slowest
-//!   device.
+//!   sharded cycle plan. `sf-fpga`'s schedule walker
+//!   ([`sf_fpga::cycles::Schedule`]) yields each device's slab segment and
+//!   folds them into one [`sf_fpga::cycles::CyclePlan`] whose pass
+//!   wall-clock is the slowest device; this crate adds only the link
+//!   terms: link occupancy and exposed (non-overlapped) exchange.
 //! * [`exec`] — sharded executors for 2D/3D batches under both the scalar
 //!   and vectorized fast engines: thin calls that hand the slab
 //!   decomposition to `sf-fpga`'s pass driver. **Bit-identical** to the
 //!   single-device executors for every device count and `jobs` value, with
 //!   per-device swimlanes (`dev{k}/mesh{i}/window/`), `exchange.*`
-//!   counters, and exposed exchange charged as
+//!   counters, each device's streamed rows attributed to compute or memory
+//!   stalls, and exposed exchange charged as
 //!   [`sf_telemetry::StallClass::Exchange`].
 //!
 //! Single-device degeneration is exact: `devices = 1` produces the same
@@ -40,5 +43,5 @@ pub use exec::{
     simulate_batch_2d_sharded_exec, simulate_batch_3d_sharded_exec, trace_sharded_schedule,
 };
 pub use link::LinkModel;
-pub use partition::{halo_depth, slab_partition, Shard};
+pub use partition::{slab_partition, Shard};
 pub use plan::{sharded_plan, DeviceCost, MultiConfig, MultiError, ShardedPlan};

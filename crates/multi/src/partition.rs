@@ -3,15 +3,18 @@
 //! Sharding follows the classic distributed-stencil layout: the outermost
 //! axis (rows `y` in 2D, planes `z` in 3D) is cut into `K` contiguous slabs,
 //! one per accelerator, balanced to within one unit. Each device owns its
-//! slab and additionally *streams* a halo of [`halo_depth`] extra units on
-//! each interior side, so a full pass (`p` fused iterations × `stages`
-//! chained stages) over the extended slab reproduces the single-device
-//! result bit-exactly on the owned units — the contamination from treating
-//! the slab edge as a mesh boundary advances at most one stencil radius per
-//! chained stage and therefore never reaches past the halo.
+//! slab and additionally *streams* a halo of
+//! [`StencilSpec::halo`](sf_kernels::StencilSpec::halo) extra units
+//! (`p · stages · ⌈D/2⌉`, the pipeline-fill depth) on each interior side,
+//! so a full pass (`p` fused iterations × `stages` chained stages) over the
+//! extended slab reproduces the single-device result bit-exactly on the
+//! owned units — the contamination from treating the slab edge as a mesh
+//! boundary advances at most one stencil radius per chained stage and
+//! therefore never reaches past the halo. The schedule walker
+//! ([`sf_fpga::cycles::Schedule`]) turns the slabs and halo into each
+//! device's streamed segment.
 
 use serde::{Deserialize, Serialize};
-use sf_fpga::{cycles, StencilDesign};
 
 /// One device's contiguous slab of the outermost axis (rows in 2D, planes
 /// in 3D).
@@ -53,15 +56,6 @@ pub fn slab_partition(extent: usize, devices: usize) -> Vec<Shard> {
         start += len;
     }
     shards
-}
-
-/// Halo depth in outermost units: how many neighbour rows/planes a shard
-/// must receive before each pass so the pass stays bit-exact on owned
-/// units. Equal to the pipeline-fill depth `p · stages · ⌈D/2⌉`
-/// ([`sf_fpga::cycles::fill_units`]) — the same window history the fused
-/// pipeline holds in flight.
-pub fn halo_depth(design: &StencilDesign) -> usize {
-    cycles::fill_units(design) as usize
 }
 
 #[cfg(test)]

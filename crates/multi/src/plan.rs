@@ -1,12 +1,15 @@
 //! The sharded cycle plan: single-device streaming cost per slab plus the
 //! halo-exchange link cost, combined into one [`CyclePlan`]-shaped answer.
 //!
-//! Per pass, each device `k` streams its *extended* slab (owned units plus
-//! up to one halo of depth `h` per interior side) at the design's per-row
-//! cost, then must have exchanged next pass's halos before it can start
-//! again. Exchange is overlapped against the device's *interior* compute —
-//! the owned units further than `h` from a device boundary, which do not
-//! depend on incoming halo data — and only the remainder is exposed:
+//! The schedule walker ([`Schedule`]) yields each device's *extended* slab
+//! (owned units plus up to one halo of depth `h` per interior side) as a
+//! segment streamed at the design's per-row cost, and [`Schedule::plan`]
+//! folds those segments into the merged plan; this module adds only the
+//! link terms. Each device must have exchanged next pass's halos before it
+//! can start again. Exchange is overlapped against the device's *interior*
+//! compute — the owned units further than `h` from a device boundary,
+//! which do not depend on incoming halo data — and only the remainder is
+//! exposed:
 //!
 //! ```text
 //! pass_k    = (b·extended_k + fill) · unit_cycles + pipeline_latency
@@ -21,10 +24,12 @@
 //! and identical in plan at `K = 1`.
 
 use crate::link::LinkModel;
-use crate::partition::{halo_depth, slab_partition};
+use crate::partition::slab_partition;
 use serde::{Deserialize, Serialize};
-use sf_fpga::cycles::{self, CyclePlan};
-use sf_fpga::{ExecError, ExecMode, FpgaDevice, StencilDesign};
+use sf_fpga::cycles::{CyclePlan, Schedule};
+use sf_fpga::design::Workload;
+use sf_fpga::{ExecError, FpgaDevice, StencilDesign};
+use std::ops::Range;
 
 /// How a workload is spread over accelerators.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -113,7 +118,8 @@ pub struct DeviceCost {
 pub struct ShardedPlan {
     /// Device count the plan was built for.
     pub devices: usize,
-    /// Halo depth in outermost units ([`crate::partition::halo_depth`]).
+    /// Halo depth in outermost units
+    /// ([`StencilSpec::halo`](sf_kernels::StencilSpec::halo)).
     pub halo: usize,
     /// The merged plan: pass wall-clock is the slowest device including
     /// exposed exchange, traffic sums all devices (halo re-reads included),
@@ -145,99 +151,48 @@ pub struct ShardedPlan {
 pub fn sharded_plan(
     dev: &FpgaDevice,
     design: &StencilDesign,
-    wl: &sf_fpga::design::Workload,
+    wl: &Workload,
     niter: u64,
     cfg: &MultiConfig,
 ) -> Result<ShardedPlan, MultiError> {
-    use sf_fpga::design::Workload;
-    if cfg.devices == 0 {
-        return Err(MultiError::NoDevices);
-    }
-    if !matches!(design.mode, ExecMode::Baseline | ExecMode::Batched { .. }) {
-        return Err(MultiError::UnsupportedMode);
-    }
-    // Outermost extent, units per stream step, and batch for either dim.
-    let (nx, extent, batch, rows_per_unit) = match *wl {
-        Workload::D2 { nx, ny, batch } => (nx, ny, batch, 1usize),
-        Workload::D3 { nx, ny, nz, batch } => (nx, nz, batch, ny),
-    };
-    if cfg.devices > extent {
-        return Err(MultiError::TooManyDevices { devices: cfg.devices, extent });
-    }
-
-    let spec = &design.spec;
-    let p = design.p as u64;
-    let passes = niter.div_ceil(p).max(1);
-    let fill = cycles::fill_units(design);
-    let h = halo_depth(design);
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let unit_cycles = rc * rows_per_unit as u64;
-    let unit_cells = (nx * rows_per_unit) as u64;
-    let b = batch as u64;
-
-    let shards = slab_partition(extent, cfg.devices);
-    let mut per_device = Vec::with_capacity(shards.len());
-    let mut wall_per_pass = 0u64;
-    let mut read_per_pass = 0u64;
-    let mut bytes_per_pass = 0u64;
-    let mut msgs_per_pass = 0u64;
-    let mut link_per_pass = 0u64;
-    let mut exposed_per_pass = 0u64;
-    for s in &shards {
-        let lo = s.start.saturating_sub(h);
-        let hi = (s.end() + h).min(extent);
-        let extended = hi - lo;
+    let (owned, sched) = slab_schedule(dev, design, wl, cfg.devices)?;
+    let (elem_bytes, h) = (design.spec.elem_bytes, design.spec.halo(design.p));
+    let extent = owned.last().map_or(0, |s| s.end);
+    let b = wl.batch() as u64;
+    let mut per_device = Vec::with_capacity(owned.len());
+    let mut exposed = Vec::with_capacity(owned.len());
+    let (mut bytes_per_pass, mut msgs_per_pass) = (0u64, 0u64);
+    for (s, seg) in owned.iter().zip(sched.segments()) {
+        let unit_bytes = (seg.x.read_len * seg.y.read_len * elem_bytes) as u64;
         // Incoming halos, clamped to what exists on each interior side.
-        let up = (s.start - lo) as u64;
-        let down = (hi - s.end()) as u64;
+        let up = s.start - seg.first_unit;
+        let down = seg.first_unit + seg.units - s.end;
         let mut link = 0u64;
-        for recv_units in [up, down] {
+        for recv_units in [up as u64, down as u64] {
             if recv_units > 0 {
-                link +=
-                    cfg.link.transfer_cycles(recv_units * unit_cells * spec.elem_bytes as u64) * b;
+                link += cfg.link.transfer_cycles(recv_units * unit_bytes) * b;
                 msgs_per_pass += b;
-                bytes_per_pass += recv_units * unit_cells * spec.elem_bytes as u64 * b;
+                bytes_per_pass += recv_units * unit_bytes * b;
             }
         }
         // Interior units don't read incoming halo data; their compute
         // overlaps the exchange.
-        let excl = (usize::from(s.start > 0) + usize::from(s.end() < extent)) * h;
-        let interior = s.len.saturating_sub(excl) as u64;
-        let exposed = link.saturating_sub(interior * unit_cycles * b);
-        let pass_cycles =
-            (b * extended as u64 + fill) * unit_cycles + design.pipeline_latency_cycles;
-        wall_per_pass = wall_per_pass.max(pass_cycles + exposed);
-        read_per_pass += b * extended as u64 * unit_cells * spec.ext_read_bytes as u64;
-        link_per_pass += link;
-        exposed_per_pass += exposed;
+        let excl = (usize::from(s.start > 0) + usize::from(s.end < extent)) * h;
+        let interior = s.len().saturating_sub(excl) as u64;
+        let exposed_k = link.saturating_sub(interior * seg.unit_cycles() * b);
+        exposed.push(exposed_k);
         per_device.push(DeviceCost {
-            device: s.device,
+            device: seg.device,
             owned_start: s.start,
-            owned_len: s.len,
-            extended_len: extended,
-            pass_cycles,
+            owned_len: s.len(),
+            extended_len: seg.units,
+            pass_cycles: seg.cycles() + design.pipeline_latency_cycles,
             link_cycles: link,
-            exposed_cycles: exposed,
+            exposed_cycles: exposed_k,
         });
     }
-
-    let total_cycles = passes * wall_per_pass;
-    let host_calls = passes * cfg.devices as u64;
-    let runtime_s =
-        total_cycles as f64 / design.freq_hz + host_calls as f64 * dev.host_call_latency_s;
-    let cell_iters = niter * wl.total_cells();
-    let write_per_pass = b * extent as u64 * unit_cells * spec.ext_write_bytes as u64;
-    let merged = CyclePlan {
-        passes,
-        cycles_per_pass: wall_per_pass,
-        total_cycles,
-        host_calls,
-        runtime_s,
-        ext_read_bytes: passes * read_per_pass,
-        ext_write_bytes: passes * write_per_pass,
-        logical_bytes: cell_iters * spec.logical_rw_bytes as u64,
-        cell_iters,
-    };
+    let merged = sched.plan(niter, &exposed);
+    let link_per_pass: u64 = per_device.iter().map(|d| d.link_cycles).sum();
     Ok(ShardedPlan {
         devices: cfg.devices,
         halo: h,
@@ -245,15 +200,43 @@ pub fn sharded_plan(
         per_device,
         exchange_bytes_per_pass: bytes_per_pass,
         exchange_messages_per_pass: msgs_per_pass,
-        exchange_link_cycles: passes * link_per_pass,
-        exchange_exposed_cycles: passes * exposed_per_pass,
+        exchange_link_cycles: merged.passes * link_per_pass,
+        exchange_exposed_cycles: merged.passes * exposed.iter().sum::<u64>(),
     })
+}
+
+/// The owned slabs of a `devices`-way run, balanced by [`slab_partition`],
+/// and the schedule walk that streams each with the design's halo.
+pub(crate) fn slab_schedule<'a>(
+    dev: &'a FpgaDevice,
+    design: &'a StencilDesign,
+    wl: &Workload,
+    devices: usize,
+) -> Result<(Vec<Range<usize>>, Schedule<'a>), MultiError> {
+    let extent = match *wl {
+        Workload::D2 { ny, .. } => ny,
+        Workload::D3 { nz, .. } => nz,
+    };
+    if devices == 0 {
+        return Err(MultiError::NoDevices);
+    }
+    if devices > extent {
+        return Err(MultiError::TooManyDevices { devices, extent });
+    }
+    let owned: Vec<_> = slab_partition(extent, devices).iter().map(|s| s.start..s.end()).collect();
+    let halo = design.spec.halo(design.p);
+    match Schedule::new(dev, design, wl, Some((&owned, halo))) {
+        Ok(sched) => Ok((owned, sched)),
+        Err(ExecError::Unsupported { .. }) => Err(MultiError::UnsupportedMode),
+        Err(e) => Err(MultiError::Exec(e)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sf_fpga::design::{synthesize, MemKind, Workload};
+    use sf_fpga::cycles;
+    use sf_fpga::design::{synthesize, ExecMode, MemKind};
     use sf_kernels::StencilSpec;
 
     fn dev() -> FpgaDevice {

@@ -14,10 +14,9 @@
 //! * [`jobs`] — worker-count resolution with one precedence rule shared by
 //!   every CLI entry point: explicit `--jobs` flag, then the `SF_JOBS`
 //!   environment variable, then [`std::thread::available_parallelism`].
-//! * [`Memo`] — a thread-safe, deterministic memoization cache used to
-//!   share analytic-model results (eq. 2–15 predictions, design-rule check
-//!   reports) between the DSE sweep, `Workflow::preflight` and repeated
-//!   `sfstencil` invocations in one process.
+//!
+//! The crate holds no process-wide state: results flow back to the caller,
+//! never into a shared cache.
 //!
 //! The vendored `rayon` stand-in in `vendor/` is a *sequential* shim kept
 //! for API compatibility; this crate is where real threads live. It uses
@@ -27,9 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod jobs;
-mod memo;
 mod pool;
 
 pub use jobs::{available_jobs, resolve_jobs};
-pub use memo::{Memo, MemoStats};
 pub use pool::par_map;
