@@ -49,6 +49,25 @@ fn bench_dse_sweep(c: &mut Criterion) {
         let wl = Workload::D2 { nx: 400, ny: 400, batch: 1 };
         b.iter(|| wf.explore(&StencilSpec::poisson(), &wl, 60_000))
     });
+    // the same sweep keeping only its leader: what profile, explain,
+    // compare and a DSE-selected check pay
+    c.bench_function("best_design_poisson_400", |b| {
+        let wl = Workload::D2 { nx: 400, ny: 400, batch: 1 };
+        b.iter(|| wf.best_design(&StencilSpec::poisson(), &wl, 60_000))
+    });
+    // one design-rule check at the sweep's deepest unroll (max_p = 128)
+    c.bench_function("check_poisson_p128", |b| {
+        let wl = Workload::D2 { nx: 400, ny: 400, batch: 1 };
+        let design = sf_check::Design::new(
+            StencilSpec::poisson(),
+            4,
+            128,
+            ExecMode::Baseline,
+            MemKind::Hbm,
+            wl,
+        );
+        b.iter(|| sf_check::check(&wf.device, &design))
+    });
     c.bench_function("dse_rtm_32", |b| {
         let wl = Workload::D3 { nx: 32, ny: 32, nz: 32, batch: 1 };
         b.iter(|| wf.explore(&StencilSpec::rtm(), &wl, 1_800))

@@ -266,6 +266,32 @@ fn check_seeded_violations_exit_1_with_the_right_rule() {
 }
 
 #[test]
+fn absurd_unroll_is_rejected_not_aborted() {
+    // p·V·G_dsp and the window, FIFO and fabric products saturate, and the
+    // floorplan knows a chain's fit before placing it: each design is an
+    // SFC-S01 exit 1, never an overflow panic, an aborted allocation or a
+    // DSP product wrapped below the budget
+    for (v, p) in
+        [("8", "4611686018427387904"), ("4294967296", "4294967296"), ("2305843009213693952", "8")]
+    {
+        let args = ["check", "--app", "poisson", "--mesh", "400x400", "--v", v, "--p", p];
+        let out = sfstencil().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains("SFC-S01"), "{args:?}: {stdout}");
+    }
+    let out = sfstencil()
+        .args(["report", "--app", "poisson", "--mesh", "400x400", "--v", "1", "--p"])
+        .arg("9223372036854775808")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("synthesis rejected the configuration"), "{stdout}");
+}
+
+#[test]
 fn check_tile_halo_violation_exits_1() {
     let out = sfstencil()
         .args([

@@ -3,15 +3,18 @@
 //! An accelerator design is a linear HLS dataflow chain: a memory-read
 //! stage, `p × stages` chained compute stages (one per fused stage of each
 //! unrolled iteration module), and a memory-write stage, with a stream FIFO
-//! on every edge. [`DataflowGraph::build`] reconstructs that chain from the
-//! design parameters so diagnostics can point at a concrete node or edge
-//! (`module[3].stage[1]`, `mem.read→module[0].stage[0]`) instead of "the
-//! design".
+//! on every edge (all at one depth, which the FIFO rules hold). The chain is
+//! fully determined by `p` and `stages`, so [`DataflowGraph`] holds just
+//! those two numbers: node and edge counts are arithmetic, and a node's
+//! label (`module[3].stage[1]`) or the first edge's
+//! (`mem.read→module[0].stage[0]`) is formatted on demand, when a
+//! diagnostic points at it instead of at "the design". Building the graph
+//! allocates nothing, whatever `p` is.
 
 use sf_kernels::StencilSpec;
 
 /// What a node in the chain is.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// AXI read side: bursts from DDR4/HBM into the first stream.
     MemRead,
@@ -26,69 +29,66 @@ pub enum NodeKind {
     MemWrite,
 }
 
-/// One node of the dataflow graph.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Node {
-    /// Index into [`DataflowGraph::nodes`].
-    pub id: usize,
+impl NodeKind {
     /// Stable label used in diagnostic locations.
-    pub label: String,
-    /// Role of the node.
-    pub kind: NodeKind,
+    pub fn label(&self) -> String {
+        match self {
+            NodeKind::MemRead => "mem.read".into(),
+            NodeKind::Stage { module, stage } => format!("module[{module}].stage[{stage}]"),
+            NodeKind::MemWrite => "mem.write".into(),
+        }
+    }
 }
 
-/// A stream FIFO between two chained nodes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Edge {
-    /// Producer node id.
-    pub from: usize,
-    /// Consumer node id.
-    pub to: usize,
-    /// FIFO depth in vector elements (after any override).
-    pub depth: usize,
-}
-
-/// The reconstructed dataflow chain of a design.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The dataflow chain of a design. Node `0` is `mem.read`, node
+/// `1 + module·stages + stage` is that compute stage, and the last node is
+/// `mem.write`; edge `i` is the FIFO from node `i` to node `i + 1`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DataflowGraph {
-    /// `mem.read`, the `p·stages` compute stages in chain order, `mem.write`.
-    pub nodes: Vec<Node>,
-    /// One FIFO per chain link: `p·stages + 1` edges.
-    pub edges: Vec<Edge>,
+    /// Fused stages per module.
+    stages: usize,
+    /// Chained compute stages, `p·stages` (saturating).
+    chained: usize,
 }
 
 impl DataflowGraph {
-    /// Build the chain for an unroll factor `p` with every FIFO at `depth`
-    /// elements. Degenerate parameters (`p == 0`) produce the two memory
-    /// endpoints joined by a single stream.
-    pub fn build(spec: &StencilSpec, p: usize, depth: usize) -> Self {
-        let mut nodes = Vec::with_capacity(p * spec.stages + 2);
-        nodes.push(Node { id: 0, label: "mem.read".into(), kind: NodeKind::MemRead });
-        for module in 0..p {
-            for stage in 0..spec.stages {
-                let id = nodes.len();
-                nodes.push(Node {
-                    id,
-                    label: format!("module[{module}].stage[{stage}]"),
-                    kind: NodeKind::Stage { module, stage },
-                });
-            }
+    /// The chain for an unroll factor `p`. Degenerate parameters
+    /// (`p == 0`) give the two memory endpoints joined by a single stream.
+    pub fn build(spec: &StencilSpec, p: usize) -> Self {
+        DataflowGraph { stages: spec.stages, chained: p.saturating_mul(spec.stages) }
+    }
+
+    /// `mem.read`, the `p·stages` compute stages, `mem.write`.
+    pub fn node_count(&self) -> usize {
+        self.chained.saturating_add(2)
+    }
+
+    /// One FIFO per chain link: `p·stages + 1` edges.
+    pub fn edge_count(&self) -> usize {
+        self.chained.saturating_add(1)
+    }
+
+    /// Role of node `id`; `None` past the end of the chain.
+    pub fn kind(&self, id: usize) -> Option<NodeKind> {
+        let Some(i) = id.checked_sub(1) else { return Some(NodeKind::MemRead) };
+        if i < self.chained {
+            Some(NodeKind::Stage { module: i / self.stages, stage: i % self.stages })
+        } else if i == self.chained {
+            Some(NodeKind::MemWrite)
+        } else {
+            None
         }
-        let id = nodes.len();
-        nodes.push(Node { id, label: "mem.write".into(), kind: NodeKind::MemWrite });
-
-        let edges = (0..nodes.len() - 1).map(|i| Edge { from: i, to: i + 1, depth }).collect();
-        DataflowGraph { nodes, edges }
     }
 
-    /// `producer→consumer` label for an edge, for diagnostic locations.
-    pub fn edge_label(&self, edge: &Edge) -> String {
-        format!("{}→{}", self.nodes[edge.from].label, self.nodes[edge.to].label)
+    /// Label of the first compute stage (`mem.write` for `p == 0`).
+    pub fn first_stage_label(&self) -> String {
+        self.kind(1).unwrap_or(NodeKind::MemWrite).label()
     }
 
-    /// Label of the first compute stage (or `mem.write` for `p == 0`).
-    pub fn first_stage_label(&self) -> &str {
-        &self.nodes[1.min(self.nodes.len() - 1)].label
+    /// `producer→consumer` label of the first FIFO, the one every FIFO rule
+    /// points at (all edges share one depth).
+    pub fn first_edge_label(&self) -> String {
+        format!("{}→{}", NodeKind::MemRead.label(), self.first_stage_label())
     }
 }
 
@@ -98,31 +98,41 @@ mod tests {
 
     #[test]
     fn chain_shape_matches_unroll() {
-        let g = DataflowGraph::build(&StencilSpec::poisson(), 4, 256);
-        assert_eq!(g.nodes.len(), 4 + 2);
-        assert_eq!(g.edges.len(), 4 + 1);
-        assert_eq!(g.nodes[0].kind, NodeKind::MemRead);
-        assert_eq!(g.nodes[5].kind, NodeKind::MemWrite);
-        assert_eq!(g.nodes[1].label, "module[0].stage[0]");
-        assert_eq!(g.edge_label(&g.edges[0]), "mem.read→module[0].stage[0]");
-        assert!(g.edges.iter().all(|e| e.depth == 256));
+        let g = DataflowGraph::build(&StencilSpec::poisson(), 4);
+        assert_eq!(g.node_count(), 4 + 2);
+        assert_eq!(g.edge_count(), 4 + 1);
+        assert_eq!(g.kind(0), Some(NodeKind::MemRead));
+        assert_eq!(g.kind(5), Some(NodeKind::MemWrite));
+        assert_eq!(g.kind(6), None);
+        assert_eq!(g.kind(1).unwrap().label(), "module[0].stage[0]");
+        assert_eq!(g.first_edge_label(), "mem.read→module[0].stage[0]");
     }
 
     #[test]
     fn fused_stages_expand_the_chain() {
         // RTM: 4 fused stages per module
-        let g = DataflowGraph::build(&StencilSpec::rtm(), 3, 102);
-        assert_eq!(g.nodes.len(), 3 * 4 + 2);
-        assert_eq!(g.edges.len(), 3 * 4 + 1);
-        assert_eq!(g.nodes[4].label, "module[0].stage[3]");
-        assert_eq!(g.nodes[5].label, "module[1].stage[0]");
+        let g = DataflowGraph::build(&StencilSpec::rtm(), 3);
+        assert_eq!(g.node_count(), 3 * 4 + 2);
+        assert_eq!(g.edge_count(), 3 * 4 + 1);
+        assert_eq!(g.kind(4).unwrap().label(), "module[0].stage[3]");
+        assert_eq!(g.kind(5).unwrap().label(), "module[1].stage[0]");
+        assert_eq!(g.kind(12), Some(NodeKind::Stage { module: 2, stage: 3 }));
     }
 
     #[test]
     fn degenerate_p_zero_is_two_endpoints() {
-        let g = DataflowGraph::build(&StencilSpec::poisson(), 0, 16);
-        assert_eq!(g.nodes.len(), 2);
-        assert_eq!(g.edges.len(), 1);
+        let g = DataflowGraph::build(&StencilSpec::poisson(), 0);
+        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.edge_count(), 1);
         assert_eq!(g.first_stage_label(), "mem.write");
+        assert_eq!(g.first_edge_label(), "mem.read→mem.write");
+    }
+
+    #[test]
+    fn absurd_unroll_counts_saturate_without_allocating() {
+        let g = DataflowGraph::build(&StencilSpec::rtm(), usize::MAX / 2);
+        assert_eq!(g.node_count(), usize::MAX);
+        assert_eq!(g.edge_count(), usize::MAX);
+        assert_eq!(g.first_stage_label(), "module[0].stage[0]");
     }
 }

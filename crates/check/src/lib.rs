@@ -33,5 +33,5 @@ pub mod graph;
 pub mod rules;
 
 pub use diag::{CheckError, CheckReport, Diagnostic, RuleId, Severity};
-pub use graph::{DataflowGraph, Edge, Node, NodeKind};
+pub use graph::{DataflowGraph, NodeKind};
 pub use rules::{check, Design};

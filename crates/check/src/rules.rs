@@ -6,6 +6,12 @@
 //! FIFO-depth analysis is the static dual of the runtime watchdog: any
 //! depth the deadlock rule accepts can absorb a full AXI burst and
 //! therefore cannot wedge the stream pipeline.
+//!
+//! A check is cheap enough to run on every DSE candidate: the dataflow
+//! graph is arithmetic, so nothing is allocated per chained stage and a
+//! location label is formatted only for a diagnostic that is emitted.
+//! Every product of `V` and `p` saturates, so an absurd unroll is an
+//! over-budget finding (SFC-S01 and friends), never an overflow.
 
 use crate::diag::{CheckReport, Diagnostic, RuleId, Severity};
 use crate::graph::DataflowGraph;
@@ -111,10 +117,10 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     let wl = &d.workload;
     let default_depth = fifo::interstage_depth(dev.axi_burst_bytes, d.v, spec.window_elem_bytes);
     let depth = d.fifo_depth.unwrap_or(default_depth);
-    let graph = DataflowGraph::build(spec, d.p, depth);
+    let graph = DataflowGraph::build(spec, d.p);
     let mut diags: Vec<Diagnostic> = Vec::new();
 
-    let report = |diags: Vec<Diagnostic>, graph: &DataflowGraph| {
+    let report = |diags: Vec<Diagnostic>| {
         let mut rep = CheckReport {
             device: dev.name.clone(),
             app: spec.app.to_string(),
@@ -123,8 +129,8 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
             mode: d.mode,
             mem: d.mem,
             workload: *wl,
-            graph_nodes: graph.nodes.len(),
-            graph_edges: graph.edges.len(),
+            graph_nodes: graph.node_count(),
+            graph_edges: graph.edge_count(),
             diagnostics: diags,
         };
         // deterministic: errors first, then rule code, then location
@@ -141,7 +147,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
             format!("V={} p={}: both must be positive", d.v, d.p),
             "choose V ≥ 1 and p ≥ 1",
         ));
-        return report(diags, &graph);
+        return report(diags);
     }
 
     // --- SFC-P02: dimensionality agreement -----------------------------
@@ -173,7 +179,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     }
     if !diags.is_empty() {
         // downstream geometry is undefined on a dimensionality mismatch
-        return report(diags, &graph);
+        return report(diags);
     }
 
     // --- SFC-T01/T02/T03/T04: tile legality (eqs. 8, 12) ---------------
@@ -188,9 +194,10 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
         }
         _ => {}
     }
+    let both_halos = halo.saturating_mul(2);
     let mut halo_violated = false;
     for &(name, t, extent) in &tiles {
-        if t <= 2 * halo {
+        if t <= both_halos {
             halo_violated = true;
             diags.push(diag(
                 RuleId::TileHalo,
@@ -200,7 +207,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
                     "{name}={t} does not exceed twice the halo h = p·stages·⌈D/2⌉ = {halo} \
                      (eq. 8): every cell of the tile would be redundant halo"
                 ),
-                format!("grow the tile above {} cells or reduce p", 2 * halo),
+                format!("grow the tile above {both_halos} cells or reduce p"),
             ));
         }
         if t > extent {
@@ -217,7 +224,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
         }
     }
     if let Some(&(name, t, _)) = tiles.iter().min_by_key(|&&(_, t, _)| t) {
-        let guideline = 3 * spec.order * d.p;
+        let guideline = spec.order.saturating_mul(3).saturating_mul(d.p);
         if !halo_violated && t < guideline {
             diags.push(diag(
                 RuleId::TileThroughput,
@@ -284,7 +291,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     }
 
     // --- SFC-S01: DSP budget (eq. 6) ------------------------------------
-    let dsp = d.p * d.v * spec.gdsp();
+    let dsp = d.p.saturating_mul(d.v).saturating_mul(spec.gdsp());
     if dsp > dev.dsp_total {
         diags.push(diag(
             RuleId::DspOversubscribed,
@@ -311,7 +318,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
         diags.push(diag(
             RuleId::WindowReach,
             Severity::Error,
-            graph.first_stage_label().to_string(),
+            graph.first_stage_label(),
             format!(
                 "streamed rows are {row_x} cells wide but the order-{} stencil footprint \
                  spans {footprint}",
@@ -324,7 +331,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
         diags.push(diag(
             RuleId::WindowReach,
             Severity::Error,
-            graph.first_stage_label().to_string(),
+            graph.first_stage_label(),
             format!(
                 "window buffers hold {unit} cells per line/plane but the streaming unit is \
                  {natural_unit} cells: the stencil would read cells already evicted"
@@ -346,9 +353,10 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
         spec.stages,
         d.p,
     );
-    let fifo_bytes = depth * d.v * spec.window_elem_bytes;
-    let fifo_bram = fifo_bytes.div_ceil(dev.bram_block_bytes).max(1) * graph.edges.len();
-    let bram_need = alloc.bram_blocks + fifo_bram;
+    let fifo_bytes = depth.saturating_mul(d.v).saturating_mul(spec.window_elem_bytes);
+    let fifo_bram =
+        fifo_bytes.div_ceil(dev.bram_block_bytes).max(1).saturating_mul(graph.edge_count());
+    let bram_need = alloc.bram_blocks.saturating_add(fifo_bram);
     if bram_need > dev.bram_blocks || alloc.uram_blocks > dev.uram_blocks {
         diags.push(diag(
             RuleId::WindowCapacity,
@@ -415,31 +423,30 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     // burst per request; an edge FIFO shallower than one burst cannot drain
     // it while the consumer is window-filling, so producer and consumer
     // starve each other — guaranteed wedge, no cycles needed to prove it.
-    let burst_elems = dev.axi_burst_bytes.div_ceil((d.v * spec.window_elem_bytes).max(1)).max(1);
+    let burst_elems =
+        dev.axi_burst_bytes.div_ceil(d.v.saturating_mul(spec.window_elem_bytes).max(1)).max(1);
     if depth < burst_elems {
-        let first = graph.edge_label(&graph.edges[0]);
         diags.push(diag(
             RuleId::FifoDeadlock,
             Severity::Error,
-            first,
+            graph.first_edge_label(),
             format!(
                 "FIFO depth {depth} cannot absorb one {}-byte AXI burst ({burst_elems} \
                  vector elements): static deadlock on all {} edges",
                 dev.axi_burst_bytes,
-                graph.edges.len()
+                graph.edge_count()
             ),
             format!("deepen every stream FIFO to at least {default_depth} elements"),
         ));
     } else if depth < default_depth {
-        let first = graph.edge_label(&graph.edges[0]);
         diags.push(diag(
             RuleId::FifoSlack,
             Severity::Warning,
-            first,
+            graph.first_edge_label(),
             format!(
                 "FIFO depth {depth} is below the two-burst sizing rule ({default_depth}): \
                  deadlock-free, but the producer stalls on every burst refill on all {} edges",
-                graph.edges.len()
+                graph.edge_count()
             ),
             format!("deepen the stream FIFOs to {default_depth} elements"),
         ));
@@ -530,7 +537,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
         }
     }
 
-    report(diags, &graph)
+    report(diags)
 }
 
 #[cfg(test)]
@@ -816,6 +823,34 @@ mod tests {
         let diag = rep.diagnostics.iter().find(|x| x.rule == RuleId::RawHazard).unwrap();
         assert_eq!(diag.severity, Severity::Error);
         assert_eq!(diag.location, "module[59]");
+    }
+
+    #[test]
+    fn absurd_unroll_is_a_dsp_error_not_an_overflow() {
+        // every V- and p-driven product saturates and the floorplan knows a
+        // chain's fit before placing it, so a chain of 2^62 modules is an
+        // SFC-S01 error instead of an overflow or a huge allocation
+        let tiled = Design {
+            v: 64,
+            p: 3,
+            mode: ExecMode::Tiled2D { tile_m: 640, tile_n: 640 },
+            workload: Workload::D3 { nx: 600, ny: 600, nz: 600, batch: 1 },
+            ..jacobi_paper()
+        };
+        for base in [poisson_paper(), rtm_paper(), tiled] {
+            for (v, p) in [(8, 1 << 62), (1 << 32, 1 << 32), (1 << 61, 8), (1, usize::MAX)] {
+                let rep = check(&dev(), &Design { v, p, ..base.clone() });
+                assert!(rep.fired(RuleId::DspOversubscribed), "V={v} p={p}: {}", rep.render());
+            }
+        }
+        let wl = Workload::D2 { nx: 400, ny: 400, batch: 1 };
+        let spec = StencilSpec::poisson();
+        let synth = |v, p| {
+            sf_fpga::design::synthesize(&dev(), &spec, v, p, ExecMode::Baseline, MemKind::Hbm, &wl)
+        };
+        assert!(matches!(synth(1, 1 << 63), Err(sf_fpga::SynthesisError::InsufficientDsp { .. })));
+        // a wide V runs out of memory channels before the DSP budget
+        assert!(synth(1 << 32, 1 << 32).is_err() && synth(1 << 61, 8).is_err());
     }
 
     #[test]

@@ -171,7 +171,8 @@ impl Workflow {
         rep.into_result().map_err(SfError::Check)
     }
 
-    /// Step 3 — the winning design.
+    /// Step 3 — the winning design: the head of [`Workflow::explore`]'s
+    /// ranking, found without materializing the rest of it.
     pub fn best_design(
         &self,
         spec: &StencilSpec,

@@ -25,7 +25,7 @@ pub fn channels_needed(
     bytes_per_cell: usize,
 ) -> usize {
     let per_channel = mem.channel_bytes_per_cycle(dev.default_clock_hz, dev.axi_bus_bytes);
-    ((v * bytes_per_cell) as f64 / per_channel).ceil().max(1.0) as usize
+    (v.saturating_mul(bytes_per_cell) as f64 / per_channel).ceil().max(1.0) as usize
 }
 
 /// Per-row cycle timing broken out by pipeline side, for telemetry.

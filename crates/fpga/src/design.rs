@@ -290,7 +290,7 @@ pub fn synthesize(
         _ => {}
     }
     // A tile must leave valid cells between its two halos (eq. 8, M > pD).
-    let both_halos = 2 * spec.halo(p);
+    let both_halos = spec.halo(p).saturating_mul(2);
     if let ExecMode::Tiled1D { tile_m } = mode {
         if tile_m <= both_halos {
             return Err(SynthesisError::Invalid(format!(
@@ -331,7 +331,7 @@ pub fn synthesize(
     }
 
     // --- resources ---
-    let dsp = p * v * spec.gdsp();
+    let dsp = p.saturating_mul(v).saturating_mul(spec.gdsp());
     if dsp > dev.dsp_total {
         return Err(SynthesisError::InsufficientDsp { need: dsp, have: dev.dsp_total });
     }
@@ -343,9 +343,9 @@ pub fn synthesize(
         dev.axi_burst_bytes,
         v,
         spec.window_elem_bytes,
-        p * spec.stages,
+        p.saturating_mul(spec.stages),
     );
-    let bram_blocks = alloc.bram_blocks + fifo_bram;
+    let bram_blocks = alloc.bram_blocks.saturating_add(fifo_bram);
     if bram_blocks > dev.bram_blocks || alloc.uram_blocks > dev.uram_blocks {
         return Err(SynthesisError::InsufficientMemory {
             need_bram: bram_blocks,

@@ -120,7 +120,7 @@ impl<T> Fifo<T> {
 /// of slack per AXI burst so a burst refill never stalls the consumer —
 /// `max(16, 2 · burst_bytes / (V · elem_bytes))` elements.
 pub fn interstage_depth(burst_bytes: usize, v: usize, elem_bytes: usize) -> usize {
-    (2 * burst_bytes / (v * elem_bytes).max(1)).max(16)
+    (2 * burst_bytes / v.saturating_mul(elem_bytes).max(1)).max(16)
 }
 
 /// Statistics snapshot for reporting.
@@ -278,7 +278,8 @@ pub fn simulate_backpressure_watched(
 
 /// BRAM18/36 blocks for a design's stream FIFOs: one FIFO per chained stage
 /// boundary plus one read- and one write-side memory FIFO, each sized by
-/// [`interstage_depth`] and quantized to BRAM36.
+/// [`interstage_depth`] and quantized to BRAM36. The count saturates, so an
+/// absurd `v` or chain length reads as over any budget instead of wrapping.
 pub fn fifo_brams(
     bram_block_bytes: usize,
     burst_bytes: usize,
@@ -287,10 +288,10 @@ pub fn fifo_brams(
     chained_stages: usize,
 ) -> usize {
     let depth = interstage_depth(burst_bytes, v, elem_bytes);
-    let bytes = depth * v * elem_bytes;
+    let bytes = depth.saturating_mul(v).saturating_mul(elem_bytes);
     let blocks_per_fifo = bytes.div_ceil(bram_block_bytes).max(1);
-    let n_fifos = chained_stages.saturating_sub(1) + 2;
-    blocks_per_fifo * n_fifos
+    let n_fifos = chained_stages.saturating_sub(1).saturating_add(2);
+    blocks_per_fifo.saturating_mul(n_fifos)
 }
 
 #[cfg(test)]

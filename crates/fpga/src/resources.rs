@@ -42,11 +42,13 @@ pub struct ResourceUsage {
 }
 
 /// Estimate LUT/FF demand for `p` modules of `v` lanes running `ops`
-/// operations per lane per cell.
+/// operations per lane per cell. The counts saturate, so an absurd `v` or
+/// `p` reads as over any budget instead of wrapping under it.
 pub fn estimate_fabric(ops: &sf_kernels::OpCount, v: usize, p: usize) -> (usize, usize) {
     let per_lane_luts = ops.adds * LUT_PER_FADD + ops.muls * LUT_PER_FMUL;
     let per_lane_ffs = ops.flops() * FF_PER_FOP;
-    (p * (v * per_lane_luts + LUT_PER_MODULE), p * v * per_lane_ffs)
+    let luts = p.saturating_mul(v.saturating_mul(per_lane_luts).saturating_add(LUT_PER_MODULE));
+    (luts, p.saturating_mul(v).saturating_mul(per_lane_ffs))
 }
 
 impl ResourceUsage {
@@ -130,6 +132,7 @@ pub struct WindowAlloc {
 /// `elem_bytes`, banked across `v` lanes.
 ///
 /// A lane buffer of ≤ 2 BRAM36 goes to BRAM; anything larger goes to URAM.
+/// Block and byte counts saturate, like [`estimate_fabric`]'s.
 pub fn alloc_window(
     dev: &FpgaDevice,
     unit_cells: usize,
@@ -141,15 +144,15 @@ pub fn alloc_window(
 ) -> WindowAlloc {
     assert!(v > 0 && p > 0 && stages > 0, "degenerate window allocation");
     let lane_cells = unit_cells.div_ceil(v);
-    let lane_bytes = lane_cells * elem_bytes;
-    let n_lane_buffers = v * order * stages * p;
-    let payload = lane_bytes * n_lane_buffers;
+    let lane_bytes = lane_cells.saturating_mul(elem_bytes);
+    let n_lane_buffers = v.saturating_mul(order).saturating_mul(stages).saturating_mul(p);
+    let payload = lane_bytes.saturating_mul(n_lane_buffers);
     if lane_bytes <= 2 * dev.bram_block_bytes {
         let per = lane_bytes.div_ceil(dev.bram_block_bytes).max(1);
         WindowAlloc {
             kind: BufferKind::Bram,
             blocks_per_lane: per,
-            bram_blocks: per * n_lane_buffers,
+            bram_blocks: per.saturating_mul(n_lane_buffers),
             uram_blocks: 0,
             payload_bytes: payload,
         }
@@ -159,7 +162,7 @@ pub fn alloc_window(
             kind: BufferKind::Uram,
             blocks_per_lane: per,
             bram_blocks: 0,
-            uram_blocks: per * n_lane_buffers,
+            uram_blocks: per.saturating_mul(n_lane_buffers),
             payload_bytes: payload,
         }
     }

@@ -107,6 +107,11 @@ impl std::error::Error for PlacementError {}
 /// A module that alone exceeds a single SLR's capacity is counted as
 /// *spanning* and charged one whole SLR plus overflow into the next (the
 /// U280 has no better option); otherwise modules pack contiguously.
+///
+/// The modules are identical, so the greedy walk is arithmetic: each SLR
+/// packs the same number of them, and a spanning module claims the same
+/// number of SLRs. The chain's fit is known before anything is placed, so a
+/// chain far larger than the die fails without allocating for it.
 pub fn place_chain(
     dev: &FpgaDevice,
     p: usize,
@@ -115,42 +120,28 @@ pub fn place_chain(
     assert!(p > 0, "empty chain");
     let cap = SlrCapacity::of(dev);
     let spans_one = demand.dsp > cap.dsp || demand.bram > cap.bram || demand.uram > cap.uram;
-
-    let mut assignments = Vec::with_capacity(p);
-    let mut slr = 0usize;
-    let mut used = ModuleDemand { dsp: 0, bram: 0, uram: 0 };
-    let mut spanning = 0usize;
-    for i in 0..p {
-        if spans_one {
-            // a spanning module consumes its SLR entirely and bleeds over
-            spanning += 1;
-            assignments.push(slr);
-            slr += demand.dsp.div_ceil(cap.dsp.max(1));
-            if slr > dev.slr_count {
-                return Err(PlacementError::DoesNotFit { placed: i, requested: p });
-            }
-            continue;
-        }
-        loop {
-            let fits = used.dsp + demand.dsp <= cap.dsp
-                && used.bram + demand.bram <= cap.bram
-                && used.uram + demand.uram <= cap.uram;
-            if fits {
-                used.dsp += demand.dsp;
-                used.bram += demand.bram;
-                used.uram += demand.uram;
-                assignments.push(slr);
-                break;
-            }
-            slr += 1;
-            used = ModuleDemand { dsp: 0, bram: 0, uram: 0 };
-            if slr >= dev.slr_count {
-                return Err(PlacementError::DoesNotFit { placed: i, requested: p });
-            }
-        }
+    // modules per SLR, SLRs per module, and how many modules the die holds
+    let fit = |need: usize, have: usize| have.checked_div(need).unwrap_or(usize::MAX);
+    let (per_slr, stride, placed) = if spans_one {
+        // a spanning module consumes its SLR entirely and bleeds over
+        let stride = demand.dsp.div_ceil(cap.dsp.max(1));
+        (1, stride, fit(stride, dev.slr_count))
+    } else {
+        let per_slr = fit(demand.dsp, cap.dsp)
+            .min(fit(demand.bram, cap.bram))
+            .min(fit(demand.uram, cap.uram));
+        (per_slr, 1, per_slr.saturating_mul(dev.slr_count))
+    };
+    if p > placed {
+        return Err(PlacementError::DoesNotFit { placed, requested: p });
+    }
+    let mut assignments = vec![0; p];
+    for (k, run) in assignments.chunks_mut(per_slr).enumerate() {
+        run.fill(k * stride);
     }
     let crossings = assignments.windows(2).filter(|w| w[0] != w[1]).count();
-    Ok(SlrPlacement { assignments, crossings, spanning_modules: spanning })
+    let spanning_modules = if spans_one { p } else { 0 };
+    Ok(SlrPlacement { assignments, crossings, spanning_modules })
 }
 
 #[cfg(test)]
@@ -195,15 +186,15 @@ mod tests {
 
     #[test]
     fn overflow_reports_does_not_fit() {
+        // 25 modules of 112 DSP fill each 2830-DSP SLR; a 2^62-module chain
+        // fails at the same count without allocating for its modules
         let d = dev();
-        let err = place_chain(&d, 100, ModuleDemand { dsp: 112, bram: 0, uram: 0 }).unwrap_err();
-        match err {
-            PlacementError::DoesNotFit { placed, requested } => {
-                assert_eq!(requested, 100);
-                assert!(placed >= 75, "placed {placed}");
-            }
+        for requested in [100, 1 << 62] {
+            let demand = ModuleDemand { dsp: 112, bram: 0, uram: 0 };
+            let err = place_chain(&d, requested, demand).unwrap_err();
+            assert_eq!(err, PlacementError::DoesNotFit { placed: 75, requested });
+            assert!(format!("{err}").contains("does not fit"));
         }
-        assert!(format!("{err}").contains("does not fit"));
     }
 
     #[test]

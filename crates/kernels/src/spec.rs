@@ -181,7 +181,7 @@ impl StencilSpec {
     /// stencil that reads one side further keeps its full reach. Tile
     /// halos, multi-device slab halos and pipeline fill all use this depth.
     pub const fn halo(&self, p: usize) -> usize {
-        p * self.stages * self.order.div_ceil(2)
+        p.saturating_mul(self.stages).saturating_mul(self.order.div_ceil(2))
     }
 
     /// The paper's `G_dsp` for one mesh-point update of the fused pipeline,

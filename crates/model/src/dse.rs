@@ -5,7 +5,9 @@
 //! configuration" (§V-A). [`explore`] sweeps `(V, p, mode)` candidates,
 //! synthesizes each on the simulated device (which applies the real resource,
 //! bandwidth and clock constraints), predicts runtime with the extended
-//! model, and returns candidates ranked fastest-first.
+//! model, and returns candidates ranked fastest-first. [`best`] walks the
+//! same sweep but keeps only the leader, so picking a design never holds
+//! more than one [`Candidate`].
 //!
 //! Before any candidate is synthesized or costed it is pre-filtered through
 //! the static checker (`sf_check::check`): configurations with
@@ -19,6 +21,7 @@
 use crate::blocking;
 use crate::error::ModelError;
 use crate::predict::{predict, Prediction, PredictionLevel};
+use core::cmp::Ordering;
 use serde::{Deserialize, Serialize};
 use sf_fpga::design::{synthesize, ExecMode, StencilDesign, Workload};
 use sf_fpga::{FpgaDevice, MemKind};
@@ -107,12 +110,12 @@ pub fn explore(
 ///
 /// Candidate `(V, p, mode)` points are enumerated in the deterministic
 /// sweep order, evaluated (static check → synthesis → prediction) on up to
-/// `jobs` threads via [`sf_par::par_map`], then re-assembled in sweep
-/// order before ranking — so the returned vector is identical for every
-/// `jobs` value, including the tie-break order among equal runtimes.
-/// Every candidate is distinct, so each is checked (`sf_check::check`) and
-/// predicted ([`predict`]) directly; nothing is memoized between
-/// candidates, sweeps or callers.
+/// `jobs` threads via [`sf_par::par_map`], then ranked by planned runtime
+/// with ties kept in sweep order — so the returned vector is identical for
+/// every `jobs` value. The first evaluation error in sweep order is
+/// returned. Every candidate is distinct, so each is checked
+/// (`sf_check::check`) and predicted ([`predict`]) directly; nothing is
+/// memoized between candidates, sweeps or callers.
 pub fn explore_jobs(
     dev: &FpgaDevice,
     spec: &StencilSpec,
@@ -121,6 +124,86 @@ pub fn explore_jobs(
     opts: &DseOptions,
     jobs: usize,
 ) -> Result<Vec<Candidate>, ModelError> {
+    let points = sweep(dev, spec, wl, opts)?;
+    let evaluated = sf_par::par_map(jobs, points, |_, pt| evaluate(dev, spec, wl, niter, opts, pt));
+    let mut out = Vec::new();
+    for (pos, r) in evaluated.into_iter().enumerate() {
+        if let Some(c) = r? {
+            out.push((pos, c));
+        }
+    }
+    out.sort_unstable_by(|(i, a), (j, b)| {
+        rank((a.planned_runtime_s, *i), (b.planned_runtime_s, *j))
+    });
+    Ok(out.into_iter().map(|(_, c)| c).collect())
+}
+
+/// The single best candidate, if any design is feasible: the head of
+/// [`explore`]'s ranking, errors included, without materializing it.
+pub fn best(
+    dev: &FpgaDevice,
+    spec: &StencilSpec,
+    wl: &Workload,
+    niter: u64,
+    opts: &DseOptions,
+) -> Result<Option<Candidate>, ModelError> {
+    best_jobs(dev, spec, wl, niter, opts, sf_par::resolve_jobs(None))
+}
+
+/// [`best`] with an explicit worker count.
+///
+/// An ordered reduction over [`explore_jobs`]'s sweep: every point goes
+/// through the same evaluation, but only its `(planned runtime, sweep
+/// position)` is kept; the first error in sweep order is returned, as
+/// [`explore_jobs`] returns it, and the winner is evaluated once more to
+/// rebuild its [`Candidate`]. Never more than one `Candidate` per worker
+/// is alive, and the result is identical for every `jobs` value.
+pub fn best_jobs(
+    dev: &FpgaDevice,
+    spec: &StencilSpec,
+    wl: &Workload,
+    niter: u64,
+    opts: &DseOptions,
+    jobs: usize,
+) -> Result<Option<Candidate>, ModelError> {
+    let points = sweep(dev, spec, wl, opts)?;
+    let keys = sf_par::par_map(jobs, points.iter().collect(), |pos, &pt| {
+        Ok(evaluate(dev, spec, wl, niter, opts, pt)?.map(|c| (c.planned_runtime_s, pos)))
+    });
+    let mut leader: Option<(f64, usize)> = None;
+    for key in keys {
+        if let Some(k) = key? {
+            if leader.is_none_or(|l| rank(k, l).is_lt()) {
+                leader = Some(k);
+            }
+        }
+    }
+    match leader {
+        Some((_, pos)) => evaluate(dev, spec, wl, niter, opts, points[pos]),
+        None => Ok(None),
+    }
+}
+
+/// The one ranking order of the sweep: planned runtime, then sweep
+/// position. `total_cmp` rather than `partial_cmp`: [`evaluate`] already
+/// rejected non-finite runtimes, so the order is total either way, but the
+/// ranking must never be a panic site.
+fn rank((rt_a, pos_a): (f64, usize), (rt_b, pos_b): (f64, usize)) -> Ordering {
+    rt_a.total_cmp(&rt_b).then(pos_a.cmp(&pos_b))
+}
+
+/// One sweep point: `(V, p, mode, devices)`.
+type Point = (usize, usize, ExecMode, usize);
+
+/// Validate the options and the spec, then enumerate the sweep serially
+/// (cheap arithmetic only), so the point list — and therefore every result
+/// order — is independent of the worker count.
+fn sweep(
+    dev: &FpgaDevice,
+    spec: &StencilSpec,
+    wl: &Workload,
+    opts: &DseOptions,
+) -> Result<Vec<Point>, ModelError> {
     if opts.v_candidates.is_empty() {
         return Err(ModelError::invalid("v_candidates", "sweep must name at least one V"));
     }
@@ -143,9 +226,7 @@ pub fn explore_jobs(
     // sweep bound, window sizing, the ranking itself) — reject it up front.
     crate::verify::verify_spec(spec)?;
     let batch = wl.batch();
-    // Enumerate the sweep serially (cheap arithmetic only) so the work
-    // list — and therefore the result order — is independent of `jobs`.
-    let mut configs: Vec<(usize, usize, ExecMode, usize)> = Vec::new();
+    let mut points = Vec::new();
     for &v in &opts.v_candidates {
         let p_cap = crate::equations::p_dsp(dev.dsp_total, dev.dsp_util_target, v, spec.gdsp())
             .min(opts.max_p);
@@ -153,96 +234,60 @@ pub fn explore_jobs(
             // whole-mesh (baseline/batched) candidates, one per device count
             let mode = if batch > 1 { ExecMode::Batched { b: batch } } else { ExecMode::Baseline };
             for &devices in &opts.device_candidates {
-                configs.push((v, p, mode, devices));
+                points.push((v, p, mode, devices));
             }
-            // tiled candidate (single-mesh workloads only)
+            // tiled candidate (single-mesh workloads only); the checker
+            // rejects a tile within twice the halo (SFC-T01) but only
+            // warns about one wider than the mesh (SFC-T02), so that
+            // policy is the DSE's own
             if opts.allow_tiling && batch == 1 {
-                let mode = match wl {
-                    Workload::D2 { .. } => {
+                let mode = match *wl {
+                    Workload::D2 { nx, .. } => {
                         let m = blocking::recommended_tile_2d(dev, spec, v, p);
-                        ExecMode::Tiled1D { tile_m: m }
+                        (m <= nx).then_some(ExecMode::Tiled1D { tile_m: m })
                     }
-                    Workload::D3 { .. } => {
+                    Workload::D3 { nx, ny, .. } => {
                         let (m, n) = blocking::recommended_tile_3d(dev, spec, v, p);
-                        ExecMode::Tiled2D { tile_m: m, tile_n: n }
+                        (m <= nx && n <= ny).then_some(ExecMode::Tiled2D { tile_m: m, tile_n: n })
                     }
                 };
-                let both_halos = 2 * spec.halo(p);
-                let tile_fits_mesh = match (wl, mode) {
-                    (Workload::D2 { nx, .. }, ExecMode::Tiled1D { tile_m }) => {
-                        tile_m > both_halos && tile_m <= *nx
-                    }
-                    (Workload::D3 { nx, ny, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
-                        tile_m > both_halos && tile_n > both_halos && tile_m <= *nx && tile_n <= *ny
-                    }
-                    _ => false,
-                };
-                if tile_fits_mesh {
-                    configs.push((v, p, mode, 1));
+                if let Some(mode) = mode {
+                    points.push((v, p, mode, 1));
                 }
             }
         }
     }
-
-    // Evaluate every point independently; results come back in sweep order.
-    let evaluated: Vec<Result<Option<Candidate>, ModelError>> =
-        sf_par::par_map(jobs, configs, |_, (v, p, mode, devices)| {
-            if !statically_legal(dev, spec, v, p, mode, opts.mem, wl, devices) {
-                return Ok(None);
-            }
-            match synthesize(dev, spec, v, p, mode, opts.mem, wl) {
-                Ok(design) => candidate(dev, design, wl, niter, devices, opts.link).map(Some),
-                Err(_) => Ok(None), // infeasible: silently skipped, as before
-            }
-        });
-    let mut out = Vec::new();
-    for r in evaluated {
-        if let Some(c) = r? {
-            out.push(c);
-        }
-    }
-    // total_cmp instead of partial_cmp: candidate() already rejected
-    // non-finite runtimes, so the ordering is total either way, but this
-    // ranking must never be a panic site. The sort is stable, so equal
-    // runtimes keep their sweep order for every `jobs` value.
-    out.sort_by(|a, b| a.planned_runtime_s.total_cmp(&b.planned_runtime_s));
-    Ok(out)
+    Ok(points)
 }
 
-/// The DSE pruning filter: `true` when the static checker reports no
-/// error-severity diagnostics for the configuration. Warnings (tile
-/// alignment, FIFO slack) do not prune — they trade throughput, not
-/// legality. The device count flows into the SFC-X shard-legality rule, so
-/// shardings whose slabs would be narrower than the halo depth (or that
+/// Evaluate one point: static check → synthesis → prediction.
+/// `Ok(None)` is an infeasible point, silently skipped.
+///
+/// The check is the DSE pruning filter: a point with an error-severity
+/// diagnostic never reaches synthesis. Warnings (tile alignment, FIFO
+/// slack) do not prune — they trade throughput, not legality. The
+/// device count flows into the SFC-X shard-legality rule, so shardings
+/// whose slabs would be narrower than the halo depth (or that
 /// out-number the mesh's outermost units) never reach the cost model.
-#[allow(clippy::too_many_arguments)]
-fn statically_legal(
+fn evaluate(
     dev: &FpgaDevice,
     spec: &StencilSpec,
-    v: usize,
-    p: usize,
-    mode: ExecMode,
-    mem: MemKind,
-    wl: &Workload,
-    devices: usize,
-) -> bool {
-    let design = sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices);
-    !sf_check::check(dev, &design).has_errors()
-}
-
-fn candidate(
-    dev: &FpgaDevice,
-    design: StencilDesign,
     wl: &Workload,
     niter: u64,
-    devices: usize,
-    link: sf_multi::LinkModel,
-) -> Result<Candidate, ModelError> {
+    opts: &DseOptions,
+    (v, p, mode, devices): Point,
+) -> Result<Option<Candidate>, ModelError> {
+    let mem = opts.mem;
+    let checked = sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices);
+    if sf_check::check(dev, &checked).has_errors() {
+        return Ok(None);
+    }
+    let Ok(design) = synthesize(dev, spec, v, p, mode, mem, wl) else { return Ok(None) };
     let (prediction, planned_runtime_s) = if devices > 1 {
         // The sharded plan *is* the extended model for multi-device points —
         // it prices memory-bound rows, halo re-reads and exposed exchange —
         // so prediction and plan coincide by construction.
-        let cfg = sf_multi::MultiConfig { devices, link };
+        let cfg = sf_multi::MultiConfig { devices, link: opts.link };
         let pr = crate::predict::predict_sharded(dev, &design, wl, niter, &cfg)?;
         (pr, pr.runtime_s)
     } else {
@@ -254,18 +299,7 @@ fn candidate(
             detail: format!("V={} p={} mode {:?} on {:?}", design.v, design.p, design.mode, wl),
         });
     }
-    Ok(Candidate { design, devices, prediction, planned_runtime_s })
-}
-
-/// The single best candidate, if any design is feasible.
-pub fn best(
-    dev: &FpgaDevice,
-    spec: &StencilSpec,
-    wl: &Workload,
-    niter: u64,
-    opts: &DseOptions,
-) -> Result<Option<Candidate>, ModelError> {
-    Ok(explore(dev, spec, wl, niter, opts)?.into_iter().next())
+    Ok(Some(Candidate { design, devices, prediction, planned_runtime_s }))
 }
 
 #[cfg(test)]

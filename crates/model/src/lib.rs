@@ -29,7 +29,8 @@
 //!   each candidate on the simulated device, rank by predicted runtime —
 //!   the "model significantly narrows the design space" workflow of §V-A.
 //!   Every candidate is checked and predicted afresh: the model keeps no
-//!   cache, since a sweep never repeats a candidate.
+//!   cache, since a sweep never repeats a candidate. [`dse::best`] walks
+//!   the same sweep as [`explore`] but keeps only its leader.
 //! * [`accuracy`] — the ±15 % validation harness comparing predictions
 //!   against the cycle-level simulator across a configuration suite.
 //! * [`error`] — [`ModelError`], the typed error every public model API

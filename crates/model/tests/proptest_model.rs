@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
 use sf_fpga::FpgaDevice;
 use sf_kernels::StencilSpec;
+use sf_model::dse::{best_jobs, explore_jobs};
 use sf_model::{equations, feasibility::FeasibilityReport, predict, DseOptions, PredictionLevel};
 
 fn dev() -> FpgaDevice {
@@ -179,5 +180,71 @@ proptest! {
             .unwrap();
         let t2 = sf_fpga::cycles::plan(&d, &ds2, &batched, 1000).runtime_s / b as f64;
         prop_assert!(t2 <= t1 * 1.0001, "batched per-mesh {t2} vs solo {t1}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `best` is the head of `explore`'s ranking — the same candidate, or
+    /// the same error — at one and two workers, over every app, 2D and 3D
+    /// extents from below the stencil footprint to paper scale, batching,
+    /// both memories, tiling on and off, every device sweep, and for
+    /// malformed options and a drifted spec.
+    #[test]
+    fn best_is_the_head_of_explore(
+        app in 0usize..3,
+        scale in 0usize..4,
+        ext_x in 0usize..1_000_000,
+        ext_y in 0usize..1_000_000,
+        ext_z in 0usize..1_000_000,
+        batch_draw in 0usize..16,
+        niter in 1u64..100_000,
+        flags in 0u8..4,
+        device_mask in 1usize..8,
+        v_mask in 1usize..128,
+        max_p in 1usize..129,
+        fault in 0u8..12,
+    ) {
+        let spec = [StencilSpec::poisson(), StencilSpec::jacobi(), StencilSpec::rtm()][app];
+        // one extent range per scale, from infeasibly small to paper scale
+        let (lo, hi) = if spec.dims == 2 {
+            [(1, 8), (8, 128), (128, 1024), (1024, 16_000)][scale]
+        } else {
+            [(1, 4), (4, 32), (32, 128), (128, 320)][scale]
+        };
+        let extent = |draw: usize| lo + draw % (hi - lo + 1);
+        // single meshes (the only ones with tiled candidates) half the time
+        let batch = batch_draw.saturating_sub(7).max(1);
+        let wl = if spec.dims == 2 {
+            Workload::D2 { nx: extent(ext_x), ny: extent(ext_y), batch }
+        } else {
+            Workload::D3 { nx: extent(ext_x), ny: extent(ext_y), nz: extent(ext_z), batch }
+        };
+        let pick = |mask: usize, from: &[usize]| -> Vec<usize> {
+            from.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1).map(|(_, &x)| x).collect()
+        };
+        let mut opts = DseOptions {
+            mem: if flags & 1 == 1 { MemKind::Ddr4 } else { MemKind::Hbm },
+            v_candidates: pick(v_mask, &[1, 2, 4, 8, 16, 32, 64]),
+            max_p,
+            allow_tiling: flags & 2 == 2,
+            device_candidates: pick(device_mask, &[1, 2, 4]),
+            ..DseOptions::default()
+        };
+        let mut spec = spec;
+        match fault {
+            0 => opts.v_candidates.clear(),
+            1 => opts.v_candidates.push(0),
+            2 => opts.max_p = 0,
+            3 => opts.device_candidates.insert(0, 0),
+            4 => spec.ops = sf_kernels::OpCount::new(40, 40, 0),
+            _ => {}
+        }
+        let d = dev();
+        let head = explore_jobs(&d, &spec, &wl, niter, &opts, 1).map(|v| v.into_iter().next());
+        for jobs in [1, 2] {
+            prop_assert_eq!((jobs, best_jobs(&d, &spec, &wl, niter, &opts, jobs)), (jobs, head.clone()));
+        }
     }
 }
