@@ -34,14 +34,16 @@
 //! campaign seed, and no map with randomized iteration order is involved.
 
 use serde::Serialize;
-use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-use sf_fpga::fast::{simulate_2d_recoverable_exec, simulate_3d_recoverable_exec};
+use sf_fpga::design::{synthesize, ExecMode, MemKind, StencilDesign, Workload};
+use sf_fpga::driver::{GridKernel, StreamGrid};
+use sf_fpga::window::{Engine, ScalarEngine};
 use sf_fpga::{
-    cycles, ExecEngine, ExecError, FaultInjector, FaultKind, FaultPlan, FpgaDevice, Recorder,
-    RecoveryConfig, RecoveryPolicy, RecoveryStats, RetryPolicy,
+    cycles, recovery, ExecEngine, ExecError, FastEngine, FaultInjector, FaultKind, FaultPlan,
+    Faults, FpgaDevice, GoldenTrajectory, Recorder, RecoveryConfig, RecoveryPolicy, RecoveryStats,
+    RetryPolicy, Run,
 };
-use sf_kernels::{reference, rtm, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
-use sf_mesh::{norms, Batch2D, Batch3D};
+use sf_kernels::{rtm, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
+use sf_mesh::{Batch2D, Batch3D};
 use sf_telemetry::Divergence;
 
 /// Seed for the deterministic input meshes (independent of the fault seed so
@@ -415,155 +417,109 @@ struct TrialRun {
     stats: RecoveryStats,
 }
 
-fn finish_trial(
-    result: Result<(bool, u64), ExecError>,
+/// What every trial of one app shares, built once per campaign and lent to
+/// every trial and worker: the design, the input, the input's golden
+/// trajectory and the clean plan's cycles. The trajectory is the ABFT
+/// expected side of each rollback trial, and its last state is the answer
+/// every trial must reproduce bit for bit.
+struct AppContext<B, K> {
+    dev: FpgaDevice,
+    stages: Vec<K>,
+    niter: usize,
+    design: StencilDesign,
+    input: B,
+    golden: GoldenTrajectory,
     clean_cycles: u64,
-    inj: &FaultInjector,
-    rec: &Recorder,
-    stats: RecoveryStats,
-) -> TrialRun {
-    TrialRun {
-        result,
-        injected: inj.injected(),
-        opportunities: inj.opportunities(),
-        clean_cycles,
-        axi_recovered: rec.counter("fault.axi.recovered"),
-        stats,
+}
+
+impl<B: StreamGrid, K: GridKernel<B>> AppContext<B, K> {
+    fn new(app: CampaignApp, stages: Vec<K>, niter: usize, input: B) -> Self {
+        let dev = FpgaDevice::u280();
+        let (spec, v, p, wl) = app.campaign_params();
+        let design = synthesize(&dev, &spec, v, p, ExecMode::Baseline, MemKind::Hbm, &wl)
+            .expect("campaign designs are feasible");
+        let golden = recovery::golden_trajectory(&stages, &input, design.p, niter);
+        let clean_cycles = cycles::plan(&dev, &design, &wl, niter as u64).total_cycles;
+        AppContext { dev, stages, niter, design, input, golden, clean_cycles }
     }
 }
 
-fn poisson_trial(
-    plan: FaultPlan,
-    policy: &RetryPolicy,
-    mode: TrialMode,
-    engine: ExecEngine,
-) -> TrialRun {
-    let dev = FpgaDevice::u280();
-    let (spec, v, p, wl) = CampaignApp::Poisson2D.campaign_params();
-    let (Workload::D2 { nx, ny, .. } | Workload::D3 { nx, ny, .. }) = wl;
-    let niter = 12usize;
-    let ds = synthesize(&dev, &spec, v, p, ExecMode::Baseline, MemKind::Hbm, &wl)
-        .expect("campaign poisson design is feasible");
-    let input = Batch2D::<f32>::random(nx, ny, 1, INPUT_SEED, -1.0, 1.0);
-    let golden = reference::run_batch_2d(&Poisson2D, &input, niter);
-    let clean = cycles::plan(&dev, &ds, &wl, niter as u64).total_cycles;
-    let mut inj = FaultInjector::new(plan);
-    let mut rec = Recorder::enabled(ds.freq_mhz());
-    let mut stats = RecoveryStats::default();
-    let r = simulate_2d_recoverable_exec(
-        engine,
-        &dev,
-        &ds,
-        &[Poisson2D],
-        &input,
-        niter,
-        &mut inj,
-        policy,
-        &mode.rcfg(),
-        &mut rec,
-    )
-    .map(|(out, rep, s)| {
-        stats = s;
-        (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
-    });
-    finish_trial(r, clean, &inj, &rec, stats)
+/// One trial of an app, whatever its grid and kernel.
+trait Trials: Send + Sync {
+    fn trial(
+        &self,
+        plan: FaultPlan,
+        policy: &RetryPolicy,
+        mode: TrialMode,
+        engine: ExecEngine,
+    ) -> TrialRun;
 }
 
-fn jacobi_trial(
-    plan: FaultPlan,
-    policy: &RetryPolicy,
-    mode: TrialMode,
-    engine: ExecEngine,
-) -> TrialRun {
-    let dev = FpgaDevice::u280();
-    let (spec, v, p, wl) = CampaignApp::Jacobi3D.campaign_params();
-    let (nx, ny, nz) = match wl {
+impl<B, K> Trials for AppContext<B, K>
+where
+    B: StreamGrid,
+    K: GridKernel<B> + Send,
+    ScalarEngine: Engine<B, K>,
+    FastEngine: Engine<B, K>,
+{
+    fn trial(
+        &self,
+        plan: FaultPlan,
+        policy: &RetryPolicy,
+        mode: TrialMode,
+        engine: ExecEngine,
+    ) -> TrialRun {
+        let rcfg = mode.rcfg();
+        let mut inj = FaultInjector::new(plan);
+        let mut rec = Recorder::enabled(self.design.freq_mhz());
+        let run = Run {
+            engine,
+            faults: Faults::Injector(&mut inj),
+            retry: *policy,
+            recovery: Some(&rcfg),
+            trajectory: matches!(mode, TrialMode::Rollback { .. }).then_some(&self.golden),
+            ..Run::new(&self.dev, &self.design, &self.stages, self.niter, &mut rec)
+        }
+        .simulate(&self.input);
+        let (result, stats) = match run {
+            Ok((out, rep, stats)) => {
+                let bit_exact = self.golden.holds(self.niter as u64, out.as_slice());
+                (Ok((bit_exact, rep.total_cycles)), stats)
+            }
+            Err(e) => (Err(e), RecoveryStats::default()),
+        };
+        TrialRun {
+            result,
+            injected: inj.injected(),
+            opportunities: inj.opportunities(),
+            clean_cycles: self.clean_cycles,
+            axi_recovered: rec.counter("fault.axi.recovered"),
+            stats,
+        }
+    }
+}
+
+/// `app`'s context: its fixed mesh and kernel stages, and its trial length
+/// (12, 6 and 4 iterations).
+fn context(app: CampaignApp) -> Box<dyn Trials> {
+    let (nx, ny, nz) = match app.campaign_params().3 {
+        Workload::D2 { nx, ny, .. } => (nx, ny, 1),
         Workload::D3 { nx, ny, nz, .. } => (nx, ny, nz),
-        Workload::D2 { .. } => unreachable!("jacobi campaign workload is 3D"),
     };
-    let niter = 6usize;
-    let ds = synthesize(&dev, &spec, v, p, ExecMode::Baseline, MemKind::Hbm, &wl)
-        .expect("campaign jacobi design is feasible");
-    let k = Jacobi3D::smoothing();
-    let input = Batch3D::<f32>::random(nx, ny, nz, 1, INPUT_SEED, -1.0, 1.0);
-    let golden = reference::run_batch_3d(&k, &input, niter);
-    let clean = cycles::plan(&dev, &ds, &wl, niter as u64).total_cycles;
-    let mut inj = FaultInjector::new(plan);
-    let mut rec = Recorder::enabled(ds.freq_mhz());
-    let mut stats = RecoveryStats::default();
-    let r = simulate_3d_recoverable_exec(
-        engine,
-        &dev,
-        &ds,
-        &[k],
-        &input,
-        niter,
-        &mut inj,
-        policy,
-        &mode.rcfg(),
-        &mut rec,
-    )
-    .map(|(out, rep, s)| {
-        stats = s;
-        (norms::bit_equal(out.as_slice(), golden.as_slice()), rep.total_cycles)
-    });
-    finish_trial(r, clean, &inj, &rec, stats)
-}
-
-fn rtm_trial(
-    plan: FaultPlan,
-    policy: &RetryPolicy,
-    mode: TrialMode,
-    engine: ExecEngine,
-) -> TrialRun {
-    let dev = FpgaDevice::u280();
-    let (spec, v, p, wl) = CampaignApp::Rtm3D.campaign_params();
-    let (nx, ny, nz) = match wl {
-        Workload::D3 { nx, ny, nz, .. } => (nx, ny, nz),
-        Workload::D2 { .. } => unreachable!("rtm campaign workload is 3D"),
-    };
-    let niter = 4usize;
-    let ds = synthesize(&dev, &spec, v, p, ExecMode::Baseline, MemKind::Hbm, &wl)
-        .expect("campaign rtm design is feasible");
-    let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
-    let packed = rtm::pack(&y, &rho, &mu);
-    let input = Batch3D::from_meshes(std::slice::from_ref(&packed));
-    let stages = RtmStage::pipeline(RtmParams::default());
-    let golden = reference::run_stages_3d(&stages, &packed, niter);
-    let clean = cycles::plan(&dev, &ds, &wl, niter as u64).total_cycles;
-    let mut inj = FaultInjector::new(plan);
-    let mut rec = Recorder::enabled(ds.freq_mhz());
-    let mut stats = RecoveryStats::default();
-    let r = simulate_3d_recoverable_exec(
-        engine,
-        &dev,
-        &ds,
-        &stages,
-        &input,
-        niter,
-        &mut inj,
-        policy,
-        &mode.rcfg(),
-        &mut rec,
-    )
-    .map(|(out, rep, s)| {
-        stats = s;
-        (norms::bit_equal(out.mesh(0).as_slice(), golden.as_slice()), rep.total_cycles)
-    });
-    finish_trial(r, clean, &inj, &rec, stats)
-}
-
-fn run_app(
-    app: CampaignApp,
-    plan: FaultPlan,
-    policy: &RetryPolicy,
-    mode: TrialMode,
-    engine: ExecEngine,
-) -> TrialRun {
     match app {
-        CampaignApp::Poisson2D => poisson_trial(plan, policy, mode, engine),
-        CampaignApp::Jacobi3D => jacobi_trial(plan, policy, mode, engine),
-        CampaignApp::Rtm3D => rtm_trial(plan, policy, mode, engine),
+        CampaignApp::Poisson2D => {
+            let input = Batch2D::<f32>::random(nx, ny, 1, INPUT_SEED, -1.0, 1.0);
+            Box::new(AppContext::new(app, vec![Poisson2D], 12, input))
+        }
+        CampaignApp::Jacobi3D => {
+            let input = Batch3D::<f32>::random(nx, ny, nz, 1, INPUT_SEED, -1.0, 1.0);
+            Box::new(AppContext::new(app, vec![Jacobi3D::smoothing()], 6, input))
+        }
+        CampaignApp::Rtm3D => {
+            let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
+            let input = Batch3D::from_meshes(&[rtm::pack(&y, &rho, &mu)]);
+            Box::new(AppContext::new(app, RtmStage::pipeline(RtmParams::default()), 4, input))
+        }
     }
 }
 
@@ -663,8 +619,9 @@ fn classify(
 }
 
 /// One enumerated (app × kind × rate × interval × trial) cell, ready to
-/// execute.
-struct Cell {
+/// execute on its app's context.
+struct Cell<'c> {
+    ctx: &'c dyn Trials,
     app: CampaignApp,
     plan: FaultPlan,
     clean_ok: bool,
@@ -678,19 +635,17 @@ struct Cell {
 /// report (table and JSON) is byte-identical for any worker count.
 pub fn run_campaign(apps: &[CampaignApp], cfg: &CampaignConfig) -> CampaignReport {
     let policy = RetryPolicy::default();
-    // Recovery path shared by every trial of an app: the clean rerun
-    // (injector disabled) must reproduce the golden answer. One run per
-    // app — fanned across workers like the trials themselves.
-    let clean_ok: Vec<bool> = sf_par::par_map(cfg.jobs, apps.to_vec(), |_, app| {
-        let clean = run_app(
-            app,
-            FaultInjector::disabled().plan().to_owned(),
-            &policy,
-            TrialMode::Rerun,
-            cfg.engine,
-        );
-        matches!(clean.result, Ok((true, _)))
-    });
+    // One context per app, built on the workers like the trials that share
+    // it. Its clean run (injector disabled) is the recovery path of every
+    // trial of the app and must reproduce the golden answer.
+    let contexts: Vec<(Box<dyn Trials>, bool)> =
+        sf_par::par_map(cfg.jobs, apps.to_vec(), |_, app| {
+            let ctx = context(app);
+            let disabled = FaultInjector::disabled().plan().to_owned();
+            let clean = ctx.trial(disabled, &policy, TrialMode::Rerun, cfg.engine);
+            let clean_ok = matches!(clean.result, Ok((true, _)));
+            (ctx, clean_ok)
+        });
     // Under rollback the checkpoint intervals are swept as an extra cell
     // axis; under rerun there is a single interval-less pseudo-entry, so
     // the cell count and seed derivation match the pre-checkpoint runner.
@@ -702,7 +657,7 @@ pub fn run_campaign(apps: &[CampaignApp], cfg: &CampaignConfig) -> CampaignRepor
     // parallel; `par_map` returns results in enumeration order, so the
     // trial list (and everything derived from it) is schedule-independent.
     let mut cells = Vec::new();
-    for (i, app) in apps.iter().enumerate() {
+    for (app, (ctx, clean_ok)) in apps.iter().zip(&contexts) {
         let app_idx = CampaignApp::ALL.iter().position(|a| a == app).unwrap_or(0) as u64;
         for kind in &cfg.kinds {
             // Seeds key on the kind's position in the full catalogue, not
@@ -734,14 +689,15 @@ pub fn run_campaign(apps: &[CampaignApp], cfg: &CampaignConfig) -> CampaignRepor
                                 max_retries: cfg.max_retries,
                             },
                         };
-                        cells.push(Cell { app: *app, plan, clean_ok: clean_ok[i], mode });
+                        let ctx = ctx.as_ref();
+                        cells.push(Cell { ctx, app: *app, plan, clean_ok: *clean_ok, mode });
                     }
                 }
             }
         }
     }
     let trials = sf_par::par_map(cfg.jobs, cells, |_, cell| {
-        let run = run_app(cell.app, cell.plan, &policy, cell.mode, cfg.engine);
+        let run = cell.ctx.trial(cell.plan, &policy, cell.mode, cfg.engine);
         classify(cell.app, &run, &cell.plan, cell.clean_ok, cell.mode)
     });
     let injected: Vec<&Trial> = trials.iter().filter(|t| t.injected > 0).collect();

@@ -41,7 +41,7 @@ use crate::window::{build_chain, run_chain, ChainTrace, Engine, Flat, ScalarEngi
 use crate::{power, profile};
 use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_mesh::Element;
-use sf_recover::{RecoveryConfig, RecoveryPolicy, RecoveryStats};
+use sf_recover::{GoldenTrajectory, RecoveryConfig, RecoveryPolicy, RecoveryStats};
 use sf_telemetry::Recorder;
 use std::ops::Range;
 
@@ -171,6 +171,15 @@ pub struct Run<'a, K> {
     /// Checkpoint/rollback configuration of a fault-aware run; `None` and
     /// [`RecoveryPolicy::Rerun`] surface every detection to the caller.
     pub recovery: Option<&'a RecoveryConfig>,
+    /// The golden trajectory of the input at the design's pass boundaries
+    /// ([`recovery::golden_trajectory`]), for a single-stream rollback run.
+    /// A segment that starts on the input's golden state reads its ABFT
+    /// expected signature from it instead of re-solving the segment with
+    /// the golden reference; any other start re-solves as without it. The
+    /// run's outputs, stats and counters are the same either way. This is
+    /// data about the input, not configuration: a caller that runs one
+    /// input many times solves it once and lends it to every run.
+    pub trajectory: Option<&'a GoldenTrajectory>,
     /// Telemetry sink.
     pub rec: &'a mut Recorder,
 }
@@ -223,6 +232,7 @@ impl<'a, K> Run<'a, K> {
             faults: Faults::Off,
             retry: RetryPolicy::default(),
             recovery: None,
+            trajectory: None,
             rec,
         }
     }
@@ -345,7 +355,34 @@ impl<'a, K> Run<'a, K> {
             }
             Faults::Plan(_) => Ok(()),
         };
-        combination.map(|()| sched)
+        combination?;
+        if let Some(t) = self.trajectory {
+            let rollback = self.recovery.map(|r| r.policy);
+            if !matches!(rollback, Some(RecoveryPolicy::Rollback { .. })) || self.jobs.is_some() {
+                return Err(ExecError::Unsupported {
+                    detail: "a golden trajectory serves single-stream rollback runs".to_string(),
+                });
+            }
+            let cells = input.as_slice().len();
+            let lanes = B::Cell::LANES;
+            if t.cells() != cells || t.lanes() != lanes || t.unit_len() != input.unit_len() {
+                return shape(format!(
+                    "golden trajectory of {} cells × {} lanes in units of {} fed {cells} cells \
+                     × {lanes} lanes in units of {}",
+                    t.cells(),
+                    t.lanes(),
+                    t.unit_len(),
+                    input.unit_len()
+                ));
+            }
+            if !t.spans(design.p, self.niter) {
+                return shape(format!(
+                    "golden trajectory does not span {} iterations in passes of {}",
+                    self.niter, design.p
+                ));
+            }
+        }
+        Ok(sched)
     }
 
     /// [`Run::simulate`] on a given engine (kernels without a lane impl run
@@ -362,7 +399,7 @@ impl<'a, K> Run<'a, K> {
         E: Engine<B, K>,
     {
         let sched = self.check(input, slabs)?;
-        let Run { dev, design, stages, niter, jobs, retry, recovery, .. } = *self;
+        let Run { dev, design, stages, niter, jobs, retry, recovery, trajectory, .. } = *self;
         let (wl, n_iter) = (input.workload(), niter as u64);
         let px = Passes {
             engine,
@@ -444,7 +481,7 @@ impl<'a, K> Run<'a, K> {
                     input,
                     budget,
                 );
-                let (out, stats) = recovery::recover(&px, input, niter, inj, &prm)
+                let (out, stats) = recovery::recover(&px, input, niter, inj, &prm, trajectory)
                     .map_err(|e| with_stalls(e, rec))?;
                 let report = recovery::finalize(
                     dev,
@@ -475,7 +512,7 @@ impl<'a, K> Run<'a, K> {
                     let prefix = format!("mesh{i}_");
                     let prm =
                         RecoverParams::new(rcfg, max_retries, prefix, dev, design, &mesh, budget);
-                    let (out, stats) = recovery::recover(&px, &mesh, niter, &mut inj, &prm)?;
+                    let (out, stats) = recovery::recover(&px, &mesh, niter, &mut inj, &prm, None)?;
                     Ok((out, (stats, inj.injected())))
                 })
                 .map_err(|e| with_stalls(e, rec))?;

@@ -90,5 +90,5 @@ pub use resources::ResourceUsage;
 pub use sf_faults::{
     AxiVerdict, FaultInjector, FaultKind, FaultPlan, RetryPolicy, Watchdog, WatchdogTrip,
 };
-pub use sf_recover::{RecoveryConfig, RecoveryPolicy, RecoveryStats};
+pub use sf_recover::{GoldenTrajectory, RecoveryConfig, RecoveryPolicy, RecoveryStats};
 pub use sf_telemetry::{Recorder, StallClass};

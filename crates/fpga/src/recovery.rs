@@ -16,7 +16,20 @@
 //!    checksum re-verified) and only the lost passes are recomputed, up
 //!    to [`RecoveryPolicy::Rollback`](sf_recover::RecoveryPolicy::Rollback)'s `max_retries` per segment;
 //! 4. on success the new state is checkpointed (and optionally spilled
-//!    to the versioned on-disk format).
+//!    to the versioned on-disk format). The run's final checkpoint is
+//!    charged like every other, but without a spill directory its snapshot
+//!    is not captured: no rollback can restore it.
+//!
+//! **The expected side** of every check is the golden reference
+//! (`sf_kernels::reference`), never the engine under test. By default each
+//! segment re-solves it from the verified start state. A run given the
+//! input's [`GoldenTrajectory`] ([`Run::trajectory`], built by
+//! [`golden_trajectory`]) first compares the start state's lane bit
+//! patterns with the trajectory's state at that iteration, an O(n)
+//! compare. When they are equal — every segment of a run whose checks all
+//! pass — the expected signature is the trajectory's at the segment's end:
+//! the reference is iteration-invariant, so that is the signature the
+//! re-solve would produce. Any other start state re-solves as before.
 //!
 //! With [`RecoveryPolicy::Rerun`](sf_recover::RecoveryPolicy::Rerun) a fault-aware run has no segments:
 //! detections surface to the caller.
@@ -37,6 +50,7 @@
 //! per seed.
 //!
 //! [`CyclePlan`]: crate::cycles::CyclePlan
+//! [`Run::trajectory`]: crate::driver::Run::trajectory
 
 use crate::design::{MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
@@ -49,8 +63,8 @@ use crate::window::Engine;
 use sf_faults::{FaultInjector, FaultPlan};
 use sf_mesh::Element;
 use sf_recover::{
-    abft_check_cycles, spill, AbftSignature, CheckpointRing, RecoveryConfig, RecoveryStats,
-    Snapshot,
+    abft_check_cycles, spill, AbftSignature, CheckpointRing, GoldenTrajectory, RecoveryConfig,
+    RecoveryStats, Snapshot,
 };
 use sf_telemetry::{Recorder, StallClass};
 use std::path::PathBuf;
@@ -120,7 +134,9 @@ impl RecoverParams {
         }
     }
 
-    /// Capture (and optionally spill) a checkpoint, charging its cost.
+    /// Checkpoint `state`, charging its cost: capture it into the ring and
+    /// spill it, if spilling. The run's `last` checkpoint is only ever read
+    /// back from a spill file, so without one it is charged, not captured.
     fn take_checkpoint<B: StreamGrid>(
         &self,
         ring: &mut CheckpointRing,
@@ -128,7 +144,13 @@ impl RecoverParams {
         state: &B,
         iters_done: u64,
         passes_done: u64,
+        last: bool,
     ) -> Result<(), ExecError> {
+        stats.checkpoints_taken += 1;
+        stats.checkpoint_cycles += self.ckpt_cost;
+        if last && self.spill_dir.is_none() {
+            return Ok(());
+        }
         let dims: Vec<u64> = match state.workload() {
             Workload::D2 { nx, ny, .. } => vec![nx as u64, ny as u64],
             Workload::D3 { nx, ny, nz, .. } => vec![nx as u64, ny as u64, nz as u64],
@@ -146,8 +168,6 @@ impl RecoverParams {
                 .map_err(|e| ExecError::Checkpoint { detail: e.to_string() })?;
         }
         ring.push(snap);
-        stats.checkpoints_taken += 1;
-        stats.checkpoint_cycles += self.ckpt_cost;
         Ok(())
     }
 
@@ -182,16 +202,41 @@ pub(crate) fn segment_passes(p: usize, remaining: usize, interval: usize) -> Vec
     seg
 }
 
+/// The golden trajectory of `input`: its `K::reference` state at iteration
+/// 0 and after every pass of `p` iterations up to `niter`, each with its
+/// ABFT signature over the input's stream units. Lent to the rollback runs
+/// of this input ([`Run::trajectory`](crate::driver::Run::trajectory)) on a
+/// design with `p` iterations per pass, it stands in for their per-segment
+/// reference solves.
+pub fn golden_trajectory<B: StreamGrid, K: GridKernel<B>>(
+    stages: &[K],
+    input: &B,
+    p: usize,
+    niter: usize,
+) -> GoldenTrajectory {
+    let mut golden = GoldenTrajectory::new(input.as_slice(), input.unit_len());
+    let (mut state, mut done) = (input.clone(), 0);
+    for iters in segment_passes(p, niter, usize::MAX) {
+        state = K::reference(stages, &state, iters);
+        done += iters;
+        golden.push(done as u64, state.as_slice());
+    }
+    golden
+}
+
 /// The checkpoint/ABFT/rollback loop over one stream (a whole batch for a
 /// single-stream run, one mesh for a per-mesh run). Segments replay
 /// through the run's engine; the ABFT expected side is always the golden
-/// reference, so every engine is verified against the same signatures.
+/// reference — read from `golden` when the segment starts on its state,
+/// re-solved otherwise — so every engine is verified against the same
+/// signatures.
 pub(crate) fn recover<B, K, E>(
     px: &Passes<'_, K, E>,
     input: &B,
     niter: usize,
     inj: &mut FaultInjector,
     prm: &RecoverParams,
+    golden: Option<&GoldenTrajectory>,
 ) -> Result<(B, RecoveryStats), ExecError>
 where
     B: StreamGrid,
@@ -206,15 +251,25 @@ where
     let mut verified = input.clone();
     let mut done = 0usize;
     let mut passes_done = 0u64;
-    prm.take_checkpoint(&mut ring, &mut stats, &verified, 0, 0)?;
+    prm.take_checkpoint(&mut ring, &mut stats, &verified, 0, 0, false)?;
 
     while done < niter {
         let seg = segment_passes(px.sched.design.p, niter - done, prm.interval);
         let seg_iters: usize = seg.iter().sum();
         // replaying a segment costs its passes at the watchdog's pass price
         let seg_replay_cycles = seg.len() as u64 * prm.budget.saturating_sub(1);
-        let expected = K::reference(px.stages, &verified, seg_iters);
-        let expected_sig = AbftSignature::compute(expected.as_slice(), unit);
+        let solved;
+        let expected_sig = match golden
+            .filter(|g| g.holds(done as u64, verified.as_slice()))
+            .and_then(|g| g.signature((done + seg_iters) as u64))
+        {
+            Some(sig) => sig,
+            None => {
+                let expected = K::reference(px.stages, &verified, seg_iters);
+                solved = AbftSignature::compute(expected.as_slice(), unit);
+                &solved
+            }
+        };
 
         let mut attempt = 0u32;
         let state = loop {
@@ -223,7 +278,7 @@ where
                     stats.abft_checks += 1;
                     stats.abft_cycles += prm.abft_cost;
                     let sig = AbftSignature::compute(state.as_slice(), unit);
-                    if sig.matches(&expected_sig, prm.abft_tol) {
+                    if sig.matches(expected_sig, prm.abft_tol) {
                         break state;
                     }
                     stats.sdc_detected += 1;
@@ -252,7 +307,8 @@ where
         verified = state;
         done += seg_iters;
         passes_done += seg.len() as u64;
-        prm.take_checkpoint(&mut ring, &mut stats, &verified, done as u64, passes_done)?;
+        let last = done == niter;
+        prm.take_checkpoint(&mut ring, &mut stats, &verified, done as u64, passes_done, last)?;
     }
     Ok((verified, stats))
 }
@@ -507,6 +563,114 @@ mod tests {
         let snap = spill::read_file(&last).expect("final spilled checkpoint must decode");
         assert_eq!(snap.iters_done, 12);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A rollback run of Poisson (12 iterations, one 3-pass segment) on
+    /// `batch` with an optional fault plan, lent `golden`.
+    fn poisson_rollback(
+        ds: &StencilDesign,
+        batch: &Batch2D<f32>,
+        plan: Option<FaultPlan>,
+        golden: Option<&GoldenTrajectory>,
+    ) -> Result<(Batch2D<f32>, SimReport, RecoveryStats), ExecError> {
+        let mut inj = plan.map_or_else(FaultInjector::disabled, FaultInjector::new);
+        let mut rec = Recorder::disabled();
+        Run {
+            faults: Faults::Injector(&mut inj),
+            recovery: Some(&rollback_cfg(4)),
+            trajectory: golden,
+            ..Run::new(&dev(), ds, &[Poisson2D], 12, &mut rec)
+        }
+        .simulate(batch)
+    }
+
+    const BITFLIP: FaultPlan =
+        FaultPlan { seed: 42, kind: FaultKind::BitFlip, rate_ppm: 1_000_000, max_injections: 1 };
+
+    #[test]
+    fn trajectory_run_matches_the_reference_and_rolls_back_bitflips() {
+        let (ds, batch, m) = poisson_setup();
+        let golden = golden_trajectory(&[Poisson2D], &batch, ds.p, 12);
+        let expect = reference::run_2d(&Poisson2D, &m, 12);
+        assert!(golden.holds(12, expect.as_slice()), "the trajectory ends on the reference");
+        for plan in [None, Some(BITFLIP)] {
+            let (out, rep, stats) = poisson_rollback(&ds, &batch, plan, Some(&golden)).unwrap();
+            assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()), "{plan:?}");
+            let (_, plain_rep, plain_stats) = poisson_rollback(&ds, &batch, plan, None).unwrap();
+            assert_eq!(stats, plain_stats, "{plan:?}");
+            assert_eq!(rep.total_cycles, plain_rep.total_cycles, "{plan:?}");
+            let flipped = u64::from(plan.is_some());
+            assert_eq!((stats.sdc_detected, stats.rollbacks), (flipped, flipped), "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn foreign_trajectory_falls_back_to_the_reference() {
+        // same shape, another input: no segment starts on its states
+        let (ds, batch, m) = poisson_setup();
+        let other = Batch2D::<f32>::random(40, 24, 1, 8, -1.0, 1.0);
+        let foreign = golden_trajectory(&[Poisson2D], &other, ds.p, 12);
+        let expect = reference::run_2d(&Poisson2D, &m, 12);
+        for plan in [None, Some(BITFLIP)] {
+            let (out, rep, stats) = poisson_rollback(&ds, &batch, plan, Some(&foreign)).unwrap();
+            let (plain, plain_rep, plain_stats) =
+                poisson_rollback(&ds, &batch, plan, None).unwrap();
+            assert!(norms::bit_equal(out.as_slice(), plain.as_slice()), "{plan:?}");
+            assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()), "{plan:?}");
+            assert_eq!(stats, plain_stats, "{plan:?}");
+            assert_eq!(rep.total_cycles, plain_rep.total_cycles, "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn trajectory_signatures_are_the_expected_side() {
+        // a trajectory that starts on the input but records wrong later
+        // states: the fault-free run must trust its signatures, and fail
+        let (ds, batch, _) = poisson_setup();
+        let mut poisoned = GoldenTrajectory::new(batch.as_slice(), batch.unit_len());
+        for it in [4, 8, 12] {
+            poisoned.push(it, batch.as_slice());
+        }
+        let r = poisson_rollback(&ds, &batch, None, Some(&poisoned));
+        assert!(matches!(r, Err(ExecError::RecoveryExhausted { .. })), "{:?}", r.map(|_| ()));
+    }
+
+    #[test]
+    fn trajectory_must_fit_the_run() {
+        let (ds, batch, _) = poisson_setup();
+        let shape = |golden: &GoldenTrajectory| {
+            let r = poisson_rollback(&ds, &batch, None, Some(golden));
+            assert!(matches!(r, Err(ExecError::ShapeMismatch { .. })), "{:?}", r.map(|_| ()));
+        };
+        // 8 iterations, passes of 3, and 24×40 units of the same 960 cells
+        shape(&golden_trajectory(&[Poisson2D], &batch, ds.p, 8));
+        shape(&golden_trajectory(&[Poisson2D], &batch, 3, 12));
+        let transposed = Batch2D::<f32>::random(24, 40, 1, 7, -1.0, 1.0);
+        shape(&golden_trajectory(&[Poisson2D], &transposed, ds.p, 12));
+        let lanes: Vec<sf_mesh::VecN<2>> = vec![sf_mesh::VecN::splat(0.0); 960];
+        shape(&GoldenTrajectory::new(&lanes, 40));
+        // only a single-stream rollback run reads a trajectory
+        let golden = golden_trajectory(&[Poisson2D], &batch, ds.p, 12);
+        let rerun = RecoveryConfig { policy: RecoveryPolicy::Rerun, ..rollback_cfg(4) };
+        let mut rec = Recorder::disabled();
+        let mut inj = FaultInjector::disabled();
+        let r = Run {
+            faults: Faults::Injector(&mut inj),
+            recovery: Some(&rerun),
+            trajectory: Some(&golden),
+            ..Run::new(&dev(), &ds, &[Poisson2D], 12, &mut rec)
+        }
+        .simulate(&batch);
+        assert!(matches!(r, Err(ExecError::Unsupported { .. })), "{:?}", r.map(|_| ()));
+        let r = Run {
+            jobs: Some(1),
+            faults: Faults::Plan(BITFLIP),
+            recovery: Some(&rollback_cfg(4)),
+            trajectory: Some(&golden),
+            ..Run::new(&dev(), &ds, &[Poisson2D], 12, &mut rec)
+        }
+        .simulate(&batch);
+        assert!(matches!(r, Err(ExecError::Unsupported { .. })), "{:?}", r.map(|_| ()));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl core::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// One captured mesh state: shape header, lane-major `f32` payload and an
-/// FNV-1a checksum over both.
+/// FNV-1a checksum over both ([`content_checksum`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Iterations fully completed when the snapshot was taken.
@@ -105,7 +105,14 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
 }
 
 /// FNV-1a over the snapshot header fields and payload bit patterns; used
-/// both in memory and as the spill trailer.
+/// both in memory and as the spill trailer (spill format v2).
+///
+/// Header fields fold byte by byte. Each payload value folds as one
+/// 32-bit word — `h = (h ^ bits) · FNV_PRIME` — in one step instead of
+/// eight byte steps. Like a byte step, a word step is a bijection of the
+/// running hash for a fixed word (xor, then multiplication by an odd
+/// prime), and it maps different words to different hashes from the same
+/// running hash, so any single corrupted value changes the checksum.
 pub fn content_checksum(
     iters_done: u64,
     passes_done: u64,
@@ -125,7 +132,7 @@ pub fn content_checksum(
     h = fnv_u64(h, u64::from(lanes));
     h = fnv_u64(h, data.len() as u64);
     for &v in data {
-        h = fnv_u64(h, u64::from(v.to_bits()));
+        h = (h ^ u64::from(v.to_bits())).wrapping_mul(FNV_PRIME);
     }
     h
 }

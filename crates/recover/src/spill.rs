@@ -1,11 +1,11 @@
 //! Versioned binary spill format for checkpoints.
 //!
-//! Layout (all integers little-endian):
+//! Layout of version 2 (all integers little-endian):
 //!
 //! ```text
 //! offset  size  field
 //! 0       6     magic  b"SFCKPT"
-//! 6       2     version (u16) — currently 1
+//! 6       2     version (u16) — 2
 //! 8       8     iters_done (u64)
 //! 16      8     passes_done (u64)
 //! 24      8     batch (u64)
@@ -14,8 +14,13 @@
 //! 40      8*n   dims (u64 each)
 //! ..      8     payload length in values (u64)
 //! ..      4*m   payload (f32 bit patterns)
-//! ..      8     content checksum (u64) — same FNV-1a as Snapshot
+//! ..      8     content checksum (u64) — Snapshot's FNV-1a, payload
+//!               folded one 32-bit word per step
 //! ```
+//!
+//! Version 1 had the same layout with a checksum that folded the payload
+//! one byte per step. This build reads version 2 only: a version-1 file is
+//! rejected as [`CheckpointError::UnsupportedVersion`].
 //!
 //! Decoding is total: every malformed input maps to a typed
 //! [`CheckpointError`] — bad magic, unknown version, truncation, checksum
@@ -26,8 +31,8 @@ use std::path::Path;
 
 /// Magic prefix of every spill file.
 pub const SPILL_MAGIC: &[u8; 6] = b"SFCKPT";
-/// Current (and only) spill format version.
-pub const SPILL_VERSION: u16 = 1;
+/// The spill format version this build writes and reads.
+pub const SPILL_VERSION: u16 = 2;
 
 /// Serialize a snapshot into the spill byte format.
 pub fn to_bytes(snap: &Snapshot) -> Vec<u8> {
@@ -105,9 +110,14 @@ pub fn try_from_bytes(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let ndims = r.u32()? as usize;
     // dims and payload lengths are attacker-controlled: bound them by the
     // bytes actually present before allocating.
+    // Both lengths saturate, so a corrupted one reports `needed > have`.
+    let truncated = |pos: usize, len: usize| CheckpointError::Truncated {
+        needed: pos.saturating_add(len),
+        have: bytes.len(),
+    };
     let remaining = bytes.len().saturating_sub(r.pos);
     if ndims.saturating_mul(8) > remaining {
-        return Err(CheckpointError::Truncated { needed: r.pos + ndims * 8, have: bytes.len() });
+        return Err(truncated(r.pos, ndims.saturating_mul(8)));
     }
     let mut dims = Vec::with_capacity(ndims);
     for _ in 0..ndims {
@@ -116,7 +126,7 @@ pub fn try_from_bytes(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let nvals = r.u64()? as usize;
     let remaining = bytes.len().saturating_sub(r.pos);
     if nvals.saturating_mul(4) > remaining {
-        return Err(CheckpointError::Truncated { needed: r.pos + nvals * 4, have: bytes.len() });
+        return Err(truncated(r.pos, nvals.saturating_mul(4)));
     }
     let mut data = Vec::with_capacity(nvals);
     for _ in 0..nvals {
@@ -175,6 +185,50 @@ mod tests {
             try_from_bytes(&bytes),
             Err(CheckpointError::UnsupportedVersion { found: 9 })
         ));
+    }
+
+    #[test]
+    fn version_1_stream_is_unsupported() {
+        // a genuine v1 encoding: v2's layout with the payload folded into
+        // the checksum byte by byte
+        let s = sample();
+        let fnv = |mut h: u64, v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        };
+        let (d, n) = (&s.dims, s.data.len() as u64);
+        let header = [s.iters_done, s.passes_done, 2, d[0], d[1], s.batch, u64::from(s.lanes), n];
+        let mut h = header.iter().fold(0xcbf2_9ce4_8422_2325, |h, &v| fnv(h, v));
+        for v in &s.data {
+            h = fnv(h, u64::from(v.to_bits()));
+        }
+        let mut bytes = to_bytes(&s);
+        bytes[6..8].copy_from_slice(&1u16.to_le_bytes());
+        let trailer = bytes.len() - 8;
+        bytes[trailer..].copy_from_slice(&h.to_le_bytes());
+        assert_eq!(try_from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion { found: 1 }));
+    }
+
+    #[test]
+    fn corrupted_length_fields_report_truncation() {
+        // the high bits of the payload length (offset 56, after two dims)
+        // and of `ndims` (offset 36): a huge length must report more bytes
+        // needed than present, not overflow
+        let clean = to_bytes(&sample());
+        for (field, width) in [(56usize, 8usize), (36, 4)] {
+            for bit in 4..8 {
+                let mut bytes = clean.clone();
+                bytes[field + width - 1] ^= 1 << bit;
+                match try_from_bytes(&bytes) {
+                    Err(CheckpointError::Truncated { needed, have }) => {
+                        assert!(needed > have, "field {field} bit {bit}: {needed} <= {have}")
+                    }
+                    other => panic!("field {field} bit {bit}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
