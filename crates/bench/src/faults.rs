@@ -29,6 +29,15 @@
 //! checksum is always consulted) and [`CampaignReport::all_accounted`]
 //! asserts it.
 //!
+//! Each app's design, input, golden answer and clean plan are built once
+//! per campaign and shared by every trial and worker. The golden answer is
+//! a [`GoldenTrajectory`]: the reference state of the input at every pass
+//! boundary with its ABFT signature. Its last state is what every trial must
+//! reproduce bit for bit, and a rollback trial reads its ABFT expected side
+//! from it rather than re-solving the reference segment by segment (a
+//! segment whose start state is not golden still re-solves), so a trial
+//! costs its own streaming plus its own checks.
+//!
 //! Same campaign seed ⇒ byte-identical report (table and JSON): the sweep
 //! order is fixed arrays, the per-trial seeds are pure functions of the
 //! campaign seed, and no map with randomized iteration order is involved.
@@ -500,7 +509,7 @@ where
 }
 
 /// `app`'s context: its fixed mesh and kernel stages, and its trial length
-/// (12, 6 and 4 iterations).
+/// (12, 6 and 4 iterations, which sfbench mirrors to count cell updates).
 fn context(app: CampaignApp) -> Box<dyn Trials> {
     let (nx, ny, nz) = match app.campaign_params().3 {
         Workload::D2 { nx, ny, .. } => (nx, ny, 1),

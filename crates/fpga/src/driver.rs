@@ -356,31 +356,28 @@ impl<'a, K> Run<'a, K> {
             Faults::Plan(_) => Ok(()),
         };
         combination?;
-        if let Some(t) = self.trajectory {
-            let rollback = self.recovery.map(|r| r.policy);
-            if !matches!(rollback, Some(RecoveryPolicy::Rollback { .. })) || self.jobs.is_some() {
-                return Err(ExecError::Unsupported {
-                    detail: "a golden trajectory serves single-stream rollback runs".to_string(),
-                });
-            }
-            let cells = input.as_slice().len();
-            let lanes = B::Cell::LANES;
-            if t.cells() != cells || t.lanes() != lanes || t.unit_len() != input.unit_len() {
-                return shape(format!(
-                    "golden trajectory of {} cells × {} lanes in units of {} fed {cells} cells \
-                     × {lanes} lanes in units of {}",
-                    t.cells(),
-                    t.lanes(),
-                    t.unit_len(),
-                    input.unit_len()
-                ));
-            }
-            if !t.spans(design.p, self.niter) {
-                return shape(format!(
-                    "golden trajectory does not span {} iterations in passes of {}",
-                    self.niter, design.p
-                ));
-            }
+        let Some(t) = self.trajectory else { return Ok(sched) };
+        let rollback =
+            matches!(self.recovery.map(|r| r.policy), Some(RecoveryPolicy::Rollback { .. }));
+        if !rollback || self.jobs.is_some() {
+            return Err(ExecError::Unsupported {
+                detail: "a golden trajectory serves single-stream rollback runs".to_string(),
+            });
+        }
+        let fits = t.cells() == input.as_slice().len()
+            && t.lanes() == B::Cell::LANES
+            && t.unit_len() == input.unit_len()
+            && t.spans(design.p, self.niter);
+        if !fits {
+            return shape(format!(
+                "golden trajectory of {} cells × {} lanes in units of {} does not span {} \
+                 iterations of this input in passes of {}",
+                t.cells(),
+                t.lanes(),
+                t.unit_len(),
+                self.niter,
+                design.p
+            ));
         }
         Ok(sched)
     }
