@@ -6,6 +6,10 @@
 //! the on-disk spill format stays independent of the element type that
 //! produced it.
 //!
+//! Its [`content_checksum`] is FNV-1a over the shape header, byte by byte,
+//! and over the payload, one 32-bit word per step; spill format v2 stores
+//! it as the file's trailer.
+//!
 //! [`VecN`]: sf_mesh::VecN
 
 use serde::{Deserialize, Serialize};

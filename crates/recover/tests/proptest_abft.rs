@@ -44,7 +44,9 @@ fn bits(s: &AbftSignature) -> (Vec<u64>, Vec<u64>, u64, u64) {
 }
 
 /// A deterministic lane payload (the vendored proptest has no collection
-/// strategies): mixed magnitudes, with occasional signed zeros and NaN.
+/// strategies), with occasional signed zeros and NaN. Magnitudes span
+/// 2^-40..2^40, so `f64` sums round and any change to the order of the
+/// additions shows in the bits.
 fn lanes(seed: u64, n: usize) -> Vec<f32> {
     let mut x = seed | 1;
     (0..n)
@@ -57,7 +59,10 @@ fn lanes(seed: u64, n: usize) -> Vec<f32> {
                 0 => -0.0,
                 1 => 0.0,
                 2 if seed.is_multiple_of(4) => f32::NAN,
-                _ => ((z >> 40) as f32 / 4096.0 - 2048.0) * if z & 4 == 0 { 1e-3 } else { 1.0 },
+                _ => {
+                    let (sign, exp) = ((z >> 63) as u32, 87 + ((z >> 8) % 80) as u32);
+                    f32::from_bits(sign << 31 | exp << 23 | (z >> 32) as u32 & 0x7f_ffff)
+                }
             }
         })
         .collect()
