@@ -134,7 +134,7 @@ struct Args {
     jobs: usize,
     exec: sf_fpga::ExecEngine,
     devices: usize,
-    link: sf_multi::LinkModel,
+    link: sf_fpga::LinkModel,
     json: bool,
     trace_out: Option<String>,
     record_out: Option<String>,
@@ -214,8 +214,8 @@ fn parse() -> Args {
         // rather than silently running one device.
         devices: get("--devices").map(|s| positive("--devices", s)).unwrap_or(1),
         link: match get("--link") {
-            None => sf_multi::LinkModel::default(),
-            Some(s) => sf_multi::LinkModel::parse(&s)
+            None => sf_fpga::LinkModel::default(),
+            Some(s) => sf_fpga::LinkModel::parse(&s)
                 .unwrap_or_else(|| fail(&format!("--link must be aurora or pcie (got '{s}')"))),
         },
         json: argv.iter().any(|a| a == "--json"),
@@ -587,7 +587,7 @@ fn main() {
             a.iters,
             a.jobs,
             a.exec,
-            &sf_multi::MultiConfig { devices: a.devices, link: a.link },
+            &sf_fpga::MultiConfig { devices: a.devices, link: a.link },
         ) {
             Ok(pr) => {
                 if let Some(path) = &a.trace_out {

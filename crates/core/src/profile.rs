@@ -17,13 +17,13 @@ use crate::error::SfError;
 use crate::resilience::Degradation;
 use crate::workflow::Workflow;
 use serde::Value;
+use sf_fpga::cycles::{Schedule, ShardedPlan};
 use sf_fpga::design::{StencilDesign, Workload};
 use sf_fpga::trace::PlanTrace;
-use sf_fpga::{fast, trace, ExecEngine, Recorder, SimReport};
+use sf_fpga::{trace, ExecEngine, ExecError, MultiConfig, Recorder, Run, SimReport};
 use sf_kernels::{rtm, AppId, Jacobi3D, Poisson2D, RtmStage, StencilSpec};
 use sf_mesh::{Batch2D, Batch3D};
 use sf_model::{predict, Prediction, PredictionLevel};
-use sf_multi::{MultiConfig, MultiError, ShardedPlan};
 use sf_telemetry::Divergence;
 
 /// Cell-iterations (total cells × niter) up to which `profile` streams the
@@ -160,7 +160,7 @@ impl Workflow {
             .map_err(SfError::Check)?;
         let dev = &self.device;
         let sharded = if cfg.devices > 1 {
-            Some(sf_multi::sharded_plan(dev, &design, wl, niter, cfg).map_err(multi_err)?)
+            Some(Schedule::new(dev, &design, wl, cfg).map_err(exec_err)?.sharded_plan(niter))
         } else {
             None
         };
@@ -181,21 +181,10 @@ impl Workflow {
             Some(r) => r,
             None => {
                 // Schedule-only: same cycle accounting, no numerics.
-                if cfg.devices > 1 {
-                    let plan =
-                        sf_multi::trace_sharded_schedule(dev, &design, wl, niter, cfg, &mut rec)
-                            .map_err(multi_err)?;
-                    let power = sf_fpga::power::fpga_power_w(dev, &design) * cfg.devices as f64;
-                    SimReport::from_plan(&design, &plan.merged, niter, power)
-                } else {
-                    let plan = sf_fpga::profile::trace_schedule(dev, &design, wl, niter, &mut rec);
-                    SimReport::from_plan(
-                        &design,
-                        &plan,
-                        niter,
-                        sf_fpga::power::fpga_power_w(dev, &design),
-                    )
-                }
+                let plan = sf_fpga::profile::trace_devices(dev, &design, wl, niter, cfg, &mut rec)
+                    .map_err(exec_err)?;
+                let power = sf_fpga::power::fpga_power_w(dev, &design) * cfg.devices as f64;
+                SimReport::from_plan(&design, &plan.merged, niter, power)
             }
         };
 
@@ -229,11 +218,16 @@ impl Workflow {
     }
 }
 
-/// A [`MultiError`] at this point means the sharding slipped past the
+/// A device-count error at this point means the sharding slipped past the
 /// SFC-X pre-flight — surface it as the model-layer parameter error it is
-/// rather than panicking.
-fn multi_err(e: MultiError) -> SfError {
-    SfError::Model(sf_model::ModelError::invalid("devices", e.to_string()))
+/// rather than panicking; any other run error as itself.
+fn exec_err(e: ExecError) -> SfError {
+    match e {
+        ExecError::Devices(e) => {
+            SfError::Model(sf_model::ModelError::invalid("devices", e.to_string()))
+        }
+        e => SfError::Exec(e),
+    }
 }
 
 impl ProfileResult {
@@ -288,18 +282,16 @@ impl ProfileResult {
     }
 }
 
-/// Stream real numerics through the traced executors for the paper's apps.
-/// Returns `Ok(None)` for custom specs (no concrete kernel to run) — the
-/// caller falls back to schedule-only tracing.
+/// Stream real numerics through one [`Run`] for the paper's apps. Returns
+/// `Ok(None)` for custom specs (no concrete kernel to run) — the caller
+/// falls back to schedule-only tracing.
 ///
-/// Batched workloads (`batch > 1`) go through the deterministic parallel
-/// batch engine with per-mesh `mesh{i}/window/` swimlanes; single-mesh
-/// workloads keep the single-stream traced executors (tiling included).
-/// With `cfg.devices > 1` every paper app instead streams the sharded
-/// executors (`dev{k}/mesh{i}/window/` swimlanes, exchange charges) —
-/// bit-identical numerics, sharded-schedule report. `engine` selects
-/// scalar or lane-parallel stage processors — the output and every
-/// recorded byte are identical either way.
+/// A batch fans its meshes out over `jobs` workers (per-mesh
+/// `mesh{i}/window/` swimlanes) and a sharded run its slabs
+/// (`dev{k}/mesh{i}/window/` swimlanes, exchange charges); a single mesh on
+/// one device streams as one (tiling included). Numerics are bit-identical
+/// either way, and `engine` selects scalar or lane-parallel stage
+/// processors with the same output and recorded bytes.
 #[allow(clippy::too_many_arguments)]
 fn run_behavioral(
     dev: &sf_fpga::FpgaDevice,
@@ -312,104 +304,33 @@ fn run_behavioral(
     cfg: &MultiConfig,
     rec: &mut Recorder,
 ) -> Result<Option<SimReport>, SfError> {
-    let sharded = cfg.devices > 1;
-    Ok(match (spec.app, *wl) {
+    let jobs = (wl.batch() > 1 || cfg.devices > 1).then_some(jobs);
+    let n = niter as usize;
+    let report = match (spec.app, *wl) {
         (AppId::Poisson2D, Workload::D2 { nx, ny, batch }) => {
             let input = Batch2D::<f32>::random(nx, ny, batch, PROFILE_SEED, -1.0, 1.0);
-            let (_, rep) = if sharded {
-                sf_multi::simulate_batch_2d_sharded_exec(
-                    engine,
-                    dev,
-                    design,
-                    &[Poisson2D],
-                    &input,
-                    niter as usize,
-                    cfg,
-                    jobs,
-                    rec,
-                )
-                .map_err(multi_err)?
-            } else if batch > 1 {
-                fast::simulate_batch_2d_parallel_exec(
-                    engine,
-                    dev,
-                    design,
-                    &[Poisson2D],
-                    &input,
-                    niter as usize,
-                    jobs,
-                    rec,
-                )
-            } else {
-                fast::simulate_2d_exec(
-                    engine,
-                    dev,
-                    design,
-                    &[Poisson2D],
-                    &input,
-                    niter as usize,
-                    rec,
-                )
-            };
-            Some(rep)
+            Run { engine, jobs, devices: *cfg, ..Run::new(dev, design, &[Poisson2D], n, rec) }
+                .simulate(&input)
+                .map(|(_, report, _)| report)
         }
         (AppId::Jacobi3D, Workload::D3 { nx, ny, nz, batch }) => {
             let input = Batch3D::<f32>::random(nx, ny, nz, batch, PROFILE_SEED, -1.0, 1.0);
-            let k = Jacobi3D::smoothing();
-            let (_, rep) = if sharded {
-                sf_multi::simulate_batch_3d_sharded_exec(
-                    engine,
-                    dev,
-                    design,
-                    &[k],
-                    &input,
-                    niter as usize,
-                    cfg,
-                    jobs,
-                    rec,
-                )
-                .map_err(multi_err)?
-            } else if batch > 1 {
-                fast::simulate_batch_3d_parallel_exec(
-                    engine,
-                    dev,
-                    design,
-                    &[k],
-                    &input,
-                    niter as usize,
-                    jobs,
-                    rec,
-                )
-            } else {
-                fast::simulate_3d_exec(engine, dev, design, &[k], &input, niter as usize, rec)
-            };
-            Some(rep)
+            let k = [Jacobi3D::smoothing()];
+            Run { engine, jobs, devices: *cfg, ..Run::new(dev, design, &k, n, rec) }
+                .simulate(&input)
+                .map(|(_, report, _)| report)
         }
         (AppId::Rtm3D, Workload::D3 { nx, ny, nz, batch: 1 }) => {
             let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
-            let packed = rtm::pack(&y, &rho, &mu);
-            let input = Batch3D::from_meshes(std::slice::from_ref(&packed));
+            let input = Batch3D::from_meshes(&[rtm::pack(&y, &rho, &mu)]);
             let stages = RtmStage::pipeline(sf_kernels::RtmParams::default());
-            let (_, rep) = if sharded {
-                sf_multi::simulate_batch_3d_sharded_exec(
-                    engine,
-                    dev,
-                    design,
-                    &stages,
-                    &input,
-                    niter as usize,
-                    cfg,
-                    jobs,
-                    rec,
-                )
-                .map_err(multi_err)?
-            } else {
-                fast::simulate_3d_exec(engine, dev, design, &stages, &input, niter as usize, rec)
-            };
-            Some(rep)
+            Run { engine, jobs, devices: *cfg, ..Run::new(dev, design, &stages, n, rec) }
+                .simulate(&input)
+                .map(|(_, report, _)| report)
         }
-        _ => None,
-    })
+        _ => return Ok(None),
+    };
+    report.map(Some).map_err(exec_err)
 }
 
 #[cfg(test)]

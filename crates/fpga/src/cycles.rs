@@ -12,17 +12,20 @@
 //! * compute-pipeline latency plus residual host enqueue latency per pass,
 //! * per-tile control-loop turnaround for blocked execution.
 //!
-//! [`Schedule`] is the only code that turns a (device, design, workload)
-//! — plus a sharded run's owned slabs and halo — into the [`Segment`]s one
-//! pass streams: the whole batch, each tile, or each device's
+//! [`Schedule`] is the only code that turns a (device, design, workload,
+//! device count and link) into the [`Segment`]s one pass streams: the
+//! whole batch, each tile, or — on more than one device — each device's
 //! halo-extended slab, each with its geometry, its data, fill and written
-//! rows, its turnaround and its [`axi::RowTiming`]. It is also the only
-//! place that rejects a mode the workload cannot stream. Everything else
-//! folds over its segments: [`Schedule::plan`] sums the totals, the plan
-//! explanation ([`crate::trace`]) narrates them, the recorder sink
-//! ([`crate::profile`]) draws them, the tiled passes of the executors
-//! stream them, and `sf-model`'s predictions and `sf-multi`'s sharded plan
-//! price them.
+//! rows, its turnaround and its [`axi::RowTiming`]. It cuts the mesh into
+//! slabs itself and prices each slab's halo exchange over the link. It is
+//! also the only place that rejects a mode the workload cannot stream and
+//! a device count it cannot be sharded across. Everything else folds over
+//! its segments: [`Schedule::plan`] sums the totals ([`plan`] is its
+//! one-device case), [`Schedule::sharded_plan`] adds the per-device
+//! detail, the plan explanation ([`crate::trace`]) narrates them, the
+//! recorder sink ([`crate::profile`]) draws them, the executors
+//! ([`crate::driver`]) stream their tiles and slabs, and `sf-model`'s
+//! predictions price them.
 //!
 //! The *predictive* model in `sf-model` is the paper's idealized equations;
 //! comparing it against this module is the reproduction of the paper's
@@ -31,7 +34,9 @@
 use crate::axi::{self, RowTiming};
 use crate::design::{ExecMode, MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
-use crate::error::ExecError;
+use crate::error::{ExecError, MultiError};
+use crate::link::MultiConfig;
+use crate::partition::slab_partition;
 use serde::{Deserialize, Serialize};
 use sf_mesh::{Tile1D, TileGrid1D};
 use std::ops::Range;
@@ -151,6 +156,25 @@ impl Segment {
     }
 }
 
+/// One device's share of every pass: the units it owns and writes back,
+/// the units it streams, and what its incoming halos cost.
+#[derive(Clone, Debug)]
+pub(crate) struct Slab {
+    /// The units it owns.
+    pub(crate) owned: Range<usize>,
+    /// The units it streams: the owned ones plus up to a halo on either
+    /// side, clipped to the mesh.
+    pub(crate) streamed: Range<usize>,
+    /// Link cycles its incoming halos occupy per pass, all meshes.
+    link: u64,
+    /// Halo messages it receives per pass, all meshes.
+    messages: u64,
+    /// Halo bytes it receives per pass, all meshes.
+    bytes: u64,
+    /// Link cycles per pass that its interior compute cannot hide.
+    pub(crate) exposed: u64,
+}
+
 /// The streaming schedule of one pass of a design over a workload: see
 /// the module docs.
 #[derive(Clone, Debug)]
@@ -162,89 +186,74 @@ pub struct Schedule<'a> {
     xs: Vec<(Tile1D, RowTiming)>,
     /// Row tiles of a unit.
     ys: Vec<Tile1D>,
-    /// Per device: first streamed unit, units streamed, units owned.
-    slabs: Vec<(usize, usize, usize)>,
-    sharded: bool,
+    /// One slab per device, in device order.
+    slabs: Vec<Slab>,
     /// Meshes streamed back to back: the batch, or one for a tiled design.
     meshes: u64,
     turnaround: u64,
 }
 
 impl<'a> Schedule<'a> {
-    /// Walk `design` over `wl`; `slabs` are a sharded run's owned unit
-    /// ranges, in device order, and the halo each slab streams on either
-    /// side (clipped to the mesh).
+    /// Walk `design` over `wl` on `devices.devices` devices: above one, the
+    /// streamed axis is cut into balanced slabs, each streaming the
+    /// design's halo on either side (clipped to the mesh), and each slab's
+    /// incoming halos are priced over `devices.link`.
     ///
     /// # Errors
+    /// [`ExecError::Devices`] for no devices, more devices than units of
+    /// the streamed axis, or a tiled design on more than one device;
     /// [`ExecError::ShapeMismatch`] for a tiled mode of the other
-    /// dimension, slabs that do not tile the mesh's units in order, or a
-    /// halo shallower than [`sf_kernels::StencilSpec::halo`];
-    /// [`ExecError::Unsupported`] for slabs of a tiled design.
+    /// dimension.
     pub fn new(
         dev: &'a FpgaDevice,
         design: &'a StencilDesign,
         wl: &Workload,
-        slabs: Option<(&[Range<usize>], usize)>,
+        devices: &MultiConfig,
     ) -> Result<Self, ExecError> {
-        let shape = |detail: String| ExecError::ShapeMismatch { detail };
+        let shape = |detail: String| Err(ExecError::ShapeMismatch { detail });
+        let sharding = |e: MultiError| Err(ExecError::Devices(Box::new(e)));
         let spec = &design.spec;
         let halo = spec.halo(design.p);
+        let k = devices.devices;
+        let extent = match *wl {
+            Workload::D2 { ny, .. } => ny,
+            Workload::D3 { nz, .. } => nz,
+        };
+        if k == 0 {
+            return sharding(MultiError::NoDevices);
+        }
+        if k > extent.max(1) {
+            return sharding(MultiError::TooManyDevices { devices: k, extent });
+        }
         // x tiles of `tile_m` read cells align to the bus word; `Tiled2D`
         // y tiles of `tile_n` are unaligned; an untiled axis is one tile
         let align = (dev.axi_bus_bytes / spec.elem_bytes).max(1);
         let tiles = |n, tile, align| TileGrid1D::new(n, tile, halo, align).tiles().to_vec();
         let whole = |n| vec![Tile1D { read_start: 0, read_len: n, valid_start: 0, valid_len: n }];
-        let (xs, ys, extent) = match (*wl, design.mode) {
-            (Workload::D2 { nx, ny, .. }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-                (whole(nx), whole(1), ny)
+        let (xs, ys) = match (*wl, design.mode) {
+            (Workload::D2 { nx, .. }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
+                (whole(nx), whole(1))
             }
-            (Workload::D3 { nx, ny, nz, .. }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
-                (whole(nx), whole(ny), nz)
+            (Workload::D3 { nx, ny, .. }, ExecMode::Baseline | ExecMode::Batched { .. }) => {
+                (whole(nx), whole(ny))
             }
-            (Workload::D2 { nx, ny, .. }, ExecMode::Tiled1D { tile_m }) => {
-                (tiles(nx, tile_m, align), whole(1), ny)
+            (Workload::D2 { nx, .. }, ExecMode::Tiled1D { tile_m }) => {
+                (tiles(nx, tile_m, align), whole(1))
             }
-            (Workload::D3 { nx, ny, nz, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
-                (tiles(nx, tile_m, align), tiles(ny, tile_n, 1), nz)
+            (Workload::D3 { nx, ny, .. }, ExecMode::Tiled2D { tile_m, tile_n }) => {
+                (tiles(nx, tile_m, align), tiles(ny, tile_n, 1))
             }
             (Workload::D3 { .. }, ExecMode::Tiled1D { .. }) => {
-                return Err(shape("Tiled1D is a 2D mode".to_string()))
+                return shape("Tiled1D is a 2D mode".to_string())
             }
             (Workload::D2 { .. }, ExecMode::Tiled2D { .. }) => {
-                return Err(shape("Tiled2D is a 3D mode".to_string()))
+                return shape("Tiled2D is a 3D mode".to_string())
             }
         };
         let tiled = design.mode.is_tiled();
-        let devices = match slabs {
-            None => vec![(0, extent, extent)],
-            Some(_) if tiled => {
-                return Err(ExecError::Unsupported {
-                    detail: "sharded runs need a Baseline or Batched design".to_string(),
-                })
-            }
-            Some((owned, h)) => {
-                // every unit is owned by exactly one slab, and each slab's
-                // discarded halo covers the units its fake edges contaminate
-                let end = owned
-                    .iter()
-                    .try_fold(0, |end, s| (s.start == end && s.end > s.start).then_some(s.end));
-                if end != Some(extent) {
-                    return Err(shape(format!(
-                        "slabs {owned:?} do not tile units 0..{extent} in order"
-                    )));
-                }
-                if h < halo {
-                    return Err(shape(format!(
-                        "slab halo {h} is shallower than the design's {halo}-unit halo"
-                    )));
-                }
-                let slab = |s: &Range<usize>| {
-                    let lo = s.start.saturating_sub(h);
-                    (lo, (s.end + h).min(extent) - lo, s.len())
-                };
-                owned.iter().map(slab).collect()
-            }
-        };
+        if tiled && k > 1 {
+            return sharding(MultiError::UnsupportedMode);
+        }
         let mem = match design.mem {
             MemKind::Hbm => &dev.hbm,
             MemKind::Ddr4 => &dev.ddr4,
@@ -262,67 +271,104 @@ impl<'a> Schedule<'a> {
                 design.write_channels,
             )
         };
+        let xs: Vec<_> = xs.iter().map(|x| (*x, timing(x))).collect();
+        let meshes = if tiled { 1 } else { wl.batch() as u64 };
+        // A sharded design is untiled, so a unit is one row, or one plane
+        // of rows, of the whole mesh.
+        let (unit_bytes, unit_cycles) = xs.first().zip(ys.first()).map_or((0, 0), |(x, y)| {
+            ((x.0.read_len * y.read_len * spec.elem_bytes) as u64, x.1.total() * y.read_len as u64)
+        });
+        let slab = |owned: Range<usize>| {
+            let streamed = owned.start.saturating_sub(halo)..(owned.end + halo).min(extent);
+            let mut s = Slab { owned, streamed, link: 0, messages: 0, bytes: 0, exposed: 0 };
+            // incoming halos, clipped to what exists on each interior side
+            for units in [s.owned.start - s.streamed.start, s.streamed.end - s.owned.end] {
+                if units > 0 {
+                    let bytes = units as u64 * unit_bytes;
+                    s.link += devices.link.transfer_cycles(bytes) * meshes;
+                    s.messages += meshes;
+                    s.bytes += bytes * meshes;
+                }
+            }
+            // interior units read no incoming halo data, so their compute
+            // overlaps the exchange
+            let edges = usize::from(s.owned.start > 0) + usize::from(s.owned.end < extent);
+            let interior = s.owned.len().saturating_sub(edges * halo) as u64;
+            s.exposed = s.link.saturating_sub(interior * unit_cycles * meshes);
+            s
+        };
         Ok(Schedule {
             dev,
             design,
             wl: *wl,
-            xs: xs.iter().map(|x| (*x, timing(x))).collect(),
+            xs,
             ys,
-            sharded: slabs.is_some(),
-            slabs: devices,
-            meshes: if tiled { 1 } else { wl.batch() as u64 },
+            slabs: slab_partition(extent, k).map(slab).collect(),
+            meshes,
             turnaround: if tiled { dev.axi_latency_cycles as u64 } else { 0 },
         })
     }
 
-    /// Whether the schedule streams a sharded run's slabs.
+    /// Whether the schedule streams the slabs of more than one device.
     pub(crate) fn is_sharded(&self) -> bool {
-        self.sharded
+        self.slabs.len() > 1
+    }
+
+    /// Each device's slab, in device order.
+    pub(crate) fn slabs(&self) -> &[Slab] {
+        &self.slabs
     }
 
     /// The segments one pass streams: device by device, then y tile by y
     /// tile, then x tile by x tile.
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
+        (0..self.slabs.len()).flat_map(move |device| self.device_segments(device))
+    }
+
+    /// The segments device `device` streams each pass.
+    fn device_segments(&self, device: usize) -> impl Iterator<Item = Segment> + '_ {
         let fill = self.design.spec.halo(self.design.p) as u64;
-        self.slabs.iter().enumerate().flat_map(move |(device, &(first_unit, units, owned))| {
-            self.ys.iter().enumerate().flat_map(move |(j, &y)| {
-                self.xs.iter().enumerate().map(move |(i, &(x, timing))| Segment {
-                    device,
-                    tile: (i, j),
-                    x,
-                    y,
-                    first_unit,
-                    units,
-                    data_rows: self.meshes * (units * y.read_len) as u64,
-                    fill_rows: fill * y.read_len as u64,
-                    written_rows: self.meshes * (owned * y.valid_len) as u64,
-                    turnaround: self.turnaround,
-                    timing,
-                })
+        let Slab { owned, streamed, .. } = &self.slabs[device];
+        let (first_unit, units, owned) = (streamed.start, streamed.len(), owned.len());
+        self.ys.iter().enumerate().flat_map(move |(j, &y)| {
+            self.xs.iter().enumerate().map(move |(i, &(x, timing))| Segment {
+                device,
+                tile: (i, j),
+                x,
+                y,
+                first_unit,
+                units,
+                data_rows: self.meshes * (units * y.read_len) as u64,
+                fill_rows: fill * y.read_len as u64,
+                written_rows: self.meshes * (owned * y.valid_len) as u64,
+                turnaround: self.turnaround,
+                timing,
             })
         })
     }
 
+    /// Cycles per pass device `device` streams for, closed by the pipeline
+    /// latency; its exposed exchange comes on top.
+    fn pass_cycles(&self, device: usize) -> u64 {
+        let stream: u64 = self.device_segments(device).map(|s| s.cycles()).sum();
+        stream + self.design.pipeline_latency_cycles
+    }
+
     /// Plan a full solve of `niter` iterations: every device streams its
-    /// segments and closes the pass with the pipeline latency plus its
-    /// `exposed[device]` cycles (a sharded run's exchange; missing entries
-    /// are 0), and the pass lasts as long as the slowest device. Traffic
-    /// sums every segment, and each device enqueues once per pass.
-    pub fn plan(&self, niter: u64, exposed: &[u64]) -> CyclePlan {
+    /// segments, closes the pass with the pipeline latency and waits for
+    /// the exchange its interior compute could not hide, and the pass
+    /// lasts as long as the slowest device. Traffic sums every segment,
+    /// and each device enqueues once per pass.
+    pub fn plan(&self, niter: u64) -> CyclePlan {
         let (dev, design, spec) = (self.dev, self.design, &self.design.spec);
         let passes = niter.div_ceil(design.p as u64).max(1);
-        let mut busy = vec![0u64; self.slabs.len()];
         let (mut read, mut write) = (0u64, 0u64);
         for s in self.segments() {
-            busy[s.device] += s.cycles();
             read += s.data_rows * (s.x.read_len * spec.ext_read_bytes) as u64;
             write += s.written_rows * (s.x.valid_len * spec.ext_write_bytes) as u64;
         }
-        let exposed = |k: usize| exposed.get(k).copied().unwrap_or(0);
-        let cycles_per_pass = busy
-            .iter()
-            .enumerate()
-            .map(|(k, b)| b + design.pipeline_latency_cycles + exposed(k))
+        let cycles_per_pass = (0..self.slabs.len())
+            .map(|k| self.pass_cycles(k) + self.slabs[k].exposed)
             .max()
             .unwrap_or(0);
         let total_cycles = passes * cycles_per_pass;
@@ -342,13 +388,106 @@ impl<'a> Schedule<'a> {
             cell_iters,
         }
     }
+
+    /// [`Schedule::plan`] with the per-device detail behind it: each
+    /// device's slab and pass cost, and the halo exchange over the link.
+    pub fn sharded_plan(&self, niter: u64) -> ShardedPlan {
+        let merged = self.plan(niter);
+        let per_device = self
+            .slabs
+            .iter()
+            .enumerate()
+            .map(|(device, s)| DeviceCost {
+                device,
+                owned_start: s.owned.start,
+                owned_len: s.owned.len(),
+                extended_len: s.streamed.len(),
+                pass_cycles: self.pass_cycles(device),
+                link_cycles: s.link,
+                exposed_cycles: s.exposed,
+            })
+            .collect();
+        let sum = |f: fn(&Slab) -> u64| self.slabs.iter().map(f).sum::<u64>();
+        ShardedPlan {
+            devices: self.slabs.len(),
+            halo: self.design.spec.halo(self.design.p),
+            merged,
+            per_device,
+            exchange_bytes_per_pass: sum(|s| s.bytes),
+            exchange_messages_per_pass: sum(|s| s.messages),
+            exchange_link_cycles: merged.passes * sum(|s| s.link),
+            exchange_exposed_cycles: merged.passes * sum(|s| s.exposed),
+        }
+    }
+}
+
+/// Per-pass cost of one device's shard.
+#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct DeviceCost {
+    /// Device index.
+    pub device: usize,
+    /// First owned outermost unit.
+    pub owned_start: usize,
+    /// Owned outermost units (rows in 2D, planes in 3D).
+    pub owned_len: usize,
+    /// Streamed units per mesh per pass: owned plus clamped halos.
+    pub extended_len: usize,
+    /// Streaming cycles per pass (extended slab + fill + pipeline drain).
+    pub pass_cycles: u64,
+    /// Link cycles per pass for this device's incoming halos.
+    pub link_cycles: u64,
+    /// Link cycles per pass *not* hidden behind interior compute.
+    pub exposed_cycles: u64,
+}
+
+/// A multi-device execution plan: the merged single-plan view plus the
+/// per-device detail behind it ([`Schedule::sharded_plan`]). Each device
+/// must have exchanged the next pass's halos before it can start again;
+/// exchange overlaps the device's *interior* compute — owned units further
+/// than the halo from a device boundary, which read no incoming halo
+/// data — and only the remainder is exposed:
+///
+/// ```text
+/// pass_k    = (b·extended_k + fill) · unit_cycles + pipeline_latency
+/// link_k    = Σ_iface  latency + ⌈halo_bytes / link_rate⌉
+/// exposed_k = max(0, link_k − interior_k · unit_cycles · b)
+/// pass wall = max_k (pass_k + exposed_k),  total = passes · pass wall
+/// ```
+///
+/// With one device there are no interfaces, and `merged` is [`plan`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ShardedPlan {
+    /// Device count the plan was built for.
+    pub devices: usize,
+    /// Halo depth in outermost units
+    /// ([`StencilSpec::halo`](sf_kernels::StencilSpec::halo)).
+    pub halo: usize,
+    /// The merged plan: pass wall-clock is the slowest device including
+    /// exposed exchange, traffic sums all devices (halo re-reads included),
+    /// host calls count one enqueue per device per pass. Feeds
+    /// [`crate::SimReport::from_plan`] unchanged.
+    pub merged: CyclePlan,
+    /// Per-device cost breakdown (one entry per shard, in slab order).
+    pub per_device: Vec<DeviceCost>,
+    /// Bytes crossing inter-device links per pass (all devices, all batch
+    /// members; each message counted once, at its receiver).
+    pub exchange_bytes_per_pass: u64,
+    /// Halo messages per pass (per device interface, per batch member).
+    pub exchange_messages_per_pass: u64,
+    /// Total link-occupancy cycles over the whole solve, summed across
+    /// devices (before overlap).
+    pub exchange_link_cycles: u64,
+    /// Total exchange cycles exposed on the critical path over the whole
+    /// solve, summed across devices — what a sharded run charges as
+    /// [`sf_telemetry::StallClass::Exchange`].
+    pub exchange_exposed_cycles: u64,
 }
 
 /// Plan a full solve on one device. A design whose mode cannot stream
 /// `wl` plans nothing (the all-zero plan); [`Schedule::new`] names why.
 pub fn plan(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> CyclePlan {
-    Schedule::new(dev, design, wl, None)
-        .map_or_else(|_| CyclePlan::default(), |s| s.plan(niter, &[]))
+    Schedule::new(dev, design, wl, &MultiConfig::default())
+        .map_or_else(|_| CyclePlan::default(), |s| s.plan(niter))
 }
 
 #[cfg(test)]
@@ -571,7 +710,11 @@ mod tests {
         let mut spec = StencilSpec::poisson();
         spec.order = 3;
         let fill = |ds: &StencilDesign| {
-            Schedule::new(&d, ds, &wl, None).unwrap().segments().map(|s| s.fill_rows).sum::<u64>()
+            Schedule::new(&d, ds, &wl, &MultiConfig::default())
+                .unwrap()
+                .segments()
+                .map(|s| s.fill_rows)
+                .sum::<u64>()
         };
         let ds = synthesize(&d, &spec, 8, 5, ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
         assert_eq!(fill(&ds), 10); // p=5 · stages=1 · ⌈3/2⌉=2

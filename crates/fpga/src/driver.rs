@@ -17,10 +17,10 @@
 //!   reads the pass-start state from one and its last stage writes straight
 //!   into the other. A whole-stream pass reuses one stage chain, windows
 //!   included, for every pass. A pass streams the whole batch, its tiles
-//!   ([`StreamGrid::tiled_pass`]) or — for a sharded run
-//!   ([`Run::simulate_slabs`]) — each device's halo-extended slab, borrowed
-//!   in place from the pass-start buffer, with each device writing the
-//!   units it owns into its own disjoint chunk of the other buffer;
+//!   ([`StreamGrid::tiled_pass`]) or — on more than one device
+//!   ([`Run::devices`]) — each device's halo-extended slab of the walk,
+//!   borrowed in place from the pass-start buffer, with each device writing
+//!   the units it owns into its own disjoint chunk of the other buffer;
 //! * per-mesh `jobs` fan-out ([`crate::exec_batch`]);
 //! * checkpoint segments with ABFT checks and rollback
 //!   ([`crate::recovery`]).
@@ -28,12 +28,13 @@
 //! [`ExecEngine`] is matched in one function; everything below it is
 //! monomorphized per engine and dimension.
 
-use crate::cycles::{CyclePlan, Schedule};
+use crate::cycles::Schedule;
 use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::error::ExecError;
 use crate::exec_batch::per_mesh;
 use crate::fast::{ExecEngine, FastEngine};
+use crate::link::MultiConfig;
 use crate::recovery::{self, RecoverParams};
 use crate::report::SimReport;
 use crate::resilient::{pass_budget, plan_with_faults, FaultHook};
@@ -43,7 +44,6 @@ use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_mesh::Element;
 use sf_recover::{GoldenTrajectory, RecoveryConfig, RecoveryPolicy, RecoveryStats};
 use sf_telemetry::Recorder;
-use std::ops::Range;
 
 /// A batch of meshes as the pipeline streams it: a sequence of units —
 /// rows of a `Batch2D`, planes of a `Batch3D` — `mesh_units` per mesh.
@@ -164,6 +164,15 @@ pub struct Run<'a, K> {
     /// `mesh{i}/` trace swimlanes); a sharded run fans its slabs out
     /// instead. Results and traces are identical for every `n`.
     pub jobs: Option<usize>,
+    /// The devices the run is spread over and the link between them; one
+    /// device by default. On more than one, every pass streams each
+    /// device's halo-extended slab of the schedule walk (meshes one after
+    /// another, the slabs of a pass fanned out over `jobs` workers) and
+    /// writes back the units it owns, bit-identical to one device. The
+    /// first pass of each mesh records under `dev{k}/mesh{i}/window/`, and
+    /// the report prices the sharded schedule: the slowest device per
+    /// pass, exposed halo exchange included, at every device's power.
+    pub devices: MultiConfig,
     /// Fault injection.
     pub faults: Faults<'a>,
     /// AXI retry budget and backoff of a fault-aware run.
@@ -184,30 +193,13 @@ pub struct Run<'a, K> {
     pub rec: &'a mut Recorder,
 }
 
-/// A multi-device slab decomposition of the streamed axis. Each pass,
-/// every slab streams its owned units plus `halo` units on either side
-/// (clipped to the mesh) and writes back only the units it owns.
-pub struct Slabs<'s> {
-    /// The units each device owns, in device order: non-empty, contiguous
-    /// ranges that tile the mesh's units exactly (the run check rejects
-    /// any other layout).
-    pub owned: &'s [Range<usize>],
-    /// Halo depth in units: at least the design's
-    /// [`StencilSpec::halo`](sf_kernels::StencilSpec::halo).
-    pub halo: usize,
-    /// The schedule the report prices.
-    pub plan: &'s CyclePlan,
-    /// Power of all devices together.
-    pub power_w: f64,
-}
-
 /// How one pass streams the state.
 #[derive(Copy, Clone)]
 pub(crate) enum Layout<'s> {
     /// As one stream, window events under `prefix` from `base_cycle` on.
     Whole { prefix: &'s str, base_cycle: u64 },
     /// Slab by slab, for mesh `mesh` of a sharded run.
-    Sharded { slabs: &'s Slabs<'s>, mesh: usize },
+    Sharded { mesh: usize },
 }
 
 /// The whole-batch stream of a single-stream run.
@@ -229,6 +221,7 @@ impl<'a, K> Run<'a, K> {
             niter,
             engine: ExecEngine::default(),
             jobs: None,
+            devices: MultiConfig::default(),
             faults: Faults::Off,
             retry: RetryPolicy::default(),
             recovery: None,
@@ -238,7 +231,7 @@ impl<'a, K> Run<'a, K> {
     }
 
     /// Execute the run on `input`: the result, the report priced from the
-    /// design's cycle plan, and the checkpoint/rollback accounting
+    /// run's own schedule walk, and the checkpoint/rollback accounting
     /// (all-zero without recovery).
     ///
     /// A fault-free run records the schedule trace and first-pass window
@@ -247,7 +240,8 @@ impl<'a, K> Run<'a, K> {
     ///
     /// # Errors
     /// [`ExecError::ShapeMismatch`] or [`ExecError::Unsupported`] when the
-    /// run does not fit its input (the run check), and the datapath
+    /// run does not fit its input (the run check), [`ExecError::Devices`]
+    /// when it cannot be sharded across its devices, and the datapath
     /// errors of a fault-aware run: deadlock, exhausted AXI retries,
     /// exhausted rollbacks, checkpoint I/O.
     pub fn simulate<B>(&mut self, input: &B) -> Result<(B, SimReport, RecoveryStats), ExecError>
@@ -257,56 +251,17 @@ impl<'a, K> Run<'a, K> {
         ScalarEngine: Engine<B, K>,
         FastEngine: Engine<B, K>,
     {
-        self.on_engine(input, None)
-    }
-
-    /// Execute a fault-free run sharded into `slabs` (the multi-device
-    /// executors): meshes run one after another, each pass fans the slabs
-    /// out over `jobs` workers, and the first pass of each mesh records
-    /// under `dev{k}/mesh{i}/window/`. The report prices `slabs.plan`.
-    ///
-    /// # Errors
-    /// See [`Run::simulate`]; a sharded run also needs a whole-mesh design
-    /// and no faults.
-    pub fn simulate_slabs<B>(
-        &mut self,
-        input: &B,
-        slabs: &Slabs<'_>,
-    ) -> Result<(B, SimReport), ExecError>
-    where
-        B: StreamGrid,
-        K: GridKernel<B>,
-        ScalarEngine: Engine<B, K>,
-        FastEngine: Engine<B, K>,
-    {
-        self.on_engine(input, Some(slabs)).map(|(out, report, _)| (out, report))
-    }
-
-    fn on_engine<B>(
-        &mut self,
-        input: &B,
-        slabs: Option<&Slabs<'_>>,
-    ) -> Result<(B, SimReport, RecoveryStats), ExecError>
-    where
-        B: StreamGrid,
-        K: GridKernel<B>,
-        ScalarEngine: Engine<B, K>,
-        FastEngine: Engine<B, K>,
-    {
         match self.engine {
-            ExecEngine::Scalar => self.drive(&ScalarEngine, input, slabs),
-            ExecEngine::Fast => self.drive(&FastEngine, input, slabs),
+            ExecEngine::Scalar => self.drive(&ScalarEngine, input),
+            ExecEngine::Fast => self.drive(&FastEngine, input),
         }
     }
 
     /// The run check: does this run fit `input`? The schedule walk
-    /// ([`Schedule::new`]) rejects modes and slab layouts the input cannot
-    /// stream; the rest is about batch size, fan-out and faults.
-    pub(crate) fn check<B: StreamGrid>(
-        &self,
-        input: &B,
-        slabs: Option<&Slabs<'_>>,
-    ) -> Result<Schedule<'a>, ExecError> {
+    /// ([`Schedule::new`]) rejects modes the input cannot stream and device
+    /// counts it cannot be sharded across; the rest is about batch size,
+    /// fan-out and faults.
+    pub(crate) fn check<B: StreamGrid>(&self, input: &B) -> Result<Schedule<'a>, ExecError> {
         let shape = |detail: String| Err(ExecError::ShapeMismatch { detail });
         let unsupported = |detail: &str| Err(ExecError::Unsupported { detail: detail.to_string() });
         let (design, b) = (self.design, input.batch());
@@ -320,8 +275,7 @@ impl<'a, K> Run<'a, K> {
                 self.stages.len()
             ));
         }
-        let sched =
-            Schedule::new(self.dev, design, &input.workload(), slabs.map(|s| (s.owned, s.halo)))?;
+        let sched = Schedule::new(self.dev, design, &input.workload(), &self.devices)?;
         match design.mode {
             ExecMode::Batched { b: db } if b != db => {
                 return shape(format!("batch size mismatch: design batch {db} fed batch {b}"))
@@ -335,10 +289,10 @@ impl<'a, K> Run<'a, K> {
             _ => {}
         }
         let tiled = design.mode.is_tiled();
-        let sharded = slabs.is_some();
+        let sharded = sched.is_sharded();
         let combination = match self.faults {
-            _ if tiled && (self.jobs.is_some() || sharded) => {
-                unsupported("batch and sharded executors need a Baseline or Batched design")
+            _ if tiled && self.jobs.is_some() => {
+                unsupported("batch executors need a Baseline or Batched design")
             }
             Faults::Off if self.recovery.is_some() => {
                 unsupported("checkpoint recovery needs a fault injector or plan")
@@ -388,14 +342,13 @@ impl<'a, K> Run<'a, K> {
         &mut self,
         engine: &E,
         input: &B,
-        slabs: Option<&Slabs<'_>>,
     ) -> Result<(B, SimReport, RecoveryStats), ExecError>
     where
         B: StreamGrid,
         K: GridKernel<B>,
         E: Engine<B, K>,
     {
-        let sched = self.check(input, slabs)?;
+        let sched = self.check(input)?;
         let Run { dev, design, stages, niter, jobs, retry, recovery, trajectory, .. } = *self;
         let (wl, n_iter) = (input.workload(), niter as u64);
         let px = Passes {
@@ -420,19 +373,26 @@ impl<'a, K> Run<'a, K> {
         };
         match &mut self.faults {
             Faults::Off => {
-                if let Some(slabs) = slabs {
+                let plan = sched.sharded_plan(n_iter);
+                let report = SimReport::from_plan(
+                    design,
+                    &plan.merged,
+                    n_iter,
+                    power_w * plan.devices as f64,
+                );
+                if sched.is_sharded() {
                     let mut out = input.zeros(input.batch());
                     let n = out.as_slice().len() / input.batch();
                     for i in 0..input.batch() {
-                        let layout = Layout::Sharded { slabs, mesh: i };
+                        let layout = Layout::Sharded { mesh: i };
                         let mesh = px.run(input.member(i), &all, layout, rec, None)?;
                         out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(mesh.as_slice());
                     }
-                    profile::attribute_stalls(rec, &sched, slabs.plan.passes);
-                    let report = SimReport::from_plan(design, slabs.plan, n_iter, slabs.power_w);
+                    profile::attribute_stalls(rec, &sched, plan.merged.passes);
+                    profile::record_exchange(rec, &plan);
                     return Ok((out, report, RecoveryStats::default()));
                 }
-                let plan = profile::trace_schedule(dev, design, &wl, n_iter, rec);
+                profile::record_run(rec, &sched, &plan);
                 let out = match jobs {
                     None => px.run(input.clone(), &all, WHOLE, rec, None)?,
                     Some(jobs) => {
@@ -451,7 +411,6 @@ impl<'a, K> Run<'a, K> {
                         out
                     }
                 };
-                let report = SimReport::from_plan(design, &plan, n_iter, power_w);
                 Ok((out, report, RecoveryStats::default()))
             }
             Faults::Injector(inj) => {
@@ -600,8 +559,8 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
                         faults.as_deref_mut(),
                     )?;
                 }
-                Layout::Sharded { slabs, mesh } => {
-                    self.slab_pass(chain, &cur, &mut next, slabs, mesh, rec, n == 0)?
+                Layout::Sharded { mesh } => {
+                    self.slab_pass(chain, &cur, &mut next, mesh, rec, n == 0)?
                 }
             }
             std::mem::swap(&mut cur, &mut next);
@@ -617,13 +576,11 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     /// treatment contaminate `r` more units, so after a pass at most
     /// `p · stages · ⌈D/2⌉ = halo` units next to a slab-interior edge are
     /// wrong, and those are exactly the discarded halo.
-    #[allow(clippy::too_many_arguments)]
     fn slab_pass<B: StreamGrid>(
         &self,
         chain: &[K],
         cur: &B,
         next: &mut B,
-        slabs: &Slabs<'_>,
         mesh: usize,
         rec: &mut Recorder,
         first_pass: bool,
@@ -631,17 +588,17 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     where
         E: Engine<B, K>,
     {
-        let (len, extent, h, shape) =
-            (cur.unit_len(), cur.mesh_units(), slabs.halo, cur.unit_shape());
+        let (len, extent, shape) = (cur.unit_len(), cur.mesh_units(), cur.unit_shape());
         let src = cur.as_slice();
-        // The run check made the owned ranges tile the mesh in order, so
-        // splitting `next` in slab order hands each device its own chunk.
+        // The walk's owned ranges tile the mesh in order, so splitting
+        // `next` in slab order hands each device its own chunk.
+        let slabs = self.sched.slabs();
         let mut rest = next.as_mut_slice();
-        let mut items = Vec::with_capacity(slabs.owned.len());
-        for s in slabs.owned {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(s.len() * len);
+        let mut items = Vec::with_capacity(slabs.len());
+        for s in slabs {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(s.owned.len() * len);
             rest = tail;
-            items.push((s.clone(), chunk));
+            items.push((s, chunk));
         }
         let traced = rec.is_enabled() && first_pass;
         let clock = rec.cycles_per_us();
@@ -651,15 +608,14 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
             let trace = ChainTrace {
                 rec: &mut shard,
                 prefix: &prefix,
-                base_cycle: (mesh * extent + s.start) as u64 * self.unit_cycles,
+                base_cycle: (mesh * extent + s.owned.start) as u64 * self.unit_cycles,
                 unit_cycles: self.unit_cycles,
             };
-            let lo = s.start.saturating_sub(h);
-            let slab = (s.end + h).min(extent) - lo;
+            let (lo, slab) = (s.streamed.start, s.streamed.len());
             let input = |j: usize, slot: &mut [B::Cell]| {
                 slot.copy_from_slice(&src[(lo + j) * len..(lo + j + 1) * len]);
             };
-            let mut sink = Flat::new(chunk, len, s.start - lo);
+            let mut sink = Flat::new(chunk, len, s.owned.start - lo);
             let mut stages = build_chain(self.engine, chain, shape, slab, slab);
             let done = run_chain::<B, _>(&mut stages, slab, input, &mut sink, trace, None);
             (done, shard)
@@ -693,6 +649,7 @@ mod tests {
     use super::*;
     use crate::cycles;
     use crate::design::{synthesize, MemKind};
+    use crate::error::MultiError;
     use sf_kernels::{Poisson2D, StencilSpec};
     use sf_mesh::Batch2D;
 
@@ -739,31 +696,46 @@ mod tests {
         }
         .simulate(&one);
         assert!(unsupported(r), "a plan needs the rollback policy");
-        let plan = cycles::plan(&dev, &base, &wl, 4);
-        let owned = [0..8, 8..16];
-        let slabs = Slabs { owned: &owned, halo: 4, plan: &plan, power_w: 1.0 };
-        let r = Run::new(&dev, &base, &[Poisson2D], 4, &mut rec).simulate_slabs(&two, &slabs);
-        assert!(matches!(r, Err(ExecError::ShapeMismatch { .. })), "{r:?}");
-        // Slab layouts must tile the mesh's 16 rows in order, with at least
-        // the design's halo (StencilSpec::halo(4) = 4): a gap, an overlap,
-        // a slab past the extent and a short halo are all rejected.
-        let input = Batch2D::<f32>::random(64, 16, 1, 3, -1.0, 1.0);
-        let mut sharded = |owned: &[Range<usize>], halo: usize| {
-            let slabs = Slabs { owned, halo, plan: &plan, power_w: 1.0 };
-            Run { jobs: Some(2), ..Run::new(&dev, &base, &[Poisson2D], 8, &mut rec) }
-                .simulate_slabs(&input, &slabs)
-        };
-        for (owned, halo) in
-            [(&[0..7, 8..16][..], 4), (&[0..9, 8..16], 4), (&[0..8, 8..20], 4), (&owned, 1)]
-        {
-            let r = sharded(owned, halo);
-            assert!(
-                matches!(r, Err(ExecError::ShapeMismatch { .. })),
-                "slabs {owned:?} halo {halo}: {:?}",
-                r.map(|_| ())
-            );
+        // Device counts are checked by the walk: a sharded run still checks
+        // the batch size and takes no faults, and a device count the 16
+        // rows cannot be cut into, or a tiled design on two devices, is a
+        // typed device error.
+        let two_devices = MultiConfig::new(2);
+        let r = Run { devices: two_devices, ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec) }
+            .simulate(&two);
+        assert!(shape(r));
+        let mut inj = FaultInjector::disabled();
+        let r = Run {
+            devices: two_devices,
+            faults: Faults::Injector(&mut inj),
+            ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec)
         }
-        let (out, _) = sharded(&owned, 4).unwrap();
+        .simulate(&one);
+        assert!(unsupported(r));
+        for (ds, devices, want) in [
+            (&base, 0, MultiError::NoDevices),
+            (&base, 17, MultiError::TooManyDevices { devices: 17, extent: 16 }),
+            (&tiled, 2, MultiError::UnsupportedMode),
+        ] {
+            let devices = MultiConfig::new(devices);
+            let r = Run { devices, ..Run::new(&dev, ds, &[Poisson2D], 4, &mut rec) }.simulate(&one);
+            assert_eq!(r.map(|_| ()).map_err(MultiError::from), Err(want));
+        }
+        // Two devices stream the 16 rows as two slabs, bit-exact, and the
+        // report prices the run's own sharded schedule at both devices'
+        // power.
+        let input = Batch2D::<f32>::random(64, 16, 1, 3, -1.0, 1.0);
+        let (out, report, _) = Run {
+            jobs: Some(2),
+            devices: two_devices,
+            ..Run::new(&dev, &base, &[Poisson2D], 8, &mut rec)
+        }
+        .simulate(&input)
+        .unwrap();
+        let sharded = Schedule::new(&dev, &base, &wl, &two_devices).unwrap().plan(8);
+        assert_ne!(sharded, cycles::plan(&dev, &base, &wl, 8));
+        let power_w = 2.0 * power::fpga_power_w(&dev, &base);
+        assert_eq!(report, SimReport::from_plan(&base, &sharded, 8, power_w));
         let golden = sf_kernels::reference::run_batch_2d(&Poisson2D, &input, 8);
         assert!(sf_mesh::norms::bit_equal(out.as_slice(), golden.as_slice()));
     }

@@ -19,6 +19,7 @@ use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
 use crate::error::ExecError;
+use crate::link::MultiConfig;
 use crate::power;
 use crate::report::SimReport;
 use crate::window::{build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter};
@@ -42,7 +43,7 @@ pub fn estimate_2d(
             detail: "2D estimator needs a 2D workload".to_string(),
         });
     }
-    let plan = Schedule::new(dev, design, wl, None)?.plan(niter, &[]);
+    let plan = Schedule::new(dev, design, wl, &MultiConfig::default())?.plan(niter);
     Ok(SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design)))
 }
 
@@ -81,7 +82,7 @@ pub fn simulate_2d<T: Element, K: StencilOp2D<T> + Clone>(
 ) -> (Batch2D<T>, SimReport) {
     let mut rec = Recorder::disabled();
     let mut run = Run::new(dev, design, stages_per_iter, niter, &mut rec);
-    expect_checked(run.drive(&ScalarEngine, input, None))
+    expect_checked(run.drive(&ScalarEngine, input))
 }
 
 /// Convenience wrapper for single-mesh simulation.

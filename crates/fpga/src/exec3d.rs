@@ -14,6 +14,7 @@ use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::driver::{expect_checked, GridKernel, Run, StreamGrid};
 use crate::error::ExecError;
+use crate::link::MultiConfig;
 use crate::power;
 use crate::report::SimReport;
 use crate::window::{build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter};
@@ -37,7 +38,7 @@ pub fn estimate_3d(
             detail: "3D estimator needs a 3D workload".to_string(),
         });
     }
-    let plan = Schedule::new(dev, design, wl, None)?.plan(niter, &[]);
+    let plan = Schedule::new(dev, design, wl, &MultiConfig::default())?.plan(niter);
     Ok(SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design)))
 }
 
@@ -57,7 +58,7 @@ pub fn simulate_3d<T: Element, K: StencilOp3D<T> + Clone>(
 ) -> (Batch3D<T>, SimReport) {
     let mut rec = Recorder::disabled();
     let mut run = Run::new(dev, design, stages_per_iter, niter, &mut rec);
-    expect_checked(run.drive(&ScalarEngine, input, None))
+    expect_checked(run.drive(&ScalarEngine, input))
 }
 
 /// Convenience wrapper for single-mesh simulation.

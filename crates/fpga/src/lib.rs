@@ -31,16 +31,23 @@
 //!   results are bit-exact vs the golden reference.
 //! * [`cycles`] — the closed-form cycle model and the one schedule walker
 //!   ([`cycles::Schedule`]): the per-pass segments (mesh, tile or device
-//!   slab) that the plan, the explainer ([`trace`]), the telemetry sink
-//!   ([`profile`]), the tiled passes and `sf-model`'s predictions all fold
-//!   over.
+//!   slab) that the plan, the sharded plan, the explainer ([`trace`]), the
+//!   telemetry sink ([`profile`]), the tiled and sharded passes and
+//!   `sf-model`'s predictions all fold over.
 //! * [`driver`] — the one pass driver behind every executor: a
-//!   [`driver::Run`] (design, stages, iterations, engine, fan-out, faults,
-//!   recovery, recorder) executes on a `Batch2D` or `Batch3D` through one
-//!   chain runner ([`window`]) and one pass loop, with per-mesh fan-out
-//!   ([`exec_batch`]), fault hooks ([`resilient`]) and checkpoint segments
-//!   ([`recovery`]) layered on it. Sharded runs (`sf-multi`) stream slabs
-//!   through the same loop.
+//!   [`driver::Run`] (design, stages, iterations, engine, fan-out, devices,
+//!   faults, recovery, recorder) executes on a `Batch2D` or `Batch3D`
+//!   through one chain runner ([`window`]) and one pass loop, with per-mesh
+//!   fan-out ([`exec_batch`]), fault hooks ([`resilient`]) and checkpoint
+//!   segments ([`recovery`]) layered on it.
+//! * Sharding across devices is owned by `driver`, `cycles` and `profile`:
+//!   a run's device count and link ([`link::MultiConfig`]) go to the walker,
+//!   which cuts the streamed axis into one balanced slab per device, prices
+//!   each slab's halo exchange over the [`link::LinkModel`] and folds the
+//!   devices into one plan ([`cycles::ShardedPlan`]); the driver streams
+//!   the slabs, and the recorder sink draws them and charges the exchange.
+//!   A device count the workload cannot be sharded across is a typed
+//!   [`MultiError`].
 //! * [`fast`] — the lane-parallel engine and the engine-selecting entry
 //!   points (`simulate_*_exec`).
 //! * [`exec2d`]/[`exec3d`] — the scalar entry points and what is
@@ -66,6 +73,8 @@ pub mod exec3d;
 pub mod exec_batch;
 pub mod fast;
 pub mod fifo;
+pub mod link;
+mod partition;
 pub mod power;
 pub mod profile;
 pub mod recovery;
@@ -79,11 +88,12 @@ pub mod window;
 pub use design::{ExecMode, MemKind, StencilDesign, SynthesisError};
 pub use device::{FpgaDevice, MemorySpec};
 pub use driver::{Faults, Run};
-pub use error::ExecError;
+pub use error::{ExecError, MultiError};
 pub use fast::{
     simulate_2d_exec, simulate_3d_exec, simulate_batch_2d_parallel_exec,
     simulate_batch_3d_parallel_exec, ExecEngine, FastEngine,
 };
+pub use link::{LinkModel, MultiConfig};
 pub use report::SimReport;
 pub use resilient::{plan_with_faults, FaultyPlan};
 pub use resources::ResourceUsage;

@@ -1,5 +1,5 @@
-//! The inter-device link model: a latency + bandwidth pipe between
-//! neighbouring accelerators.
+//! The devices a run is spread over and the link between them, a
+//! latency + bandwidth pipe between neighbouring accelerators.
 //!
 //! Both deployment styles the paper's platform supports are covered by the
 //! same two-parameter model, evaluated in *design clock cycles* so link
@@ -14,8 +14,35 @@
 //! Links are modeled full-duplex: the send of a halo overlaps the
 //! neighbour's matching receive, so each exchange is charged once, at the
 //! receiver.
+//!
+//! A [`MultiConfig`] names the device count and the link; the schedule
+//! walker ([`crate::cycles::Schedule`]) cuts the mesh into one slab per
+//! device and prices each slab's halo exchange over the link.
 
 use serde::{Deserialize, Serialize};
+
+/// How a workload is spread over accelerators.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MultiConfig {
+    /// Number of accelerator cards (`1` = the classic single-device path).
+    pub devices: usize,
+    /// The inter-device interconnect model.
+    pub link: LinkModel,
+}
+
+impl MultiConfig {
+    /// A `devices`-card config over the default (Aurora-style) link.
+    pub fn new(devices: usize) -> Self {
+        Self { devices, link: LinkModel::default() }
+    }
+}
+
+impl Default for MultiConfig {
+    /// Single device, default link — identical to unsharded execution.
+    fn default() -> Self {
+        Self::new(1)
+    }
+}
 
 /// Latency/bandwidth description of the device-to-device interconnect.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

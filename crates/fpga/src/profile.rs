@@ -2,9 +2,11 @@
 //! ([`crate::cycles::Schedule`]). It turns a walked schedule into recorder
 //! events — per-pass and per-segment spans, per-channel AXI utilisation,
 //! FIFO backpressure, and a compute/memory/backpressure stall breakdown —
-//! for single-device runs ([`trace_schedule`]) and sharded ones
-//! (`sf_multi::trace_sharded_schedule`, and the stall attribution of a
-//! sharded streaming run).
+//! for any device count: a schedule-only trace ([`trace_schedule`],
+//! [`trace_devices`]) or the schedule of a streaming run
+//! ([`crate::driver`]). A sharded schedule adds its headline numbers as
+//! metadata, each device's pass on `dev{k}/pipeline`, and the analytic
+//! halo-exchange charges.
 //!
 //! The emitted spans follow the *deterministic* streaming schedule (model
 //! cycles, not wall clock), so they reconcile exactly with the plan's
@@ -20,10 +22,12 @@
 //!
 //! Both invariants are pinned by property tests.
 
-use crate::cycles::{CyclePlan, RowBound, Schedule};
+use crate::cycles::{CyclePlan, RowBound, Schedule, ShardedPlan};
 use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
+use crate::error::ExecError;
 use crate::fifo;
+use crate::link::MultiConfig;
 use crate::trace::{self, PlanTrace};
 use serde::Value;
 use sf_telemetry::{Recorder, StallClass};
@@ -48,21 +52,82 @@ pub fn trace_schedule(
     niter: u64,
     rec: &mut Recorder,
 ) -> CyclePlan {
-    let Ok(sched) = Schedule::new(dev, design, wl, None) else {
-        return CyclePlan::default();
-    };
-    let plan = sched.plan(niter, &[]);
-    if rec.is_enabled() {
+    trace_devices(dev, design, wl, niter, &MultiConfig::default(), rec)
+        .map_or_else(|_| CyclePlan::default(), |p| p.merged)
+}
+
+/// [`trace_schedule`] on `devices.devices` devices, without streaming any
+/// numerics (paper-scale profiles): record the schedule ([`record_run`])
+/// and return its sharded plan. On more than one device, spans on the
+/// `pipeline` track sum to `merged.total_cycles`, whose pass wall-clock is
+/// the slowest device, exposed exchange included.
+///
+/// # Errors
+/// The walk's errors ([`Schedule::new`]): a device count the workload or
+/// design cannot be sharded across, or a mode that cannot stream `wl`.
+pub fn trace_devices(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    wl: &Workload,
+    niter: u64,
+    devices: &MultiConfig,
+    rec: &mut Recorder,
+) -> Result<ShardedPlan, ExecError> {
+    let sched = Schedule::new(dev, design, wl, devices)?;
+    let plan = sched.sharded_plan(niter);
+    record_run(rec, &sched, &plan);
+    Ok(plan)
+}
+
+/// Record a walked schedule whose sharded plan is `plan`: its headline
+/// numbers as trace metadata, the walk ([`record_schedule`]) and, on more
+/// than one device, the exchange charges ([`record_exchange`]).
+pub(crate) fn record_run(rec: &mut Recorder, sched: &Schedule<'_>, plan: &ShardedPlan) {
+    if !rec.is_enabled() {
+        return;
+    }
+    let merged = &plan.merged;
+    if !sched.is_sharded() {
+        let design = sched.design;
         rec.set_meta("mode", Value::String(format!("{:?}", design.mode)));
         rec.set_meta("v", Value::U64(design.v as u64));
         rec.set_meta("p", Value::U64(design.p as u64));
         rec.set_meta("freq_mhz", Value::F64(design.freq_hz / 1e6));
-        rec.set_meta("passes", Value::U64(plan.passes));
-        rec.set_meta("cycles_per_pass", Value::U64(plan.cycles_per_pass));
-        rec.set_meta("total_cycles", Value::U64(plan.total_cycles));
-        record_schedule(rec, &sched, &plan, &[]);
+        rec.set_meta("passes", Value::U64(merged.passes));
+        rec.set_meta("cycles_per_pass", Value::U64(merged.cycles_per_pass));
+        rec.set_meta("total_cycles", Value::U64(merged.total_cycles));
+        record_schedule(rec, sched, merged);
+        return;
     }
-    plan
+    annotate(rec, plan);
+    record_schedule(rec, sched, merged);
+    charge_exchange(rec, plan);
+}
+
+/// A sharded run's headline numbers as trace metadata, then the exchange
+/// charges; both come from the plan, so they are identical at any `jobs`.
+pub(crate) fn record_exchange(rec: &mut Recorder, plan: &ShardedPlan) {
+    annotate(rec, plan);
+    charge_exchange(rec, plan);
+}
+
+/// Record the sharded schedule's headline numbers as trace metadata.
+fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
+    rec.set_meta("devices", Value::U64(plan.devices as u64));
+    rec.set_meta("halo_units", Value::U64(plan.halo as u64));
+    rec.set_meta("sharded_passes", Value::U64(plan.merged.passes));
+    rec.set_meta("sharded_cycles_per_pass", Value::U64(plan.merged.cycles_per_pass));
+    rec.set_meta("exchange_bytes_per_pass", Value::U64(plan.exchange_bytes_per_pass));
+}
+
+/// Charge the analytic exchange cost: `exchange.bytes` and
+/// `exchange.messages` counters plus the exposed cycles as
+/// [`StallClass::Exchange`], from the plan rather than from measuring the
+/// simulated transfers.
+fn charge_exchange(rec: &mut Recorder, plan: &ShardedPlan) {
+    rec.counter_add("exchange.bytes", plan.merged.passes * plan.exchange_bytes_per_pass);
+    rec.counter_add("exchange.messages", plan.merged.passes * plan.exchange_messages_per_pass);
+    rec.stall(StallClass::Exchange, plan.exchange_exposed_cycles);
 }
 
 /// Record a walked schedule whose plan is `plan`: pass `i` spans
@@ -74,14 +139,9 @@ pub fn trace_schedule(
 /// On one device the segments tile the `segments` track with their AXI
 /// channel utilisation, closed by the pipeline latency, and a FIFO model
 /// prices backpressure. A sharded schedule draws each device's pass on
-/// `dev{k}/pipeline`, followed by the `exposed[k]` exchange cycles its
-/// interior compute could not hide.
-pub fn record_schedule(
-    rec: &mut Recorder,
-    sched: &Schedule<'_>,
-    plan: &CyclePlan,
-    exposed: &[u64],
-) {
+/// `dev{k}/pipeline`, followed by the exchange cycles its interior compute
+/// could not hide.
+pub(crate) fn record_schedule(rec: &mut Recorder, sched: &Schedule<'_>, plan: &CyclePlan) {
     if !rec.is_enabled() {
         return;
     }
@@ -107,7 +167,7 @@ pub fn record_schedule(
             let lane = rec.track(&format!("dev{}/pipeline", s.device));
             let pass = s.cycles() + latency;
             rec.span(lane, &t.label, 0, pass);
-            let exposed = exposed.get(s.device).copied().unwrap_or(0);
+            let exposed = sched.slabs()[s.device].exposed;
             if exposed > 0 {
                 rec.span(lane, "exchange (exposed)", pass, pass + exposed);
             }

@@ -12,6 +12,7 @@ pub use crate::cycles::RowBound;
 use crate::cycles::{CyclePlan, Schedule};
 use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
+use crate::link::MultiConfig;
 use serde::{Deserialize, Serialize};
 
 /// One homogeneous streaming segment (whole mesh, one tile, or one
@@ -147,8 +148,8 @@ pub(crate) fn narrate(sched: &Schedule<'_>, plan: &CyclePlan) -> PlanTrace {
 /// stream `wl` explains nothing: no segments and zero cycles
 /// ([`Schedule::new`] names why).
 pub fn explain(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload, niter: u64) -> PlanTrace {
-    match Schedule::new(dev, design, wl, None) {
-        Ok(sched) => narrate(&sched, &sched.plan(niter, &[])),
+    match Schedule::new(dev, design, wl, &MultiConfig::default()) {
+        Ok(sched) => narrate(&sched, &sched.plan(niter)),
         Err(_) => PlanTrace {
             segments: Vec::new(),
             passes: 0,

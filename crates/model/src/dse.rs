@@ -45,7 +45,7 @@ pub struct DseOptions {
     /// both decompose the mesh and do not compose.
     pub device_candidates: Vec<usize>,
     /// Inter-device link model used to cost sharded candidates.
-    pub link: sf_multi::LinkModel,
+    pub link: sf_fpga::LinkModel,
 }
 
 impl Default for DseOptions {
@@ -56,7 +56,7 @@ impl Default for DseOptions {
             max_p: 128,
             allow_tiling: true,
             device_candidates: vec![1],
-            link: sf_multi::LinkModel::default(),
+            link: sf_fpga::LinkModel::default(),
         }
     }
 }
@@ -287,7 +287,7 @@ fn evaluate(
         // The sharded plan *is* the extended model for multi-device points —
         // it prices memory-bound rows, halo re-reads and exposed exchange —
         // so prediction and plan coincide by construction.
-        let cfg = sf_multi::MultiConfig { devices, link: opts.link };
+        let cfg = sf_fpga::MultiConfig { devices, link: opts.link };
         let pr = crate::predict::predict_sharded(dev, &design, wl, niter, &cfg)?;
         (pr, pr.runtime_s)
     } else {

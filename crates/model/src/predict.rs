@@ -23,8 +23,7 @@ use crate::error::ModelError;
 use serde::{Deserialize, Serialize};
 use sf_fpga::cycles::Schedule;
 use sf_fpga::design::{StencilDesign, Workload};
-use sf_fpga::FpgaDevice;
-use sf_multi::{sharded_plan, MultiConfig, MultiError};
+use sf_fpga::{FpgaDevice, MultiConfig, MultiError};
 
 /// Fidelity of a prediction.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,8 +61,10 @@ pub fn predict(
     level: PredictionLevel,
 ) -> Result<Prediction, ModelError> {
     let passes = niter.div_ceil(design.p as u64).max(1);
-    let sched = Schedule::new(dev, design, wl, None).map_err(|_| ModelError::WorkloadMismatch {
-        detail: format!("mode {:?} cannot stream workload {:?}", design.mode, wl),
+    let sched = Schedule::new(dev, design, wl, &MultiConfig::default()).map_err(|_| {
+        ModelError::WorkloadMismatch {
+            detail: format!("mode {:?} cannot stream workload {:?}", design.mode, wl),
+        }
     })?;
     let extended = level == PredictionLevel::Extended;
     let mut per_pass = if extended { design.pipeline_latency_cycles } else { 0 };
@@ -94,7 +95,8 @@ pub fn predict(
 /// pipeline-fill and host-call overheads as the single-device Extended
 /// model, plus per-pass halo exchange over `cfg.link` with overlap against
 /// interior compute. At `cfg.devices == 1` this equals the single-device
-/// cycle plan exactly (see [`sf_multi::sharded_plan`]).
+/// cycle plan exactly: both are folds over the same schedule walk
+/// ([`Schedule::plan`]).
 ///
 /// # Errors
 /// [`ModelError::InvalidParameter`] for a zero device count or more devices
@@ -108,16 +110,18 @@ pub fn predict_sharded(
     niter: u64,
     cfg: &MultiConfig,
 ) -> Result<Prediction, ModelError> {
-    let plan = sharded_plan(dev, design, wl, niter, cfg).map_err(|e| match e {
-        MultiError::UnsupportedMode => ModelError::WorkloadMismatch {
-            detail: format!(
-                "mode {:?} cannot be sharded across {} devices",
-                design.mode, cfg.devices
-            ),
-        },
-        other => ModelError::invalid("devices", other.to_string()),
-    })?;
-    let runtime_s = plan.merged.runtime_s;
+    let plan = Schedule::new(dev, design, wl, cfg)
+        .map_err(|e| match MultiError::from(e) {
+            MultiError::UnsupportedMode => ModelError::WorkloadMismatch {
+                detail: format!(
+                    "mode {:?} cannot be sharded across {} devices",
+                    design.mode, cfg.devices
+                ),
+            },
+            other => ModelError::invalid("devices", other.to_string()),
+        })?
+        .plan(niter);
+    let runtime_s = plan.runtime_s;
     if !runtime_s.is_finite() || runtime_s <= 0.0 {
         return Err(ModelError::NonFiniteRuntime {
             detail: format!(
@@ -128,9 +132,9 @@ pub fn predict_sharded(
     }
     Ok(Prediction {
         level: PredictionLevel::Extended,
-        cycles: plan.merged.total_cycles,
+        cycles: plan.total_cycles,
         runtime_s,
-        bandwidth_gbs: plan.merged.logical_bytes as f64 / runtime_s / 1.0e9,
+        bandwidth_gbs: plan.logical_bytes as f64 / runtime_s / 1.0e9,
     })
 }
 

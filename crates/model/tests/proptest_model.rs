@@ -144,7 +144,7 @@ proptest! {
             Err(_) => return Ok(()), // infeasible corner of the sweep
         };
         let fill = (p * stages * order.div_ceil(2)) as u64;
-        let walk = sf_fpga::cycles::Schedule::new(&d, &ds, &wl, None).unwrap();
+        let walk = sf_fpga::cycles::Schedule::new(&d, &ds, &wl, &sf_fpga::MultiConfig::default()).unwrap();
         prop_assert_eq!(walk.segments().map(|s| s.fill_rows).sum::<u64>(), fill);
         // the ideal prediction is eq. (2) with the effective (even) order
         // 2·stages·⌈D/2⌉ — i.e. the same fill rows per pass
