@@ -467,6 +467,13 @@ mod tests {
         assert!(multi.divergence.within(15.0), "{}", multi.divergence.summary());
         // per-device swimlanes and the exchange counters are recorded
         assert!(multi.recorder.track_names().iter().any(|t| t.starts_with("dev1/mesh0/window/")));
+        // the streamed run draws its schedule: pass spans reconcile with the
+        // sharded total, and every device has its schedule lane
+        let pipe = multi.recorder.find_track("pipeline").expect("pipeline track");
+        assert_eq!(multi.recorder.track_span_cycles(pipe), multi.report.total_cycles);
+        for lane in ["dev0/pipeline", "dev1/pipeline"] {
+            assert!(multi.recorder.find_track(lane).is_some(), "missing {lane}");
+        }
         assert_eq!(
             multi.recorder.counter("exchange.bytes"),
             plan.merged.passes * plan.exchange_bytes_per_pass

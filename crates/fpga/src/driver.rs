@@ -388,10 +388,11 @@ impl<'a, K> Run<'a, K> {
                         let mesh = px.run(input.member(i), &all, layout, rec, None)?;
                         out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(mesh.as_slice());
                     }
-                    profile::attribute_stalls(rec, &sched, plan.merged.passes);
-                    profile::record_exchange(rec, &plan);
+                    // a sharded run's schedule tracks follow its window tracks
+                    profile::record_run(rec, &sched, &plan);
                     return Ok((out, report, RecoveryStats::default()));
                 }
+                // one device's schedule tracks come before its window tracks
                 profile::record_run(rec, &sched, &plan);
                 let out = match jobs {
                     None => px.run(input.clone(), &all, WHOLE, rec, None)?,

@@ -57,10 +57,10 @@ pub fn trace_schedule(
 }
 
 /// [`trace_schedule`] on `devices.devices` devices, without streaming any
-/// numerics (paper-scale profiles): record the schedule ([`record_run`])
-/// and return its sharded plan. On more than one device, spans on the
-/// `pipeline` track sum to `merged.total_cycles`, whose pass wall-clock is
-/// the slowest device, exposed exchange included.
+/// numerics (paper-scale profiles): record the schedule and return its
+/// sharded plan. On more than one device, spans on the `pipeline` track
+/// sum to `merged.total_cycles`, whose pass wall-clock is the slowest
+/// device, exposed exchange included.
 ///
 /// # Errors
 /// The walk's errors ([`Schedule::new`]): a device count the workload or
@@ -81,7 +81,7 @@ pub fn trace_devices(
 
 /// Record a walked schedule whose sharded plan is `plan`: its headline
 /// numbers as trace metadata, the walk ([`record_schedule`]) and, on more
-/// than one device, the exchange charges ([`record_exchange`]).
+/// than one device, the exchange charges.
 pub(crate) fn record_run(rec: &mut Recorder, sched: &Schedule<'_>, plan: &ShardedPlan) {
     if !rec.is_enabled() {
         return;
@@ -104,13 +104,6 @@ pub(crate) fn record_run(rec: &mut Recorder, sched: &Schedule<'_>, plan: &Sharde
     charge_exchange(rec, plan);
 }
 
-/// A sharded run's headline numbers as trace metadata, then the exchange
-/// charges; both come from the plan, so they are identical at any `jobs`.
-pub(crate) fn record_exchange(rec: &mut Recorder, plan: &ShardedPlan) {
-    annotate(rec, plan);
-    charge_exchange(rec, plan);
-}
-
 /// Record the sharded schedule's headline numbers as trace metadata.
 fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
     rec.set_meta("devices", Value::U64(plan.devices as u64));
@@ -123,7 +116,7 @@ fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
 /// Charge the analytic exchange cost: `exchange.bytes` and
 /// `exchange.messages` counters plus the exposed cycles as
 /// [`StallClass::Exchange`], from the plan rather than from measuring the
-/// simulated transfers.
+/// simulated transfers, so they are identical at any `jobs`.
 fn charge_exchange(rec: &mut Recorder, plan: &ShardedPlan) {
     rec.counter_add("exchange.bytes", plan.merged.passes * plan.exchange_bytes_per_pass);
     rec.counter_add("exchange.messages", plan.merged.passes * plan.exchange_messages_per_pass);
@@ -183,7 +176,7 @@ pub(crate) fn record_schedule(rec: &mut Recorder, sched: &Schedule<'_>, plan: &C
 /// inter-stage FIFOs so chained stages never backpressure
 /// ([`fifo::interstage_depth`]); observed backpressure is recorded
 /// separately.
-pub(crate) fn attribute_stalls(rec: &mut Recorder, sched: &Schedule<'_>, passes: u64) {
+fn attribute_stalls(rec: &mut Recorder, sched: &Schedule<'_>, passes: u64) {
     let (mut compute, mut memory) = (0u64, 0u64);
     for s in sched.segments() {
         let cycles = passes * s.rows() * s.timing.total();
