@@ -487,15 +487,12 @@ fn main() {
     if a.devices > 1 {
         // dse sweeps device counts 1,2,4,…,K alongside V/p (statically
         // illegal shardings are pruned by SFC-X); profile/check take the
-        // exact count from MultiConfig below.
-        let mut counts = Vec::new();
-        let mut d = 1usize;
-        while d < a.devices {
-            counts.push(d);
-            d *= 2;
-        }
-        counts.push(a.devices);
-        wf.opts.device_candidates = counts;
+        // exact count from MultiConfig below. The doubling stops before it
+        // would overflow, so a K above 2^63 ends the sweep at 2^63, K.
+        wf.opts.device_candidates = std::iter::successors(Some(1usize), |d| d.checked_mul(2))
+            .take_while(|&d| d < a.devices)
+            .chain([a.devices])
+            .collect();
         wf.opts.link = a.link;
     }
     match a.cmd.as_str() {

@@ -145,6 +145,16 @@ fn sharding_narrower_than_the_halo_exits_2_with_sfc_x() {
         assert!(stderr.contains("SFC-X01"), "error cites the sharding rule: {stderr}");
         assert!(stderr.contains("halo"), "{stderr}");
     }
+    // a device count past 2^63 is one more illegal sharding, not an
+    // endless device sweep
+    let out = sfstencil()
+        .args(["profile", "--app", "poisson", "--mesh", "64x300", "--iters", "40"])
+        .args(["--devices", "9223372036854775809"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "a 2^63 + 1 device sharding must fail");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("SFC-X01"), "error cites the sharding rule: {stderr}");
     // the faults campaign designs get the same gate
     let out = sfstencil()
         .args(["faults", "--app", "rtm3d", "--trials", "1", "--devices", "4"])
@@ -201,6 +211,18 @@ fn dse_devices_sweep_lists_device_counts() {
         cands.iter().map(|c| c.get("devices").and_then(Value::as_u64).unwrap()).collect();
     assert!(devs.iter().any(|&d| d > 1), "sweep must surface sharded candidates: {devs:?}");
     assert!(devs.iter().all(|&d| [1, 2, 4].contains(&d)), "{devs:?}");
+    // the sweep stops doubling before it overflows: the largest device
+    // count ranks exactly like any count past the mesh's 400 rows
+    let ranking = |devices: &str| {
+        let out = sfstencil()
+            .args(["dse", "--app", "poisson", "--mesh", "400x400", "--iters", "2000"])
+            .args(["--devices", devices, "--json"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    assert_eq!(ranking("18446744073709551615"), ranking("256"));
 }
 
 #[test]
