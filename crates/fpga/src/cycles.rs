@@ -35,7 +35,7 @@ use crate::axi::{self, RowTiming};
 use crate::design::{ExecMode, MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::error::{ExecError, MultiError};
-use crate::link::MultiConfig;
+use crate::link::{LinkModel, MultiConfig};
 use crate::partition::slab_partition;
 use serde::{Deserialize, Serialize};
 use sf_mesh::{Tile1D, TileGrid1D};
@@ -156,22 +156,16 @@ impl Segment {
     }
 }
 
-/// One device's share of every pass: the units it owns and writes back,
-/// the units it streams, and what its incoming halos cost.
-#[derive(Clone, Debug)]
-pub(crate) struct Slab {
-    /// The units it owns.
-    pub(crate) owned: Range<usize>,
-    /// The units it streams: the owned ones plus up to a halo on either
-    /// side, clipped to the mesh.
-    pub(crate) streamed: Range<usize>,
-    /// Link cycles its incoming halos occupy per pass, all meshes.
+/// One device's halo exchange per pass, all meshes.
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct Exchange {
+    /// Link cycles its incoming halos occupy.
     link: u64,
-    /// Halo messages it receives per pass, all meshes.
+    /// Halo messages it receives.
     messages: u64,
-    /// Halo bytes it receives per pass, all meshes.
+    /// Halo bytes it receives.
     bytes: u64,
-    /// Link cycles per pass that its interior compute cannot hide.
+    /// Link cycles that its interior compute cannot hide.
     pub(crate) exposed: u64,
 }
 
@@ -186,8 +180,11 @@ pub struct Schedule<'a> {
     xs: Vec<(Tile1D, RowTiming)>,
     /// Row tiles of a unit.
     ys: Vec<Tile1D>,
-    /// One slab per device, in device order.
-    slabs: Vec<Slab>,
+    /// The units each device owns, in device order.
+    owned: Vec<Range<usize>>,
+    /// Units of the streamed axis: rows in 2D, planes in 3D.
+    extent: usize,
+    link: LinkModel,
     /// Meshes streamed back to back: the batch, or one for a tiled design.
     meshes: u64,
     turnaround: u64,
@@ -222,7 +219,7 @@ impl<'a> Schedule<'a> {
         if k == 0 {
             return sharding(MultiError::NoDevices);
         }
-        if k > extent.max(1) {
+        if k > 1 && k > extent {
             return sharding(MultiError::TooManyDevices { devices: k, extent });
         }
         // x tiles of `tile_m` read cells align to the bus word; `Tiled2D`
@@ -271,65 +268,77 @@ impl<'a> Schedule<'a> {
                 design.write_channels,
             )
         };
-        let xs: Vec<_> = xs.iter().map(|x| (*x, timing(x))).collect();
-        let meshes = if tiled { 1 } else { wl.batch() as u64 };
-        // A sharded design is untiled, so a unit is one row, or one plane
-        // of rows, of the whole mesh.
-        let (unit_bytes, unit_cycles) = xs.first().zip(ys.first()).map_or((0, 0), |(x, y)| {
-            ((x.0.read_len * y.read_len * spec.elem_bytes) as u64, x.1.total() * y.read_len as u64)
-        });
-        let slab = |owned: Range<usize>| {
-            let streamed = owned.start.saturating_sub(halo)..(owned.end + halo).min(extent);
-            let mut s = Slab { owned, streamed, link: 0, messages: 0, bytes: 0, exposed: 0 };
-            // incoming halos, clipped to what exists on each interior side
-            for units in [s.owned.start - s.streamed.start, s.streamed.end - s.owned.end] {
-                if units > 0 {
-                    let bytes = units as u64 * unit_bytes;
-                    s.link += devices.link.transfer_cycles(bytes) * meshes;
-                    s.messages += meshes;
-                    s.bytes += bytes * meshes;
-                }
-            }
-            // interior units read no incoming halo data, so their compute
-            // overlaps the exchange
-            let edges = usize::from(s.owned.start > 0) + usize::from(s.owned.end < extent);
-            let interior = s.owned.len().saturating_sub(edges * halo) as u64;
-            s.exposed = s.link.saturating_sub(interior * unit_cycles * meshes);
-            s
-        };
         Ok(Schedule {
             dev,
             design,
             wl: *wl,
-            xs,
+            owned: slab_partition(extent, k).collect(),
+            xs: xs.iter().map(|x| (*x, timing(x))).collect(),
             ys,
-            slabs: slab_partition(extent, k).map(slab).collect(),
-            meshes,
+            extent,
+            link: devices.link,
+            meshes: if tiled { 1 } else { wl.batch() as u64 },
             turnaround: if tiled { dev.axi_latency_cycles as u64 } else { 0 },
         })
     }
 
     /// Whether the schedule streams the slabs of more than one device.
     pub(crate) fn is_sharded(&self) -> bool {
-        self.slabs.len() > 1
+        self.owned.len() > 1
     }
 
-    /// Each device's slab, in device order.
-    pub(crate) fn slabs(&self) -> &[Slab] {
-        &self.slabs
+    /// The units each device owns, in device order.
+    pub(crate) fn owned(&self) -> &[Range<usize>] {
+        &self.owned
+    }
+
+    /// The units device `device` streams: the ones it owns plus up to a
+    /// halo on either side, clipped to the mesh.
+    pub(crate) fn streamed(&self, device: usize) -> Range<usize> {
+        let (owned, halo) = (&self.owned[device], self.design.spec.halo(self.design.p));
+        owned.start.saturating_sub(halo)..(owned.end + halo).min(self.extent)
+    }
+
+    /// Device `device`'s halo exchange over the link. Interior units read
+    /// no incoming halo data, so their compute overlaps the exchange, and
+    /// only the rest of the link time is exposed. A sharded design is
+    /// untiled, so a unit is one row, or one plane of rows, of the mesh.
+    pub(crate) fn exchange(&self, device: usize) -> Exchange {
+        let (owned, streamed) = (&self.owned[device], self.streamed(device));
+        let (Some((x, timing)), Some(y)) = (self.xs.first(), self.ys.first()) else {
+            return Exchange::default();
+        };
+        let unit_bytes = (x.read_len * y.read_len * self.design.spec.elem_bytes) as u64;
+        let mut e = Exchange::default();
+        // incoming halos, clipped to what exists on each interior side
+        for units in [owned.start - streamed.start, streamed.end - owned.end] {
+            if units > 0 {
+                let bytes = units as u64 * unit_bytes;
+                e.link += self.link.transfer_cycles(bytes) * self.meshes;
+                e.messages += self.meshes;
+                e.bytes += bytes * self.meshes;
+            }
+        }
+        let halo = self.design.spec.halo(self.design.p);
+        let edges = usize::from(owned.start > 0) + usize::from(owned.end < self.extent);
+        let interior = owned.len().saturating_sub(edges * halo) as u64;
+        let unit_cycles = timing.total() * y.read_len as u64;
+        e.exposed = e.link.saturating_sub(interior * unit_cycles * self.meshes);
+        e
     }
 
     /// The segments one pass streams: device by device, then y tile by y
     /// tile, then x tile by x tile.
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        (0..self.slabs.len()).flat_map(move |device| self.device_segments(device))
+        (0..self.owned.len()).flat_map(move |device| self.device_segments(device))
     }
 
     /// The segments device `device` streams each pass.
     fn device_segments(&self, device: usize) -> impl Iterator<Item = Segment> + '_ {
         let fill = self.design.spec.halo(self.design.p) as u64;
-        let Slab { owned, streamed, .. } = &self.slabs[device];
-        let (first_unit, units, owned) = (streamed.start, streamed.len(), owned.len());
+        let streamed = self.streamed(device);
+        let (first_unit, units) = (streamed.start, streamed.len());
+        let owned = self.owned[device].len();
         self.ys.iter().enumerate().flat_map(move |(j, &y)| {
             self.xs.iter().enumerate().map(move |(i, &(x, timing))| Segment {
                 device,
@@ -367,12 +376,12 @@ impl<'a> Schedule<'a> {
             read += s.data_rows * (s.x.read_len * spec.ext_read_bytes) as u64;
             write += s.written_rows * (s.x.valid_len * spec.ext_write_bytes) as u64;
         }
-        let cycles_per_pass = (0..self.slabs.len())
-            .map(|k| self.pass_cycles(k) + self.slabs[k].exposed)
+        let cycles_per_pass = (0..self.owned.len())
+            .map(|k| self.pass_cycles(k) + self.exchange(k).exposed)
             .max()
             .unwrap_or(0);
         let total_cycles = passes * cycles_per_pass;
-        let host_calls = passes * self.slabs.len() as u64;
+        let host_calls = passes * self.owned.len() as u64;
         let runtime_s =
             total_cycles as f64 / design.freq_hz + host_calls as f64 * dev.host_call_latency_s;
         let cell_iters = niter * self.wl.total_cells();
@@ -393,30 +402,33 @@ impl<'a> Schedule<'a> {
     /// device's slab and pass cost, and the halo exchange over the link.
     pub fn sharded_plan(&self, niter: u64) -> ShardedPlan {
         let merged = self.plan(niter);
-        let per_device = self
-            .slabs
-            .iter()
-            .enumerate()
-            .map(|(device, s)| DeviceCost {
+        let mut per_device = Vec::with_capacity(self.owned.len());
+        let mut sum = Exchange::default();
+        for (device, owned) in self.owned.iter().enumerate() {
+            let e = self.exchange(device);
+            sum.link += e.link;
+            sum.messages += e.messages;
+            sum.bytes += e.bytes;
+            sum.exposed += e.exposed;
+            per_device.push(DeviceCost {
                 device,
-                owned_start: s.owned.start,
-                owned_len: s.owned.len(),
-                extended_len: s.streamed.len(),
+                owned_start: owned.start,
+                owned_len: owned.len(),
+                extended_len: self.streamed(device).len(),
                 pass_cycles: self.pass_cycles(device),
-                link_cycles: s.link,
-                exposed_cycles: s.exposed,
-            })
-            .collect();
-        let sum = |f: fn(&Slab) -> u64| self.slabs.iter().map(f).sum::<u64>();
+                link_cycles: e.link,
+                exposed_cycles: e.exposed,
+            });
+        }
         ShardedPlan {
-            devices: self.slabs.len(),
+            devices: self.owned.len(),
             halo: self.design.spec.halo(self.design.p),
             merged,
             per_device,
-            exchange_bytes_per_pass: sum(|s| s.bytes),
-            exchange_messages_per_pass: sum(|s| s.messages),
-            exchange_link_cycles: merged.passes * sum(|s| s.link),
-            exchange_exposed_cycles: merged.passes * sum(|s| s.exposed),
+            exchange_bytes_per_pass: sum.bytes,
+            exchange_messages_per_pass: sum.messages,
+            exchange_link_cycles: merged.passes * sum.link,
+            exchange_exposed_cycles: merged.passes * sum.exposed,
         }
     }
 }

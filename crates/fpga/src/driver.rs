@@ -593,30 +593,30 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
         let src = cur.as_slice();
         // The walk's owned ranges tile the mesh in order, so splitting
         // `next` in slab order hands each device its own chunk.
-        let slabs = self.sched.slabs();
+        let slabs = self.sched.owned();
         let mut rest = next.as_mut_slice();
         let mut items = Vec::with_capacity(slabs.len());
-        for s in slabs {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(s.owned.len() * len);
+        for (k, owned) in slabs.iter().enumerate() {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(owned.len() * len);
             rest = tail;
-            items.push((s, chunk));
+            items.push((owned, self.sched.streamed(k), chunk));
         }
         let traced = rec.is_enabled() && first_pass;
         let clock = rec.cycles_per_us();
-        let results = sf_par::par_map(self.jobs, items, |k, (s, chunk)| {
+        let results = sf_par::par_map(self.jobs, items, |k, (owned, streamed, chunk)| {
             let mut shard = if traced { Recorder::enabled(clock) } else { Recorder::disabled() };
             let prefix = format!("dev{k}/mesh{mesh}/window/");
             let trace = ChainTrace {
                 rec: &mut shard,
                 prefix: &prefix,
-                base_cycle: (mesh * extent + s.owned.start) as u64 * self.unit_cycles,
+                base_cycle: (mesh * extent + owned.start) as u64 * self.unit_cycles,
                 unit_cycles: self.unit_cycles,
             };
-            let (lo, slab) = (s.streamed.start, s.streamed.len());
+            let (lo, slab) = (streamed.start, streamed.len());
             let input = |j: usize, slot: &mut [B::Cell]| {
                 slot.copy_from_slice(&src[(lo + j) * len..(lo + j + 1) * len]);
             };
-            let mut sink = Flat::new(chunk, len, s.owned.start - lo);
+            let mut sink = Flat::new(chunk, len, owned.start - lo);
             let mut stages = build_chain(self.engine, chain, shape, slab, slab);
             let done = run_chain::<B, _>(&mut stages, slab, input, &mut sink, trace, None);
             (done, shard)

@@ -80,14 +80,26 @@ pub fn trace_devices(
 }
 
 /// Record a walked schedule whose sharded plan is `plan`: its headline
-/// numbers as trace metadata, the walk ([`record_schedule`]) and, on more
-/// than one device, the exchange charges.
+/// numbers as trace metadata and the walk ([`record_schedule`]). On more
+/// than one device, the halo exchange is charged from the plan rather than
+/// measured, so it is identical at any `jobs`: `exchange.bytes` and
+/// `exchange.messages` counters, and the exposed cycles as
+/// [`StallClass::Exchange`].
 pub(crate) fn record_run(rec: &mut Recorder, sched: &Schedule<'_>, plan: &ShardedPlan) {
     if !rec.is_enabled() {
         return;
     }
     let merged = &plan.merged;
-    if !sched.is_sharded() {
+    if sched.is_sharded() {
+        rec.set_meta("devices", Value::U64(plan.devices as u64));
+        rec.set_meta("halo_units", Value::U64(plan.halo as u64));
+        rec.set_meta("sharded_passes", Value::U64(merged.passes));
+        rec.set_meta("sharded_cycles_per_pass", Value::U64(merged.cycles_per_pass));
+        rec.set_meta("exchange_bytes_per_pass", Value::U64(plan.exchange_bytes_per_pass));
+        rec.counter_add("exchange.bytes", merged.passes * plan.exchange_bytes_per_pass);
+        rec.counter_add("exchange.messages", merged.passes * plan.exchange_messages_per_pass);
+        rec.stall(StallClass::Exchange, plan.exchange_exposed_cycles);
+    } else {
         let design = sched.design;
         rec.set_meta("mode", Value::String(format!("{:?}", design.mode)));
         rec.set_meta("v", Value::U64(design.v as u64));
@@ -96,31 +108,8 @@ pub(crate) fn record_run(rec: &mut Recorder, sched: &Schedule<'_>, plan: &Sharde
         rec.set_meta("passes", Value::U64(merged.passes));
         rec.set_meta("cycles_per_pass", Value::U64(merged.cycles_per_pass));
         rec.set_meta("total_cycles", Value::U64(merged.total_cycles));
-        record_schedule(rec, sched, merged);
-        return;
     }
-    annotate(rec, plan);
     record_schedule(rec, sched, merged);
-    charge_exchange(rec, plan);
-}
-
-/// Record the sharded schedule's headline numbers as trace metadata.
-fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
-    rec.set_meta("devices", Value::U64(plan.devices as u64));
-    rec.set_meta("halo_units", Value::U64(plan.halo as u64));
-    rec.set_meta("sharded_passes", Value::U64(plan.merged.passes));
-    rec.set_meta("sharded_cycles_per_pass", Value::U64(plan.merged.cycles_per_pass));
-    rec.set_meta("exchange_bytes_per_pass", Value::U64(plan.exchange_bytes_per_pass));
-}
-
-/// Charge the analytic exchange cost: `exchange.bytes` and
-/// `exchange.messages` counters plus the exposed cycles as
-/// [`StallClass::Exchange`], from the plan rather than from measuring the
-/// simulated transfers, so they are identical at any `jobs`.
-fn charge_exchange(rec: &mut Recorder, plan: &ShardedPlan) {
-    rec.counter_add("exchange.bytes", plan.merged.passes * plan.exchange_bytes_per_pass);
-    rec.counter_add("exchange.messages", plan.merged.passes * plan.exchange_messages_per_pass);
-    rec.stall(StallClass::Exchange, plan.exchange_exposed_cycles);
 }
 
 /// Record a walked schedule whose plan is `plan`: pass `i` spans
@@ -160,7 +149,7 @@ pub(crate) fn record_schedule(rec: &mut Recorder, sched: &Schedule<'_>, plan: &C
             let lane = rec.track(&format!("dev{}/pipeline", s.device));
             let pass = s.cycles() + latency;
             rec.span(lane, &t.label, 0, pass);
-            let exposed = sched.slabs()[s.device].exposed;
+            let exposed = sched.exchange(s.device).exposed;
             if exposed > 0 {
                 rec.span(lane, "exchange (exposed)", pass, pass + exposed);
             }
