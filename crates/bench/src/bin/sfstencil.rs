@@ -36,8 +36,8 @@
 //!
 //! `profile`, `dse` and `faults` accept `--devices K` to shard the mesh
 //! across K simulated accelerator cards (1D slab decomposition, halo
-//! exchange at every pass barrier — see `sf-multi`), with `--link
-//! aurora|pcie` picking the inter-device link model. `profile --devices K`
+//! exchange at every pass barrier — see `sf_fpga::driver::Run`), with
+//! `--link aurora|pcie` picking the inter-device link model. `profile --devices K`
 //! runs the sharded executors (bit-exact vs. single-device) and surfaces
 //! exposed exchange in the stall attribution; `dse --devices K` sweeps
 //! device counts 1,2,4,…,K alongside V/p; `faults --devices K` validates

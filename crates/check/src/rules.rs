@@ -44,7 +44,7 @@ pub struct Design {
     /// Override the cells each window line/plane buffer holds. `None` uses
     /// the streaming unit implied by workload and mode.
     pub window_units: Option<usize>,
-    /// Accelerator cards the workload is sharded across (`sf-multi` 1D slab
+    /// Accelerator cards the workload is sharded across (`sf-fpga`'s 1D slab
     /// decomposition). `1` — the single-device default — disables the
     /// multi-device legality rule (SFC-X01).
     pub devices: usize,
@@ -478,7 +478,7 @@ pub fn check(dev: &FpgaDevice, d: &Design) -> CheckReport {
     }
 
     // --- SFC-X01: multi-device shard legality ----------------------------
-    // The sf-multi slab decomposition exchanges halos with direct
+    // The sf-fpga slab decomposition exchanges halos with direct
     // neighbours only. Every shard must therefore own at least the halo
     // depth h = p·stages·⌈D/2⌉ of outermost units, or next pass's halo
     // would have to come from beyond the neighbour and the link model (and

@@ -5,7 +5,7 @@
 //! across `K` cards: a 1D slab decomposition of the outermost mesh axis, a
 //! halo exchange at every pass barrier over a modeled device-to-device
 //! link, and overlap of exchange with interior compute. All of it lives in
-//! `sf-fpga` now: a [`sf_fpga::driver::Run`] takes its device count and
+//! `sf-fpga`: a [`sf_fpga::driver::Run`] takes its device count and
 //! link ([`MultiConfig`]), the schedule walker ([`sf_fpga::cycles::Schedule`])
 //! partitions the mesh and prices the link, and the recorder sink
 //! ([`sf_fpga::profile`]) draws the slabs and charges the exchange.

@@ -59,7 +59,7 @@ pub enum StallClass {
     /// replay in the recovery layer (`sf-recover`).
     Checkpoint,
     /// Cycles spent on inter-device halo exchange over the modeled
-    /// device-to-device link (`sf-multi`), net of compute overlap.
+    /// device-to-device link (`sf_fpga::link`), net of compute overlap.
     Exchange,
 }
 
