@@ -29,7 +29,8 @@ use sf_telemetry::Recorder;
 /// included), first-pass spans per device on `dev{k}/pipeline`, each
 /// device's streamed rows attributed to compute or memory stalls — and the
 /// analytic exchange charges. For paper-scale workloads: spans on the
-/// `pipeline` track sum to `merged.total_cycles`.
+/// `pipeline` track sum to `merged.total_cycles`. With one device it
+/// records what [`sf_fpga::profile::trace_schedule`] does.
 ///
 /// # Errors
 /// The [`MultiError`]s of [`crate::sharded_plan`]: zero devices, more
