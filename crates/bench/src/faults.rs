@@ -29,14 +29,18 @@
 //! checksum is always consulted) and [`CampaignReport::all_accounted`]
 //! asserts it.
 //!
-//! Each app's design, input, golden answer and clean plan are built once
-//! per campaign and shared by every trial and worker. The golden answer is
-//! a [`GoldenTrajectory`]: the reference state of the input at every pass
-//! boundary with its ABFT signature. Its last state is what every trial must
-//! reproduce bit for bit, and a rollback trial reads its ABFT expected side
-//! from it rather than re-solving the reference segment by segment (a
-//! segment whose start state is not golden still re-solves), so a trial
-//! costs its own streaming plus its own checks.
+//! Each app's design, input, golden answer, clean plan and window memory
+//! are built once per campaign and shared by every trial and worker. The
+//! golden answer is a [`GoldenTrajectory`]: the reference state of the
+//! input at every pass boundary with its ABFT signature. Its last state is
+//! what every trial must reproduce bit for bit, and a rollback trial reads
+//! its ABFT expected side from it rather than re-solving the reference
+//! segment by segment (a segment whose start state is not golden still
+//! re-solves), so a trial costs its own streaming plus its own checks. The
+//! window memory is a [`WindowPool`] lent to the app's clean run and to
+//! every trial ([`Run::windows`]), as every run of one bitstream streams
+//! through the same window buffers: a worker allocates an app's windows
+//! once per campaign, not once per trial, segment attempt and replay.
 //!
 //! Same campaign seed ⇒ byte-identical report (table and JSON): the sweep
 //! order is fixed arrays, the per-trial seeds are pure functions of the
@@ -49,7 +53,7 @@ use sf_fpga::window::{Engine, ScalarEngine};
 use sf_fpga::{
     cycles, recovery, ExecEngine, ExecError, FastEngine, FaultInjector, FaultKind, FaultPlan,
     Faults, FpgaDevice, GoldenTrajectory, Recorder, RecoveryConfig, RecoveryPolicy, RecoveryStats,
-    RetryPolicy, Run,
+    RetryPolicy, Run, WindowPool,
 };
 use sf_kernels::{rtm, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
 use sf_mesh::{Batch2D, Batch3D};
@@ -428,9 +432,9 @@ struct TrialRun {
 
 /// What every trial of one app shares, built once per campaign and lent to
 /// every trial and worker: the design, the input, the input's golden
-/// trajectory and the clean plan's cycles. The trajectory is the ABFT
-/// expected side of each rollback trial, and its last state is the answer
-/// every trial must reproduce bit for bit.
+/// trajectory, the clean plan's cycles and the design's window buffers. The
+/// trajectory is the ABFT expected side of each rollback trial, and its
+/// last state is the answer every trial must reproduce bit for bit.
 struct AppContext<B, K> {
     dev: FpgaDevice,
     stages: Vec<K>,
@@ -439,6 +443,7 @@ struct AppContext<B, K> {
     input: B,
     golden: GoldenTrajectory,
     clean_cycles: u64,
+    windows: WindowPool,
 }
 
 impl<B: StreamGrid, K: GridKernel<B>> AppContext<B, K> {
@@ -449,7 +454,8 @@ impl<B: StreamGrid, K: GridKernel<B>> AppContext<B, K> {
             .expect("campaign designs are feasible");
         let golden = recovery::golden_trajectory(&stages, &input, design.p, niter);
         let clean_cycles = cycles::plan(&dev, &design, &wl, niter as u64).total_cycles;
-        AppContext { dev, stages, niter, design, input, golden, clean_cycles }
+        let windows = WindowPool::new();
+        AppContext { dev, stages, niter, design, input, golden, clean_cycles, windows }
     }
 }
 
@@ -487,6 +493,7 @@ where
             retry: *policy,
             recovery: Some(&rcfg),
             trajectory: matches!(mode, TrialMode::Rollback { .. }).then_some(&self.golden),
+            windows: Some(&self.windows),
             ..Run::new(&self.dev, &self.design, &self.stages, self.niter, &mut rec)
         }
         .simulate(&self.input);

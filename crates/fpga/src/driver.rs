@@ -16,7 +16,10 @@
 //!   owns two batch buffers for the whole run and ping-pongs them: a pass
 //!   reads the pass-start state from one and its last stage writes straight
 //!   into the other. A whole-stream pass reuses one stage chain, windows
-//!   included, for every pass. A pass streams the whole batch, its tiles
+//!   included, for every pass, and every chain of the run — per pass, tile,
+//!   device slab, mesh or rollback segment — builds its windows around
+//!   buffers from the run's [`WindowPool`] ([`Run::windows`]). A pass
+//!   streams the whole batch, its tiles
 //!   ([`StreamGrid::tiled_pass`]) or — on more than one device
 //!   ([`Run::devices`]) — each device's halo-extended slab of the walk,
 //!   borrowed in place from the pass-start buffer, with each device writing
@@ -38,7 +41,7 @@ use crate::link::MultiConfig;
 use crate::recovery::{self, RecoverParams};
 use crate::report::SimReport;
 use crate::resilient::{pass_budget, plan_with_faults, FaultHook};
-use crate::window::{build_chain, run_chain, ChainTrace, Engine, Flat, ScalarEngine};
+use crate::window::{build_chain, run_chain, ChainTrace, Engine, Flat, ScalarEngine, WindowPool};
 use crate::{power, profile};
 use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_mesh::Element;
@@ -72,9 +75,10 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
     /// The workload this batch is.
     fn workload(&self) -> Workload;
     /// One spatially blocked pass of a tiled design over a single mesh:
-    /// every tile of `sched` ([`Schedule::segments`]) streams `chain`
-    /// against the pass-start state `cur` and writes its valid region into
-    /// `next`; the valid regions cover the mesh. 1D (2D-mesh) and 2D
+    /// every tile of `sched` ([`Schedule::segments`]) streams `chain`, its
+    /// windows taken from `windows`, against the pass-start state `cur` and
+    /// writes its valid region into `next`; the valid regions cover the
+    /// mesh. 1D (2D-mesh) and 2D
     /// (3D-mesh) tiling differ, so each dimension brings its own.
     ///
     /// # Errors
@@ -85,6 +89,7 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
         chain: &[K],
         cur: &Self,
         next: &mut Self,
+        windows: &WindowPool,
         rec: &mut Recorder,
     ) -> Result<(), ExecError>;
 
@@ -189,6 +194,13 @@ pub struct Run<'a, K> {
     /// data about the input, not configuration: a caller that runs one
     /// input many times solves it once and lends it to every run.
     pub trajectory: Option<&'a GoldenTrajectory>,
+    /// The pool every chain of the run takes its window buffers from and
+    /// gives them back to; `None` gives the run a pool of its own. The
+    /// run's outputs, report, stats and recorded events are the same either
+    /// way. This is memory, not configuration: a caller that runs one
+    /// design many times lends one pool to every run, so the windows are
+    /// allocated once, as a bitstream's are.
+    pub windows: Option<&'a WindowPool>,
     /// Telemetry sink.
     pub rec: &'a mut Recorder,
 }
@@ -226,6 +238,7 @@ impl<'a, K> Run<'a, K> {
             retry: RetryPolicy::default(),
             recovery: None,
             trajectory: None,
+            windows: None,
             rec,
         }
     }
@@ -349,8 +362,10 @@ impl<'a, K> Run<'a, K> {
         E: Engine<B, K>,
     {
         let sched = self.check(input)?;
-        let Run { dev, design, stages, niter, jobs, retry, recovery, trajectory, .. } = *self;
+        let Run { dev, design, stages, niter, jobs, retry, recovery, trajectory, windows, .. } =
+            *self;
         let (wl, n_iter) = (input.workload(), niter as u64);
+        let own = WindowPool::new();
         let px = Passes {
             engine,
             stages,
@@ -359,6 +374,7 @@ impl<'a, K> Run<'a, K> {
             // pass reads each tile's own
             unit_cycles: sched.segments().next().map_or(0, |s| s.unit_cycles()),
             jobs: jobs.unwrap_or(1),
+            windows: windows.unwrap_or(&own),
         };
         let all = recovery::segment_passes(design.p, niter, usize::MAX);
         let rec = &mut *self.rec;
@@ -490,7 +506,7 @@ impl<'a, K> Run<'a, K> {
 }
 
 /// What every pass of a run shares: the engine, one iteration's stages, the
-/// schedule walk and the streaming cost of one unit.
+/// schedule walk, the streaming cost of one unit and the run's window pool.
 pub(crate) struct Passes<'p, K, E> {
     engine: &'p E,
     pub(crate) stages: &'p [K],
@@ -499,6 +515,8 @@ pub(crate) struct Passes<'p, K, E> {
     unit_cycles: u64,
     /// Workers for the slabs of a sharded pass.
     jobs: usize,
+    /// The run's window buffers: the lent pool, or the run's own.
+    windows: &'p WindowPool,
 }
 
 impl<K: Clone + Sync, E> Passes<'_, K, E> {
@@ -507,7 +525,8 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     /// whole loop: each pass streams the pass-start state out of one and
     /// writes the next state into the other, then they swap. Window events
     /// of the first pass go to `rec`; later passes repeat the same schedule
-    /// untraced.
+    /// untraced. Every chain's windows come from the run's pool and go back
+    /// to it on every exit, errors included.
     pub(crate) fn run<B: StreamGrid>(
         &self,
         mut cur: B,
@@ -525,15 +544,21 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
         let full: Vec<K> = (0..depth).flat_map(|_| self.stages.iter().cloned()).collect();
         let mut next = cur.zeros(cur.batch());
         // one whole-stream chain for every pass; a shorter pass runs a prefix
-        let mut whole = Vec::new();
+        let mut whole = None;
         let mut off = Recorder::disabled();
         for (n, &p_eff) in passes.iter().enumerate() {
             let chain = &full[..p_eff * self.stages.len()];
             let pass_rec: &mut Recorder = if n == 0 { &mut *rec } else { &mut off };
             match layout {
-                _ if tiled => {
-                    B::tiled_pass(self.engine, self.sched, chain, &cur, &mut next, pass_rec)?
-                }
+                _ if tiled => B::tiled_pass(
+                    self.engine,
+                    self.sched,
+                    chain,
+                    &cur,
+                    &mut next,
+                    self.windows,
+                    pass_rec,
+                )?,
                 Layout::Whole { prefix, base_cycle } => {
                     let trace = ChainTrace {
                         rec: pass_rec,
@@ -543,10 +568,10 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
                     };
                     let (len, mesh_units) = (cur.unit_len(), cur.mesh_units());
                     let units = cur.batch() * mesh_units;
-                    if whole.is_empty() {
-                        whole =
-                            build_chain(self.engine, &full, cur.unit_shape(), units, mesh_units);
-                    }
+                    let shape = cur.unit_shape();
+                    let whole = whole.get_or_insert_with(|| {
+                        build_chain(self.engine, &full, shape, units, mesh_units, self.windows)
+                    });
                     let src = cur.as_slice();
                     let input = |j: usize, slot: &mut [B::Cell]| {
                         slot.copy_from_slice(&src[j * len..(j + 1) * len]);
@@ -573,7 +598,8 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     /// extended slab of the pass-barrier state `cur` (the halo exchange),
     /// borrowed in place, with the slab as its seam period — slab edges are
     /// mesh boundaries to it — and emits only its owned units, straight
-    /// into its own chunk of `next`. A stage of radius `r` lets boundary
+    /// into its own chunk of `next`. Each device's chain takes its windows
+    /// from the run's pool for the pass and gives them back. A stage of radius `r` lets boundary
     /// treatment contaminate `r` more units, so after a pass at most
     /// `p · stages · ⌈D/2⌉ = halo` units next to a slab-interior edge are
     /// wrong, and those are exactly the discarded halo.
@@ -617,7 +643,7 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
                 slot.copy_from_slice(&src[(lo + j) * len..(lo + j + 1) * len]);
             };
             let mut sink = Flat::new(chunk, len, owned.start - lo);
-            let mut stages = build_chain(self.engine, chain, shape, slab, slab);
+            let mut stages = build_chain(self.engine, chain, shape, slab, slab, self.windows);
             let done = run_chain::<B, _>(&mut stages, slab, input, &mut sink, trace, None);
             (done, shard)
         });
@@ -651,8 +677,9 @@ mod tests {
     use crate::cycles;
     use crate::design::{synthesize, MemKind};
     use crate::error::MultiError;
-    use sf_kernels::{Poisson2D, StencilSpec};
-    use sf_mesh::Batch2D;
+    use sf_faults::FaultKind;
+    use sf_kernels::{rtm, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
+    use sf_mesh::{Batch2D, Batch3D};
 
     fn design(mode: ExecMode, wl: &Workload) -> StencilDesign {
         synthesize(&FpgaDevice::u280(), &StencilSpec::poisson(), 8, 4, mode, MemKind::Hbm, wl)
@@ -739,5 +766,175 @@ mod tests {
         assert_eq!(report, SimReport::from_plan(&base, &sharded, 8, power_w));
         let golden = sf_kernels::reference::run_batch_2d(&Poisson2D, &input, 8);
         assert!(sf_mesh::norms::bit_equal(out.as_slice(), golden.as_slice()));
+    }
+
+    /// What a run gives its caller: the output's lane bits, the report and
+    /// the stats, or the error; and the metrics JSON it recorded.
+    type Outcome = (Result<(Vec<u32>, SimReport, RecoveryStats), String>, String);
+
+    /// How one run of a lending test is set up.
+    #[derive(Clone, Copy, Debug)]
+    struct Setup {
+        engine: ExecEngine,
+        devices: usize,
+        jobs: Option<usize>,
+        /// An injector's plan and whether the run rolls back (checkpoint
+        /// every pass) or surfaces detections.
+        faults: Option<(FaultPlan, bool)>,
+    }
+
+    fn outcome<B, K>(
+        ds: &StencilDesign,
+        stages: &[K],
+        input: &B,
+        niter: usize,
+        setup: Setup,
+        windows: Option<&WindowPool>,
+    ) -> Outcome
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        let dev = FpgaDevice::u280();
+        let mut rec = Recorder::enabled(ds.freq_mhz());
+        let rollback = RecoveryConfig {
+            policy: RecoveryPolicy::Rollback { max_retries: 3 },
+            checkpoint_every: 1,
+            ..RecoveryConfig::default()
+        };
+        let mut inj = setup.faults.map(|(plan, _)| FaultInjector::new(plan));
+        let run = Run {
+            engine: setup.engine,
+            jobs: setup.jobs,
+            devices: MultiConfig::new(setup.devices),
+            faults: inj.as_mut().map_or(Faults::Off, Faults::Injector),
+            recovery: setup.faults.filter(|&(_, rolls_back)| rolls_back).map(|_| &rollback),
+            windows,
+            ..Run::new(&dev, ds, stages, niter, &mut rec)
+        }
+        .simulate(input);
+        let bits = |out: B| -> Vec<u32> {
+            let cells = out.as_slice().iter();
+            cells.flat_map(|c| (0..B::Cell::LANES).map(|l| c.lane(l).to_bits())).collect()
+        };
+        let result =
+            run.map(|(out, rep, stats)| (bits(out), rep, stats)).map_err(|e| format!("{e:?}"));
+        (result, sf_telemetry::metrics::to_metrics_json(&rec))
+    }
+
+    /// Each of `runs` on `input`, lent `pool`, has the outcome it has on a
+    /// pool of its own, and repeating a serial one leaves `pool` as it was.
+    /// First an all-NaN input streams through every run's chains on `pool`,
+    /// so a cell left over from an earlier run would show.
+    fn assert_lending_is_invisible<B, K>(
+        pool: &WindowPool,
+        stages: &[K],
+        input: &B,
+        runs: &[(&StencilDesign, usize, Setup)],
+    ) -> Vec<Outcome>
+    where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        let mut nan = input.clone();
+        nan.as_mut_slice().fill(B::Cell::splat(f32::NAN));
+        for &(ds, niter, setup) in runs {
+            let clean = Setup { faults: None, ..setup };
+            assert!(outcome(ds, stages, &nan, niter, clean, Some(pool)).0.is_ok(), "{clean:?}");
+        }
+        let mut outcomes = Vec::new();
+        for &(ds, niter, setup) in runs {
+            let lent = outcome(ds, stages, input, niter, setup, Some(pool));
+            let own = outcome(ds, stages, input, niter, setup, None);
+            assert!(lent == own, "a lent pool changed {setup:?}");
+            // which worker takes which buffer depends on thread timing, so
+            // only a serial run takes and gives back the same buffers
+            if setup.jobs.unwrap_or(1) == 1 {
+                let held = pool.held::<B::Cell>();
+                let again = outcome(ds, stages, input, niter, setup, Some(pool));
+                assert!(again == lent, "a repeated {setup:?} differs");
+                assert_eq!(pool.held::<B::Cell>(), held, "a repeated {setup:?} grew the pool");
+            }
+            outcomes.push(lent);
+        }
+        outcomes
+    }
+
+    #[test]
+    fn a_lent_window_pool_is_invisible() {
+        let dev = FpgaDevice::u280();
+        let synth = |spec: StencilSpec, v: usize, p: usize, mode: ExecMode, wl: Workload| {
+            synthesize(&dev, &spec, v, p, mode, MemKind::Hbm, &wl).unwrap()
+        };
+        let bitflip = (FaultPlan::single(1, FaultKind::BitFlip, 1_000_000), true);
+        let drop = (FaultPlan::single(7, FaultKind::FifoDrop, 1_000_000), false);
+        // Faulty runs, a deadlock followed by a clean run, per-mesh fan-out
+        // and two devices (three passes, slabs on two workers); then tiles.
+        let variety = |engine: ExecEngine| {
+            let setup = Setup { engine, devices: 1, jobs: None, faults: None };
+            [
+                Setup { faults: Some(bitflip), ..setup },
+                Setup { faults: Some(drop), ..setup },
+                setup,
+                Setup { jobs: Some(1), ..setup },
+                Setup { devices: 2, jobs: Some(2), ..setup },
+            ]
+        };
+        let check = |outcomes: &[Outcome]| {
+            let rolled_back = |o: &Outcome| matches!(&o.0, Ok((_, _, s)) if s.rollbacks > 0);
+            assert!(rolled_back(&outcomes[0]), "{:?}", outcomes[0].0.as_ref().err());
+            assert!(matches!(&outcomes[1].0, Err(e) if e.starts_with("Deadlock")));
+        };
+        let pool = WindowPool::new();
+        for engine in [ExecEngine::Scalar, ExecEngine::Fast] {
+            let tiled = Setup { engine, devices: 1, jobs: None, faults: None };
+
+            let wl = Workload::D2 { nx: 48, ny: 24, batch: 1 };
+            let base = synth(StencilSpec::poisson(), 8, 4, ExecMode::Baseline, wl);
+            let input = Batch2D::<f32>::random(48, 24, 1, 5, -1.0, 1.0);
+            let runs = variety(engine).map(|setup| (&base, 12, setup));
+            check(&assert_lending_is_invisible(&pool, &[Poisson2D], &input, &runs));
+            let wl = Workload::D2 { nx: 200, ny: 20, batch: 1 };
+            let ds = synth(StencilSpec::poisson(), 8, 4, ExecMode::Tiled1D { tile_m: 64 }, wl);
+            let input = Batch2D::<f32>::random(200, 20, 1, 6, -1.0, 1.0);
+            assert_lending_is_invisible(&pool, &[Poisson2D], &input, &[(&ds, 8, tiled)]);
+
+            let k = [Jacobi3D::smoothing()];
+            let wl = Workload::D3 { nx: 16, ny: 12, nz: 10, batch: 1 };
+            let base = synth(StencilSpec::jacobi(), 8, 3, ExecMode::Baseline, wl);
+            let input = Batch3D::<f32>::random(16, 12, 10, 1, 7, -1.0, 1.0);
+            let runs = variety(engine).map(|setup| (&base, 9, setup));
+            check(&assert_lending_is_invisible(&pool, &k, &input, &runs));
+            let wl = Workload::D3 { nx: 60, ny: 44, nz: 6, batch: 1 };
+            let mode = ExecMode::Tiled2D { tile_m: 32, tile_n: 24 };
+            let ds = synth(StencilSpec::jacobi(), 8, 3, mode, wl);
+            let input = Batch3D::<f32>::random(60, 44, 6, 1, 8, -1.0, 1.0);
+            assert_lending_is_invisible(&pool, &k, &input, &[(&ds, 6, tiled)]);
+
+            // RTM streams a packed element; its slabs and tiles need the
+            // shallower p = 1 pipeline to fit their halos
+            let rtm_input = |nx, ny, nz| {
+                let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
+                Batch3D::from_meshes(&[rtm::pack(&y, &rho, &mu)])
+            };
+            let k = RtmStage::pipeline(RtmParams::default());
+            let wl = Workload::D3 { nx: 12, ny: 10, nz: 8, batch: 1 };
+            let base = synth(StencilSpec::rtm(), 1, 3, ExecMode::Baseline, wl);
+            let runs = variety(engine).map(|setup| (&base, 4, setup));
+            let [faulty @ .., _, sharded] = runs;
+            check(&assert_lending_is_invisible(&pool, &k, &rtm_input(12, 10, 8), &faulty));
+            let wl = Workload::D3 { nx: 12, ny: 10, nz: 40, batch: 1 };
+            let p1 = synth(StencilSpec::rtm(), 1, 1, ExecMode::Baseline, wl);
+            let runs = [(&p1, 3, sharded.2)];
+            assert_lending_is_invisible(&pool, &k, &rtm_input(12, 10, 40), &runs);
+            let wl = Workload::D3 { nx: 48, ny: 12, nz: 6, batch: 1 };
+            let ds =
+                synth(StencilSpec::rtm(), 1, 1, ExecMode::Tiled2D { tile_m: 40, tile_n: 36 }, wl);
+            assert_lending_is_invisible(&pool, &k, &rtm_input(48, 12, 6), &[(&ds, 2, tiled)]);
+        }
     }
 }

@@ -22,7 +22,9 @@ use crate::error::ExecError;
 use crate::link::MultiConfig;
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter};
+use crate::window::{
+    build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter, WindowPool,
+};
 use sf_kernels::{reference, StencilOp2D};
 use sf_mesh::{Batch2D, Element, Mesh2D};
 use sf_telemetry::Recorder;
@@ -130,13 +132,16 @@ impl<T: Element> StreamGrid for Batch2D<T> {
     /// overlapped-block scheme, with only the valid columns written back.
     /// Tile rows are gathered straight into the first stage's window slot;
     /// the last stage emits into one scratch row, reused by every tile,
-    /// whose valid columns are copied into `next`.
+    /// whose valid columns are copied into `next`. Each tile's chain is
+    /// built around window buffers from `windows` and gives them back for
+    /// the next tile, so the pass allocates no windows of its own.
     fn tiled_pass<K, E: Engine<Self, K>>(
         engine: &E,
         sched: &Schedule<'_>,
         chain: &[K],
         cur: &Self,
         next: &mut Self,
+        windows: &WindowPool,
         rec: &mut Recorder,
     ) -> Result<(), ExecError> {
         let (nx, ny) = (cur.nx(), cur.ny());
@@ -165,7 +170,7 @@ impl<T: Element> StreamGrid for Batch2D<T> {
                 out[dst..dst + t.valid_len].copy_from_slice(&row[valid.clone()]);
             };
             let mut sink = Scatter { scratch: &mut scratch, put };
-            let mut stages = build_chain(engine, chain, (t.read_len, 1), ny, ny);
+            let mut stages = build_chain(engine, chain, (t.read_len, 1), ny, ny, windows);
             run_chain::<Self, _>(&mut stages, ny, input, &mut sink, trace, None)?;
         }
         Ok(())

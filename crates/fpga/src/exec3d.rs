@@ -17,7 +17,9 @@ use crate::error::ExecError;
 use crate::link::MultiConfig;
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter};
+use crate::window::{
+    build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter, WindowPool,
+};
 use sf_kernels::{reference, StencilOp3D};
 use sf_mesh::{Batch3D, Element, Mesh3D};
 use sf_telemetry::Recorder;
@@ -103,13 +105,16 @@ impl<T: Element> StreamGrid for Batch3D<T> {
         Workload::D3 { nx, ny, nz, batch: Batch3D::batch(self) }
     }
 
-    /// `M × N` tiles spanning the full `z` extent, streamed plane by plane.
+    /// `M × N` tiles spanning the full `z` extent, streamed plane by plane,
+    /// each tile's chain around window buffers from `windows`, given back
+    /// for the next tile.
     fn tiled_pass<K, E: Engine<Self, K>>(
         engine: &E,
         sched: &Schedule<'_>,
         chain: &[K],
         cur: &Self,
         next: &mut Self,
+        windows: &WindowPool,
         rec: &mut Recorder,
     ) -> Result<(), ExecError> {
         let (nx, ny, nz) = (cur.nx(), cur.ny(), cur.nz());
@@ -142,7 +147,7 @@ impl<T: Element> StreamGrid for Batch3D<T> {
             };
             let mut sink = Scatter { scratch: &mut scratch, put };
             let shape = (tx.read_len, ty.read_len);
-            let mut stages = build_chain(engine, chain, shape, nz, nz);
+            let mut stages = build_chain(engine, chain, shape, nz, nz, windows);
             run_chain::<Self, _>(&mut stages, nz, input, &mut sink, trace, None)?;
         }
         Ok(())

@@ -23,12 +23,14 @@
 //! * [`design`] — [`design::StencilDesign`]: a synthesized configuration
 //!   (`V`, `p`, execution mode, memory binding, achieved clock, resources),
 //!   produced by [`design::synthesize`].
-//! * [`window`] — genuine ring-buffer window buffers (one flat allocation
-//!   of `2r+1` unit slots per stage) and streaming stage processors: the
+//! * [`window`] — genuine ring-buffer window buffers (one flat buffer of
+//!   `2r+1` unit slots per stage) and streaming stage processors: the
 //!   behavioral heart of the simulator. Cells stream in row-major order
 //!   through chained stages exactly as the HLS dataflow pipeline would, each
 //!   stage writing its output straight into the next stage's window, so
-//!   results are bit-exact vs the golden reference.
+//!   results are bit-exact vs the golden reference. The buffers belong to a
+//!   [`WindowPool`] that outlives a chain, and a caller that runs one design
+//!   many times lends one pool to every run ([`Run::windows`]).
 //! * [`cycles`] — the closed-form cycle model and the one schedule walker
 //!   ([`cycles::Schedule`]): the per-pass segments (mesh, tile or device
 //!   slab) that the plan, the sharded plan, the explainer ([`trace`]), the
@@ -102,3 +104,4 @@ pub use sf_faults::{
 };
 pub use sf_recover::{GoldenTrajectory, RecoveryConfig, RecoveryPolicy, RecoveryStats};
 pub use sf_telemetry::{Recorder, StallClass};
+pub use window::WindowPool;

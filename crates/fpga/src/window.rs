@@ -4,11 +4,17 @@
 //! An HLS stencil pipeline streams the mesh in row-major order and keeps the
 //! last `D` rows (2D) or planes (3D) in on-chip cyclic buffers so every
 //! neighborhood read is served on-chip (Fig. 1 of the paper, "window
-//! buffers"). A [`Window`] is exactly that buffer: one flat, preallocated
-//! allocation of `2r+1` unit slots, unit `j` living in slot `j mod (2r+1)`.
+//! buffers"). A [`Window`] is exactly that buffer: one flat buffer of
+//! `2r+1` unit slots, unit `j` living in slot `j mod (2r+1)`.
 //! A stage emits output unit `y` once input unit `y+r` has arrived.
 //! Chaining `p × stages` processors reproduces the unrolled iterative
 //! pipeline of Fig. 2.
+//!
+//! On the device the window buffers are fixed when the design is
+//! synthesized, and every run streams through the same ones. Here a
+//! [`WindowPool`] owns the buffers: every chain takes its stages' buffers
+//! from its run's pool and gives them back when it is dropped, so a caller
+//! that lends one pool to many runs of a design allocates its windows once.
 //!
 //! The [`Stage`] contract mirrors the hardware channel between two
 //! processing elements: [`Stage::push`] copies a borrowed input unit into
@@ -38,20 +44,25 @@ use crate::resilient::FaultHook;
 use sf_kernels::{StencilOp2D, StencilOp3D};
 use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::{Recorder, TrackId};
-use std::ops::Range;
+use std::any::Any;
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut, Range};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The window buffer of one stage: the last `2r+1` stream units (rows or
-/// planes) in one flat allocation of `2r+1` unit slots, addressable by
+/// planes) in one flat buffer of `2r+1` unit slots, addressable by
 /// absolute unit index, plus the seam period and the emit cursor. The
 /// buffer outlives a stream: a chain reused for the next pass restarts its
-/// windows and keeps their slots. A stage
-/// differs from another only in how it computes one output unit. Stages
-/// build and drive their windows inside this crate; callers reach one
-/// through the [`Stage`] methods.
+/// windows and keeps their slots, and a chain borrows its buffers from a
+/// [`WindowPool`]. A stage differs from another only in how it computes one
+/// output unit. Stages build and drive their windows inside this crate;
+/// callers reach one through the [`Stage`] methods.
 #[derive(Debug)]
 pub struct Window<T> {
-    /// Up to `slots × unit_len` cells, reserved up front; unit `i` lives in
-    /// slot `i % slots` while `i ≥ pushed − slots`.
+    /// Up to `slots × unit_len` cells; unit `i` lives in slot `i % slots`
+    /// while `i ≥ pushed − slots`. It starts empty and grows slot by slot
+    /// as the first stream hands the slots out, so no cell a pooled buffer
+    /// held before is ever read.
     cells: Vec<T>,
     unit_len: usize,
     slots: usize,
@@ -72,11 +83,10 @@ impl<T: Element> Window<T> {
     /// Panics unless the stream is a whole number of meshes.
     pub(crate) fn new(r: usize, unit_len: usize, stream_units: usize, mesh_units: usize) -> Self {
         assert!(stream_units.is_multiple_of(mesh_units), "stream must be whole meshes");
-        let slots = 2 * r + 1;
         Window {
-            cells: Vec::with_capacity(slots * unit_len),
+            cells: Vec::new(),
             unit_len,
-            slots,
+            slots: 2 * r + 1,
             r,
             pushed: 0,
             stream_units,
@@ -463,17 +473,117 @@ fn feed<T: Element, S: Stage<T>>(
     1
 }
 
+/// Window memory with an owner that outlives a run, as a synthesized
+/// design's window buffers outlive every run of its bitstream. Every chain
+/// of a run takes its stages' buffers from the run's pool and gives them
+/// back when it is done, errors included. A run makes a pool of its own
+/// unless one is lent to it ([`Run::windows`](crate::driver::Run::windows));
+/// a caller that runs one design many times lends one pool to every run,
+/// so their windows are allocated once instead of once per run.
+///
+/// A pool holds buffers of any [`Element`] type, hands a buffer out only
+/// for its own element type, and can be shared by reference across worker
+/// threads. A handed-out buffer is empty: a window writes every cell before
+/// it reads it, so what a buffer held in an earlier run is never seen.
+#[derive(Debug, Default)]
+pub struct WindowPool {
+    /// One free list per element type `T`, each a `Vec<Vec<T>>`.
+    free: Mutex<Vec<Box<dyn Any + Send>>>,
+}
+
+impl WindowPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        WindowPool::default()
+    }
+
+    /// The free lists. Every update leaves them valid, so a panic on
+    /// another worker poisons nothing.
+    fn lists(&self) -> MutexGuard<'_, Vec<Box<dyn Any + Send>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An empty buffer with room for `cells` cells: a free one, grown if
+    /// it is smaller, or a new one.
+    fn take<T: Element>(&self, cells: usize) -> Vec<T> {
+        let free = self.lists().iter_mut().find_map(|l| l.downcast_mut::<Vec<Vec<T>>>()?.pop());
+        let mut buf = free.unwrap_or_default();
+        buf.clear();
+        buf.reserve_exact(cells);
+        buf
+    }
+
+    /// Keep `bufs` for later chains.
+    fn give<T: Element>(&self, bufs: impl Iterator<Item = Vec<T>>) {
+        let mut lists = self.lists();
+        if !lists.iter().any(|l| l.is::<Vec<Vec<T>>>()) {
+            lists.push(Box::new(Vec::<Vec<T>>::new()));
+        }
+        if let Some(free) = lists.iter_mut().find_map(|l| l.downcast_mut::<Vec<Vec<T>>>()) {
+            free.extend(bufs);
+        }
+    }
+
+    /// Free buffers of element type `T` and their total capacity in cells.
+    #[cfg(test)]
+    pub(crate) fn held<T: Element>(&self) -> (usize, usize) {
+        let lists = self.lists();
+        let free = lists.iter().find_map(|l| l.downcast_ref::<Vec<Vec<T>>>());
+        free.map_or((0, 0), |free| (free.len(), free.iter().map(Vec::capacity).sum()))
+    }
+}
+
+/// The stages of one chain, their windows' buffers borrowed from a
+/// [`WindowPool`] by [`build_chain`]. Dropping the chain gives the buffers
+/// back, whether its streams completed, failed or panicked.
+pub(crate) struct Chain<'w, T: Element, S: Stage<T>> {
+    stages: Vec<S>,
+    pool: &'w WindowPool,
+    cell: PhantomData<T>,
+}
+
+impl<T: Element, S: Stage<T>> Deref for Chain<'_, T, S> {
+    type Target = [S];
+    fn deref(&self) -> &[S] {
+        &self.stages
+    }
+}
+
+impl<T: Element, S: Stage<T>> DerefMut for Chain<'_, T, S> {
+    fn deref_mut(&mut self) -> &mut [S] {
+        &mut self.stages
+    }
+}
+
+impl<T: Element, S: Stage<T>> Drop for Chain<'_, T, S> {
+    fn drop(&mut self) {
+        let bufs = self.stages.iter_mut().map(|s| std::mem::take(&mut s.window_mut().cells));
+        self.pool.give(bufs);
+    }
+}
+
 /// The stages `engine` builds from `chain` (the unrolled pipeline of
 /// Fig. 2) for a stream of `stream_units` units of shape `unit`,
-/// `mesh_units` units per independent mesh.
-pub(crate) fn build_chain<B: StreamGrid, K, E: Engine<B, K>>(
+/// `mesh_units` units per independent mesh, each window around a buffer
+/// taken from `pool`.
+pub(crate) fn build_chain<'w, B: StreamGrid, K, E: Engine<B, K>>(
     engine: &E,
     chain: &[K],
     unit: (usize, usize),
     stream_units: usize,
     mesh_units: usize,
-) -> Vec<E::Stage> {
-    chain.iter().map(|k| engine.stage(k, unit, stream_units, mesh_units)).collect()
+    pool: &'w WindowPool,
+) -> Chain<'w, B::Cell, E::Stage> {
+    let stages = chain
+        .iter()
+        .map(|k| {
+            let mut stage = engine.stage(k, unit, stream_units, mesh_units);
+            let win = stage.window_mut();
+            win.cells = pool.take(win.slots * win.unit_len);
+            stage
+        })
+        .collect();
+    Chain { stages, pool, cell: PhantomData }
 }
 
 /// Stream `stream_units` units through `stages` (built for that stream by
@@ -599,7 +709,8 @@ mod tests {
         };
         let trace = ChainTrace { rec, prefix, base_cycle, unit_cycles };
         let mut sink = Flat::new(&mut out, len, 0);
-        let mut stages = build_chain(&ScalarEngine, chain, unit, stream_units, mesh_units);
+        let pool = WindowPool::new();
+        let mut stages = build_chain(&ScalarEngine, chain, unit, stream_units, mesh_units, &pool);
         run_chain::<B, _>(&mut stages, stream_units, input, &mut sink, trace, None).unwrap();
         out
     }
