@@ -27,7 +27,9 @@
 //! that completes with a wrong answer and no detection would be a **silent
 //! wrong** — the campaign reports zero of those by construction (the
 //! checksum is always consulted) and [`CampaignReport::all_accounted`]
-//! asserts it.
+//! asserts it. A trial with nothing injected must finish bit-exact with no
+//! detection and no rollback; one that errs, rolls back or comes out wrong
+//! has no fault to explain it, so it counts as silent wrong too.
 //!
 //! Each app's design, input, golden answer, clean plan and window memory
 //! are built once per campaign and shared by every trial and worker. The
@@ -272,7 +274,11 @@ pub struct Trial {
     pub detection: Detection,
     /// How a correct answer was (re-)established.
     pub recovery: Recovery,
-    /// Completed with a wrong answer and no detection — must never happen.
+    /// A wrong outcome no injected fault explains — must never happen.
+    /// An injected fault's wrong answer is always caught (the output
+    /// checksum is always consulted), so this marks a trial with nothing
+    /// injected that failed, rolled back or came out not bit-exact: the
+    /// simulator itself went wrong.
     pub silent_wrong: bool,
     /// Checkpoint interval (passes) this trial ran under; 0 under the
     /// rerun recovery mode (no checkpoints taken).
@@ -298,7 +304,8 @@ pub struct Summary {
     pub injected: usize,
     /// Injected trials that were detected or recovered.
     pub detected_or_recovered: usize,
-    /// Injected trials ending in a wrong answer with no detection.
+    /// Trials with a wrong outcome no injected fault explains
+    /// ([`Trial::silent_wrong`]).
     pub silent_wrong: usize,
     /// Trials whose recovery path failed.
     pub recovery_failed: usize,
@@ -563,20 +570,18 @@ fn classify(
     mode: TrialMode,
 ) -> Trial {
     let rerun = if clean_ok { Recovery::CleanRerun } else { Recovery::Failed };
-    let (detection, recovery, silent_wrong, detail) = match &run.result {
-        Err(ExecError::Deadlock(trip)) => (Detection::Watchdog, rerun, false, format!("{trip}")),
-        Err(e @ ExecError::AxiExhausted { .. }) => {
-            (Detection::AxiRetry, rerun, false, format!("{e}"))
-        }
+    let (detection, recovery, detail) = match &run.result {
+        Err(ExecError::Deadlock(trip)) => (Detection::Watchdog, rerun, format!("{trip}")),
+        Err(e @ ExecError::AxiExhausted { .. }) => (Detection::AxiRetry, rerun, format!("{e}")),
         Err(e @ ExecError::RecoveryExhausted { .. }) => {
             // The rollback budget ran out mid-run; the detection that kept
             // firing was the ABFT (or watchdog) check inside the
             // recoverable executor, and recovery falls back to the rerun.
             let det =
                 if run.stats.sdc_detected > 0 { Detection::Abft } else { Detection::Watchdog };
-            (det, rerun, false, format!("{e}"))
+            (det, rerun, format!("{e}"))
         }
-        Err(e) => (Detection::Watchdog, rerun, false, format!("unexpected error: {e}")),
+        Err(e) => (Detection::Watchdog, rerun, format!("unexpected error: {e}")),
         Ok((bit_exact, total_cycles)) => {
             if *bit_exact && run.stats.rollbacks > 0 {
                 // Checkpoint rollback recovered the run in-flight: the
@@ -589,12 +594,12 @@ fn classify(
                     run.stats.batches_replayed,
                     run.stats.overhead_cycles()
                 );
-                (det, Recovery::Rollback, false, d)
+                (det, Recovery::Rollback, d)
             } else if !bit_exact {
                 let d = format!("output differs from {} golden reference", app.name());
-                (Detection::Checksum, rerun, false, d)
+                (Detection::Checksum, rerun, d)
             } else if run.injected == 0 {
-                (Detection::NotInjected, Recovery::NotNeeded, false, String::new())
+                (Detection::NotInjected, Recovery::NotNeeded, String::new())
             } else if run.axi_recovered > 0 {
                 let div = Divergence::new(run.clean_cycles, *total_cycles);
                 let det = if div.within(DIVERGENCE_TOL_PCT) {
@@ -608,13 +613,15 @@ fn classify(
                     total_cycles - run.clean_cycles,
                     div.pct()
                 );
-                (det, Recovery::InRun, false, d)
+                (det, Recovery::InRun, d)
             } else {
                 let d = "fault absorbed by the architecture; output bit-exact".to_string();
-                (Detection::Masked, Recovery::NotNeeded, false, d)
+                (Detection::Masked, Recovery::NotNeeded, d)
             }
         }
     };
+    // With nothing injected, only a clean bit-exact run is right.
+    let silent_wrong = run.injected == 0 && detection != Detection::NotInjected;
     Trial {
         app: app.name(),
         kind: plan.kind.name(),
@@ -1050,6 +1057,34 @@ mod tests {
         let bitflip_full = full.trials.iter().find(|t| t.kind == "bitflip").unwrap();
         assert_eq!(filtered.trials[0].seed, bitflip_full.seed);
         assert_eq!(filtered.trials[0].detection, bitflip_full.detection);
+    }
+
+    #[test]
+    fn a_fault_free_trial_that_goes_wrong_is_silent_wrong() {
+        let plan = FaultPlan::single(5, FaultKind::BitFlip, 50_000);
+        let mode = TrialMode::Rollback { checkpoint_every: 2, max_retries: 3 };
+        let classify_run = |result: Result<(bool, u64), ExecError>, rollbacks: u64| {
+            let stats = RecoveryStats { rollbacks, ..RecoveryStats::default() };
+            let run = TrialRun {
+                result,
+                injected: 0,
+                opportunities: 24,
+                clean_cycles: 1000,
+                axi_recovered: 0,
+                stats,
+            };
+            classify(CampaignApp::Poisson2D, &run, &plan, true, mode)
+        };
+        let clean = classify_run(Ok((true, 1000)), 0);
+        assert_eq!((clean.detection, clean.silent_wrong), (Detection::NotInjected, false));
+        let error = ExecError::Unsupported { detail: "stale window".to_string() };
+        for t in [
+            classify_run(Ok((false, 1000)), 0),
+            classify_run(Ok((true, 1000)), 1),
+            classify_run(Err(error), 0),
+        ] {
+            assert!(t.silent_wrong, "{t:?}");
+        }
     }
 
     #[test]
