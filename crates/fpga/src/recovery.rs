@@ -225,8 +225,9 @@ pub fn golden_trajectory<B: StreamGrid, K: GridKernel<B>>(
 }
 
 /// The checkpoint/ABFT/rollback loop over one stream (a whole batch for a
-/// single-stream run, one mesh for a per-mesh run). Segments replay
-/// through the run's engine; the ABFT expected side is always the golden
+/// single-stream run, one mesh for a per-mesh run). Every segment attempt
+/// and replay streams through the run's engine, its chains built around
+/// the run's window pool; the ABFT expected side is always the golden
 /// reference — read from `golden` when the segment starts on its state,
 /// re-solved otherwise — so every engine is verified against the same
 /// signatures.

@@ -523,14 +523,6 @@ impl WindowPool {
             free.extend(bufs);
         }
     }
-
-    /// Free buffers of element type `T` and their total capacity in cells.
-    #[cfg(test)]
-    pub(crate) fn held<T: Element>(&self) -> (usize, usize) {
-        let lists = self.lists();
-        let free = lists.iter().find_map(|l| l.downcast_ref::<Vec<Vec<T>>>());
-        free.map_or((0, 0), |free| (free.len(), free.iter().map(Vec::capacity).sum()))
-    }
 }
 
 /// The stages of one chain, their windows' buffers borrowed from a
@@ -677,6 +669,16 @@ pub(crate) fn run_chain<B: StreamGrid, S: Stage<B::Cell>>(
     }
     assert_eq!(emitted, stream_units, "chain must emit the full stream");
     Ok(())
+}
+
+#[cfg(test)]
+impl WindowPool {
+    /// Free buffers of element type `T` and their total capacity in cells.
+    pub(crate) fn held<T: Element>(&self) -> (usize, usize) {
+        let lists = self.lists();
+        let free = lists.iter().find_map(|l| l.downcast_ref::<Vec<Vec<T>>>());
+        free.map_or((0, 0), |free| (free.len(), free.iter().map(Vec::capacity).sum()))
+    }
 }
 
 #[cfg(test)]
