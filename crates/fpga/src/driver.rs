@@ -19,11 +19,11 @@
 //!   included, for every pass, and every chain of the run — per pass, tile,
 //!   device slab, mesh or rollback segment — builds its windows around
 //!   buffers from the run's [`WindowPool`] ([`Run::windows`]). A pass
-//!   streams the whole batch, its tiles
-//!   ([`StreamGrid::tiled_pass`]) or — on more than one device
-//!   ([`Run::devices`]) — each device's halo-extended slab of the walk,
-//!   borrowed in place from the pass-start buffer, with each device writing
-//!   the units it owns into its own disjoint chunk of the other buffer;
+//!   streams the whole batch, its tiles ([`StreamGrid::tiled_pass`]) or —
+//!   on more than one device ([`Run::devices`]) — each device's
+//!   halo-extended slab of the walk, borrowed in place from the pass-start
+//!   buffer, with each device writing the units it owns into its own
+//!   disjoint chunk of the other buffer;
 //! * per-mesh `jobs` fan-out ([`crate::exec_batch`]);
 //! * checkpoint segments with ABFT checks and rollback
 //!   ([`crate::recovery`]).
@@ -78,8 +78,8 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
     /// every tile of `sched` ([`Schedule::segments`]) streams `chain`, its
     /// windows taken from `windows`, against the pass-start state `cur` and
     /// writes its valid region into `next`; the valid regions cover the
-    /// mesh. 1D (2D-mesh) and 2D
-    /// (3D-mesh) tiling differ, so each dimension brings its own.
+    /// mesh. 1D (2D-mesh) and 2D (3D-mesh) tiling differ, so each dimension
+    /// brings its own.
     ///
     /// # Errors
     /// None today: a tiled pass runs no fault hook.
@@ -599,10 +599,11 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     /// borrowed in place, with the slab as its seam period — slab edges are
     /// mesh boundaries to it — and emits only its owned units, straight
     /// into its own chunk of `next`. Each device's chain takes its windows
-    /// from the run's pool for the pass and gives them back. A stage of radius `r` lets boundary
-    /// treatment contaminate `r` more units, so after a pass at most
-    /// `p · stages · ⌈D/2⌉ = halo` units next to a slab-interior edge are
-    /// wrong, and those are exactly the discarded halo.
+    /// from the run's pool for the pass and gives them back. A stage of
+    /// radius `r` lets boundary treatment contaminate `r` more units, so
+    /// after a pass at most `p · stages · ⌈D/2⌉ = halo` units next to a
+    /// slab-interior edge are wrong, and those are exactly the discarded
+    /// halo.
     fn slab_pass<B: StreamGrid>(
         &self,
         chain: &[K],
