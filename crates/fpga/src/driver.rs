@@ -926,7 +926,7 @@ mod tests {
             let wl = Workload::D3 { nx: 12, ny: 10, nz: 8, batch: 1 };
             let base = synth(StencilSpec::rtm(), 1, 3, ExecMode::Baseline, wl);
             let runs = variety(engine).map(|setup| (&base, 4, setup));
-            let [faulty @ .., _, sharded] = runs;
+            let [faulty @ .., sharded] = runs;
             check(&assert_lending_is_invisible(&pool, &k, &rtm_input(12, 10, 8), &faulty));
             let wl = Workload::D3 { nx: 12, ny: 10, nz: 40, batch: 1 };
             let p1 = synth(StencilSpec::rtm(), 1, 1, ExecMode::Baseline, wl);
