@@ -82,9 +82,7 @@ fn bench_rtm_3d(c: &mut Criterion) {
     let wl = Workload::D3 { nx, ny, nz, batch: 1 };
     let ds =
         synthesize(&dev, &StencilSpec::rtm(), 1, 3, ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
-    let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
-    let packed = rtm::pack(&y, &rho, &mu);
-    let input = Batch3D::from_meshes(std::slice::from_ref(&packed));
+    let input = rtm::demo_batch(nx, ny, nz);
     let stages = RtmStage::pipeline(sf_kernels::RtmParams::default());
     let mut g = c.benchmark_group("fast_path_rtm3d_32x32x32");
     g.sample_size(10);

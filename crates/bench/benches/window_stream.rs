@@ -91,8 +91,7 @@ fn bench_chain_3d(c: &mut Criterion) {
 fn bench_rtm_stages(c: &mut Criterion) {
     let mut g = c.benchmark_group("window_chain_rtm");
     let dev = FpgaDevice::u280();
-    let (y, rho, mu) = sf_kernels::rtm::demo_workload(20, 20, 20);
-    let packed = Batch3D::from_meshes(&[sf_kernels::rtm::pack(&y, &rho, &mu)]);
+    let packed = sf_kernels::rtm::demo_batch(20, 20, 20);
     let wl = Workload::D3 { nx: 20, ny: 20, nz: 20, batch: 1 };
     let ds = design(&StencilSpec::rtm(), 1, 1, &wl);
     let stages = RtmStage::pipeline(RtmParams::default());

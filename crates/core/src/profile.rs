@@ -321,8 +321,7 @@ fn run_behavioral(
                 .map(|(_, report, _)| report)
         }
         (AppId::Rtm3D, Workload::D3 { nx, ny, nz, batch: 1 }) => {
-            let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
-            let input = Batch3D::from_meshes(&[rtm::pack(&y, &rho, &mu)]);
+            let input = rtm::demo_batch(nx, ny, nz);
             let stages = RtmStage::pipeline(sf_kernels::RtmParams::default());
             Run { engine, jobs, devices: *cfg, ..Run::new(dev, design, &stages, n, rec) }
                 .simulate(&input)

@@ -918,24 +918,20 @@ mod tests {
 
             // RTM streams a packed element; its slabs and tiles need the
             // shallower p = 1 pipeline to fit their halos
-            let rtm_input = |nx, ny, nz| {
-                let (y, rho, mu) = rtm::demo_workload(nx, ny, nz);
-                Batch3D::from_meshes(&[rtm::pack(&y, &rho, &mu)])
-            };
             let k = RtmStage::pipeline(RtmParams::default());
             let wl = Workload::D3 { nx: 12, ny: 10, nz: 8, batch: 1 };
             let base = synth(StencilSpec::rtm(), 1, 3, ExecMode::Baseline, wl);
             let runs = variety(engine).map(|setup| (&base, 4, setup));
             let [faulty @ .., sharded] = runs;
-            check(&assert_lending_is_invisible(&pool, &k, &rtm_input(12, 10, 8), &faulty));
+            check(&assert_lending_is_invisible(&pool, &k, &rtm::demo_batch(12, 10, 8), &faulty));
             let wl = Workload::D3 { nx: 12, ny: 10, nz: 40, batch: 1 };
             let p1 = synth(StencilSpec::rtm(), 1, 1, ExecMode::Baseline, wl);
             let runs = [(&p1, 3, sharded.2)];
-            assert_lending_is_invisible(&pool, &k, &rtm_input(12, 10, 40), &runs);
+            assert_lending_is_invisible(&pool, &k, &rtm::demo_batch(12, 10, 40), &runs);
             let wl = Workload::D3 { nx: 48, ny: 12, nz: 6, batch: 1 };
             let ds =
                 synth(StencilSpec::rtm(), 1, 1, ExecMode::Tiled2D { tile_m: 40, tile_n: 36 }, wl);
-            assert_lending_is_invisible(&pool, &k, &rtm_input(48, 12, 6), &[(&ds, 2, tiled)]);
+            assert_lending_is_invisible(&pool, &k, &rtm::demo_batch(48, 12, 6), &[(&ds, 2, tiled)]);
         }
     }
 }

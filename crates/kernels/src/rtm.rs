@@ -58,7 +58,7 @@ use crate::domain::AbstractValue;
 use crate::op3d::StencilOp3D;
 use crate::ops::OpCount;
 use serde::{Deserialize, Serialize};
-use sf_mesh::{Mesh3D, VecN};
+use sf_mesh::{Batch3D, Mesh3D, VecN};
 
 /// Number of state lanes (the paper's "vector elements of size 6").
 pub const RTM_LANES: usize = 6;
@@ -375,17 +375,21 @@ pub fn pack(y: &Mesh3D<RtmState>, rho: &Mesh3D<f32>, mu: &Mesh3D<f32>) -> Mesh3D
     assert_eq!((y.nx(), y.ny(), y.nz()), (rho.nx(), rho.ny(), rho.nz()));
     assert_eq!((y.nx(), y.ny(), y.nz()), (mu.nx(), mu.ny(), mu.nz()));
     Mesh3D::from_fn(y.nx(), y.ny(), y.nz(), |x, yy, z| {
-        let s = y.get(x, yy, z);
-        let mut e = RtmPacked::default();
-        for c in 0..RTM_LANES {
-            e.0[packed::Y + c] = s.0[c];
-            e.0[packed::T + c] = s.0[c];
-            e.0[packed::ACC + c] = s.0[c];
-        }
-        e.0[packed::RHO] = rho.get(x, yy, z);
-        e.0[packed::MU] = mu.get(x, yy, z);
-        e
+        pack_cell(y.get(x, yy, z), rho.get(x, yy, z), mu.get(x, yy, z))
     })
+}
+
+/// One packed element: `Y = T = Yacc = s`, then `ρ` and `μ`.
+fn pack_cell(s: RtmState, rho: f32, mu: f32) -> RtmPacked {
+    let mut e = RtmPacked::default();
+    for c in 0..RTM_LANES {
+        e.0[packed::Y + c] = s.0[c];
+        e.0[packed::T + c] = s.0[c];
+        e.0[packed::ACC + c] = s.0[c];
+    }
+    e.0[packed::RHO] = rho;
+    e.0[packed::MU] = mu;
+    e
 }
 
 /// Extract the state (`Y` lanes) from a packed mesh.
@@ -408,18 +412,56 @@ pub fn demo_workload(
     ny: usize,
     nz: usize,
 ) -> (Mesh3D<RtmState>, Mesh3D<f32>, Mesh3D<f32>) {
-    let (cx, cy, cz) = (nx as f32 / 2.0, ny as f32 / 2.0, nz as f32 / 2.0);
-    let y = Mesh3D::from_fn(nx, ny, nz, |x, yy, z| {
-        let r2 = (x as f32 - cx).powi(2) + (yy as f32 - cy).powi(2) + (z as f32 - cz).powi(2);
-        let pulse = (-r2 / (nx as f32)).exp();
+    let demo = Demo::new(nx, ny, nz);
+    let y = Mesh3D::from_fn(nx, ny, nz, |x, yy, z| demo.state(x, yy, z));
+    let rho = Mesh3D::from_fn(nx, ny, nz, |x, _, _| demo.rho(x));
+    let mu = Mesh3D::from_fn(nx, ny, nz, |_, yy, _| demo.mu(yy));
+    (y, rho, mu)
+}
+
+/// The packed input the fused pipeline streams for [`demo_workload`], as a
+/// batch of one mesh, built in one pass: each cell's pulse, ρ and μ are
+/// packed straight into the buffer the batch holds. Bit-identical to
+/// `Batch3D::from_meshes(&[pack(&y, &rho, &mu)])` over
+/// `demo_workload(nx, ny, nz)`, without its four temporary meshes.
+pub fn demo_batch(nx: usize, ny: usize, nz: usize) -> Batch3D<RtmPacked> {
+    let demo = Demo::new(nx, ny, nz);
+    Batch3D::from(Mesh3D::from_fn(nx, ny, nz, |x, y, z| {
+        pack_cell(demo.state(x, y, z), demo.rho(x), demo.mu(y))
+    }))
+}
+
+/// The demo workload's fields at one cell. [`demo_workload`] and
+/// [`demo_batch`] both read them here, so they compute every value alike.
+struct Demo {
+    nx: usize,
+    ny: usize,
+    center: (f32, f32, f32),
+}
+
+impl Demo {
+    fn new(nx: usize, ny: usize, nz: usize) -> Self {
+        Demo { nx, ny, center: (nx as f32 / 2.0, ny as f32 / 2.0, nz as f32 / 2.0) }
+    }
+
+    /// The state `Y`: a Gaussian pulse in `p`, half of it in `q`.
+    fn state(&self, x: usize, y: usize, z: usize) -> RtmState {
+        let (cx, cy, cz) = self.center;
+        let r2 = (x as f32 - cx).powi(2) + (y as f32 - cy).powi(2) + (z as f32 - cz).powi(2);
+        let pulse = (-r2 / (self.nx as f32)).exp();
         let mut s = RtmState::default();
         s.0[lane::P] = pulse;
         s.0[lane::Q] = 0.5 * pulse;
         s
-    });
-    let rho = Mesh3D::from_fn(nx, ny, nz, |x, _, _| 0.9 + 0.2 * (x as f32 / nx as f32));
-    let mu = Mesh3D::from_fn(nx, ny, nz, |_, yy, _| 0.02 + 0.01 * (yy as f32 / ny as f32));
-    (y, rho, mu)
+    }
+
+    fn rho(&self, x: usize) -> f32 {
+        0.9 + 0.2 * (x as f32 / self.nx as f32)
+    }
+
+    fn mu(&self, y: usize) -> f32 {
+        0.02 + 0.01 * (y as f32 / self.ny as f32)
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +600,21 @@ mod tests {
         assert_eq!(pk.get(3, 4, 5).0[packed::MU], mu.get(3, 4, 5));
         let back = unpack(&pk);
         assert_eq!(back, y);
+    }
+
+    #[test]
+    fn demo_batch_is_the_packed_demo_workload_bit_for_bit() {
+        for (nx, ny, nz) in [(12, 10, 8), (40, 24, 33), (1, 1, 1), (7, 3, 5)] {
+            let (y, rho, mu) = demo_workload(nx, ny, nz);
+            let three_step = Batch3D::from_meshes(&[pack(&y, &rho, &mu)]);
+            let one_pass = demo_batch(nx, ny, nz);
+            assert_eq!((one_pass.nx(), one_pass.ny(), one_pass.nz()), (nx, ny, nz));
+            assert_eq!(one_pass.batch(), 1);
+            assert!(
+                sf_mesh::norms::bit_equal(one_pass.as_slice(), three_step.as_slice()),
+                "{nx}x{ny}x{nz}"
+            );
+        }
     }
 
     #[test]

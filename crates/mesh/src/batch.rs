@@ -33,21 +33,21 @@ impl<T: Element> Batch2D<T> {
     /// Build a batch from `b` individual meshes (all must share the shape).
     pub fn from_meshes(meshes: &[Mesh2D<T>]) -> Self {
         assert!(!meshes.is_empty(), "empty batch");
-        let nx = meshes[0].nx();
-        let ny = meshes[0].ny();
-        let mut out = Self::zeros(nx, ny, meshes.len());
+        let (nx, ny) = (meshes[0].nx(), meshes[0].ny());
+        let mut data = Vec::with_capacity(nx * ny * meshes.len());
         for (i, m) in meshes.iter().enumerate() {
             assert_eq!((m.nx(), m.ny()), (nx, ny), "mesh {i} shape mismatch");
-            out.data[i * nx * ny..(i + 1) * nx * ny].copy_from_slice(m.as_slice());
+            data.extend_from_slice(m.as_slice());
         }
-        out
+        Batch2D { nx, ny, b: meshes.len(), data }
     }
 
-    /// Deterministic random batch; mesh `i` uses `seed + i`.
+    /// Deterministic random batch: mesh `i` is [`Mesh2D::random`] with seed
+    /// `seed + i`, wrapping past `u64::MAX`. The meshes are drawn one after
+    /// another, straight into the batch.
     pub fn random(nx: usize, ny: usize, b: usize, seed: u64, lo: f32, hi: f32) -> Self {
-        let meshes: Vec<_> =
-            (0..b).map(|i| Mesh2D::random(nx, ny, seed + i as u64, lo, hi)).collect();
-        Self::from_meshes(&meshes)
+        assert!(nx > 0 && ny > 0 && b > 0, "batch dimensions must be positive");
+        Batch2D { nx, ny, b, data: crate::random_fill(nx * ny, b, seed, lo, hi) }
     }
 
     /// Per-mesh row length.
@@ -191,20 +191,20 @@ impl<T: Element> Batch3D<T> {
     pub fn from_meshes(meshes: &[Mesh3D<T>]) -> Self {
         assert!(!meshes.is_empty(), "empty batch");
         let (nx, ny, nz) = (meshes[0].nx(), meshes[0].ny(), meshes[0].nz());
-        let mut out = Self::zeros(nx, ny, nz, meshes.len());
-        let stride = nx * ny * nz;
+        let mut data = Vec::with_capacity(nx * ny * nz * meshes.len());
         for (i, m) in meshes.iter().enumerate() {
             assert_eq!((m.nx(), m.ny(), m.nz()), (nx, ny, nz), "mesh {i} shape mismatch");
-            out.data[i * stride..(i + 1) * stride].copy_from_slice(m.as_slice());
+            data.extend_from_slice(m.as_slice());
         }
-        out
+        Batch3D { nx, ny, nz, b: meshes.len(), data }
     }
 
-    /// Deterministic random batch; mesh `i` uses `seed + i`.
+    /// Deterministic random batch: mesh `i` is [`Mesh3D::random`] with seed
+    /// `seed + i`, wrapping past `u64::MAX`. The meshes are drawn one after
+    /// another, straight into the batch.
     pub fn random(nx: usize, ny: usize, nz: usize, b: usize, seed: u64, lo: f32, hi: f32) -> Self {
-        let meshes: Vec<_> =
-            (0..b).map(|i| Mesh3D::random(nx, ny, nz, seed + i as u64, lo, hi)).collect();
-        Self::from_meshes(&meshes)
+        assert!(nx > 0 && ny > 0 && nz > 0 && b > 0, "batch dimensions must be positive");
+        Batch3D { nx, ny, nz, b, data: crate::random_fill(nx * ny * nz, b, seed, lo, hi) }
     }
 
     /// Per-mesh `x` extent.
@@ -302,9 +302,18 @@ impl<T: Element> Batch3D<T> {
     }
 }
 
+/// A batch of one mesh, which moves the mesh's buffer in without a copy.
+impl<T: Element> From<Mesh3D<T>> for Batch3D<T> {
+    fn from(m: Mesh3D<T>) -> Self {
+        let (nx, ny, nz) = (m.nx(), m.ny(), m.nz());
+        Batch3D { nx, ny, nz, b: 1, data: m.into_vec() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::VecN;
 
     #[test]
     fn batch2d_from_meshes_roundtrip() {
@@ -405,6 +414,25 @@ mod tests {
         assert_eq!(b.mesh(0), m0);
         assert_eq!(b.mesh(1), m1);
         assert_eq!(b.size_bytes(), 2 * 27 * 4);
+        let one = Batch3D::from(m1.clone());
+        assert_eq!((one.batch(), one.mesh(0)), (1, m1));
+    }
+
+    #[test]
+    fn random_batch_member_seeds_wrap_past_u64_max() {
+        let b = Batch2D::<f32>::random(4, 4, 2, u64::MAX, -1.0, 1.0);
+        assert_eq!(b.mesh(0), Mesh2D::random(4, 4, u64::MAX, -1.0, 1.0));
+        assert_eq!(b.mesh(1), Mesh2D::random(4, 4, 0, -1.0, 1.0));
+        let b = Batch3D::<VecN<3>>::random(3, 2, 2, 3, u64::MAX - 1, 0.0, 2.0);
+        for (i, seed) in [u64::MAX - 1, u64::MAX, 0].into_iter().enumerate() {
+            assert_eq!(b.mesh(i), Mesh3D::random(3, 2, 2, seed, 0.0, 2.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn random_batch_zero_dim_panics() {
+        let _ = Batch3D::<f32>::random(2, 2, 2, 0, 1, 0.0, 1.0);
     }
 
     #[test]

@@ -37,10 +37,33 @@ pub use mesh2d::Mesh2D;
 pub use mesh3d::Mesh3D;
 pub use tile::{Tile1D, Tile2D, TileGrid1D, TileGrid2D};
 
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
 /// Number of `f32` lanes in one 512-bit AXI word — the alignment unit used
 /// throughout the FPGA designs (§IV-A: "we must maintain a 512 bit alignment
 /// in read/write transactions").
 pub const AXI_F32_LANES: usize = 16;
+
+/// The one random fill behind [`Mesh2D::random`], [`Mesh3D::random`],
+/// [`Batch2D::random`] and [`Batch3D::random`]: `members · cells` elements
+/// with lanes uniform in `[lo, hi)`. Member `i` draws from its own
+/// SplitMix64 stream seeded with `seed + i` (wrapping), cell after cell in
+/// storage order and lane after lane within a cell. Each cell is written
+/// once, straight into the returned buffer.
+fn random_fill<T: Element>(cells: usize, members: usize, seed: u64, lo: f32, hi: f32) -> Vec<T> {
+    let mut data = Vec::with_capacity(cells * members);
+    for i in 0..members as u64 {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i));
+        data.extend((0..cells).map(|_| {
+            let mut e = T::default();
+            for c in 0..T::LANES {
+                e.set_lane(c, rng.gen_range(lo..hi));
+            }
+            e
+        }));
+    }
+    data
+}
 
 /// Round `n` up to a multiple of `to` (`to > 0`).
 #[inline]

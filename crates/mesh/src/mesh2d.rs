@@ -6,7 +6,6 @@
 //! `nx`/`ny`.
 
 use crate::element::Element;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A dense 2D mesh of elements.
 ///
@@ -32,33 +31,25 @@ impl<T: Element> Mesh2D<T> {
     /// # Panics
     /// Panics if either dimension is zero.
     pub fn zeros(nx: usize, ny: usize) -> Self {
-        assert!(nx > 0 && ny > 0, "mesh dimensions must be positive");
-        Mesh2D { nx, ny, data: vec![T::default(); nx * ny] }
+        Mesh2D { nx, ny, data: vec![T::default(); checked_len(nx, ny)] }
     }
 
-    /// Create a mesh filled by `f(x, y)`.
+    /// Create a mesh filled by `f(x, y)`, called once per cell in storage
+    /// order.
     pub fn from_fn(nx: usize, ny: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut m = Self::zeros(nx, ny);
+        let mut data = Vec::with_capacity(checked_len(nx, ny));
         for y in 0..ny {
-            for x in 0..nx {
-                m.data[y * nx + x] = f(x, y);
-            }
+            data.extend((0..nx).map(|x| f(x, y)));
         }
-        m
+        Mesh2D { nx, ny, data }
     }
 
     /// Create a mesh with lanes drawn uniformly from `[lo, hi)` using a
     /// deterministic seed — the workload generator used by the experiment
-    /// harness.
+    /// harness. One SplitMix64 stream seeded with `seed` fills the cells in
+    /// storage order, lane after lane within a cell.
     pub fn random(nx: usize, ny: usize, seed: u64, lo: f32, hi: f32) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::from_fn(nx, ny, |_, _| {
-            let mut e = T::default();
-            for c in 0..T::LANES {
-                e.set_lane(c, rng.gen_range(lo..hi));
-            }
-            e
-        })
+        Mesh2D { nx, ny, data: crate::random_fill(checked_len(nx, ny), 1, seed, lo, hi) }
     }
 
     /// Row length (the paper's `m`, fastest-varying dimension).
@@ -179,6 +170,12 @@ impl<T: Element> Mesh2D<T> {
             }
         }
     }
+}
+
+/// `nx · ny`, after the positive-dimension check every constructor makes.
+fn checked_len(nx: usize, ny: usize) -> usize {
+    assert!(nx > 0 && ny > 0, "mesh dimensions must be positive");
+    nx * ny
 }
 
 #[cfg(test)]

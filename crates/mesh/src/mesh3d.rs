@@ -6,7 +6,6 @@
 //! cache.
 
 use crate::element::Element;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A dense 3D mesh of elements.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,38 +22,32 @@ impl<T: Element> Mesh3D<T> {
     /// # Panics
     /// Panics if any dimension is zero.
     pub fn zeros(nx: usize, ny: usize, nz: usize) -> Self {
-        assert!(nx > 0 && ny > 0 && nz > 0, "mesh dimensions must be positive");
-        Mesh3D { nx, ny, nz, data: vec![T::default(); nx * ny * nz] }
+        Mesh3D { nx, ny, nz, data: vec![T::default(); checked_len(nx, ny, nz)] }
     }
 
-    /// Create a mesh filled by `f(x, y, z)`.
+    /// Create a mesh filled by `f(x, y, z)`, called once per cell in storage
+    /// order.
     pub fn from_fn(
         nx: usize,
         ny: usize,
         nz: usize,
         mut f: impl FnMut(usize, usize, usize) -> T,
     ) -> Self {
-        let mut m = Self::zeros(nx, ny, nz);
+        let mut data = Vec::with_capacity(checked_len(nx, ny, nz));
         for z in 0..nz {
             for y in 0..ny {
-                for x in 0..nx {
-                    m.data[(z * ny + y) * nx + x] = f(x, y, z);
-                }
+                data.extend((0..nx).map(|x| f(x, y, z)));
             }
         }
-        m
+        Mesh3D { nx, ny, nz, data }
     }
 
-    /// Deterministic random fill with lanes uniform in `[lo, hi)`.
+    /// Deterministic random fill with lanes uniform in `[lo, hi)`: one
+    /// SplitMix64 stream seeded with `seed` fills the cells in storage
+    /// order, lane after lane within a cell.
     pub fn random(nx: usize, ny: usize, nz: usize, seed: u64, lo: f32, hi: f32) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::from_fn(nx, ny, nz, |_, _, _| {
-            let mut e = T::default();
-            for c in 0..T::LANES {
-                e.set_lane(c, rng.gen_range(lo..hi));
-            }
-            e
-        })
+        let data = crate::random_fill(checked_len(nx, ny, nz), 1, seed, lo, hi);
+        Mesh3D { nx, ny, nz, data }
     }
 
     /// Fastest-varying dimension (the paper's `m`).
@@ -113,6 +106,11 @@ impl<T: Element> Mesh3D<T> {
         self.data[i] = v;
     }
 
+    /// Give up the underlying buffer, without a copy.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
     /// Borrow the underlying buffer.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -167,6 +165,13 @@ impl<T: Element> Mesh3D<T> {
             }
         }
     }
+}
+
+/// `nx · ny · nz`, after the positive-dimension check every constructor
+/// makes.
+fn checked_len(nx: usize, ny: usize, nz: usize) -> usize {
+    assert!(nx > 0 && ny > 0 && nz > 0, "mesh dimensions must be positive");
+    nx * ny * nz
 }
 
 #[cfg(test)]

@@ -159,9 +159,7 @@ fn jacobi3d_sharded_matches_single_device_bitwise() {
 #[test]
 fn rtm3d_sharded_matches_single_device_bitwise() {
     let d = dev();
-    let (y, rho, mu) = rtm::demo_workload(10, 10, 64);
-    let packed = rtm::pack(&y, &rho, &mu);
-    let batch = Batch3D::from_meshes(std::slice::from_ref(&packed));
+    let batch = rtm::demo_batch(10, 10, 64);
     let wl = Workload::D3 { nx: 10, ny: 10, nz: 64, batch: 1 };
     let ds =
         synthesize(&d, &StencilSpec::rtm(), 1, 1, ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
