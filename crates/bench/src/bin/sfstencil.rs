@@ -96,25 +96,39 @@ use sf_core::prelude::*;
 use sf_fpga::design::synthesize;
 use sf_telemetry::{chrome, metrics, StallClass};
 
+const USAGE: &str = "usage: sfstencil <feasibility|dse|compare|report|explain|profile|check> \
+     --app <poisson|jacobi|rtm> \
+     --mesh <NXxNY[xNZ]> [--batch B] [--iters N] [--top K] [--v V] [--p P] \
+     [--mem hbm|ddr4] [--tile M[xN]] [--fifo-depth D] [--window-units U] \
+     [--assume-order D] [--assume-gdsp N] \
+     [--jobs N] [--exec scalar|fast] [--devices K] [--link aurora|pcie] \
+     [--json] [--trace-out FILE] [--record-out FILE]\n       \
+     sfstencil check --explain SFC-XXX\n       \
+     sfstencil faults [--app <poisson2d|jacobi3d|rtm3d>] [--seed N] \
+     [--rate PPM]... [--trials N] [--kind NAME]... [--recovery rerun|rollback] \
+     [--checkpoint-every N]... [--max-retries N] [--jobs N] \
+     [--exec scalar|fast] [--devices K] [--json] [--record-out FILE]\n       \
+     sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
+     [--compare BASELINE.json] [--max-regress PCT]";
+
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: sfstencil <feasibility|dse|compare|report|explain|profile|check> \
-         --app <poisson|jacobi|rtm> \
-         --mesh <NXxNY[xNZ]> [--batch B] [--iters N] [--top K] [--v V] [--p P] \
-         [--mem hbm|ddr4] [--tile M[xN]] [--fifo-depth D] [--window-units U] \
-         [--assume-order D] [--assume-gdsp N] \
-         [--jobs N] [--exec scalar|fast] [--devices K] [--link aurora|pcie] \
-         [--json] [--trace-out FILE] [--record-out FILE]\n       \
-         sfstencil check --explain SFC-XXX\n       \
-         sfstencil faults [--app <poisson2d|jacobi3d|rtm3d>] [--seed N] \
-         [--rate PPM]... [--trials N] [--kind NAME]... [--recovery rerun|rollback] \
-         [--checkpoint-every N]... [--max-retries N] [--jobs N] \
-         [--exec scalar|fast] [--devices K] [--json] [--record-out FILE]\n       \
-         sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
-         [--compare BASELINE.json] [--max-regress PCT]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// Check a command line against the flags its command reads, before any
+/// work starts: `--help`/`-h` prints the usage on stdout and exits 0, and a
+/// flag the command does not read is a usage error that names it.
+fn check_flags(argv: &[String], valued: &[&str]) {
+    match sf_bench::cli::check_flags(argv, valued, &["--json"]) {
+        sf_bench::cli::FlagCheck::Run => {}
+        sf_bench::cli::FlagCheck::Help => {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        sf_bench::cli::FlagCheck::Unknown(flag) => fail(&format!("unknown flag '{flag}'")),
+    }
 }
 
 struct Args {
@@ -145,6 +159,30 @@ fn parse() -> Args {
     if argv.is_empty() {
         fail("missing command");
     }
+    check_flags(
+        &argv,
+        &[
+            "--app",
+            "--mesh",
+            "--batch",
+            "--iters",
+            "--top",
+            "--v",
+            "--p",
+            "--mem",
+            "--tile",
+            "--fifo-depth",
+            "--window-units",
+            "--assume-order",
+            "--assume-gdsp",
+            "--jobs",
+            "--exec",
+            "--devices",
+            "--link",
+            "--trace-out",
+            "--record-out",
+        ],
+    );
     let cmd = argv[0].clone();
     const COMMANDS: [&str; 7] =
         ["feasibility", "dse", "compare", "report", "explain", "profile", "check"];
@@ -323,6 +361,23 @@ fn run_check(a: &Args, wf: &Workflow) {
 /// workloads are fixed so seeds stay comparable across runs).
 fn run_faults(argv: &[String], started: std::time::Instant) {
     use sf_bench::faults::{run_campaign, CampaignApp, CampaignConfig, RecoveryMode};
+    check_flags(
+        argv,
+        &[
+            "--app",
+            "--seed",
+            "--rate",
+            "--trials",
+            "--jobs",
+            "--recovery",
+            "--exec",
+            "--devices",
+            "--checkpoint-every",
+            "--max-retries",
+            "--kind",
+            "--record-out",
+        ],
+    );
     let get = |flag: &str| -> Option<String> {
         argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())
     };

@@ -3,6 +3,36 @@
 use sf_fpga::design::Workload;
 use sf_kernels::StencilSpec;
 
+/// What a command line asks for, judged against the flags its command
+/// reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FlagCheck {
+    /// Every flag is one the command reads.
+    Run,
+    /// `--help` or `-h`: print the usage and exit 0.
+    Help,
+    /// The first `--flag` the command does not read.
+    Unknown(String),
+}
+
+/// Check `argv` against the flags a command reads, before any work starts.
+/// A flag in `valued` takes the next token as its value, whatever it looks
+/// like, as the commands' positional lookups do; a flag in `switches`
+/// takes none. Tokens that are not flags (the command, a store path) pass.
+pub fn check_flags(argv: &[String], valued: &[&str], switches: &[&str]) -> FlagCheck {
+    let mut tokens = argv.iter().map(String::as_str);
+    while let Some(tok) = tokens.next() {
+        if valued.contains(&tok) {
+            tokens.next();
+        } else if tok == "--help" || tok == "-h" {
+            return FlagCheck::Help;
+        } else if tok.starts_with("--") && !switches.contains(&tok) {
+            return FlagCheck::Unknown(tok.to_string());
+        }
+    }
+    FlagCheck::Run
+}
+
 /// Resolve an application name.
 pub fn parse_app(name: &str) -> Result<StencilSpec, String> {
     match name {
@@ -41,6 +71,22 @@ pub fn parse_mesh(dims: usize, mesh: &str, batch: usize) -> Result<Workload, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flags_are_checked_against_the_command_table() {
+        let check = |args: &[&str]| {
+            let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            check_flags(&argv, &["--app", "--out"], &["--json"])
+        };
+        assert_eq!(check(&["profile", "--app", "rtm", "--json"]), FlagCheck::Run);
+        assert_eq!(check(&["runs.jsonl", "--out", "r.md"]), FlagCheck::Run);
+        assert_eq!(check(&["--app", "x", "--bogus"]), FlagCheck::Unknown("--bogus".into()));
+        assert_eq!(check(&["--json", "--help", "--bogus"]), FlagCheck::Help);
+        assert_eq!(check(&["profile", "-h"]), FlagCheck::Help);
+        // a value is never judged as a flag, as the positional lookups read it
+        assert_eq!(check(&["--out", "--help"]), FlagCheck::Run);
+        assert_eq!(check(&["--app", "--bogus"]), FlagCheck::Run);
+    }
 
     #[test]
     fn app_names_resolve() {

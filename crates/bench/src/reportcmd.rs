@@ -12,6 +12,7 @@
 //! medians against a committed baseline report and exits non-zero on any
 //! regression beyond tolerance (or on coverage loss).
 
+use crate::cli::FlagCheck;
 use crate::faults::{CampaignApp, CampaignConfig, CampaignReport, Recovery};
 use sf_fpga::design::{ExecMode, MemKind, Workload};
 use sf_model::Candidate;
@@ -138,14 +139,25 @@ pub fn parse_max_regress(s: &str) -> Option<f64> {
 }
 
 /// The `sfstencil report <store.jsonl> ...` subcommand. Returns the
-/// process exit code: 0 on success, 1 on a failed regression gate, 2 on
-/// usage or I/O errors.
+/// process exit code: 0 on success or `--help`, 1 on a failed regression
+/// gate, 2 on usage errors (an unknown flag among them) or I/O errors.
 pub fn run(argv: &[String]) -> i32 {
+    const USAGE: &str = "usage: sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
+                         [--compare BASELINE.json] [--max-regress PCT]";
+    let valued = ["--out", "--compare", "--max-regress"];
+    match crate::cli::check_flags(argv, &valued, &["--json", "--md", "--html"]) {
+        FlagCheck::Run => {}
+        FlagCheck::Help => {
+            println!("{USAGE}");
+            return 0;
+        }
+        FlagCheck::Unknown(flag) => {
+            eprintln!("error: unknown flag '{flag}'\n{USAGE}");
+            return 2;
+        }
+    }
     let Some(store) = argv.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
-             [--compare BASELINE.json] [--max-regress PCT]"
-        );
+        eprintln!("{USAGE}");
         return 2;
     };
     let get = |flag: &str| -> Option<String> {

@@ -24,6 +24,41 @@ fn missing_command_exits_2() {
 }
 
 #[test]
+fn help_prints_usage_on_stdout_and_exits_0() {
+    // `faults --help` must print the usage, not run the default campaign
+    for args in [
+        vec!["--help"],
+        vec!["-h"],
+        vec!["profile", "--help"],
+        vec!["faults", "--help"],
+        vec!["report", "runs.jsonl", "-h"],
+    ] {
+        let out = sfstencil().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("usage: sfstencil"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    for args in [
+        vec!["profile", "--app", "poisson", "--mesh", "40x20", "--iters", "4", "--bogus-flag"],
+        vec!["dse", "--bogus-flag", "--app", "poisson", "--mesh", "64x64"],
+        vec!["faults", "--trials", "1", "--bogus-flag"],
+        vec!["report", "runs.jsonl", "--bogus-flag"],
+    ] {
+        let out = sfstencil().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unknown flag '--bogus-flag'"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work may start");
+    }
+}
+
+#[test]
 fn profile_writes_loadable_chrome_trace() {
     let path = std::env::temp_dir().join("sfstencil_cli_trace.json");
     let out = sfstencil()
