@@ -287,9 +287,10 @@ impl ProfileResult {
 /// falls back to schedule-only tracing.
 ///
 /// A batch fans its meshes out over `jobs` workers (per-mesh
-/// `mesh{i}/window/` swimlanes) and a sharded run its slabs
-/// (`dev{k}/mesh{i}/window/` swimlanes, exchange charges); a single mesh on
-/// one device streams as one (tiling included). Numerics are bit-identical
+/// `mesh{i}/window/` swimlanes) and a sharded run its devices, each
+/// streaming its slab of every mesh back to back (`dev{k}/window/`
+/// swimlanes, exchange charges); a single mesh on one device streams as one
+/// (tiling included). Numerics are bit-identical
 /// either way, and `engine` selects scalar or lane-parallel stage
 /// processors with the same output and recorded bytes.
 #[allow(clippy::too_many_arguments)]
@@ -465,7 +466,7 @@ mod tests {
         assert_eq!(multi.prediction.cycles, plan.merged.total_cycles);
         assert!(multi.divergence.within(15.0), "{}", multi.divergence.summary());
         // per-device swimlanes and the exchange counters are recorded
-        assert!(multi.recorder.track_names().iter().any(|t| t.starts_with("dev1/mesh0/window/")));
+        assert!(multi.recorder.track_names().iter().any(|t| t.starts_with("dev1/window/")));
         // the streamed run draws its schedule: pass spans reconcile with the
         // sharded total, and every device has its schedule lane
         let pipe = multi.recorder.find_track("pipeline").expect("pipeline track");

@@ -5,25 +5,27 @@
 //! or fault mode, so the simulator runs it as one. A [`Run`] describes what
 //! to execute; [`Run::simulate`] executes it on a `Batch2D` or `Batch3D`
 //! ([`StreamGrid`]: the streamed unit is a row in 2D and a plane in 3D).
-//! The run check walks the run's schedule once ([`crate::cycles::Schedule`]):
-//! its segments give the unit cost and a tiled pass's tiles. Underneath
-//! there is:
+//! The run check walks the run's schedule once ([`crate::cycles::Schedule`]),
+//! and the run streams exactly the walk's segments. Underneath there is:
 //!
 //! * one chain runner (`window::run_chain`) with an optional fault
 //!   hook ([`crate::resilient`]);
 //! * one pass loop: `⌈niter/p⌉` passes, each chaining `p_eff × stages`
 //!   stages, with window events traced on the first pass only. The loop
 //!   owns two batch buffers for the whole run and ping-pongs them: a pass
-//!   reads the pass-start state from one and its last stage writes straight
-//!   into the other. A whole-stream pass reuses one stage chain, windows
-//!   included, for every pass, and every chain of the run — per pass, tile,
-//!   device slab, mesh or rollback segment — builds its windows around
-//!   buffers from the run's [`WindowPool`] ([`Run::windows`]). A pass
-//!   streams the whole batch, its tiles ([`StreamGrid::tiled_pass`]) or —
-//!   on more than one device ([`Run::devices`]) — each device's
-//!   halo-extended slab of the walk, borrowed in place from the pass-start
-//!   buffer, with each device writing the units it owns into its own
-//!   disjoint chunk of the other buffer;
+//!   reads the pass-start state from one and writes the next state into
+//!   the other;
+//! * one pass body: every segment of the walk ([`Schedule::segments`]) —
+//!   the whole batch, one tile, or one device's halo-extended slab on more
+//!   than one device ([`Run::devices`]) — streams through its own chain,
+//!   which is built once per run around windows from the run's
+//!   [`WindowPool`] ([`Run::windows`]) and restarted every pass. Stage 0
+//!   gathers each unit's read region from the pass-start buffer, meshes
+//!   back to back, and only the valid region of the units a device owns is
+//!   written into the other buffer; a whole unit is one contiguous copy in
+//!   and is emitted straight out. The devices of a pass fan out over `jobs`
+//!   workers, each writing its own disjoint units; one device streams its
+//!   tiles in order;
 //! * per-mesh `jobs` fan-out ([`crate::exec_batch`]);
 //! * checkpoint segments with ABFT checks and rollback
 //!   ([`crate::recovery`]).
@@ -31,7 +33,7 @@
 //! [`ExecEngine`] is matched in one function; everything below it is
 //! monomorphized per engine and dimension.
 
-use crate::cycles::Schedule;
+use crate::cycles::{Schedule, Segment};
 use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
 use crate::error::ExecError;
@@ -41,7 +43,9 @@ use crate::link::MultiConfig;
 use crate::recovery::{self, RecoverParams};
 use crate::report::SimReport;
 use crate::resilient::{pass_budget, plan_with_faults, FaultHook};
-use crate::window::{build_chain, run_chain, ChainTrace, Engine, Flat, ScalarEngine, WindowPool};
+use crate::window::{
+    build_chain, run_chain, Chain, ChainTrace, Engine, ScalarEngine, Sink, WindowPool,
+};
 use crate::{power, profile};
 use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_mesh::Element;
@@ -74,24 +78,6 @@ pub trait StreamGrid: Clone + Send + Sync + Sized {
     fn zeros(&self, batch: usize) -> Self;
     /// The workload this batch is.
     fn workload(&self) -> Workload;
-    /// One spatially blocked pass of a tiled design over a single mesh:
-    /// every tile of `sched` ([`Schedule::segments`]) streams `chain`, its
-    /// windows taken from `windows`, against the pass-start state `cur` and
-    /// writes its valid region into `next`; the valid regions cover the
-    /// mesh. 1D (2D-mesh) and 2D (3D-mesh) tiling differ, so each dimension
-    /// brings its own.
-    ///
-    /// # Errors
-    /// None today: a tiled pass runs no fault hook.
-    fn tiled_pass<K, E: Engine<Self, K>>(
-        engine: &E,
-        sched: &Schedule<'_>,
-        chain: &[K],
-        cur: &Self,
-        next: &mut Self,
-        windows: &WindowPool,
-        rec: &mut Recorder,
-    ) -> Result<(), ExecError>;
 
     /// Cells per unit.
     fn unit_len(&self) -> usize {
@@ -171,11 +157,11 @@ pub struct Run<'a, K> {
     pub jobs: Option<usize>,
     /// The devices the run is spread over and the link between them; one
     /// device by default. On more than one, every pass streams each
-    /// device's halo-extended slab of the schedule walk (meshes one after
-    /// another, the slabs of a pass fanned out over `jobs` workers) and
-    /// writes back the units it owns, bit-identical to one device. The
-    /// first pass of each mesh records under `dev{k}/mesh{i}/window/`, and
-    /// the report prices the sharded schedule: the slowest device per
+    /// device's halo-extended slab of the schedule walk, all meshes back to
+    /// back through one chain, with the devices of a pass fanned out over
+    /// `jobs` workers, and writes back the units it owns, bit-identical to
+    /// one device. Each device's first pass records under `dev{k}/window/`,
+    /// and the report prices the sharded schedule: the slowest device per
     /// pass, exposed halo exchange included, at every device's power.
     pub devices: MultiConfig,
     /// Fault injection.
@@ -204,18 +190,6 @@ pub struct Run<'a, K> {
     /// Telemetry sink.
     pub rec: &'a mut Recorder,
 }
-
-/// How one pass streams the state.
-#[derive(Copy, Clone)]
-pub(crate) enum Layout<'s> {
-    /// As one stream, window events under `prefix` from `base_cycle` on.
-    Whole { prefix: &'s str, base_cycle: u64 },
-    /// Slab by slab, for mesh `mesh` of a sharded run.
-    Sharded { mesh: usize },
-}
-
-/// The whole-batch stream of a single-stream run.
-pub(crate) const WHOLE: Layout<'static> = Layout::Whole { prefix: "window/", base_cycle: 0 };
 
 impl<'a, K> Run<'a, K> {
     /// A fault-free, single-stream run on the default engine.
@@ -370,8 +344,8 @@ impl<'a, K> Run<'a, K> {
             engine,
             stages,
             sched: &sched,
-            // whole-stream and slab segments stream the same unit; a tiled
-            // pass reads each tile's own
+            // whole-stream and slab segments stream the same unit; a tile
+            // streams its own
             unit_cycles: sched.segments().next().map_or(0, |s| s.unit_cycles()),
             jobs: jobs.unwrap_or(1),
             windows: windows.unwrap_or(&own),
@@ -396,38 +370,28 @@ impl<'a, K> Run<'a, K> {
                     n_iter,
                     power_w * plan.devices as f64,
                 );
-                if sched.is_sharded() {
-                    let mut out = input.zeros(input.batch());
-                    let n = out.as_slice().len() / input.batch();
-                    for i in 0..input.batch() {
-                        let layout = Layout::Sharded { mesh: i };
-                        let mesh = px.run(input.member(i), &all, layout, rec, None)?;
-                        out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(mesh.as_slice());
-                    }
-                    // a sharded run's schedule tracks follow its window tracks
+                // one device's schedule tracks come before its window
+                // tracks, a sharded run's after them
+                let sharded = sched.is_sharded();
+                if !sharded {
                     profile::record_run(rec, &sched, &plan);
-                    return Ok((out, report, RecoveryStats::default()));
                 }
-                // one device's schedule tracks come before its window tracks
-                profile::record_run(rec, &sched, &plan);
                 let out = match jobs {
-                    None => px.run(input.clone(), &all, WHOLE, rec, None)?,
-                    Some(jobs) => {
+                    Some(jobs) if !sharded => {
                         let (on, clock) = (rec.is_enabled(), rec.cycles_per_us());
-                        let mesh_cycles = input.mesh_units() as u64 * px.unit_cycles;
                         let (out, shards) = per_mesh(jobs, input, |i, mesh| {
                             let mut shard =
                                 if on { Recorder::enabled(clock) } else { Recorder::disabled() };
-                            // mesh i's units start at i · mesh_cycles in the batched stream
-                            let prefix = format!("mesh{i}/window/");
-                            let base_cycle = i as u64 * mesh_cycles;
-                            let layout = Layout::Whole { prefix: &prefix, base_cycle };
-                            Ok((px.run(mesh, &all, layout, &mut shard, None)?, shard))
+                            Ok((px.run(mesh, &all, Some(i), &mut shard, None)?, shard))
                         })?;
                         rec.merge_shards(shards);
                         out
                     }
+                    _ => px.run(input.clone(), &all, None, rec, None)?,
                 };
+                if sharded {
+                    profile::record_run(rec, &sched, &plan);
+                }
                 Ok((out, report, RecoveryStats::default()))
             }
             Faults::Injector(inj) => {
@@ -437,7 +401,7 @@ impl<'a, K> Run<'a, K> {
                 let Some((rcfg, max_retries)) = rollback else {
                     let mut hook = FaultHook::new(inj, budget);
                     let out = px
-                        .run(input.clone(), &all, WHOLE, &mut Recorder::disabled(), Some(&mut hook))
+                        .run(input.clone(), &all, None, &mut Recorder::disabled(), Some(&mut hook))
                         .map_err(|e| with_stalls(e, rec))?;
                     rec.counter_add("fault.injected", inj.injected());
                     rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
@@ -505,6 +469,9 @@ impl<'a, K> Run<'a, K> {
     }
 }
 
+/// A segment of the schedule walk and the chain that streams it every pass.
+type Stream<'w, T, S> = (Segment, Chain<'w, T, S>);
+
 /// What every pass of a run shares: the engine, one iteration's stages, the
 /// schedule walk, the streaming cost of one unit and the run's window pool.
 pub(crate) struct Passes<'p, K, E> {
@@ -513,7 +480,7 @@ pub(crate) struct Passes<'p, K, E> {
     pub(crate) sched: &'p Schedule<'p>,
     /// Cycles to stream one unit: a row, or a plane of `ny` rows.
     unit_cycles: u64,
-    /// Workers for the slabs of a sharded pass.
+    /// Workers for the devices of a sharded pass.
     jobs: usize,
     /// The run's window buffers: the lent pool, or the run's own.
     windows: &'p WindowPool,
@@ -523,70 +490,83 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
     /// The pass loop: advance `cur` by `passes` pipeline passes of
     /// `passes[n]` chained iterations each. Two batch buffers serve the
     /// whole loop: each pass streams the pass-start state out of one and
-    /// writes the next state into the other, then they swap. Window events
-    /// of the first pass go to `rec`; later passes repeat the same schedule
-    /// untraced. Every chain's windows come from the run's pool and go back
-    /// to it on every exit, errors included.
+    /// writes the next state into the other, then they swap. Every segment
+    /// of the walk streams through a chain of its own, built once for the
+    /// deepest pass around windows from the run's pool and restarted every
+    /// pass; a shorter pass streams a prefix of it. The windows go back to
+    /// the pool on every exit, errors included.
+    ///
+    /// Window events of the first pass go to `rec`; later passes repeat the
+    /// same schedule untraced. One device records straight into `rec`, and
+    /// only its first tile's chain; the devices of a sharded pass record
+    /// into shards merged in device order. `member` is the batch index of a
+    /// per-mesh fan-out's stream, which records under `mesh{i}/` at the
+    /// mesh's place in the batched stream.
     pub(crate) fn run<B: StreamGrid>(
         &self,
         mut cur: B,
         passes: &[usize],
-        layout: Layout<'_>,
+        member: Option<usize>,
         rec: &mut Recorder,
         mut faults: Option<&mut FaultHook<'_>>,
     ) -> Result<B, ExecError>
     where
         E: Engine<B, K>,
     {
-        let tiled = self.sched.design.mode.is_tiled();
-        // the deepest pass's chain; a shorter pass streams a prefix of it
+        let (meshes, len) = (cur.batch(), cur.unit_len());
         let depth = passes.iter().copied().max().unwrap_or(0);
         let full: Vec<K> = (0..depth).flat_map(|_| self.stages.iter().cloned()).collect();
-        let mut next = cur.zeros(cur.batch());
-        // one whole-stream chain for every pass; a shorter pass runs a prefix
-        let mut whole = None;
+        let mut streams: Vec<_> = self
+            .sched
+            .segments()
+            .map(|s| {
+                let unit = (s.x.read_len, s.y.read_len);
+                (s, build_chain(self.engine, &full, unit, meshes * s.units, s.units, self.windows))
+            })
+            .collect();
+        let owned = self.sched.owned();
+        let lanes: Vec<_> =
+            (0..owned.len()).map(|k| self.lane(member, k, cur.mesh_units())).collect();
+        let per_device = streams.len() / owned.len();
+        let mut next = cur.zeros(meshes);
         let mut off = Recorder::disabled();
         for (n, &p_eff) in passes.iter().enumerate() {
-            let chain = &full[..p_eff * self.stages.len()];
-            let pass_rec: &mut Recorder = if n == 0 { &mut *rec } else { &mut off };
-            match layout {
-                _ if tiled => B::tiled_pass(
-                    self.engine,
-                    self.sched,
-                    chain,
-                    &cur,
-                    &mut next,
-                    self.windows,
-                    pass_rec,
-                )?,
-                Layout::Whole { prefix, base_cycle } => {
-                    let trace = ChainTrace {
-                        rec: pass_rec,
-                        prefix,
-                        base_cycle,
-                        unit_cycles: self.unit_cycles,
-                    };
-                    let (len, mesh_units) = (cur.unit_len(), cur.mesh_units());
-                    let units = cur.batch() * mesh_units;
-                    let shape = cur.unit_shape();
-                    let whole = whole.get_or_insert_with(|| {
-                        build_chain(self.engine, &full, shape, units, mesh_units, self.windows)
-                    });
-                    let src = cur.as_slice();
-                    let input = |j: usize, slot: &mut [B::Cell]| {
-                        slot.copy_from_slice(&src[j * len..(j + 1) * len]);
-                    };
-                    run_chain::<B, _>(
-                        &mut whole[..chain.len()],
-                        units,
-                        input,
-                        &mut Flat::new(next.as_mut_slice(), len, 0),
-                        trace,
-                        faults.as_deref_mut(),
-                    )?;
+            let depth = p_eff * self.stages.len();
+            let rec: &mut Recorder = if n == 0 { &mut *rec } else { &mut off };
+            // The walk's owned ranges tile every mesh in order, so cutting
+            // `next` mesh by mesh, device by device, hands each device its
+            // own units.
+            let mut outs: Vec<Vec<_>> = owned.iter().map(|_| Vec::with_capacity(meshes)).collect();
+            let mut rest = next.as_mut_slice();
+            for _ in 0..meshes {
+                for (out, units) in outs.iter_mut().zip(owned) {
+                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(units.len() * len);
+                    out.push(chunk);
+                    rest = tail;
                 }
-                Layout::Sharded { mesh } => {
-                    self.slab_pass(chain, &cur, &mut next, mesh, rec, n == 0)?
+            }
+            let mut devices: Vec<_> =
+                streams.chunks_mut(per_device).zip(outs).zip(&lanes).collect();
+            if let [((streams, out), lane)] = &mut devices[..] {
+                let faults = faults.as_deref_mut();
+                self.device_pass(&cur, streams, depth, out, rec, lane, faults)?;
+            } else {
+                let (traced, clock) = (rec.is_enabled(), rec.cycles_per_us());
+                let results = sf_par::par_map(self.jobs, devices, |_, device| {
+                    let ((streams, mut out), lane) = device;
+                    let mut shard =
+                        if traced { Recorder::enabled(clock) } else { Recorder::disabled() };
+                    let done =
+                        self.device_pass(&cur, streams, depth, &mut out, &mut shard, lane, None);
+                    (done, shard)
+                });
+                let mut shards = Vec::with_capacity(results.len());
+                for (done, shard) in results {
+                    done?;
+                    shards.push(shard);
+                }
+                if traced {
+                    rec.merge_shards(shards);
                 }
             }
             std::mem::swap(&mut cur, &mut next);
@@ -594,69 +574,76 @@ impl<K: Clone + Sync, E> Passes<'_, K, E> {
         Ok(cur)
     }
 
-    /// One pass of a sharded run over one mesh: every device streams its
-    /// extended slab of the pass-barrier state `cur` (the halo exchange),
-    /// borrowed in place, with the slab as its seam period — slab edges are
-    /// mesh boundaries to it — and emits only its owned units, straight
-    /// into its own chunk of `next`. Each device's chain takes its windows
-    /// from the run's pool for the pass and gives them back. A stage of
-    /// radius `r` lets boundary treatment contaminate `r` more units, so
-    /// after a pass at most `p · stages · ⌈D/2⌉ = halo` units next to a
-    /// slab-interior edge are wrong, and those are exactly the discarded
-    /// halo.
-    fn slab_pass<B: StreamGrid>(
+    /// One device's share of a pass: each of its segments in turn streams
+    /// the first `depth` stages of its chain. Stage 0's slot for unit `j` is
+    /// gathered from rows `y.read` and columns `x.read` of unit
+    /// `first_unit + j mod units` of mesh `j div units` of `cur`: one
+    /// contiguous copy when the unit's rows are whole. The valid region of
+    /// every owned output unit goes into `out`, the device's owned units of
+    /// each mesh ([`Sink`]). A slab's edges are mesh boundaries to its
+    /// chain, so after a pass at most `p · stages · ⌈D/2⌉ = halo` units
+    /// next to a slab-interior edge are wrong, and those are exactly the
+    /// dropped halo; a tile's halo columns and rows are dropped alike. The
+    /// first tile records its window events on the device's `lane`
+    /// ([`Passes::lane`]).
+    #[allow(clippy::too_many_arguments)]
+    fn device_pass<B: StreamGrid>(
         &self,
-        chain: &[K],
         cur: &B,
-        next: &mut B,
-        mesh: usize,
+        streams: &mut [Stream<'_, B::Cell, E::Stage>],
+        depth: usize,
+        out: &mut [&mut [B::Cell]],
         rec: &mut Recorder,
-        first_pass: bool,
+        (prefix, base_cycle): &(String, u64),
+        mut faults: Option<&mut FaultHook<'_>>,
     ) -> Result<(), ExecError>
     where
         E: Engine<B, K>,
     {
-        let (len, extent, shape) = (cur.unit_len(), cur.mesh_units(), cur.unit_shape());
-        let src = cur.as_slice();
-        // The walk's owned ranges tile the mesh in order, so splitting
-        // `next` in slab order hands each device its own chunk.
-        let slabs = self.sched.owned();
-        let mut rest = next.as_mut_slice();
-        let mut items = Vec::with_capacity(slabs.len());
-        for (k, owned) in slabs.iter().enumerate() {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(owned.len() * len);
-            rest = tail;
-            items.push((owned, self.sched.streamed(k), chunk));
-        }
-        let traced = rec.is_enabled() && first_pass;
-        let clock = rec.cycles_per_us();
-        let results = sf_par::par_map(self.jobs, items, |k, (owned, streamed, chunk)| {
-            let mut shard = if traced { Recorder::enabled(clock) } else { Recorder::disabled() };
-            let prefix = format!("dev{k}/mesh{mesh}/window/");
-            let trace = ChainTrace {
-                rec: &mut shard,
-                prefix: &prefix,
-                base_cycle: (mesh * extent + owned.start) as u64 * self.unit_cycles,
-                unit_cycles: self.unit_cycles,
-            };
-            let (lo, slab) = (streamed.start, streamed.len());
+        let ((nx, ny), extent, src) = (cur.unit_shape(), cur.mesh_units(), cur.as_slice());
+        let mut off = Recorder::disabled();
+        for (seg, chain) in streams {
+            let (x, y, first, units) = (seg.x, seg.y, seg.first_unit, seg.units);
             let input = |j: usize, slot: &mut [B::Cell]| {
-                slot.copy_from_slice(&src[(lo + j) * len..(lo + j + 1) * len]);
+                let row = ((j / units * extent + first + j % units) * ny + y.read_start) * nx;
+                if x.read_len == nx {
+                    slot.copy_from_slice(&src[row..row + slot.len()]);
+                    return;
+                }
+                for (r, cells) in slot.chunks_exact_mut(x.read_len).enumerate() {
+                    let s = row + r * nx + x.read_start;
+                    cells.copy_from_slice(&src[s..s + x.read_len]);
+                }
             };
-            let mut sink = Flat::new(chunk, len, owned.start - lo);
-            let mut stages = build_chain(self.engine, chain, shape, slab, slab, self.windows);
-            let done = run_chain::<B, _>(&mut stages, slab, input, &mut sink, trace, None);
-            (done, shard)
-        });
-        let mut shards = Vec::with_capacity(results.len());
-        for (done, shard) in results {
-            done?;
-            shards.push(shard);
-        }
-        if traced {
-            rec.merge_shards(shards);
+            let trace = ChainTrace {
+                rec: if seg.tile == (0, 0) { &mut *rec } else { &mut off },
+                prefix,
+                base_cycle: *base_cycle,
+                unit_cycles: seg.unit_cycles(),
+            };
+            let owned = self.sched.owned()[seg.device].clone();
+            let mut sink = Sink::new(out, (nx, ny), (x, y), first..first + units, owned);
+            let stream = cur.batch() * units;
+            let faults = faults.as_deref_mut();
+            run_chain::<B, _>(&mut chain[..depth], stream, input, &mut sink, trace, faults)?;
         }
         Ok(())
+    }
+
+    /// Where device `k`'s window events go: its track prefix, and the cycle
+    /// its first owned unit streams at in the batched stream. Member `i` of
+    /// a per-mesh fan-out records under `mesh{i}/`.
+    fn lane(&self, member: Option<usize>, k: usize, extent: usize) -> (String, u64) {
+        let mesh = member.map_or_else(String::new, |i| format!("mesh{i}/"));
+        let name = if self.sched.design.mode.is_tiled() {
+            "tile0/".to_string()
+        } else if self.sched.is_sharded() {
+            format!("dev{k}/window/")
+        } else {
+            "window/".to_string()
+        };
+        let first = member.unwrap_or(0) * extent + self.sched.owned()[k].start;
+        (format!("{mesh}{name}"), first as u64 * self.unit_cycles)
     }
 }
 
@@ -767,6 +754,77 @@ mod tests {
         assert_eq!(report, SimReport::from_plan(&base, &sharded, 8, power_w));
         let golden = sf_kernels::reference::run_batch_2d(&Poisson2D, &input, 8);
         assert!(sf_mesh::norms::bit_equal(out.as_slice(), golden.as_slice()));
+    }
+
+    /// A streamed run on `devices` devices streams what its schedule walk
+    /// prices: its first pass streams every segment's data units and drains
+    /// every segment's fill, and each device records one set of window
+    /// tracks, one per chained stage.
+    fn assert_streams_what_the_walker_prices<B, K>(
+        ds: &StencilDesign,
+        stages: &[K],
+        input: &B,
+        devices: usize,
+        jobs: usize,
+    ) where
+        B: StreamGrid,
+        K: GridKernel<B>,
+        ScalarEngine: Engine<B, K>,
+        FastEngine: Engine<B, K>,
+    {
+        let dev = FpgaDevice::u280();
+        let cfg = MultiConfig::new(devices);
+        let mut rec = Recorder::enabled(ds.freq_mhz());
+        // one device streams a batch as one stack; devices fan out
+        let jobs = (devices > 1).then_some(jobs);
+        let niter = 2 * ds.p;
+        Run { jobs, devices: cfg, ..Run::new(&dev, ds, stages, niter, &mut rec) }
+            .simulate(input)
+            .unwrap();
+        let sched = Schedule::new(&dev, ds, &input.workload(), &cfg).unwrap();
+        let units = |rows: fn(&Segment) -> u64| -> u64 {
+            sched.segments().map(|s| rows(&s) / s.y.read_len as u64).sum()
+        };
+        let shape = format!("{:?} on {devices} devices at jobs {jobs:?}", input.workload());
+        assert_eq!(rec.counter(B::STREAMED), units(|s| s.data_rows), "{shape}");
+        assert_eq!(rec.counter(B::DRAINED), units(|s| s.fill_rows), "{shape}");
+        let depth = ds.p * stages.len();
+        let window = |t: &&String| t.contains("window/");
+        assert_eq!(rec.track_names().iter().filter(window).count(), devices * depth, "{shape}");
+        for k in 0..devices {
+            let lane = if devices > 1 { format!("dev{k}/window/") } else { "window/".to_string() };
+            let tracks = rec.track_names().iter().filter(|t| t.starts_with(&lane)).count();
+            assert_eq!(tracks, depth, "{shape}: {lane}");
+        }
+    }
+
+    #[test]
+    fn the_executor_streams_what_the_walker_prices() {
+        let dev = FpgaDevice::u280();
+        let synth = |spec: StencilSpec, wl: Workload| {
+            let b = wl.batch();
+            let mode = if b > 1 { ExecMode::Batched { b } } else { ExecMode::Baseline };
+            synthesize(&dev, &spec, 8, 3, mode, MemKind::Hbm, &wl).unwrap()
+        };
+        let k3 = [Jacobi3D::smoothing()];
+        // one device with one mesh or a stacked batch of 3, two devices with
+        // one mesh, three devices with a batch of 2
+        for (devices, b) in [(1, 1), (1, 3), (2, 1), (3, 2)] {
+            for jobs in [1, 2] {
+                let ds = synth(StencilSpec::poisson(), Workload::D2 { nx: 32, ny: 48, batch: b });
+                let input = Batch2D::<f32>::random(32, 48, b, 9, -1.0, 1.0);
+                assert_streams_what_the_walker_prices(&ds, &[Poisson2D], &input, devices, jobs);
+                let wl = Workload::D3 { nx: 10, ny: 8, nz: 24, batch: b };
+                let input = Batch3D::<f32>::random(10, 8, 24, b, 10, -1.0, 1.0);
+                assert_streams_what_the_walker_prices(
+                    &synth(StencilSpec::jacobi(), wl),
+                    &k3,
+                    &input,
+                    devices,
+                    jobs,
+                );
+            }
+        }
     }
 
     /// What a run gives its caller: the output's lane bits, the report and

@@ -9,9 +9,10 @@
 //!   cell by cell — the cycle plan is closed-form and exact either way).
 //!
 //! Both executors are one-line calls into [`crate::driver`]; this module
-//! supplies what is 2D about them: a `Batch2D` streams rows, and a tiled
-//! design blocks it along x only ([`StreamGrid::tiled_pass`]), streaming
-//! the tiles of the schedule walk ([`Schedule`]) with each tile's own row
+//! supplies what is 2D about them: a `Batch2D` streams rows, a
+//! [`StreamGrid`] unit of one row. A tiled design blocks it along x only;
+//! the pass driver streams the tiles of the schedule walk ([`Schedule`])
+//! through the same pass body as a whole mesh, each tile with its own row
 //! cost.
 
 use crate::cycles::Schedule;
@@ -22,9 +23,7 @@ use crate::error::ExecError;
 use crate::link::MultiConfig;
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{
-    build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter, WindowPool,
-};
+use crate::window::ScalarEngine;
 use sf_kernels::{reference, StencilOp2D};
 use sf_mesh::{Batch2D, Element, Mesh2D};
 use sf_telemetry::Recorder;
@@ -126,54 +125,6 @@ impl<T: Element> StreamGrid for Batch2D<T> {
     }
     fn workload(&self) -> Workload {
         Workload::D2 { nx: self.nx(), ny: self.ny(), batch: Batch2D::batch(self) }
-    }
-
-    /// Tiles along x, streaming full rows of each tile: the paper's
-    /// overlapped-block scheme, with only the valid columns written back.
-    /// Tile rows are gathered straight into the first stage's window slot;
-    /// the last stage emits into one scratch row, reused by every tile,
-    /// whose valid columns are copied into `next`. Each tile's chain is
-    /// built around window buffers from `windows` and gives them back for
-    /// the next tile, so the pass allocates no windows of its own.
-    fn tiled_pass<K, E: Engine<Self, K>>(
-        engine: &E,
-        sched: &Schedule<'_>,
-        chain: &[K],
-        cur: &Self,
-        next: &mut Self,
-        windows: &WindowPool,
-        rec: &mut Recorder,
-    ) -> Result<(), ExecError> {
-        let (nx, ny) = (cur.nx(), cur.ny());
-        let (src, out) = (cur.as_slice(), next.as_mut_slice());
-        let mut scratch = Vec::new();
-        let mut off = Recorder::disabled();
-        // halo sized for the full design depth p (covers shorter final passes too)
-        for seg in sched.segments() {
-            let t = seg.x;
-            let input = |y: usize, slot: &mut [T]| {
-                let s = y * nx + t.read_start;
-                slot.copy_from_slice(&src[s..s + t.read_len]);
-            };
-            // Window-level events for the first tile only: every tile streams
-            // the same chain, differing only in width.
-            let trace = ChainTrace {
-                rec: if seg.tile == (0, 0) { &mut *rec } else { &mut off },
-                prefix: "tile0/",
-                base_cycle: 0,
-                unit_cycles: seg.unit_cycles(),
-            };
-            let valid = t.valid_offset()..t.valid_offset() + t.valid_len;
-            scratch.resize(t.read_len, T::default());
-            let put = |y: usize, row: &[T]| {
-                let dst = y * nx + t.valid_start;
-                out[dst..dst + t.valid_len].copy_from_slice(&row[valid.clone()]);
-            };
-            let mut sink = Scatter { scratch: &mut scratch, put };
-            let mut stages = build_chain(engine, chain, (t.read_len, 1), ny, ny, windows);
-            run_chain::<Self, _>(&mut stages, ny, input, &mut sink, trace, None)?;
-        }
-        Ok(())
     }
 }
 

@@ -4,10 +4,11 @@
 //! … brought into a single pipeline", unrolled `p` times.
 //!
 //! Both executors are one-line calls into [`crate::driver`]; this module
-//! supplies what is 3D about them: a `Batch3D` streams planes, and a tiled
-//! design blocks it into `M × N` columns spanning the full `z` extent
-//! ([`StreamGrid::tiled_pass`]), streaming the tiles of the schedule walk
-//! ([`Schedule`]) with each tile's own plane cost.
+//! supplies what is 3D about them: a `Batch3D` streams planes, a
+//! [`StreamGrid`] unit of `ny` rows. A tiled design blocks it into `M × N`
+//! columns spanning the full `z` extent; the pass driver streams the tiles
+//! of the schedule walk ([`Schedule`]) through the same pass body as a
+//! whole mesh, each tile with its own plane cost.
 
 use crate::cycles::Schedule;
 use crate::design::{StencilDesign, Workload};
@@ -17,9 +18,7 @@ use crate::error::ExecError;
 use crate::link::MultiConfig;
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{
-    build_chain, run_chain, ChainTrace, Engine, ScalarEngine, Scatter, WindowPool,
-};
+use crate::window::ScalarEngine;
 use sf_kernels::{reference, StencilOp3D};
 use sf_mesh::{Batch3D, Element, Mesh3D};
 use sf_telemetry::Recorder;
@@ -103,54 +102,6 @@ impl<T: Element> StreamGrid for Batch3D<T> {
     fn workload(&self) -> Workload {
         let (nx, ny, nz) = (self.nx(), self.ny(), self.nz());
         Workload::D3 { nx, ny, nz, batch: Batch3D::batch(self) }
-    }
-
-    /// `M × N` tiles spanning the full `z` extent, streamed plane by plane,
-    /// each tile's chain around window buffers from `windows`, given back
-    /// for the next tile.
-    fn tiled_pass<K, E: Engine<Self, K>>(
-        engine: &E,
-        sched: &Schedule<'_>,
-        chain: &[K],
-        cur: &Self,
-        next: &mut Self,
-        windows: &WindowPool,
-        rec: &mut Recorder,
-    ) -> Result<(), ExecError> {
-        let (nx, ny, nz) = (cur.nx(), cur.ny(), cur.nz());
-        let (src, out) = (cur.as_slice(), next.as_mut_slice());
-        let mut scratch = Vec::new();
-        let mut off = Recorder::disabled();
-        for seg in sched.segments() {
-            let (tx, ty) = (seg.x, seg.y);
-            let input = |z: usize, slot: &mut [T]| {
-                let rows = slot.chunks_exact_mut(tx.read_len);
-                for (y, row) in (ty.read_start..ty.read_end()).zip(rows) {
-                    let s = (z * ny + y) * nx + tx.read_start;
-                    row.copy_from_slice(&src[s..s + tx.read_len]);
-                }
-            };
-            let trace = ChainTrace {
-                rec: if seg.tile == (0, 0) { &mut *rec } else { &mut off },
-                prefix: "tile0/",
-                base_cycle: 0,
-                unit_cycles: seg.unit_cycles(),
-            };
-            let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
-            scratch.resize(tx.read_len * ty.read_len, T::default());
-            let put = |z: usize, pl: &[T]| {
-                for vy in 0..ty.valid_len {
-                    let src = (offy + vy) * tx.read_len + offx;
-                    let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
-                    out[dst..dst + tx.valid_len].copy_from_slice(&pl[src..src + tx.valid_len]);
-                }
-            };
-            let mut sink = Scatter { scratch: &mut scratch, put };
-            let shape = (tx.read_len, ty.read_len);
-            let mut stages = build_chain(engine, chain, shape, nz, nz, windows);
-            run_chain::<Self, _>(&mut stages, nz, input, &mut sink, trace, None)?;
-        }
-        Ok(())
     }
 }
 

@@ -54,7 +54,7 @@
 
 use crate::design::{MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
-use crate::driver::{GridKernel, Passes, StreamGrid, WHOLE};
+use crate::driver::{GridKernel, Passes, StreamGrid};
 use crate::error::ExecError;
 use crate::power;
 use crate::report::SimReport;
@@ -274,7 +274,7 @@ where
 
         let mut attempt = 0u32;
         let state = loop {
-            match px.run(verified.clone(), &seg, WHOLE, &mut off, Some(&mut hook)) {
+            match px.run(verified.clone(), &seg, None, &mut off, Some(&mut hook)) {
                 Ok(state) => {
                     stats.abft_checks += 1;
                     stats.abft_cycles += prm.abft_cost;

@@ -42,7 +42,7 @@ use crate::driver::StreamGrid;
 use crate::error::ExecError;
 use crate::resilient::FaultHook;
 use sf_kernels::{StencilOp2D, StencilOp3D};
-use sf_mesh::{Batch2D, Batch3D, Element};
+use sf_mesh::{Batch2D, Batch3D, Element, Tile1D};
 use sf_telemetry::{Recorder, TrackId};
 use std::any::Any;
 use std::marker::PhantomData;
@@ -325,8 +325,9 @@ impl<T: Element, K: StencilOp3D<T>> Stage<T> for StageProcessor3D<T, K> {
 /// everything else (feed cascade, telemetry, faults, drain), so two engines
 /// that build cell-for-cell-equal stages produce byte-identical runs.
 pub trait Engine<B: StreamGrid, K>: Sync {
-    /// The stage processor this engine builds.
-    type Stage: Stage<B::Cell>;
+    /// The stage processor this engine builds. A chain of them lives for a
+    /// whole run and may stream on a different worker every pass.
+    type Stage: Stage<B::Cell> + Send;
     /// Build the stage for kernel `k` over a stream of `stream_units` units
     /// of `unit.1` rows of `unit.0` cells (a 2D row has `unit.1 == 1`),
     /// `mesh_units` units per independent mesh.
@@ -357,57 +358,69 @@ impl<T: Element, K: StencilOp3D<T> + Clone> Engine<Batch3D<T>, K> for ScalarEngi
     }
 }
 
-/// Where the last stage of a chain run writes its output units.
-pub(crate) trait Sink<T> {
-    /// The one-unit buffer output unit `j` is emitted into.
-    fn unit(&mut self, j: usize) -> &mut [T];
-    /// Output unit `j` is complete in [`Sink::unit`]'s buffer.
-    fn done(&mut self, _j: usize) {}
-}
-
-/// A contiguous run of output units: unit `first + i` is emitted straight
-/// into `out[i·len..(i+1)·len]`; units outside the run go to a scratch
-/// unit and are dropped (a slab's halo).
-pub(crate) struct Flat<'o, T> {
-    out: &'o mut [T],
-    len: usize,
-    first: usize,
-    kept: usize,
+/// Where the last stage of a chain run writes its output units. The run
+/// streams one segment of the schedule walk: its unit `j` is unit
+/// `streamed.start + j mod units` of mesh `j div units`, read as `x`
+/// columns by `y` rows. Only the valid region of each `owned` unit reaches
+/// `out`, which holds the owned units of each mesh, mesh after mesh. A
+/// whole owned unit is emitted straight into `out`; a tile's unit goes to a
+/// scratch unit, whose valid rows and columns are then copied out; a halo
+/// unit goes to the scratch unit and is dropped.
+pub(crate) struct Sink<'s, 'o, T> {
+    out: &'s mut [&'o mut [T]],
+    /// A mesh unit is `.1` rows of `.0` cells.
+    shape: (usize, usize),
+    x: Tile1D,
+    y: Tile1D,
+    streamed: Range<usize>,
+    owned: Range<usize>,
+    /// Whether a streamed unit is a whole mesh unit.
+    whole: bool,
     scratch: Vec<T>,
 }
 
-impl<'o, T> Flat<'o, T> {
-    pub(crate) fn new(out: &'o mut [T], len: usize, first: usize) -> Self {
-        let kept = out.len() / len;
-        Flat { out, len, first, kept, scratch: Vec::new() }
+impl<'s, 'o, T: Element> Sink<'s, 'o, T> {
+    pub(crate) fn new(
+        out: &'s mut [&'o mut [T]],
+        shape: (usize, usize),
+        (x, y): (Tile1D, Tile1D),
+        streamed: Range<usize>,
+        owned: Range<usize>,
+    ) -> Self {
+        let whole = (x.read_len, y.read_len) == shape;
+        Sink { out, shape, x, y, streamed, owned, whole, scratch: Vec::new() }
     }
-}
 
-impl<T: Element> Sink<T> for Flat<'_, T> {
+    /// The mesh of stream unit `j` and its index among the mesh's owned
+    /// units, if the device owns it.
+    fn owned_unit(&self, j: usize) -> Option<(usize, usize)> {
+        let units = self.streamed.len();
+        let u = self.streamed.start + j % units;
+        self.owned.contains(&u).then(|| (j / units, u - self.owned.start))
+    }
+
+    /// The one-unit buffer output unit `j` is emitted into.
     fn unit(&mut self, j: usize) -> &mut [T] {
-        let i = j.wrapping_sub(self.first);
-        if i < self.kept {
-            &mut self.out[i * self.len..(i + 1) * self.len]
-        } else {
-            self.scratch.resize(self.len, T::default());
-            &mut self.scratch
+        if self.whole {
+            if let Some((m, i)) = self.owned_unit(j) {
+                let len = self.shape.0 * self.shape.1;
+                return &mut self.out[m][i * len..(i + 1) * len];
+            }
         }
+        self.scratch.resize(self.x.read_len * self.y.read_len, T::default());
+        &mut self.scratch
     }
-}
 
-/// Output units emitted into one reused scratch unit, then handed to
-/// `put` (a tile's valid region is scattered into the mesh).
-pub(crate) struct Scatter<'s, T, F> {
-    pub(crate) scratch: &'s mut Vec<T>,
-    pub(crate) put: F,
-}
-
-impl<T: Element, F: FnMut(usize, &[T])> Sink<T> for Scatter<'_, T, F> {
-    fn unit(&mut self, _j: usize) -> &mut [T] {
-        self.scratch
-    }
+    /// Output unit `j` is complete in [`Sink::unit`]'s buffer.
     fn done(&mut self, j: usize) {
-        (self.put)(j, self.scratch)
+        let Some((m, i)) = self.owned_unit(j).filter(|_| !self.whole) else { return };
+        let (x, y, (nx, ny)) = (self.x, self.y, self.shape);
+        for v in 0..y.valid_len {
+            let src = (y.valid_offset() + v) * x.read_len + x.valid_offset();
+            let dst = (i * ny + y.valid_start + v) * nx + x.valid_start;
+            self.out[m][dst..dst + x.valid_len]
+                .copy_from_slice(&self.scratch[src..src + x.valid_len]);
+        }
     }
 }
 
@@ -429,12 +442,7 @@ struct StageTrace {
 
 /// Stage `i` emits its ready output unit `y` into the free slot of stage
 /// `i + 1`, or into the sink after the last stage.
-fn emit_down<T: Element, S: Stage<T>>(
-    stages: &mut [S],
-    i: usize,
-    y: usize,
-    sink: &mut impl Sink<T>,
-) {
+fn emit_down<T: Element, S: Stage<T>>(stages: &mut [S], i: usize, y: usize, sink: &mut Sink<T>) {
     let (up, down) = stages.split_at_mut(i + 1);
     match down.first_mut() {
         Some(next) => up[i].emit(y, next.window_mut().slot_mut()),
@@ -455,7 +463,7 @@ fn feed<T: Element, S: Stage<T>>(
     stages: &mut [S],
     tr: &mut [StageTrace],
     from: usize,
-    sink: &mut impl Sink<T>,
+    sink: &mut Sink<T>,
     rec: &mut Recorder,
     cycle: u64,
 ) -> usize {
@@ -598,7 +606,7 @@ pub(crate) fn run_chain<B: StreamGrid, S: Stage<B::Cell>>(
     stages: &mut [S],
     stream_units: usize,
     mut input: impl FnMut(usize, &mut [B::Cell]),
-    sink: &mut impl Sink<B::Cell>,
+    sink: &mut Sink<B::Cell>,
     trace: ChainTrace<'_>,
     mut faults: Option<&mut FaultHook<'_>>,
 ) -> Result<(), ExecError> {
@@ -710,7 +718,10 @@ mod tests {
             slot.copy_from_slice(&cells[j * len..(j + 1) * len]);
         };
         let trace = ChainTrace { rec, prefix, base_cycle, unit_cycles };
-        let mut sink = Flat::new(&mut out, len, 0);
+        let whole = |n| Tile1D { read_start: 0, read_len: n, valid_start: 0, valid_len: n };
+        let mut meshes: Vec<&mut [B::Cell]> = out.chunks_mut(mesh_units * len).collect();
+        let tiles = (whole(unit.0), whole(unit.1));
+        let mut sink = Sink::new(&mut meshes, unit, tiles, 0..mesh_units, 0..mesh_units);
         let pool = WindowPool::new();
         let mut stages = build_chain(&ScalarEngine, chain, unit, stream_units, mesh_units, &pool);
         run_chain::<B, _>(&mut stages, stream_units, input, &mut sink, trace, None).unwrap();

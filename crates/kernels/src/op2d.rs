@@ -12,8 +12,9 @@ use sf_mesh::Element;
 ///
 /// `apply` receives an accessor `at(dx, dy)` valid for `|dx|,|dy| ≤ radius`
 /// and must be a *pure* function of those reads (the dataflow pipeline
-/// evaluates it once per cell, in streaming order).
-pub trait StencilOp2D<T: Element>: Sync {
+/// evaluates it once per cell, in streaming order). A stage is plain data:
+/// chains of stages are shared with, and handed to, worker threads.
+pub trait StencilOp2D<T: Element>: Send + Sync {
     /// Stencil radius `r = D/2` (order `D`).
     fn radius(&self) -> usize;
 

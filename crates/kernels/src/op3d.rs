@@ -2,8 +2,8 @@
 
 use sf_mesh::Element;
 
-/// One 3D stencil pipeline stage.
-pub trait StencilOp3D<T: Element>: Sync {
+/// One 3D stencil pipeline stage; plain data, like [`crate::StencilOp2D`].
+pub trait StencilOp3D<T: Element>: Send + Sync {
     /// Stencil radius `r = D/2` (order `D`).
     fn radius(&self) -> usize;
 

@@ -6,8 +6,9 @@
 //! `[start−h, end+h) ∩ [0, extent)` through the same window chain one
 //! device uses and writes back only the owned units, bit-identical to one
 //! device for any device count, engine and `jobs` value; see
-//! [`Run::devices`]. Each (device, mesh) pair records its first pass under
-//! `dev{k}/mesh{i}/window/`, each device's streamed rows are attributed to
+//! [`Run::devices`]. Each device streams the meshes of a batch back to
+//! back and records its first pass under `dev{k}/window/`, each device's
+//! streamed rows are attributed to
 //! compute or memory stalls, and the halo exchange is charged from the
 //! plan — `exchange.bytes` / `exchange.messages` counters plus the exposed
 //! cycles as [`sf_telemetry::StallClass::Exchange`] — so traces are
