@@ -119,7 +119,8 @@ fn fail(msg: &str) -> ! {
 
 /// Check a command line against the flags its command reads, before any
 /// work starts: `--help`/`-h` prints the usage on stdout and exits 0, and a
-/// flag the command does not read is a usage error that names it.
+/// flag the command does not read, or a valued flag without its value, is
+/// a usage error that names the flag.
 fn check_flags(argv: &[String], valued: &[&str]) {
     match sf_bench::cli::check_flags(argv, valued, &["--json"]) {
         sf_bench::cli::FlagCheck::Run => {}
@@ -128,6 +129,9 @@ fn check_flags(argv: &[String], valued: &[&str]) {
             std::process::exit(0);
         }
         sf_bench::cli::FlagCheck::Unknown(flag) => fail(&format!("unknown flag '{flag}'")),
+        sf_bench::cli::FlagCheck::MissingValue(flag) => {
+            fail(&format!("flag '{flag}' needs a value"))
+        }
     }
 }
 

@@ -13,17 +13,21 @@ pub enum FlagCheck {
     Help,
     /// The first `--flag` the command does not read.
     Unknown(String),
+    /// The first valued flag followed by nothing or by another `--flag`.
+    MissingValue(String),
 }
 
 /// Check `argv` against the flags a command reads, before any work starts.
-/// A flag in `valued` takes the next token as its value, whatever it looks
-/// like, as the commands' positional lookups do; a flag in `switches`
-/// takes none. Tokens that are not flags (the command, a store path) pass.
+/// A flag in `valued` takes the next token as its value, which must be
+/// there and must not start with `--`; a flag in `switches` takes none.
+/// Tokens that are not flags (the command, a store path) pass.
 pub fn check_flags(argv: &[String], valued: &[&str], switches: &[&str]) -> FlagCheck {
-    let mut tokens = argv.iter().map(String::as_str);
+    let mut tokens = argv.iter().map(String::as_str).peekable();
     while let Some(tok) = tokens.next() {
         if valued.contains(&tok) {
-            tokens.next();
+            if tokens.next_if(|value| !value.starts_with("--")).is_none() {
+                return FlagCheck::MissingValue(tok.to_string());
+            }
         } else if tok == "--help" || tok == "-h" {
             return FlagCheck::Help;
         } else if tok.starts_with("--") && !switches.contains(&tok) {
@@ -83,9 +87,11 @@ mod tests {
         assert_eq!(check(&["--app", "x", "--bogus"]), FlagCheck::Unknown("--bogus".into()));
         assert_eq!(check(&["--json", "--help", "--bogus"]), FlagCheck::Help);
         assert_eq!(check(&["profile", "-h"]), FlagCheck::Help);
-        // a value is never judged as a flag, as the positional lookups read it
-        assert_eq!(check(&["--out", "--help"]), FlagCheck::Run);
-        assert_eq!(check(&["--app", "--bogus"]), FlagCheck::Run);
+        // a flag's value is never another flag, nor missing
+        assert_eq!(check(&["--out", "--help"]), FlagCheck::MissingValue("--out".into()));
+        assert_eq!(check(&["--app", "--bogus"]), FlagCheck::MissingValue("--app".into()));
+        assert_eq!(check(&["profile", "--app"]), FlagCheck::MissingValue("--app".into()));
+        assert_eq!(check(&["--out", "-h"]), FlagCheck::Run);
     }
 
     #[test]

@@ -155,6 +155,10 @@ pub fn run(argv: &[String]) -> i32 {
             eprintln!("error: unknown flag '{flag}'\n{USAGE}");
             return 2;
         }
+        FlagCheck::MissingValue(flag) => {
+            eprintln!("error: flag '{flag}' needs a value\n{USAGE}");
+            return 2;
+        }
     }
     let Some(store) = argv.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("{USAGE}");

@@ -59,6 +59,31 @@ fn unknown_flags_exit_2_and_name_the_flag() {
 }
 
 #[test]
+fn a_flag_value_is_never_another_flag() {
+    // run in a directory of its own, so a file named after a flag would show
+    let dir = std::env::temp_dir().join(format!("sfstencil_cli_values_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let profile = ["profile", "--app", "poisson", "--mesh", "40x20", "--iters", "4"];
+    for (args, flag) in [
+        ([&profile[..], &["--trace-out", "--json"]].concat(), "--trace-out"),
+        ([&profile[..], &["--record-out", "--json"]].concat(), "--record-out"),
+        ([&profile[..], &["--iters"]].concat(), "--iters"),
+        (vec!["faults", "--trials", "--json"], "--trials"),
+        (vec!["faults", "--trials", "1", "--seed"], "--seed"),
+        (vec!["report", "runs.jsonl", "--out", "--json"], "--out"),
+    ] {
+        let out = sfstencil().current_dir(&dir).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("flag '{flag}' needs a value")), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work may start");
+    }
+    assert!(!dir.join("--json").exists(), "a flag was taken for a file name");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn profile_writes_loadable_chrome_trace() {
     let path = std::env::temp_dir().join("sfstencil_cli_trace.json");
     let out = sfstencil()
