@@ -16,15 +16,12 @@
 //!   reads the pass-start state from one and writes the next state into
 //!   the other;
 //! * one pass body: every segment of the walk ([`Schedule::segments`]) —
-//!   the whole batch, one tile, or one device's halo-extended slab on more
-//!   than one device ([`Run::devices`]) — streams through its own chain,
-//!   which is built once per run around windows from the run's
-//!   [`WindowPool`] ([`Run::windows`]) and restarted every pass. Stage 0
-//!   gathers each unit's read region from the pass-start buffer, meshes
-//!   back to back, and only the valid region of the units a device owns is
-//!   written into the other buffer; a whole unit is one contiguous copy in
-//!   and is emitted straight out. The devices of a pass fan out over `jobs`
-//!   workers, each writing its own disjoint units; one device streams its
+//!   the whole batch, one tile, or on more than one device
+//!   ([`Run::devices`]) one device's halo-extended slab — streams its
+//!   meshes back to back through a chain of its own, built once per run
+//!   around windows from the run's [`WindowPool`] ([`Run::windows`]), and
+//!   only the valid region of the units a device owns is written back. The
+//!   devices of a pass fan out over `jobs` workers; one device streams its
 //!   tiles in order;
 //! * per-mesh `jobs` fan-out ([`crate::exec_batch`]);
 //! * checkpoint segments with ABFT checks and rollback
@@ -765,7 +762,7 @@ mod tests {
         stages: &[K],
         input: &B,
         devices: usize,
-        jobs: usize,
+        jobs: Option<usize>,
     ) where
         B: StreamGrid,
         K: GridKernel<B>,
@@ -775,8 +772,6 @@ mod tests {
         let dev = FpgaDevice::u280();
         let cfg = MultiConfig::new(devices);
         let mut rec = Recorder::enabled(ds.freq_mhz());
-        // one device streams a batch as one stack; devices fan out
-        let jobs = (devices > 1).then_some(jobs);
         let niter = 2 * ds.p;
         Run { jobs, devices: cfg, ..Run::new(&dev, ds, stages, niter, &mut rec) }
             .simulate(input)
@@ -808,9 +803,11 @@ mod tests {
         };
         let k3 = [Jacobi3D::smoothing()];
         // one device with one mesh or a stacked batch of 3, two devices with
-        // one mesh, three devices with a batch of 2
+        // one mesh, three devices with a batch of 2; one device streams a
+        // batch as one stack, and the devices of a pass fan out over jobs
         for (devices, b) in [(1, 1), (1, 3), (2, 1), (3, 2)] {
-            for jobs in [1, 2] {
+            let jobs = if devices > 1 { vec![Some(1), Some(2)] } else { vec![None] };
+            for jobs in jobs {
                 let ds = synth(StencilSpec::poisson(), Workload::D2 { nx: 32, ny: 48, batch: b });
                 let input = Batch2D::<f32>::random(32, 48, b, 9, -1.0, 1.0);
                 assert_streams_what_the_walker_prices(&ds, &[Poisson2D], &input, devices, jobs);

@@ -20,9 +20,10 @@
 //! processing elements: [`Stage::push`] copies a borrowed input unit into
 //! the window's next slot, and [`Stage::emit`] writes a ready output unit
 //! into a caller-owned buffer. The chain runner hands each stage the next
-//! stage's free slot as that buffer — the last stage writes straight into
-//! the pass's output — so a cell moves down the chain without any per-unit
-//! allocation or intermediate copy.
+//! stage's free slot as that buffer — the last stage writes a whole owned
+//! unit straight into the pass's output, and a tile's or halo's through one
+//! scratch unit — so a cell moves down the chain without any per-unit
+//! allocation.
 //!
 //! The processors are *seam-aware* for batched execution: the stream may
 //! carry `B` stacked meshes, and a cell is only interior with respect to its
