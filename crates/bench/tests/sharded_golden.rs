@@ -1,18 +1,19 @@
 //! Golden pin of sharded runs: what a multi-device run reports and records.
 //!
 //! `schedule.json` pins sharded *plans*; this file pins the recorder output
-//! of sharded *runs*. For the `Workflow::profile_multi` runs behind
+//! of sharded *runs*, and of the single-device schedule-only runs they are
+//! sharded from. For the `Workflow::profile_multi` runs behind
 //! `sfstencil profile --devices K` (Poisson 48×64/8 at K = 2, batched
 //! Poisson 32×96×2/6 at K = 3, Jacobi 12×10×32/6 at K = 2, RTM 10×10×64/2
-//! at K = 2), two schedule-only profiles at paper scale (Poisson 400²/60000
-//! at K = 2, Jacobi 300³/500 at K = 4) and one direct
-//! `simulate_batch_2d_sharded_exec` call over a slow link (so exchange is
-//! exposed), it serializes the `SimReport`, the metrics JSON and the Chrome
-//! trace — plus a digest of the direct call's output bits — into
-//! `tests/golden/sharded_runs.json`, and requires the file to match byte
-//! for byte at two workers, at one worker (ignoring the metrics JSON's
-//! `parallel` block, which records the worker count) and on the scalar
-//! engine.
+//! at K = 2), five schedule-only profiles at paper scale (Poisson
+//! 400²/60000 at K = 1 and 2, Jacobi 300³/500 at K = 1 and 4, RTM
+//! 64³/1800 at K = 1) and one direct `simulate_batch_2d_sharded_exec` call
+//! over a slow link (so exchange is exposed), it serializes the
+//! `SimReport`, the metrics JSON and the Chrome trace — plus a digest of
+//! the direct call's output bits — into `tests/golden/sharded_runs.json`,
+//! and requires the file to match byte for byte at two workers, at one
+//! worker (ignoring the metrics JSON's `parallel` block, which records the
+//! worker count) and on the scalar engine.
 //!
 //! Regenerate after an intentional change with
 //! `SF_UPDATE_GOLDEN=1 cargo test -p sf-bench --test sharded_golden`.
@@ -134,8 +135,11 @@ fn render_golden(jobs: usize, engine: ExecEngine, keep_parallel: bool) -> String
         ("profile_poisson_32x96x2_i6_k3", poisson(), d2(32, 96, 2), 6, 3),
         ("profile_jacobi_12x10x32_i6_k2", jacobi(), d3(12, 10, 32), 6, 2),
         ("profile_rtm_10x10x64_i2_k2", StencilSpec::rtm(), d3(10, 10, 64), 2, 2),
+        ("schedule_poisson_400x400_i60000_k1", poisson(), d2(400, 400, 1), 60_000, 1),
         ("schedule_poisson_400x400_i60000_k2", poisson(), d2(400, 400, 1), 60_000, 2),
+        ("schedule_jacobi_300x300x300_i500_k1", jacobi(), d3(300, 300, 300), 500, 1),
         ("schedule_jacobi_300x300x300_i500_k4", jacobi(), d3(300, 300, 300), 500, 4),
+        ("schedule_rtm_64x64x64_i1800_k1", StencilSpec::rtm(), d3(64, 64, 64), 1_800, 1),
     ];
     let mut rows: Vec<(String, Value)> = profiles
         .into_iter()
