@@ -18,9 +18,18 @@
 //!   draws each device's pass and exposed exchange on `dev{k}/pipeline`;
 //! * the compute/memory stall attribution equals
 //!   [`crate::trace::PlanTrace::stall_breakdown`] summed over devices, with
-//!   FIFO backpressure observed by a producer/consumer model on top.
+//!   FIFO backpressure on top.
 //!
 //! Both invariants are pinned by property tests.
+//!
+//! One device also prices backpressure on the FIFO between the compute
+//! chain and the write engine, in closed form over a whole pass
+//! (`chain_backpressure`). The segment that streams the most rows stands
+//! for the pass: the chain offers a row every `max(compute, read) + gap`
+//! cycles, the write engine drains one every `write` cycles, and the FIFO
+//! holds [`fifo::interstage_depth`] vector words. Every row of the segment
+//! costs the same and every pass is alike, so the run's counts are one
+//! pass's times the pass count.
 
 use crate::cycles::{CyclePlan, RowBound, Schedule, ShardedPlan};
 use crate::design::{StencilDesign, Workload};
@@ -36,10 +45,6 @@ use sf_telemetry::{Recorder, StallClass};
 /// aggregate span so 60 000-iteration runs don't emit 1 000 identical
 /// events.
 const MAX_PASS_SPANS: u64 = 256;
-
-/// Rows actually stepped by the FIFO backpressure model; longer streams
-/// are sampled and scaled.
-const MAX_BACKPRESSURE_ROWS: u64 = 4096;
 
 /// Emit the full schedule trace for `(design, wl, niter)` into `rec` and
 /// return the cycle plan it narrates. With a disabled recorder this is
@@ -163,7 +168,7 @@ pub(crate) fn record_schedule(rec: &mut Recorder, sched: &Schedule<'_>, plan: &C
 /// Charge each segment's `passes × rows × row cycles` to the stall class
 /// its [`RowBound`] names, summed over devices. The static plan sizes
 /// inter-stage FIFOs so chained stages never backpressure
-/// ([`fifo::interstage_depth`]); observed backpressure is recorded
+/// ([`fifo::interstage_depth`]); backpressure on the write side is priced
 /// separately.
 fn attribute_stalls(rec: &mut Recorder, sched: &Schedule<'_>, passes: u64) {
     let (mut compute, mut memory) = (0u64, 0u64);
@@ -179,7 +184,7 @@ fn attribute_stalls(rec: &mut Recorder, sched: &Schedule<'_>, passes: u64) {
 }
 
 /// The single-device detail of [`record_schedule`]: segment spans with
-/// AXI utilisation, stall attribution and the FIFO backpressure model.
+/// AXI utilisation, stall attribution and FIFO backpressure.
 fn record_segments(rec: &mut Recorder, sched: &Schedule<'_>, tr: &PlanTrace, plan: &CyclePlan) {
     let (dev, design) = (sched.dev, sched.design);
     // Each segment costs (data + fill) rows at its row rate plus its
@@ -223,41 +228,61 @@ fn record_segments(rec: &mut Recorder, sched: &Schedule<'_>, tr: &PlanTrace, pla
     attribute_stalls(rec, sched, plan.passes);
 
     // ---- FIFO backpressure between the compute chain and the write engine --
-    // The producer emits one row every max(compute, read) + gap cycles; the
-    // write engine drains one every `write` cycles, through the interstage
-    // FIFO the synthesizer sizes. With write ≤ producer rate (every design
-    // the static plan calls compute- or read-bound) the FIFO never fills and
-    // zero backpressure is recorded — matching PlanTrace. A write-dominated
-    // segment fills the FIFO and surfaces producer stalls here.
+    // With write ≤ producer rate (every design the static plan calls compute-
+    // or read-bound) the FIFO never fills and zero backpressure is recorded,
+    // matching PlanTrace. A write-dominated segment surfaces producer stalls.
     if let Some(s) = sched.segments().max_by_key(|s| s.rows()) {
         let t = s.timing;
-        let produce = t.compute.max(t.read) + t.gap;
-        let drain = t.write.max(1);
         let depth_words =
             fifo::interstage_depth(dev.axi_burst_bytes, design.v, design.spec.elem_bytes);
-        let cap_rows = (depth_words * design.v / s.x.read_len.max(1)).max(1);
-        let rows_per_pass = s.rows();
-        let sim_rows = rows_per_pass.min(MAX_BACKPRESSURE_ROWS);
-        let bp = fifo::simulate_backpressure(sim_rows, produce, drain, cap_rows);
-        // Scale the sampled pass back up to the full run.
-        let scale = |x: u64| {
-            (x as f64 * (rows_per_pass as f64 / sim_rows.max(1) as f64) * plan.passes as f64) as u64
-        };
-        rec.counter_add("fifo.total_pushes", scale(bp.total_pushes));
-        rec.counter_add("fifo.stalls", scale(bp.stats.stalls));
+        let cap_rows = (depth_words * design.v / s.x.read_len.max(1)).max(1) as u64;
+        let rows = s.rows();
+        let (stalls, high_water) =
+            chain_backpressure(rows, t.compute.max(t.read) + t.gap, t.write.max(1), cap_rows);
+        rec.counter_add("fifo.total_pushes", rows.saturating_mul(plan.passes));
+        rec.counter_add("fifo.stalls", stalls.saturating_mul(plan.passes));
         let fifo_track = rec.track("fifo:chain->wr");
-        rec.gauge(fifo_track, "high_water", 0, bp.stats.high_water as f64);
-        rec.gauge(fifo_track, "capacity", 0, bp.stats.capacity as f64);
-        rec.gauge(fifo_track, "stall_rate", 0, {
-            let attempts = bp.stats.stalls + bp.total_pushes;
-            if attempts == 0 {
-                0.0
-            } else {
-                bp.stats.stalls as f64 / attempts as f64
-            }
-        });
-        rec.stall(StallClass::Backpressure, scale(bp.stall_cycles));
+        rec.gauge(fifo_track, "high_water", 0, high_water as f64);
+        rec.gauge(fifo_track, "capacity", 0, cap_rows as f64);
+        let stall_rate =
+            if stalls == 0 { 0.0 } else { stalls as f64 / stalls.saturating_add(rows) as f64 };
+        rec.gauge(fifo_track, "stall_rate", 0, stall_rate);
+        rec.stall(StallClass::Backpressure, stalls.saturating_mul(plan.passes));
     }
+}
+
+/// Backpressure on the chain→write FIFO over one pass of `rows` rows, as
+/// `(stall cycles, high water)`. The chain offers row `k` at cycle
+/// `k·produce` unless all `cap` rows of the FIFO are full, and then every
+/// cycle until one frees; each stalled cycle delays every later row. The
+/// write engine takes one row every `drain` cycles from cycle `drain` on,
+/// and a push lands before a pop of the same cycle.
+///
+/// A write engine faster than the chain holds at most one row. A slower one
+/// pops row `j` at cycle `(j + 1)·drain`, so row `k ≥ cap` lands one cycle
+/// after the pop of row `k − cap`, and the last row at
+/// `(rows − cap)·drain + 1` rather than `(rows − 1)·produce`: the
+/// difference is the stall. Without a stall the FIFO is deepest at the last
+/// push, less the rows popped before it. Products saturate, so an absurd
+/// mesh cannot overflow.
+fn chain_backpressure(rows: u64, produce: u64, drain: u64, cap: u64) -> (u64, u64) {
+    if rows == 0 {
+        return (0, 0);
+    }
+    let last_push = (rows - 1).saturating_mul(produce);
+    let stalls = if rows > cap {
+        (rows - cap).saturating_mul(drain).saturating_add(1).saturating_sub(last_push)
+    } else {
+        0
+    };
+    let high_water = if stalls > 0 {
+        cap
+    } else if drain < produce {
+        1
+    } else {
+        rows - last_push.saturating_sub(1) / drain
+    };
+    (stalls, high_water)
 }
 
 #[cfg(test)]
@@ -269,6 +294,67 @@ mod tests {
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
+    }
+
+    /// What [`chain_backpressure`] computes, stepped one cycle at a time
+    /// over an occupancy count.
+    fn stepped_backpressure(rows: u64, produce: u64, drain: u64, cap: u64) -> (u64, u64) {
+        let (mut held, mut high_water, mut stalls) = (0, 0, 0);
+        let (mut pushed, mut popped, mut next_push, mut next_pop) = (0, 0, 0, drain);
+        let mut cycle = 0;
+        while popped < rows {
+            if pushed < rows && cycle >= next_push {
+                if held == cap {
+                    stalls += 1;
+                } else {
+                    held += 1;
+                    pushed += 1;
+                    high_water = high_water.max(held);
+                    next_push = cycle + produce;
+                }
+            }
+            if held > 0 && cycle >= next_pop {
+                held -= 1;
+                popped += 1;
+                next_pop = cycle + drain;
+            }
+            cycle += 1;
+        }
+        (stalls, high_water)
+    }
+
+    #[test]
+    fn closed_form_backpressure_matches_the_stepped_model() {
+        // write engines faster than, as fast as and slower than the chain,
+        // one-row FIFOs, and passes shorter and longer than the FIFO
+        let grid = (0..=40).flat_map(|rows| {
+            (1..=9).flat_map(move |produce| {
+                (1..=9).flat_map(move |drain| (1..=6).map(move |cap| (rows, produce, drain, cap)))
+            })
+        });
+        let long = [(460, 7, 9, 3), (460, 9, 7, 3), (4096, 2, 3, 16), (4096, 5, 5, 1)];
+        for (rows, produce, drain, cap) in grid.chain(long) {
+            assert_eq!(
+                chain_backpressure(rows, produce, drain, cap),
+                stepped_backpressure(rows, produce, drain, cap),
+                "{rows} rows, produced every {produce}, drained every {drain}, {cap} deep"
+            );
+        }
+        // (rows, produce, drain, cap) → (stall cycles, high water): matched
+        // rates never stall and hold at most two rows; a chain twice as fast
+        // fills a 4-row FIFO and stalls, while a 64-row one absorbs the
+        // burst; a chain four times as fast stalls for most of the pass, and
+        // the FIFO never holds more than its capacity
+        for (case, want) in [
+            ((100, 3, 3, 4), (0, 2)),
+            ((200, 1, 2, 4), (194, 4)),
+            ((50, 1, 2, 64), (0, 26)),
+            ((400, 1, 4, 8), (1170, 8)),
+        ] {
+            let (rows, produce, drain, cap) = case;
+            assert_eq!(stepped_backpressure(rows, produce, drain, cap), want, "{case:?}");
+            assert_eq!(chain_backpressure(rows, produce, drain, cap), want, "{case:?}");
+        }
     }
 
     #[test]
