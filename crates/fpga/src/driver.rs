@@ -44,7 +44,7 @@ use crate::window::{
     build_chain, run_chain, Chain, ChainTrace, Engine, ScalarEngine, Sink, WindowPool,
 };
 use crate::{power, profile};
-use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
+use sf_faults::{FaultInjector, RetryPolicy};
 use sf_mesh::Element;
 use sf_recover::{GoldenTrajectory, RecoveryConfig, RecoveryPolicy, RecoveryStats};
 use sf_telemetry::Recorder;
@@ -102,12 +102,9 @@ pub trait GridKernel<B>: Clone + Sync {
 pub enum Faults<'a> {
     /// A fault-free run: schedule trace plus window events, no watchdog.
     Off,
-    /// One injector consulted across the whole stacked stream.
+    /// One injector consulted across the whole stacked stream: no per-mesh
+    /// fan-out, no tiles and one device.
     Injector(&'a mut FaultInjector),
-    /// A base plan; each batch member gets an injector seeded from it and
-    /// its index ([`crate::recovery::derive_mesh_plan`]). Needs per-mesh
-    /// fan-out and the rollback policy.
-    Plan(FaultPlan),
 }
 
 /// A run description: everything one execution needs besides its input.
@@ -279,25 +276,21 @@ impl<'a, K> Run<'a, K> {
                 unsupported("batch executors need a Baseline or Batched design")
             }
             Faults::Off if self.recovery.is_some() => {
-                unsupported("checkpoint recovery needs a fault injector or plan")
+                unsupported("checkpoint recovery needs a fault injector")
             }
             Faults::Off => Ok(()),
             _ if sharded => unsupported("sharded runs inject no faults"),
             _ if tiled => unsupported("fault injection targets whole-mesh streaming designs"),
             Faults::Injector(_) if self.jobs.is_some() => {
-                unsupported("per-mesh fan-out takes a fault plan, not a shared injector")
+                unsupported("per-mesh fan-out injects no faults")
             }
             Faults::Injector(_) => Ok(()),
-            Faults::Plan(_) if self.jobs.is_none() => {
-                unsupported("a fault plan seeds per-mesh injectors: set jobs")
-            }
-            Faults::Plan(_) => Ok(()),
         };
         combination?;
         let Some(t) = self.trajectory else { return Ok(sched) };
         let rollback =
             matches!(self.recovery.map(|r| r.policy), Some(RecoveryPolicy::Rollback { .. }));
-        if !rollback || self.jobs.is_some() {
+        if !rollback {
             return Err(ExecError::Unsupported {
                 detail: "a golden trajectory serves single-stream rollback runs".to_string(),
             });
@@ -406,15 +399,7 @@ impl<'a, K> Run<'a, K> {
                     let report = SimReport::from_plan(design, &fp.plan, n_iter, power_w);
                     return Ok((out, report, RecoveryStats::default()));
                 };
-                let prm = RecoverParams::new(
-                    rcfg,
-                    max_retries,
-                    String::new(),
-                    dev,
-                    design,
-                    input,
-                    budget,
-                );
+                let prm = RecoverParams::new(rcfg, max_retries, dev, design, input, budget);
                 let (out, stats) = recovery::recover(&px, input, niter, inj, &prm, trajectory)
                     .map_err(|e| with_stalls(e, rec))?;
                 let report = recovery::finalize(
@@ -427,39 +412,6 @@ impl<'a, K> Run<'a, K> {
                     inj.injected(),
                     rec,
                 );
-                Ok((out, report, stats))
-            }
-            Faults::Plan(base) => {
-                let base = *base;
-                let Some((rcfg, max_retries)) = rollback else {
-                    return Err(ExecError::Unsupported {
-                        detail: "batch-parallel recovery requires the rollback policy".to_string(),
-                    });
-                };
-                // AXI faults model the shared memory interface: one injector
-                // prices the whole batch's bursts.
-                let mut axi_inj = FaultInjector::new(base);
-                let fp = plan_with_faults(dev, design, &wl, n_iter, &mut axi_inj, &retry)?;
-                let budget = pass_budget(design, input.mesh_units() as u64, px.unit_cycles);
-                let (out, per) = per_mesh(jobs.unwrap_or(1), input, |i, mesh| {
-                    let mut inj = FaultInjector::new(recovery::derive_mesh_plan(&base, i));
-                    let prefix = format!("mesh{i}_");
-                    let prm =
-                        RecoverParams::new(rcfg, max_retries, prefix, dev, design, &mesh, budget);
-                    let (out, stats) = recovery::recover(&px, &mesh, niter, &mut inj, &prm, None)?;
-                    Ok((out, (stats, inj.injected())))
-                })
-                .map_err(|e| with_stalls(e, rec))?;
-                let mut stats = RecoveryStats::default();
-                let mut injected = axi_inj.injected();
-                for (s, n) in &per {
-                    stats.merge(s);
-                    injected += n;
-                }
-                let mesh_bytes =
-                    (input.as_slice().len() / input.batch() * B::Cell::size_bytes()) as u64;
-                let report =
-                    recovery::finalize(dev, design, &fp, n_iter, mesh_bytes, &stats, injected, rec);
                 Ok((out, report, stats))
             }
         }
@@ -662,7 +614,7 @@ mod tests {
     use crate::cycles;
     use crate::design::{synthesize, MemKind};
     use crate::error::MultiError;
-    use sf_faults::FaultKind;
+    use sf_faults::{FaultKind, FaultPlan};
     use sf_kernels::{rtm, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
     use sf_mesh::{Batch2D, Batch3D};
 
@@ -680,7 +632,6 @@ mod tests {
         let one = Batch2D::<f32>::zeros(64, 16, 1);
         let two = Batch2D::<f32>::zeros(64, 16, 2);
         let rcfg = RecoveryConfig { policy: RecoveryPolicy::Rerun, ..RecoveryConfig::default() };
-        let plan = FaultPlan::single(1, sf_faults::FaultKind::BitFlip, 1);
         let mut rec = Recorder::disabled();
         let shape = |r: Result<(Batch2D<f32>, SimReport, RecoveryStats), ExecError>| {
             matches!(r, Err(ExecError::ShapeMismatch { .. }))
@@ -697,18 +648,6 @@ mod tests {
         let r = Run { recovery: Some(&rcfg), ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec) }
             .simulate(&one);
         assert!(unsupported(r));
-        let r =
-            Run { faults: Faults::Plan(plan), ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec) }
-                .simulate(&one);
-        assert!(unsupported(r));
-        let r = Run {
-            jobs: Some(1),
-            faults: Faults::Plan(plan),
-            recovery: Some(&rcfg),
-            ..Run::new(&dev, &base, &[Poisson2D], 4, &mut rec)
-        }
-        .simulate(&one);
-        assert!(unsupported(r), "a plan needs the rollback policy");
         // Device counts are checked by the walk: a sharded run still checks
         // the batch size and takes no faults, and a device count the 16
         // rows cannot be cut into, or a tiled design on two devices, is a

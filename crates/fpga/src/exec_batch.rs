@@ -21,8 +21,8 @@
 //!   mesh's position in the batched stream; shards merge back in mesh
 //!   order, so the exported Chrome trace and flat-metrics JSON are
 //!   byte-identical for every `jobs` value.
-//! * **Faults** — a fault plan seeds one injector per mesh from the mesh
-//!   index, so per-mesh checkpoint/rollback runs are `jobs`-invariant too.
+//! * **Faults** — none are injected: a fault-aware run streams the batch as
+//!   one stream through one injector ([`crate::driver::Faults`]).
 
 use crate::driver::StreamGrid;
 use crate::error::ExecError;

@@ -43,11 +43,9 @@
 //! visible in the flat-metrics JSON and in cross-run `RunRecord`s.
 //!
 //! Determinism: the fault injector's RNG advances exactly once per
-//! opportunity, replays re-consult it (a single-injection plan is clean
-//! on replay — its budget is spent), and per-mesh runs derive their
-//! injector seeds by index ([`derive_mesh_plan`]), so outputs, stats and
-//! telemetry are byte-identical for any `--jobs` value and reproducible
-//! per seed.
+//! opportunity and replays re-consult it (a single-injection plan is clean
+//! on replay — its budget is spent), so outputs, stats and telemetry are
+//! reproducible per seed.
 //!
 //! [`CyclePlan`]: crate::cycles::CyclePlan
 //! [`Run::trajectory`]: crate::driver::Run::trajectory
@@ -60,7 +58,7 @@ use crate::power;
 use crate::report::SimReport;
 use crate::resilient::{FaultHook, FaultyPlan};
 use crate::window::Engine;
-use sf_faults::{FaultInjector, FaultPlan};
+use sf_faults::FaultInjector;
 use sf_mesh::Element;
 use sf_recover::{
     abft_check_cycles, spill, AbftSignature, CheckpointRing, GoldenTrajectory, RecoveryConfig,
@@ -93,9 +91,8 @@ pub(crate) struct RecoverParams {
     ring_capacity: usize,
     /// ABFT comparison tolerance.
     abft_tol: f64,
-    /// Spill directory (optional) and file-name prefix for this stream.
+    /// Spill directory (optional).
     spill_dir: Option<PathBuf>,
-    spill_prefix: String,
     /// Bytes of one snapshot of the stream.
     pub(crate) mesh_bytes: u64,
     /// Cycles charged per checkpoint write.
@@ -107,12 +104,10 @@ pub(crate) struct RecoverParams {
 }
 
 impl RecoverParams {
-    /// Parameters for recovering `stream` (a whole batch, or one member of
-    /// a per-mesh run) under `rcfg`.
+    /// Parameters for recovering `stream` under `rcfg`.
     pub(crate) fn new<B: StreamGrid>(
         rcfg: &RecoveryConfig,
         max_retries: u32,
-        spill_prefix: String,
         dev: &FpgaDevice,
         design: &StencilDesign,
         stream: &B,
@@ -126,7 +121,6 @@ impl RecoverParams {
             ring_capacity: rcfg.ring_capacity,
             abft_tol: rcfg.abft_tol,
             spill_dir: rcfg.spill_dir.clone(),
-            spill_prefix,
             mesh_bytes,
             ckpt_cost: checkpoint_cost_cycles(dev, design, mesh_bytes),
             abft_cost: abft_check_cycles(cells as u64, design.v),
@@ -163,7 +157,7 @@ impl RecoverParams {
             state.as_slice(),
         );
         if let Some(dir) = &self.spill_dir {
-            let path = dir.join(format!("{}ckpt_{passes_done:06}.sfckpt", self.spill_prefix));
+            let path = dir.join(format!("ckpt_{passes_done:06}.sfckpt"));
             spill::write_file(&path, &snap)
                 .map_err(|e| ExecError::Checkpoint { detail: e.to_string() })?;
         }
@@ -348,23 +342,6 @@ pub(crate) fn finalize(
     SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design))
 }
 
-/// SplitMix64 finalizer used to derive independent per-mesh fault seeds.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Per-mesh fault plan for per-mesh runs: same kind, rate and injection
-/// budget, seed derived from the base seed and the mesh index.
-pub fn derive_mesh_plan(base: &FaultPlan, mesh_index: usize) -> FaultPlan {
-    FaultPlan {
-        seed: mix(base.seed ^ (mesh_index as u64).wrapping_mul(0xa076_1d64_78bd_642f)),
-        ..*base
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,7 +349,7 @@ mod tests {
     use crate::driver::{Faults, Run};
     use crate::fast::{ExecEngine, FastEngine};
     use crate::window::ScalarEngine;
-    use sf_faults::FaultKind;
+    use sf_faults::{FaultKind, FaultPlan};
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
     use sf_mesh::{norms, Batch2D, Batch3D, Mesh2D, Mesh3D};
     use sf_recover::RecoveryPolicy;
@@ -663,53 +640,5 @@ mod tests {
         }
         .simulate(&batch);
         assert!(matches!(r, Err(ExecError::Unsupported { .. })), "{:?}", r.map(|_| ()));
-        let r = Run {
-            jobs: Some(1),
-            faults: Faults::Plan(BITFLIP),
-            recovery: Some(&rollback_cfg(4)),
-            trajectory: Some(&golden),
-            ..Run::new(&dev(), &ds, &[Poisson2D], 12, &mut rec)
-        }
-        .simulate(&batch);
-        assert!(matches!(r, Err(ExecError::Unsupported { .. })), "{:?}", r.map(|_| ()));
-    }
-
-    #[test]
-    fn batch_parallel_recovery_is_jobs_invariant() {
-        let wl = Workload::D2 { nx: 24, ny: 12, batch: 3 };
-        let ds = synthesize(
-            &dev(),
-            &StencilSpec::poisson(),
-            8,
-            2,
-            ExecMode::Batched { b: 3 },
-            MemKind::Hbm,
-            &wl,
-        )
-        .unwrap();
-        let batch = Batch2D::<f32>::random(24, 12, 3, 11, -1.0, 1.0);
-        let plan = FaultPlan::single(99, FaultKind::BitFlip, 200_000);
-        let run = |jobs: usize| {
-            let mut rec = Recorder::disabled();
-            Run {
-                engine: ExecEngine::Scalar,
-                jobs: Some(jobs),
-                faults: Faults::Plan(plan),
-                recovery: Some(&rollback_cfg(2)),
-                ..Run::new(&dev(), &ds, &[Poisson2D], 8, &mut rec)
-            }
-            .simulate(&batch)
-            .unwrap()
-        };
-        let (o1, r1, s1) = run(1);
-        let (o4, r4, s4) = run(4);
-        assert!(norms::bit_equal(o1.as_slice(), o4.as_slice()));
-        assert_eq!(s1, s4);
-        assert_eq!(r1.total_cycles, r4.total_cycles);
-        // every mesh result is bit-exact vs its own reference solve
-        for i in 0..3 {
-            let expect = reference::run_2d(&Poisson2D, &batch.mesh(i), 8);
-            assert!(norms::bit_equal(o1.mesh(i).as_slice(), expect.as_slice()), "mesh {i}");
-        }
     }
 }
