@@ -23,6 +23,9 @@
 //!                       [--compare baseline.json] [--max-regress 5%]
 //! ```
 //!
+//! Each command reads its own flags, those shown for it here and below;
+//! any other flag is a usage error (exit 2) that names the flag.
+//!
 //! `dse`, `profile` and `faults` additionally accept `--jobs N` to fan
 //! their work (candidate evaluation, batched meshes, fault trials) across
 //! N worker threads. Output is byte-identical for any N; the default is
@@ -44,6 +47,8 @@
 //! the sharded campaign designs against the SFC-X legality rule and
 //! stamps the device count into run records (trials stream each app's
 //! fixed single-card configuration so fault seeds stay comparable).
+//! `compare`, `explain` and `check` (without `--v`/`--p`) take the best
+//! design of the same device sweep.
 //! `--devices 0`, shards narrower than the halo depth, and unknown link
 //! names are usage errors (exit 2).
 //!
@@ -117,22 +122,89 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Check a command line against the flags its command reads, before any
-/// work starts: `--help`/`-h` prints the usage on stdout and exits 0, and a
-/// flag the command does not read, or a valued flag without its value, is
-/// a usage error that names the flag.
-fn check_flags(argv: &[String], valued: &[&str]) {
-    match sf_bench::cli::check_flags(argv, valued, &["--json"]) {
+fn help() -> ! {
+    println!("{USAGE}");
+    std::process::exit(0);
+}
+
+/// Check a command line against the flags its command `cmd` reads, before
+/// any work starts: `--help`/`-h` prints the usage on stdout and exits 0,
+/// and a flag the command does not read, or a valued flag without its
+/// value, is a usage error that names the flag.
+fn check_flags(argv: &[String], cmd: &str, valued: &[&str], switches: &[&str]) {
+    match sf_bench::cli::check_flags(argv, valued, switches) {
         sf_bench::cli::FlagCheck::Run => {}
-        sf_bench::cli::FlagCheck::Help => {
-            println!("{USAGE}");
-            std::process::exit(0);
+        sf_bench::cli::FlagCheck::Help => help(),
+        sf_bench::cli::FlagCheck::Unknown(flag) => {
+            fail(&format!("unknown flag '{flag}' for {cmd}"))
         }
-        sf_bench::cli::FlagCheck::Unknown(flag) => fail(&format!("unknown flag '{flag}'")),
         sf_bench::cli::FlagCheck::MissingValue(flag) => {
             fail(&format!("flag '{flag}' needs a value"))
         }
     }
+}
+
+/// The flags each common command reads: its valued flags and its switches.
+fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    const JSON: &[&str] = &["--json"];
+    Some(match cmd {
+        "feasibility" => (&["--app", "--mesh"], JSON),
+        "dse" => (
+            &[
+                "--app",
+                "--mesh",
+                "--batch",
+                "--iters",
+                "--top",
+                "--jobs",
+                "--devices",
+                "--link",
+                "--record-out",
+            ],
+            JSON,
+        ),
+        "compare" | "explain" => {
+            (&["--app", "--mesh", "--batch", "--iters", "--devices", "--link"], &[])
+        }
+        "report" => {
+            (&["--app", "--mesh", "--batch", "--iters", "--v", "--p", "--mem", "--tile"], JSON)
+        }
+        "profile" => (
+            &[
+                "--app",
+                "--mesh",
+                "--batch",
+                "--iters",
+                "--jobs",
+                "--exec",
+                "--devices",
+                "--link",
+                "--trace-out",
+                "--record-out",
+            ],
+            JSON,
+        ),
+        "check" => (
+            &[
+                "--app",
+                "--mesh",
+                "--batch",
+                "--iters",
+                "--v",
+                "--p",
+                "--mem",
+                "--tile",
+                "--fifo-depth",
+                "--window-units",
+                "--assume-order",
+                "--assume-gdsp",
+                "--devices",
+                "--link",
+            ],
+            JSON,
+        ),
+        _ => return None,
+    })
 }
 
 struct Args {
@@ -163,36 +235,14 @@ fn parse() -> Args {
     if argv.is_empty() {
         fail("missing command");
     }
-    check_flags(
-        &argv,
-        &[
-            "--app",
-            "--mesh",
-            "--batch",
-            "--iters",
-            "--top",
-            "--v",
-            "--p",
-            "--mem",
-            "--tile",
-            "--fifo-depth",
-            "--window-units",
-            "--assume-order",
-            "--assume-gdsp",
-            "--jobs",
-            "--exec",
-            "--devices",
-            "--link",
-            "--trace-out",
-            "--record-out",
-        ],
-    );
     let cmd = argv[0].clone();
-    const COMMANDS: [&str; 7] =
-        ["feasibility", "dse", "compare", "report", "explain", "profile", "check"];
-    if !COMMANDS.contains(&cmd.as_str()) {
+    let Some((valued, switches)) = command_flags(&cmd) else {
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            help();
+        }
         fail(&format!("unknown command '{cmd}'"));
-    }
+    };
+    check_flags(&argv, &cmd, valued, switches);
     let get = |flag: &str| -> Option<String> {
         argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())
     };
@@ -367,6 +417,7 @@ fn run_faults(argv: &[String], started: std::time::Instant) {
     use sf_bench::faults::{run_campaign, CampaignApp, CampaignConfig, RecoveryMode};
     check_flags(
         argv,
+        "faults",
         &[
             "--app",
             "--seed",
@@ -381,6 +432,7 @@ fn run_faults(argv: &[String], started: std::time::Instant) {
             "--kind",
             "--record-out",
         ],
+        &["--json"],
     );
     let get = |flag: &str| -> Option<String> {
         argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())

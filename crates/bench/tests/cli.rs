@@ -59,6 +59,38 @@ fn unknown_flags_exit_2_and_name_the_flag() {
 }
 
 #[test]
+fn flags_a_command_does_not_read_exit_2_and_name_the_flag() {
+    let poisson = ["--app", "poisson", "--mesh", "200x30"];
+    for (cmd, rest, flag) in [
+        (
+            "profile",
+            &["--iters", "16", "--v", "8", "--p", "8", "--tile", "64", "--mem", "ddr4"][..],
+            "--v",
+        ),
+        ("profile", &["--iters", "16", "--mem", "ddr4"], "--mem"),
+        ("explain", &["--v", "8", "--p", "8", "--mem", "ddr4"], "--v"),
+        ("explain", &["--mem", "ddr4"], "--mem"),
+        (
+            "feasibility",
+            &["--iters", "5", "--top", "3", "--trace-out", "x", "--exec", "scalar"],
+            "--iters",
+        ),
+        ("feasibility", &["--exec", "scalar"], "--exec"),
+        ("compare", &["--json"], "--json"),
+        ("dse", &["--exec", "scalar"], "--exec"),
+        ("report", &["--v", "8", "--p", "60", "--jobs", "2"], "--jobs"),
+        ("check", &["--trace-out", "x"], "--trace-out"),
+    ] {
+        let args = [&[cmd][..], &poisson, rest].concat();
+        let out = sfstencil().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("unknown flag '{flag}' for {cmd}")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work may start");
+    }
+}
+
+#[test]
 fn a_flag_value_is_never_another_flag() {
     // run in a directory of its own, so a file named after a flag would show
     let dir = std::env::temp_dir().join(format!("sfstencil_cli_values_{}", std::process::id()));
