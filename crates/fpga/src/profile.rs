@@ -258,9 +258,9 @@ fn record_segments(rec: &mut Recorder, sched: &Schedule<'_>, tr: &PlanTrace, pla
 /// write engine takes one row every `drain` cycles from cycle `drain` on,
 /// and a push lands before a pop of the same cycle.
 ///
-/// A write engine faster than the chain holds at most one row. A slower one
-/// pops row `j` at cycle `(j + 1)·drain`, so row `k ≥ cap` lands one cycle
-/// after the pop of row `k − cap`, and the last row at
+/// A write engine faster than the chain holds at most one row. One no
+/// faster pops row `j` at cycle `(j + 1)·drain`, so row `k ≥ cap` lands one
+/// cycle after the pop of row `k − cap`, and the last row at
 /// `(rows − cap)·drain + 1` rather than `(rows − 1)·produce`: the
 /// difference is the stall. Without a stall the FIFO is deepest at the last
 /// push, less the rows popped before it. Products saturate, so an absurd
