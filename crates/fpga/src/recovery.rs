@@ -218,13 +218,12 @@ pub fn golden_trajectory<B: StreamGrid, K: GridKernel<B>>(
     golden
 }
 
-/// The checkpoint/ABFT/rollback loop over one stream (a whole batch for a
-/// single-stream run, one mesh for a per-mesh run). Every segment attempt
-/// and replay streams through the run's engine, its chains built around
-/// the run's window pool; the ABFT expected side is always the golden
-/// reference — read from `golden` when the segment starts on its state,
-/// re-solved otherwise — so every engine is verified against the same
-/// signatures.
+/// The checkpoint/ABFT/rollback loop over a run's one stream, its whole
+/// batch back to back. Every segment attempt and replay streams through the
+/// run's engine, its chains built around the run's window pool; the ABFT
+/// expected side is always the golden reference — read from `golden` when
+/// the segment starts on its state, re-solved otherwise — so every engine
+/// is verified against the same signatures.
 pub(crate) fn recover<B, K, E>(
     px: &Passes<'_, K, E>,
     input: &B,

@@ -102,18 +102,6 @@ impl RecoveryStats {
     pub fn overhead_cycles(&self) -> u64 {
         self.checkpoint_cycles + self.abft_cycles + self.recovery_cycles
     }
-
-    /// Merge another run's stats into this one (batch-parallel shards).
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.checkpoints_taken += other.checkpoints_taken;
-        self.checkpoint_cycles += other.checkpoint_cycles;
-        self.abft_checks += other.abft_checks;
-        self.abft_cycles += other.abft_cycles;
-        self.sdc_detected += other.sdc_detected;
-        self.rollbacks += other.rollbacks;
-        self.batches_replayed += other.batches_replayed;
-        self.recovery_cycles += other.recovery_cycles;
-    }
 }
 
 #[cfg(test)]
@@ -141,10 +129,5 @@ mod tests {
         s.abft_cycles = 10;
         assert_eq!(s.mean_cycles_to_recovery(), 150);
         assert_eq!(s.overhead_cycles(), 350);
-        let mut t = RecoveryStats::default();
-        t.merge(&s);
-        t.merge(&s);
-        assert_eq!(t.rollbacks, 4);
-        assert_eq!(t.recovery_cycles, 600);
     }
 }
