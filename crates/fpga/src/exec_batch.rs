@@ -22,7 +22,7 @@
 //!   order, so the exported Chrome trace and flat-metrics JSON are
 //!   byte-identical for every `jobs` value.
 //! * **Faults** — none are injected: a fault-aware run streams the batch as
-//!   one stream through one injector ([`crate::driver::Faults`]).
+//!   one stream through one injector ([`crate::Faults`]).
 
 use crate::driver::StreamGrid;
 use crate::error::ExecError;
