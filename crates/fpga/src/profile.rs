@@ -24,7 +24,7 @@
 //!
 //! One device also prices backpressure on the FIFO between the compute
 //! chain and the write engine, in closed form over a whole pass
-//! (`chain_backpressure`). The segment that streams the most rows stands
+//! (`fifo::chain_backpressure`). The segment that streams the most rows stands
 //! for the pass: the chain offers a row every `max(compute, read) + gap`
 //! cycles, the write engine drains one every `write` cycles, and the FIFO
 //! holds [`fifo::interstage_depth`] vector words. Every row of the segment
@@ -238,7 +238,7 @@ fn record_segments(rec: &mut Recorder, sched: &Schedule<'_>, tr: &PlanTrace, pla
         let cap_rows = (depth_words * design.v / s.x.read_len.max(1)).max(1) as u64;
         let rows = s.rows();
         let (stalls, high_water) =
-            chain_backpressure(rows, t.compute.max(t.read) + t.gap, t.write.max(1), cap_rows);
+            fifo::chain_backpressure(rows, t.compute.max(t.read) + t.gap, t.write.max(1), cap_rows);
         rec.counter_add("fifo.total_pushes", rows.saturating_mul(plan.passes));
         rec.counter_add("fifo.stalls", stalls.saturating_mul(plan.passes));
         let fifo_track = rec.track("fifo:chain->wr");
@@ -249,40 +249,6 @@ fn record_segments(rec: &mut Recorder, sched: &Schedule<'_>, tr: &PlanTrace, pla
         rec.gauge(fifo_track, "stall_rate", 0, stall_rate);
         rec.stall(StallClass::Backpressure, stalls.saturating_mul(plan.passes));
     }
-}
-
-/// Backpressure on the chain→write FIFO over one pass of `rows` rows, as
-/// `(stall cycles, high water)`. The chain offers row `k` at cycle
-/// `k·produce` unless all `cap` rows of the FIFO are full, and then every
-/// cycle until one frees; each stalled cycle delays every later row. The
-/// write engine takes one row every `drain` cycles from cycle `drain` on,
-/// and a push lands before a pop of the same cycle.
-///
-/// A write engine faster than the chain holds at most one row. One no
-/// faster pops row `j` at cycle `(j + 1)·drain`, so row `k ≥ cap` lands one
-/// cycle after the pop of row `k − cap`, and the last row at
-/// `(rows − cap)·drain + 1` rather than `(rows − 1)·produce`: the
-/// difference is the stall. Without a stall the FIFO is deepest at the last
-/// push, less the rows popped before it. Products saturate, so an absurd
-/// mesh cannot overflow.
-fn chain_backpressure(rows: u64, produce: u64, drain: u64, cap: u64) -> (u64, u64) {
-    if rows == 0 {
-        return (0, 0);
-    }
-    let last_push = (rows - 1).saturating_mul(produce);
-    let stalls = if rows > cap {
-        (rows - cap).saturating_mul(drain).saturating_add(1).saturating_sub(last_push)
-    } else {
-        0
-    };
-    let high_water = if stalls > 0 {
-        cap
-    } else if drain < produce {
-        1
-    } else {
-        rows - last_push.saturating_sub(1) / drain
-    };
-    (stalls, high_water)
 }
 
 #[cfg(test)]
@@ -296,7 +262,7 @@ mod tests {
         FpgaDevice::u280()
     }
 
-    /// What [`chain_backpressure`] computes, stepped one cycle at a time
+    /// What [`fifo::chain_backpressure`] computes, stepped one cycle at a time
     /// over an occupancy count.
     fn stepped_backpressure(rows: u64, produce: u64, drain: u64, cap: u64) -> (u64, u64) {
         let (mut held, mut high_water, mut stalls) = (0, 0, 0);
@@ -332,28 +298,25 @@ mod tests {
                 (1..=9).flat_map(move |drain| (1..=6).map(move |cap| (rows, produce, drain, cap)))
             })
         });
-        let long = [(460, 7, 9, 3), (460, 9, 7, 3), (4096, 2, 3, 16), (4096, 5, 5, 1)];
+        // plus longer passes, and the value cases of `fifo`'s tests: matched
+        // rates, a chain twice as fast behind a 4- and a 64-row FIFO, and one
+        // four times as fast
+        let long = [
+            (460, 7, 9, 3),
+            (460, 9, 7, 3),
+            (4096, 2, 3, 16),
+            (4096, 5, 5, 1),
+            (100, 3, 3, 4),
+            (200, 1, 2, 4),
+            (50, 1, 2, 64),
+            (400, 1, 4, 8),
+        ];
         for (rows, produce, drain, cap) in grid.chain(long) {
             assert_eq!(
-                chain_backpressure(rows, produce, drain, cap),
+                fifo::chain_backpressure(rows, produce, drain, cap),
                 stepped_backpressure(rows, produce, drain, cap),
                 "{rows} rows, produced every {produce}, drained every {drain}, {cap} deep"
             );
-        }
-        // (rows, produce, drain, cap) → (stall cycles, high water): matched
-        // rates never stall and hold at most two rows; a chain twice as fast
-        // fills a 4-row FIFO and stalls, while a 64-row one absorbs the
-        // burst; a chain four times as fast stalls for most of the pass, and
-        // the FIFO never holds more than its capacity
-        for (case, want) in [
-            ((100, 3, 3, 4), (0, 2)),
-            ((200, 1, 2, 4), (194, 4)),
-            ((50, 1, 2, 64), (0, 26)),
-            ((400, 1, 4, 8), (1170, 8)),
-        ] {
-            let (rows, produce, drain, cap) = case;
-            assert_eq!(stepped_backpressure(rows, produce, drain, cap), want, "{case:?}");
-            assert_eq!(chain_backpressure(rows, produce, drain, cap), want, "{case:?}");
         }
     }
 
