@@ -455,6 +455,24 @@ proptest! {
     }
 }
 
+/// Radius 5 reads 11 window units, more than a window's neighbourhood holds
+/// inline, so these stars read through its heap spill: fast ≡ scalar ≡
+/// reference on ragged widths, across a batch seam, plain and halving.
+#[test]
+fn radius_5_stars_conform() {
+    let k = star_2d(5, [3, -5, 7, 2, 4]);
+    for nx in [29, 43] {
+        assert_ne!(nx % lanes(), 0);
+        assert_eq!(check_2d(&k, nx, 24, 2, 1, 2, 2), Ok(true), "2D nx={nx}");
+        assert_eq!(check_2d(&HalvingStar2D(k.clone()), nx, 24, 2, 1, 2, 2), Ok(true));
+    }
+    let k = star_3d(5, [3, -5, 7, 4]);
+    let nx = 21;
+    assert_ne!(nx % lanes(), 0);
+    assert_eq!(check_3d(&k, nx, 13, 12, 2, 1, 2, 1), Ok(true), "3D");
+    assert_eq!(check_3d(&HalvingStar3D(k), nx, 13, 12, 2, 1, 2, 1), Ok(true));
+}
+
 // ---------------------------------------------------------------------------
 // Recovery interop: checkpoint/rollback byte-identical across engines.
 // ---------------------------------------------------------------------------

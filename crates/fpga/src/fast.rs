@@ -33,15 +33,17 @@
 //! touching each cache line once per stencil row. Every cell is written in
 //! place into the output unit the chain runner hands over — the next
 //! stage's window slot, or the pass's output buffer — and each lane pack is
-//! scattered straight into it, so an emitted unit costs no allocation and
-//! no copy.
+//! scattered straight into it, so an emitted unit costs no copy, and no
+//! allocation up to radius 4. Each lane pack gathers its neighbours through
+//! the window's one accessor (`crate::window`), at fixed offsets from the
+//! pack's own index.
 
 use crate::design::StencilDesign;
 use crate::device::FpgaDevice;
 use crate::driver::{expect_checked, Faults, Run};
 use crate::error::ExecError;
 use crate::report::SimReport;
-use crate::window::{Engine, Stage, Window};
+use crate::window::{tap, Engine, Stage, Window};
 use serde::{Deserialize, Serialize};
 use sf_faults::{FaultInjector, RetryPolicy};
 use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
@@ -77,35 +79,39 @@ impl<T: LaneElement, K: LaneOp2D<T>> Stage<T> for FastStageProcessor2D<T, K> {
         &mut self.win
     }
     fn emit(&self, y: usize, out: &mut [T]) {
-        let (nx, r) = (self.nx, self.win.radius());
+        // the kernel's radius, not the window's: a constant of the paper's
+        // kernels, so the compiler folds the offsets and bounds built on it
+        let (nx, r) = (self.nx, self.k.radius());
         assert_eq!(out.len(), nx, "unit size mismatch");
-        let center = self.win.get(y);
         if !self.win.interior(y) {
             // Boundary row of its mesh: every cell is a boundary cell.
-            for (o, c) in out.iter_mut().zip(center) {
+            for (o, c) in out.iter_mut().zip(self.win.get(y)) {
                 *o = self.k.on_boundary(*c);
             }
             return;
         }
         // Interior ly ≥ r implies y ≥ r, so the window rows y−r..=y+r are
-        // all resident; hoist the borrows out of the cell loop.
-        let rows = self.win.around(y);
+        // all resident; resolve them once, outside the cell loop.
+        let around = self.win.around(y);
+        let rows = around.units();
+        let center = rows[r];
         let hi = nx.saturating_sub(r);
         for x in 0..r.min(nx) {
             out[x] = self.k.on_boundary(center[x]);
         }
         let mut x = r;
         while x + LANES <= hi {
-            let at = |dx: i32, dy: i32| {
-                T::gather(rows[(dy + r as i32) as usize], (x as i32 + dx) as usize)
-            };
+            // A pack reads the `2r + LANES` cells of each row it spans at
+            // fixed offsets `r + dx`, so with a constant radius no gather
+            // needs a bounds check of its own.
+            let at =
+                |dx: i32, dy: i32| T::gather(&rows[tap(r, dy)][x - r..x + r + LANES], tap(r, dx));
             T::scatter(self.k.apply_lanes(&at), out, x);
             x += LANES;
         }
         // Scalar epilogue for the ragged tail (hi − x < LANES cells).
         while x < hi {
-            out[x] =
-                self.k.apply(|dx, dy| rows[(dy + r as i32) as usize][(x as i32 + dx) as usize]);
+            out[x] = self.k.apply(|dx, dy| rows[tap(r, dy)][tap(x, dx)]);
             x += 1;
         }
         for x in hi.max(r)..nx {
@@ -141,16 +147,17 @@ impl<T: LaneElement, K: LaneOp3D<T>> Stage<T> for FastStageProcessor3D<T, K> {
         &mut self.win
     }
     fn emit(&self, z: usize, out: &mut [T]) {
-        let (nx, ny, r) = (self.nx, self.ny, self.win.radius());
+        let (nx, ny, r) = (self.nx, self.ny, self.k.radius());
         assert_eq!(out.len(), nx * ny, "unit size mismatch");
-        let center = self.win.get(z);
         if !self.win.interior(z) {
-            for (o, c) in out.iter_mut().zip(center) {
+            for (o, c) in out.iter_mut().zip(self.win.get(z)) {
                 *o = self.k.on_boundary(*c);
             }
             return;
         }
-        let planes = self.win.around(z);
+        let around = self.win.around(z);
+        let planes = around.units();
+        let center = planes[r];
         let hi = nx.saturating_sub(r);
         for (y, row) in out.chunks_exact_mut(nx).enumerate() {
             let row_center = &center[y * nx..(y + 1) * nx];
@@ -165,18 +172,19 @@ impl<T: LaneElement, K: LaneOp3D<T>> Stage<T> for FastStageProcessor3D<T, K> {
             }
             let mut x = r;
             while x + LANES <= hi {
+                // Gathers index the plane directly: through a per-pack
+                // sub-slice, as in 2D, the packed RTM gather stops folding
+                // away the components a kernel does not read, and an RTM
+                // stage emitted at half speed.
                 let at = |dx: i32, dy: i32, dz: i32| {
-                    let plane = planes[(dz + r as i32) as usize];
-                    T::gather(plane, ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize)
+                    T::gather(planes[tap(r, dz)], tap(y, dy) * nx + tap(x, dx))
                 };
                 T::scatter(self.k.apply_lanes(&at), row, x);
                 x += LANES;
             }
             while x < hi {
-                row[x] = self.k.apply(|dx, dy, dz| {
-                    let plane = planes[(dz + r as i32) as usize];
-                    plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
-                });
+                row[x] =
+                    self.k.apply(|dx, dy, dz| planes[tap(r, dz)][tap(y, dy) * nx + tap(x, dx)]);
                 x += 1;
             }
             for x in hi.max(r)..nx {

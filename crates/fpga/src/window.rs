@@ -25,6 +25,13 @@
 //! scratch unit — so a cell moves down the chain without any per-unit
 //! allocation.
 //!
+//! A stage reads its window the way the device reads its window buffers, at
+//! fixed offsets. Every processor reads through one accessor: `around`
+//! resolves the `2r+1` units an output unit reads once per emitted unit,
+//! with no division and, up to radius 4, no allocation, and `tap` offsets
+//! each neighbour from the cell's own index in native index arithmetic.
+//! The window steps its free slot as units are accepted.
+//!
 //! The processors are *seam-aware* for batched execution: the stream may
 //! carry `B` stacked meshes, and a cell is only interior with respect to its
 //! own mesh (`mesh_extent`-periodic in the streaming dimension), so stencils
@@ -70,6 +77,8 @@ pub struct Window<T> {
     r: usize,
     /// Units pushed so far.
     pushed: usize,
+    /// The free slot, `pushed mod slots`, stepped as units are accepted.
+    head: usize,
     stream_units: usize,
     /// Units per independent mesh in the stream (seam period).
     mesh_units: usize,
@@ -90,6 +99,7 @@ impl<T: Element> Window<T> {
             slots: 2 * r + 1,
             r,
             pushed: 0,
+            head: 0,
             stream_units,
             mesh_units,
             next_out: 0,
@@ -111,15 +121,14 @@ impl<T: Element> Window<T> {
     /// unit: the one it last held is older than every unit a pending
     /// output still reads.
     pub(crate) fn slot_mut(&mut self) -> &mut [T] {
-        let s = self.pushed % self.slots;
-        let end = (s + 1) * self.unit_len;
+        let end = (self.head + 1) * self.unit_len;
         if self.cells.len() < end {
             // Slots are handed out in order, so the first stream through a
             // window initializes each slot just before its first write, and
             // a stream shorter than the window never touches the rest.
             self.cells.resize(end, T::default());
         }
-        &mut self.cells[s * self.unit_len..end]
+        &mut self.cells[self.head * self.unit_len..end]
     }
 
     /// Accept the unit written into [`Window::slot_mut`] as the next input
@@ -127,6 +136,7 @@ impl<T: Element> Window<T> {
     pub(crate) fn commit(&mut self) -> Option<usize> {
         assert!(self.pushed < self.stream_units, "stream overrun");
         self.pushed += 1;
+        self.head = if self.head + 1 == self.slots { 0 } else { self.head + 1 };
         let out = (self.pushed - 1).checked_sub(self.r)?;
         self.next_out = out + 1;
         Some(out)
@@ -137,16 +147,16 @@ impl<T: Element> Window<T> {
     pub(crate) fn repeat(&mut self) {
         // the free slot may not have been handed out yet
         self.slot_mut();
-        let last = (self.pushed - 1) % self.slots;
-        let next = self.pushed % self.slots;
+        let last = self.slot(self.pushed - 1);
         let len = self.unit_len;
-        self.cells.copy_within(last * len..(last + 1) * len, next * len);
+        self.cells.copy_within(last * len..(last + 1) * len, self.head * len);
     }
 
     /// Start the stream over, keeping the buffer: every slot is written
     /// before it is read again.
     pub(crate) fn reset(&mut self) {
         self.pushed = 0;
+        self.head = 0;
         self.next_out = 0;
     }
 
@@ -161,40 +171,95 @@ impl<T: Element> Window<T> {
         rest
     }
 
-    /// Borrow unit `abs` (must still be resident).
-    pub(crate) fn get(&self, abs: usize) -> &[T] {
+    /// The slot of unit `abs` (must still be resident), `abs mod slots`
+    /// counted back from the free slot.
+    fn slot(&self, abs: usize) -> usize {
         debug_assert!(
             abs < self.pushed && abs + self.slots >= self.pushed,
             "unit {abs} evicted (pushed {}, slots {})",
             self.pushed,
             self.slots
         );
-        let s = abs % self.slots;
+        let s = self.head + self.slots - (self.pushed - abs);
+        if s >= self.slots {
+            s - self.slots
+        } else {
+            s
+        }
+    }
+
+    /// Borrow unit `abs` (must still be resident).
+    pub(crate) fn get(&self, abs: usize) -> &[T] {
+        let s = self.slot(abs);
         &self.cells[s * self.unit_len..(s + 1) * self.unit_len]
     }
 
-    /// The `2r+1` units centered on unit `z` (`z ≥ r`, all resident), in
-    /// stream order: what an output unit `z` interior to its mesh reads.
-    pub(crate) fn around(&self, z: usize) -> Vec<&[T]> {
-        (z - self.r..=z + self.r).map(|u| self.get(u)).collect()
+    /// The `2r+1` units centered on unit `z` (`z ≥ r`, all resident): what
+    /// an output unit `z` interior to its mesh reads.
+    #[inline]
+    pub(crate) fn around(&self, z: usize) -> Around<'_, T> {
+        let n = self.slots;
+        let mut around = Around { inline: [&[]; INLINE_UNITS], spill: Vec::new(), len: n };
+        let units = if n <= INLINE_UNITS {
+            &mut around.inline[..n]
+        } else {
+            around.spill.resize(n, &[]);
+            &mut around.spill[..]
+        };
+        let mut s = self.slot(z - self.r);
+        for unit in units {
+            *unit = &self.cells[s * self.unit_len..(s + 1) * self.unit_len];
+            s = if s + 1 == n { 0 } else { s + 1 };
+        }
+        around
     }
 
     /// Whether stream unit `z` is interior to its own mesh along the
     /// streamed axis.
     pub(crate) fn interior(&self, z: usize) -> bool {
-        let l = z % self.mesh_units;
+        // a stream is mostly one mesh, whose units need no division
+        let l = if z < self.mesh_units { z } else { z % self.mesh_units };
         l >= self.r && l + self.r < self.mesh_units
-    }
-
-    /// The stage radius `r`.
-    pub(crate) fn radius(&self) -> usize {
-        self.r
     }
 
     /// Units currently resident in the window (≤ `2r+1`).
     pub(crate) fn fill(&self) -> usize {
         self.pushed.min(self.slots)
     }
+}
+
+/// Units an [`Around`] holds inline: the `2r+1` of a radius-4 stage, the
+/// widest the paper's applications stream (RTM's 8th-order star). A wider
+/// window's units spill to one heap buffer per emitted unit.
+const INLINE_UNITS: usize = 9;
+
+/// The units `z−r..=z+r` an output unit `z` reads, in stream order,
+/// resolved from the window once per emitted unit: `units()[r + d]` is unit
+/// `z + d`. A stage then reads every neighbour at a fixed offset from its
+/// own index ([`tap`]), as the device reads its window buffers, and works
+/// out no slot or address per read.
+pub(crate) struct Around<'w, T> {
+    inline: [&'w [T]; INLINE_UNITS],
+    spill: Vec<&'w [T]>,
+    len: usize,
+}
+
+impl<'w, T> Around<'w, T> {
+    /// The units, oldest first.
+    pub(crate) fn units(&self) -> &[&'w [T]] {
+        if self.len <= INLINE_UNITS {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+/// Index `i` moved by the stencil offset `d`, in native index arithmetic:
+/// where the tap `d` of the cell, row or unit at `i` lies.
+#[inline(always)]
+pub(crate) fn tap(i: usize, d: i32) -> usize {
+    i.wrapping_add_signed(d as isize)
 }
 
 /// One streaming pipeline stage, as the chain runner sees it: a window and
@@ -249,19 +314,20 @@ impl<T: Element, K: StencilOp2D<T>> Stage<T> for StageProcessor2D<T, K> {
         &mut self.win
     }
     fn emit(&self, y: usize, out: &mut [T]) {
-        let (nx, r) = (self.nx, self.win.radius());
+        let (nx, r) = (self.nx, self.k.radius());
         assert_eq!(out.len(), nx, "unit size mismatch");
-        let center = self.win.get(y);
         if !self.win.interior(y) {
-            for (o, c) in out.iter_mut().zip(center) {
+            for (o, c) in out.iter_mut().zip(self.win.get(y)) {
                 *o = self.k.on_boundary(*c);
             }
             return;
         }
-        let rows = self.win.around(y);
+        let around = self.win.around(y);
+        let rows = around.units();
+        let center = rows[r];
         for (x, o) in out.iter_mut().enumerate() {
             *o = if x >= r && x + r < nx {
-                self.k.apply(|dx, dy| rows[(r as i32 + dy) as usize][(x as i32 + dx) as usize])
+                self.k.apply(|dx, dy| rows[tap(r, dy)][tap(x, dx)])
             } else {
                 self.k.on_boundary(center[x])
             };
@@ -295,24 +361,22 @@ impl<T: Element, K: StencilOp3D<T>> Stage<T> for StageProcessor3D<T, K> {
         &mut self.win
     }
     fn emit(&self, z: usize, out: &mut [T]) {
-        let (nx, ny, r) = (self.nx, self.ny, self.win.radius());
+        let (nx, ny, r) = (self.nx, self.ny, self.k.radius());
         assert_eq!(out.len(), nx * ny, "unit size mismatch");
-        let center = self.win.get(z);
         if !self.win.interior(z) {
-            for (o, c) in out.iter_mut().zip(center) {
+            for (o, c) in out.iter_mut().zip(self.win.get(z)) {
                 *o = self.k.on_boundary(*c);
             }
             return;
         }
-        let planes = self.win.around(z);
+        let around = self.win.around(z);
+        let planes = around.units();
+        let center = planes[r];
         for (y, row) in out.chunks_exact_mut(nx).enumerate() {
             let y_interior = y >= r && y + r < ny;
             for (x, o) in row.iter_mut().enumerate() {
                 *o = if y_interior && x >= r && x + r < nx {
-                    self.k.apply(|dx, dy, dz| {
-                        let plane = planes[(r as i32 + dz) as usize];
-                        plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
-                    })
+                    self.k.apply(|dx, dy, dz| planes[tap(r, dz)][tap(y, dy) * nx + tap(x, dx)])
                 } else {
                     self.k.on_boundary(center[y * nx + x])
                 };
@@ -742,8 +806,48 @@ mod tests {
         assert_eq!(w.fill(), 3);
         assert_eq!(w.get(2), &[2.0]);
         assert_eq!(w.get(4), &[4.0]);
-        assert_eq!(w.around(3), [&[2.0][..], &[3.0], &[4.0]]);
+        assert_eq!(w.around(3).units(), [&[2.0][..], &[3.0], &[4.0]]);
         assert_eq!(w.drain(), 4..5);
+    }
+
+    #[test]
+    fn stepped_free_slot_and_around_follow_the_stream() {
+        // radius 4 fills the inline units exactly, radius 5 spills; 23 units
+        // wrap each ring at least twice, and the second pass duplicates
+        // every fifth unit
+        for r in [1, 2, 4, 5] {
+            let units = 23;
+            let mut w = Window::<f32>::new(r, 2, units, units);
+            for pass in 0..2 {
+                w.reset();
+                let mut accepted: Vec<[f32; 2]> = Vec::new();
+                for j in 0..units {
+                    assert_eq!(w.head, w.pushed % w.slots, "r={r} pass {pass} unit {j}");
+                    let cells = if pass == 1 && j % 5 == 4 {
+                        w.repeat();
+                        accepted[j - 1]
+                    } else {
+                        let cells = [j as f32, (100 * pass) as f32];
+                        w.slot_mut().copy_from_slice(&cells);
+                        cells
+                    };
+                    accepted.push(cells);
+                    let out = w.commit();
+                    assert_eq!(out, j.checked_sub(r), "r={r} pass {pass} unit {j}");
+                    for (u, cells) in
+                        accepted.iter().enumerate().skip((j + 1).saturating_sub(w.slots))
+                    {
+                        assert_eq!(w.get(u), cells, "r={r} pass {pass} unit {u}");
+                    }
+                    if let Some(z) = out.filter(|&z| z >= r) {
+                        let around = w.around(z);
+                        let want: Vec<&[f32]> = (z - r..=z + r).map(|u| &accepted[u][..]).collect();
+                        assert_eq!(around.units(), want, "r={r} pass {pass} z={z}");
+                    }
+                }
+                assert_eq!(w.head, w.pushed % w.slots, "r={r} pass {pass} end");
+            }
+        }
     }
 
     #[test]
