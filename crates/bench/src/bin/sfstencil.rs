@@ -25,6 +25,9 @@
 //!
 //! Each command reads its own flags, those shown for it here and below;
 //! any other flag is a usage error (exit 2) that names the flag.
+//! `sfstencil <command> --help` prints the usage of that command, built
+//! from the same flag table. Standard output that a closed pipe no longer
+//! reads is dropped, and the command still exits with its own status.
 //!
 //! `dse`, `profile` and `faults` additionally accept `--jobs N` to fan
 //! their work (candidate evaluation, batched meshes, fault trials) across
@@ -60,7 +63,8 @@
 //! div-by-zero hazards, von Neumann stability) — without executing
 //! anything. With explicit `--v`/`--p` it verifies exactly that
 //! configuration (plus any seeded `--fifo-depth`/`--window-units`
-//! overrides); otherwise it verifies the DSE-selected best design.
+//! overrides); otherwise it verifies the best design of a DSE over the
+//! `--mem` memory, and `--tile` is a usage error.
 //! `--assume-order`/`--assume-gdsp` override the spec's declared order /
 //! DSP cost on the checked design, seeding kernel-rule violations the same
 //! way `--fifo-depth` seeds FIFO ones. Exits 1 if any error-severity
@@ -101,37 +105,108 @@ use sf_core::prelude::*;
 use sf_fpga::design::synthesize;
 use sf_telemetry::{chrome, metrics, StallClass};
 
-const USAGE: &str = "usage: sfstencil <feasibility|dse|compare|report|explain|profile|check> \
-     --app <poisson|jacobi|rtm> \
-     --mesh <NXxNY[xNZ]> [--batch B] [--iters N] [--top K] [--v V] [--p P] \
-     [--mem hbm|ddr4] [--tile M[xN]] [--fifo-depth D] [--window-units U] \
-     [--assume-order D] [--assume-gdsp N] \
-     [--jobs N] [--exec scalar|fast] [--devices K] [--link aurora|pcie] \
-     [--json] [--trace-out FILE] [--record-out FILE]\n       \
-     sfstencil check --explain SFC-XXX\n       \
-     sfstencil faults [--app <poisson2d|jacobi3d|rtm3d>] [--seed N] \
-     [--rate PPM]... [--trials N] [--kind NAME]... [--recovery rerun|rollback] \
-     [--checkpoint-every N]... [--max-retries N] [--jobs N] \
-     [--exec scalar|fast] [--devices K] [--json] [--record-out FILE]\n       \
-     sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
-     [--compare BASELINE.json] [--max-regress PCT]";
+use sf_bench::cli::Stdout;
+
+/// The commands, in the order the usage lists them.
+const COMMANDS: [&str; 8] =
+    ["feasibility", "dse", "compare", "report", "explain", "profile", "check", "faults"];
+
+/// `print!` through a command's [`Stdout`].
+macro_rules! out {
+    ($out:expr, $($arg:tt)*) => { $out.write(format_args!($($arg)*)) };
+}
+
+/// `println!` through a command's [`Stdout`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => { $out.write(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// How the usage shows the value of `flag` for `cmd`.
+fn value_hint(cmd: &str, flag: &str) -> &'static str {
+    match flag {
+        "--app" if cmd == "faults" => "<poisson2d|jacobi3d|rtm3d>",
+        "--app" => "<poisson|jacobi|rtm>",
+        "--mesh" => "<NXxNY[xNZ]>",
+        "--batch" => "B",
+        "--top" | "--devices" => "K",
+        "--v" => "V",
+        "--p" => "P",
+        "--mem" => "hbm|ddr4",
+        "--tile" => "M[xN]",
+        "--fifo-depth" | "--assume-order" => "D",
+        "--window-units" => "U",
+        "--exec" => "scalar|fast",
+        "--link" => "aurora|pcie",
+        "--recovery" => "rerun|rollback",
+        "--rate" => "PPM",
+        "--kind" => "NAME",
+        "--trace-out" | "--record-out" => "FILE",
+        _ => "N",
+    }
+}
+
+/// The usage lines of `cmd`, built from the flags it reads
+/// ([`command_flags`]): `--app` and `--mesh` are required except by
+/// `faults`, whose `--rate`, `--kind` and `--checkpoint-every` repeat.
+fn command_usage(cmd: &str) -> Option<String> {
+    let (valued, switches) = command_flags(cmd)?;
+    let mut line = format!("sfstencil {cmd}");
+    for &flag in valued {
+        let arg = format!("{flag} {}", value_hint(cmd, flag));
+        if cmd != "faults" && matches!(flag, "--app" | "--mesh") {
+            line += &format!(" {arg}");
+        } else if matches!(flag, "--rate" | "--kind" | "--checkpoint-every") {
+            line += &format!(" [{arg}]...");
+        } else {
+            line += &format!(" [{arg}]");
+        }
+    }
+    for switch in switches {
+        line += &format!(" [{switch}]");
+    }
+    match cmd {
+        "check" => line += "\n       sfstencil check --explain SFC-XXX",
+        "report" => line = format!("{}\n       {line}", sf_bench::reportcmd::USAGE),
+        _ => {}
+    }
+    Some(line)
+}
+
+/// The usage of the command this process was asked to run, or of every
+/// command when it names none of them.
+fn usage() -> String {
+    let cmd = std::env::args().nth(1);
+    let lines = match cmd.as_deref().and_then(command_usage) {
+        Some(lines) => lines,
+        None => {
+            COMMANDS.iter().filter_map(|c| command_usage(c)).collect::<Vec<_>>().join("\n       ")
+        }
+    };
+    format!("usage: {lines}")
+}
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("{USAGE}");
+    eprintln!("{}", usage());
     std::process::exit(2);
 }
 
 fn help() -> ! {
-    println!("{USAGE}");
+    outln!(Stdout::default(), "{}", usage());
     std::process::exit(0);
 }
 
 /// Check a command line against the flags its command `cmd` reads, before
-/// any work starts: `--help`/`-h` prints the usage on stdout and exits 0,
-/// and a flag the command does not read, or a valued flag without its
-/// value, is a usage error that names the flag.
-fn check_flags(argv: &[String], cmd: &str, valued: &[&str], switches: &[&str]) {
+/// any work starts: `--help`/`-h` prints the command's usage on stdout and
+/// exits 0, and a flag the command does not read, or a valued flag without
+/// its value, is a usage error that names the flag.
+fn check_flags(argv: &[String], cmd: &str) {
+    let Some((valued, switches)) = command_flags(cmd) else {
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            help();
+        }
+        fail(&format!("unknown command '{cmd}'"));
+    };
     match sf_bench::cli::check_flags(argv, valued, switches) {
         sf_bench::cli::FlagCheck::Run => {}
         sf_bench::cli::FlagCheck::Help => help(),
@@ -144,7 +219,8 @@ fn check_flags(argv: &[String], cmd: &str, valued: &[&str], switches: &[&str]) {
     }
 }
 
-/// The flags each common command reads: its valued flags and its switches.
+/// The flags each command reads: its valued flags and its switches. The
+/// usage of each command is built from them.
 fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
     const JSON: &[&str] = &["--json"];
     Some(match cmd {
@@ -203,6 +279,23 @@ fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'stat
             ],
             JSON,
         ),
+        "faults" => (
+            &[
+                "--app",
+                "--seed",
+                "--rate",
+                "--trials",
+                "--kind",
+                "--recovery",
+                "--checkpoint-every",
+                "--max-retries",
+                "--jobs",
+                "--exec",
+                "--devices",
+                "--record-out",
+            ],
+            JSON,
+        ),
         _ => return None,
     })
 }
@@ -236,13 +329,7 @@ fn parse() -> Args {
         fail("missing command");
     }
     let cmd = argv[0].clone();
-    let Some((valued, switches)) = command_flags(&cmd) else {
-        if argv.iter().any(|a| a == "--help" || a == "-h") {
-            help();
-        }
-        fail(&format!("unknown command '{cmd}'"));
-    };
-    check_flags(&argv, &cmd, valued, switches);
+    check_flags(&argv, &cmd);
     let get = |flag: &str| -> Option<String> {
         argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())
     };
@@ -329,10 +416,10 @@ fn write_record(path: &str, mut rec: sf_report::RunRecord, started: std::time::I
 /// `check --explain SFC-XXX`: print one rule's catalogue entry and exit 0;
 /// unknown codes list every rule and exit 2 (a usage error, like any other
 /// malformed flag).
-fn run_explain(code: &str) -> ! {
+fn run_explain(code: &str, out: &mut Stdout) -> ! {
     match sf_check::RuleId::from_code(code) {
         Some(rule) => {
-            print!("{}", rule.explain());
+            out!(out, "{}", rule.explain());
             std::process::exit(0);
         }
         None => {
@@ -360,7 +447,7 @@ fn explicit_mode(a: &Args) -> ExecMode {
 }
 
 /// The `check` subcommand: static design-rule analysis, no execution.
-fn run_check(a: &Args, wf: &Workflow) {
+fn run_check(a: &Args, wf: &mut Workflow, out: &mut Stdout) {
     let (design, source) = if a.v > 0 || a.p > 0 {
         if a.v == 0 || a.p == 0 {
             fail("check needs both --v and --p (or neither, for the DSE-selected design)");
@@ -371,6 +458,11 @@ fn run_check(a: &Args, wf: &Workflow) {
         d.window_units = a.window_units;
         (d, format!("explicit V={} p={} {mode:?} {:?}", a.v, a.p, a.mem))
     } else {
+        if a.tile.is_some() {
+            fail("--tile needs --v and --p: without them the DSE picks the design and its tiling");
+        }
+        // the DSE sweeps designs over the requested memory
+        wf.opts.mem = a.mem;
         let best = wf.best_design(&a.app, &a.wl, a.iters).unwrap_or_else(|e| fail(&format!("{e}")));
         let mut d = sf_check::Design::from_synthesized(&best.design, &a.wl);
         d.fifo_depth = a.fifo_depth;
@@ -401,10 +493,10 @@ fn run_check(a: &Args, wf: &Workflow) {
     // the kernel-analysis rules (SFC-K01..K05) ride on every check run
     rep.extend_diagnostics(sf_absint::app_diagnostics(&design.spec, design.p));
     if a.json {
-        println!("{}", serde_json::to_string_pretty(&rep).unwrap());
+        outln!(out, "{}", serde_json::to_string_pretty(&rep).unwrap());
     } else {
-        println!("design             : {source}");
-        print!("{}", rep.render());
+        outln!(out, "design             : {source}");
+        out!(out, "{}", rep.render());
     }
     if rep.has_errors() {
         std::process::exit(1);
@@ -413,27 +505,9 @@ fn run_check(a: &Args, wf: &Workflow) {
 
 /// The `faults` subcommand has its own flag set (no `--mesh`: campaign
 /// workloads are fixed so seeds stay comparable across runs).
-fn run_faults(argv: &[String], started: std::time::Instant) {
+fn run_faults(argv: &[String], started: std::time::Instant, out: &mut Stdout) {
     use sf_bench::faults::{run_campaign, CampaignApp, CampaignConfig, RecoveryMode};
-    check_flags(
-        argv,
-        "faults",
-        &[
-            "--app",
-            "--seed",
-            "--rate",
-            "--trials",
-            "--jobs",
-            "--recovery",
-            "--exec",
-            "--devices",
-            "--checkpoint-every",
-            "--max-retries",
-            "--kind",
-            "--record-out",
-        ],
-        &["--json"],
-    );
+    check_flags(argv, "faults");
     let get = |flag: &str| -> Option<String> {
         argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())
     };
@@ -560,9 +634,9 @@ fn run_faults(argv: &[String], started: std::time::Instant) {
         }
     }
     if argv.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&report).unwrap());
+        outln!(out, "{}", serde_json::to_string_pretty(&report).unwrap());
     } else {
-        print!("{}", report.render_table());
+        out!(out, "{}", report.render_table());
     }
     if !report.all_accounted() {
         std::process::exit(1);
@@ -572,8 +646,9 @@ fn run_faults(argv: &[String], started: std::time::Instant) {
 fn main() {
     let started = std::time::Instant::now();
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = Stdout::default();
     if argv.first().map(String::as_str) == Some("faults") {
-        run_faults(&argv[1..], started);
+        run_faults(&argv[1..], started, &mut out);
         return;
     }
     // `report <store.jsonl>` (positional path) is the cross-run report;
@@ -588,7 +663,7 @@ fn main() {
     if argv.first().map(String::as_str) == Some("check") {
         if let Some(i) = argv.iter().position(|arg| arg == "--explain") {
             match argv.get(i + 1) {
-                Some(code) => run_explain(code),
+                Some(code) => run_explain(code, &mut out),
                 None => fail("--explain needs a rule code (e.g. --explain SFC-K05)"),
             }
         }
@@ -610,17 +685,17 @@ fn main() {
         "feasibility" => {
             let r = wf.feasibility(&a.app, &a.wl).unwrap_or_else(|e| fail(&format!("{e}")));
             if a.json {
-                println!("{}", serde_json::to_string_pretty(&r).unwrap());
+                outln!(out, "{}", serde_json::to_string_pretty(&r).unwrap());
                 return;
             }
-            println!("application        : {}", r.app);
-            println!("nominal V          : {}", r.v);
-            println!("V_max (bandwidth)  : {}", r.v_max_bandwidth);
-            println!("p_dsp / p_mem      : {} / {}", r.p_dsp, r.p_mem);
-            println!("recommended p      : {}", r.p_recommended);
-            println!("baseline feasible  : {}", r.baseline_feasible);
-            println!("needs tiling       : {}", r.needs_tiling);
-            println!("flops per ext byte : {:.2}", r.flops_per_byte);
+            outln!(out, "application        : {}", r.app);
+            outln!(out, "nominal V          : {}", r.v);
+            outln!(out, "V_max (bandwidth)  : {}", r.v_max_bandwidth);
+            outln!(out, "p_dsp / p_mem      : {} / {}", r.p_dsp, r.p_mem);
+            outln!(out, "recommended p      : {}", r.p_recommended);
+            outln!(out, "baseline feasible  : {}", r.baseline_feasible);
+            outln!(out, "needs tiling       : {}", r.needs_tiling);
+            outln!(out, "flops per ext byte : {:.2}", r.flops_per_byte);
         }
         "dse" => {
             let cands = wf
@@ -632,19 +707,28 @@ fn main() {
             }
             if a.json {
                 let top: Vec<_> = cands.iter().take(a.top).collect();
-                println!("{}", serde_json::to_string_pretty(&top).unwrap());
+                outln!(out, "{}", serde_json::to_string_pretty(&top).unwrap());
                 return;
             }
             if cands.is_empty() {
-                println!("no feasible design (try tiling or a smaller mesh)");
+                outln!(out, "no feasible design (try tiling or a smaller mesh)");
                 return;
             }
-            println!(
+            outln!(
+                out,
                 "{:<4} {:>4} {:>4} {:>4} {:<28} {:>9} {:>12} {:>12}",
-                "#", "V", "p", "dev", "mode", "MHz", "plan ms", "pred ms"
+                "#",
+                "V",
+                "p",
+                "dev",
+                "mode",
+                "MHz",
+                "plan ms",
+                "pred ms"
             );
             for (i, c) in cands.iter().take(a.top).enumerate() {
-                println!(
+                outln!(
+                    out,
                     "{:<4} {:>4} {:>4} {:>4} {:<28} {:>9.0} {:>12.2} {:>12.2}",
                     i + 1,
                     c.design.v,
@@ -659,8 +743,8 @@ fn main() {
         }
         "compare" => match wf.compare(&a.app, &a.wl, a.iters) {
             Ok(cmp) => {
-                println!("{}", sf_fpga::report::utilization_report(&wf.device, &cmp.design));
-                println!("{}", cmp.verdict());
+                outln!(out, "{}", sf_fpga::report::utilization_report(&wf.device, &cmp.design));
+                outln!(out, "{}", cmp.verdict());
             }
             Err(e) => fail(&format!("{e}")),
         },
@@ -672,20 +756,20 @@ fn main() {
                 Ok(ds) => {
                     let rep = wf.fpga_estimate(&ds, &a.wl, a.iters);
                     if a.json {
-                        println!("{}", serde_json::to_string_pretty(&rep).unwrap());
+                        outln!(out, "{}", serde_json::to_string_pretty(&rep).unwrap());
                         return;
                     }
-                    println!("{}", sf_fpga::report::utilization_report(&wf.device, &ds));
-                    println!("{}", rep.summary());
+                    outln!(out, "{}", sf_fpga::report::utilization_report(&wf.device, &ds));
+                    outln!(out, "{}", rep.summary());
                 }
-                Err(e) => println!("synthesis rejected the configuration: {e}"),
+                Err(e) => outln!(out, "synthesis rejected the configuration: {e}"),
             }
         }
         "explain" => match wf.best_design(&a.app, &a.wl, a.iters) {
             Ok(best) => {
-                println!("{}", sf_fpga::report::utilization_report(&wf.device, &best.design));
+                outln!(out, "{}", sf_fpga::report::utilization_report(&wf.device, &best.design));
                 let tr = sf_fpga::trace::explain(&wf.device, &best.design, &a.wl, a.iters);
-                println!("{}", tr.render());
+                outln!(out, "{}", tr.render());
             }
             Err(e) => fail(&format!("{e}")),
         },
@@ -708,51 +792,56 @@ fn main() {
                     write_record(path, pr.to_run_record(), started);
                 }
                 if a.json {
-                    println!("{}", metrics::to_metrics_json(&pr.recorder));
+                    outln!(out, "{}", metrics::to_metrics_json(&pr.recorder));
                     return;
                 }
-                println!("{}", sf_fpga::report::utilization_report(&wf.device, &pr.design));
+                outln!(out, "{}", sf_fpga::report::utilization_report(&wf.device, &pr.design));
                 // the pre-flight ran (mandatorily) before execution inside
                 // Workflow::profile; surface its verdict first
                 if pr.preflight.diagnostics.is_empty() {
-                    println!("preflight          : ok — no design-rule diagnostics");
+                    outln!(out, "preflight          : ok — no design-rule diagnostics");
                 } else {
-                    println!("preflight          :");
-                    print!("{}", pr.preflight.render());
+                    outln!(out, "preflight          :");
+                    out!(out, "{}", pr.preflight.render());
                 }
-                println!(
+                outln!(
+                    out,
                     "mode               : {}",
                     if pr.behavioral { "behavioral (numerics streamed)" } else { "schedule-only" }
                 );
                 if let Some(sh) = &pr.sharded {
-                    println!(
+                    outln!(
+                        out,
                         "devices            : {} (exchange {} B/pass, {} exposed cycles total)",
-                        pr.devices, sh.exchange_bytes_per_pass, sh.exchange_exposed_cycles
+                        pr.devices,
+                        sh.exchange_bytes_per_pass,
+                        sh.exchange_exposed_cycles
                     );
                 }
-                println!("total cycles       : {}", pr.report.total_cycles);
-                println!("runtime            : {:.3} ms", pr.report.runtime_s * 1e3);
+                outln!(out, "total cycles       : {}", pr.report.total_cycles);
+                outln!(out, "runtime            : {:.3} ms", pr.report.runtime_s * 1e3);
                 let b = pr.recorder.stall_breakdown();
-                println!("stall attribution  :");
+                outln!(out, "stall attribution  :");
                 for (label, class) in [
                     ("compute", StallClass::Compute),
                     ("memory", StallClass::Memory),
                     ("backpressure", StallClass::Backpressure),
                     ("exchange", StallClass::Exchange),
                 ] {
-                    println!(
+                    outln!(
+                        out,
                         "  {:<14} {:>14} cycles  ({:5.1} %)",
                         label,
                         b.cycles(class),
                         b.fraction(class) * 100.0
                     );
                 }
-                println!("  dominant       {:?}", b.dominant());
-                println!("model accuracy     : {}", pr.divergence.summary());
+                outln!(out, "  dominant       {:?}", b.dominant());
+                outln!(out, "model accuracy     : {}", pr.divergence.summary());
             }
             Err(e) => fail(&format!("{e}")),
         },
-        "check" => run_check(&a, &wf),
+        "check" => run_check(&a, &mut wf, &mut out),
         other => fail(&format!("unknown command '{other}'")),
     }
 }

@@ -37,6 +37,32 @@ pub fn check_flags(argv: &[String], valued: &[&str], switches: &[&str]) -> FlagC
     FlagCheck::Run
 }
 
+/// Standard output as the command-line front ends write it. Once the
+/// reader has gone (a closed pipe, as `| head` leaves it) every later write
+/// is dropped, so the command finishes and exits with the status its result
+/// gives instead of panicking; any other write error is reported once on
+/// standard error.
+#[derive(Debug, Default)]
+pub struct Stdout {
+    gone: bool,
+}
+
+impl Stdout {
+    /// Write `text`, unless standard output has gone.
+    pub fn write(&mut self, text: std::fmt::Arguments<'_>) {
+        use std::io::Write;
+        if self.gone {
+            return;
+        }
+        if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+            self.gone = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("error: cannot write standard output: {e}");
+            }
+        }
+    }
+}
+
 /// Resolve an application name.
 pub fn parse_app(name: &str) -> Result<StencilSpec, String> {
     match name {

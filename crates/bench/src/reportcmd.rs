@@ -12,7 +12,7 @@
 //! medians against a committed baseline report and exits non-zero on any
 //! regression beyond tolerance (or on coverage loss).
 
-use crate::cli::FlagCheck;
+use crate::cli::{FlagCheck, Stdout};
 use crate::faults::{CampaignApp, CampaignConfig, CampaignReport, Recovery};
 use sf_fpga::design::{ExecMode, MemKind, Workload};
 use sf_model::Candidate;
@@ -138,30 +138,33 @@ pub fn parse_max_regress(s: &str) -> Option<f64> {
     (v.is_finite() && v >= 0.0).then_some(v)
 }
 
+/// The cross-run report's command line, as its usage shows it.
+pub const USAGE: &str = "sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
+                         [--compare BASELINE.json] [--max-regress PCT]";
+
 /// The `sfstencil report <store.jsonl> ...` subcommand. Returns the
 /// process exit code: 0 on success or `--help`, 1 on a failed regression
 /// gate, 2 on usage errors (an unknown flag among them) or I/O errors.
 pub fn run(argv: &[String]) -> i32 {
-    const USAGE: &str = "usage: sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
-                         [--compare BASELINE.json] [--max-regress PCT]";
+    let mut out = Stdout::default();
     let valued = ["--out", "--compare", "--max-regress"];
     match crate::cli::check_flags(argv, &valued, &["--json", "--md", "--html"]) {
         FlagCheck::Run => {}
         FlagCheck::Help => {
-            println!("{USAGE}");
+            out.write(format_args!("usage: {USAGE}\n"));
             return 0;
         }
         FlagCheck::Unknown(flag) => {
-            eprintln!("error: unknown flag '{flag}'\n{USAGE}");
+            eprintln!("error: unknown flag '{flag}'\nusage: {USAGE}");
             return 2;
         }
         FlagCheck::MissingValue(flag) => {
-            eprintln!("error: flag '{flag}' needs a value\n{USAGE}");
+            eprintln!("error: flag '{flag}' needs a value\nusage: {USAGE}");
             return 2;
         }
     }
     let Some(store) = argv.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("{USAGE}");
+        eprintln!("usage: {USAGE}");
         return 2;
     };
     let get = |flag: &str| -> Option<String> {
@@ -229,7 +232,7 @@ pub fn run(argv: &[String]) -> i32 {
             }
             eprintln!("report written to {path}");
         }
-        None => println!("{body}"),
+        None => out.write(format_args!("{body}\n")),
     }
     code
 }

@@ -870,3 +870,74 @@ fn faults_rollback_campaign_recovers_in_run() {
         assert_eq!(t.get("recovery").and_then(Value::as_str), Some("Rollback"), "{t:?}");
     }
 }
+
+#[test]
+fn check_dse_path_honours_mem() {
+    // without --v/--p the DSE picks the design, over the requested memory
+    let design_line = |extra: &[&str]| {
+        let args = [&["check", "--app", "poisson", "--mesh", "400x400"][..], extra].concat();
+        let out = sfstencil().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        stdout.lines().next().unwrap_or_default().to_string()
+    };
+    let ddr4 = design_line(&["--mem", "ddr4"]);
+    assert!(ddr4.contains("DSE-selected") && ddr4.ends_with("Ddr4"), "{ddr4}");
+    let hbm = design_line(&[]);
+    assert!(hbm.contains("DSE-selected") && hbm.ends_with("Hbm"), "{hbm}");
+}
+
+#[test]
+fn check_tile_without_v_and_p_exits_2_and_names_the_flag() {
+    let out = sfstencil()
+        .args(["check", "--app", "poisson", "--mesh", "400x400", "--tile", "64"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--tile needs --v and --p"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no design may be checked");
+}
+
+#[test]
+fn help_lists_the_flags_the_command_reads() {
+    let help = |cmd: &str| {
+        let out = sfstencil().args([cmd, "--help"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{cmd}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let profile = help("profile");
+    for flag in ["--v ", "--p ", "--mem ", "--tile ", "--top ", "explain"] {
+        assert!(!profile.contains(flag), "profile --help offers {flag}: {profile}");
+    }
+    for flag in ["--app ", "--mesh ", "--exec ", "--trace-out ", "--json"] {
+        assert!(profile.contains(flag), "profile --help lacks {flag}: {profile}");
+    }
+    let explain = help("explain");
+    assert!(!explain.contains("--mem") && !explain.contains("--json"), "{explain}");
+    let check = help("check");
+    for flag in ["--v ", "--mem ", "--tile ", "--fifo-depth ", "--explain SFC-XXX"] {
+        assert!(check.contains(flag), "check --help lacks {flag}: {check}");
+    }
+    let faults = help("faults");
+    assert!(faults.contains("[--rate PPM]...") && !faults.contains("--mesh"), "{faults}");
+}
+
+#[test]
+fn output_into_a_closed_pipe_exits_with_the_commands_status() {
+    for args in [
+        &["feasibility", "--app", "poisson", "--mesh", "400x400"][..],
+        &["feasibility", "--app", "poisson", "--mesh", "400x400", "--json"],
+        &["profile", "--help"],
+        &["--help"],
+        &["check", "--explain", "SFC-K05"],
+    ] {
+        // the reader is gone before the command writes anything
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = sfstencil().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
