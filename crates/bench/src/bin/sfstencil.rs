@@ -24,7 +24,8 @@
 //! ```
 //!
 //! Each command reads its own flags, those shown for it here and below;
-//! any other flag is a usage error (exit 2) that names the flag.
+//! any other flag is a usage error (exit 2) that names the flag. So is a
+//! valued flag given twice, except `faults`' repeating flags (`...`).
 //! `sfstencil <command> --help` prints the usage of that command, built
 //! from the same flag table. Standard output that a closed pipe no longer
 //! reads is dropped, and the command still exits with its own status.
@@ -111,6 +112,10 @@ use sf_bench::cli::Stdout;
 const COMMANDS: [&str; 8] =
     ["feasibility", "dse", "compare", "report", "explain", "profile", "check", "faults"];
 
+/// The valued flags that may be given more than once, each occurrence
+/// adding a value to `faults`' sweep; any other valued flag is given once.
+const REPEATING: [&str; 3] = ["--rate", "--kind", "--checkpoint-every"];
+
 /// `print!` through a command's [`Stdout`].
 macro_rules! out {
     ($out:expr, $($arg:tt)*) => { $out.write(format_args!($($arg)*)) };
@@ -147,7 +152,7 @@ fn value_hint(cmd: &str, flag: &str) -> &'static str {
 
 /// The usage lines of `cmd`, built from the flags it reads
 /// ([`command_flags`]): `--app` and `--mesh` are required except by
-/// `faults`, whose `--rate`, `--kind` and `--checkpoint-every` repeat.
+/// `faults`, and the [`REPEATING`] flags are marked `...`.
 fn command_usage(cmd: &str) -> Option<String> {
     let (valued, switches) = command_flags(cmd)?;
     let mut line = format!("sfstencil {cmd}");
@@ -155,7 +160,7 @@ fn command_usage(cmd: &str) -> Option<String> {
         let arg = format!("{flag} {}", value_hint(cmd, flag));
         if cmd != "faults" && matches!(flag, "--app" | "--mesh") {
             line += &format!(" {arg}");
-        } else if matches!(flag, "--rate" | "--kind" | "--checkpoint-every") {
+        } else if REPEATING.contains(&flag) {
             line += &format!(" [{arg}]...");
         } else {
             line += &format!(" [{arg}]");
@@ -198,8 +203,9 @@ fn help() -> ! {
 
 /// Check a command line against the flags its command `cmd` reads, before
 /// any work starts: `--help`/`-h` prints the command's usage on stdout and
-/// exits 0, and a flag the command does not read, or a valued flag without
-/// its value, is a usage error that names the flag.
+/// exits 0, and a flag the command does not read, a valued flag without its
+/// value, or one given twice that does not repeat, is a usage error that
+/// names the flag.
 fn check_flags(argv: &[String], cmd: &str) {
     let Some((valued, switches)) = command_flags(cmd) else {
         if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -207,7 +213,7 @@ fn check_flags(argv: &[String], cmd: &str) {
         }
         fail(&format!("unknown command '{cmd}'"));
     };
-    match sf_bench::cli::check_flags(argv, valued, switches) {
+    match sf_bench::cli::check_flags(argv, valued, &REPEATING, switches) {
         sf_bench::cli::FlagCheck::Run => {}
         sf_bench::cli::FlagCheck::Help => help(),
         sf_bench::cli::FlagCheck::Unknown(flag) => {
@@ -215,6 +221,9 @@ fn check_flags(argv: &[String], cmd: &str) {
         }
         sf_bench::cli::FlagCheck::MissingValue(flag) => {
             fail(&format!("flag '{flag}' needs a value"))
+        }
+        sf_bench::cli::FlagCheck::Repeated(flag) => {
+            fail(&format!("flag '{flag}' given more than once"))
         }
     }
 }

@@ -15,19 +15,33 @@ pub enum FlagCheck {
     Unknown(String),
     /// The first valued flag followed by nothing or by another `--flag`.
     MissingValue(String),
+    /// The first valued flag given a second time, though it does not repeat.
+    Repeated(String),
 }
 
 /// Check `argv` against the flags a command reads, before any work starts.
 /// A flag in `valued` takes the next token as its value, which must be
-/// there and must not start with `--`; a flag in `switches` takes none.
-/// Tokens that are not flags (the command, a store path) pass.
-pub fn check_flags(argv: &[String], valued: &[&str], switches: &[&str]) -> FlagCheck {
+/// there and must not start with `--`; it is given at most once unless it
+/// is also in `repeating`, where each occurrence adds a value. A flag in
+/// `switches` takes no value. Tokens that are not flags (the command, a
+/// store path) pass.
+pub fn check_flags(
+    argv: &[String],
+    valued: &[&str],
+    repeating: &[&str],
+    switches: &[&str],
+) -> FlagCheck {
     let mut tokens = argv.iter().map(String::as_str).peekable();
+    let mut given = Vec::new();
     while let Some(tok) = tokens.next() {
         if valued.contains(&tok) {
             if tokens.next_if(|value| !value.starts_with("--")).is_none() {
                 return FlagCheck::MissingValue(tok.to_string());
             }
+            if given.contains(&tok) && !repeating.contains(&tok) {
+                return FlagCheck::Repeated(tok.to_string());
+            }
+            given.push(tok);
         } else if tok == "--help" || tok == "-h" {
             return FlagCheck::Help;
         } else if tok.starts_with("--") && !switches.contains(&tok) {
@@ -106,7 +120,7 @@ mod tests {
     fn flags_are_checked_against_the_command_table() {
         let check = |args: &[&str]| {
             let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            check_flags(&argv, &["--app", "--out"], &["--json"])
+            check_flags(&argv, &["--app", "--out", "--rate"], &["--rate"], &["--json"])
         };
         assert_eq!(check(&["profile", "--app", "rtm", "--json"]), FlagCheck::Run);
         assert_eq!(check(&["runs.jsonl", "--out", "r.md"]), FlagCheck::Run);
@@ -118,6 +132,13 @@ mod tests {
         assert_eq!(check(&["--app", "--bogus"]), FlagCheck::MissingValue("--app".into()));
         assert_eq!(check(&["profile", "--app"]), FlagCheck::MissingValue("--app".into()));
         assert_eq!(check(&["--out", "-h"]), FlagCheck::Run);
+        // a valued flag is given once, unless it repeats
+        let twice = ["profile", "--app", "rtm", "--json", "--app", "jacobi"];
+        assert_eq!(check(&twice), FlagCheck::Repeated("--app".into()));
+        assert_eq!(check(&["--out", "a", "--out", "b"]), FlagCheck::Repeated("--out".into()));
+        assert_eq!(check(&["--out", "a", "--out"]), FlagCheck::MissingValue("--out".into()));
+        assert_eq!(check(&["--json", "--json"]), FlagCheck::Run);
+        assert_eq!(check(&["--rate", "5", "--app", "x", "--rate", "7"]), FlagCheck::Run);
     }
 
     #[test]

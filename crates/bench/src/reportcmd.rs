@@ -144,11 +144,12 @@ pub const USAGE: &str = "sfstencil report <runs.jsonl> [--json|--md|--html] [--o
 
 /// The `sfstencil report <store.jsonl> ...` subcommand. Returns the
 /// process exit code: 0 on success or `--help`, 1 on a failed regression
-/// gate, 2 on usage errors (an unknown flag among them) or I/O errors.
+/// gate, 2 on usage errors (an unknown or repeated flag among them) or I/O
+/// errors.
 pub fn run(argv: &[String]) -> i32 {
     let mut out = Stdout::default();
     let valued = ["--out", "--compare", "--max-regress"];
-    match crate::cli::check_flags(argv, &valued, &["--json", "--md", "--html"]) {
+    match crate::cli::check_flags(argv, &valued, &[], &["--json", "--md", "--html"]) {
         FlagCheck::Run => {}
         FlagCheck::Help => {
             out.write(format_args!("usage: {USAGE}\n"));
@@ -160,6 +161,10 @@ pub fn run(argv: &[String]) -> i32 {
         }
         FlagCheck::MissingValue(flag) => {
             eprintln!("error: flag '{flag}' needs a value\nusage: {USAGE}");
+            return 2;
+        }
+        FlagCheck::Repeated(flag) => {
+            eprintln!("error: flag '{flag}' given more than once\nusage: {USAGE}");
             return 2;
         }
     }

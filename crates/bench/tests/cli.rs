@@ -1,10 +1,14 @@
-//! End-to-end tests for the `sfstencil` binary.
+//! End-to-end tests for the `sfstencil` and `experiments` binaries.
 
 use serde::Value;
 use std::process::Command;
 
 fn sfstencil() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sfstencil"))
+}
+
+fn experiments() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
 }
 
 #[test]
@@ -43,13 +47,18 @@ fn help_prints_usage_on_stdout_and_exits_0() {
 
 #[test]
 fn unknown_flags_exit_2_and_name_the_flag() {
-    for args in [
-        vec!["profile", "--app", "poisson", "--mesh", "40x20", "--iters", "4", "--bogus-flag"],
-        vec!["dse", "--bogus-flag", "--app", "poisson", "--mesh", "64x64"],
-        vec!["faults", "--trials", "1", "--bogus-flag"],
-        vec!["report", "runs.jsonl", "--bogus-flag"],
+    for (mut bin, args) in [
+        (
+            sfstencil(),
+            vec!["profile", "--app", "poisson", "--mesh", "40x20", "--iters", "4", "--bogus-flag"],
+        ),
+        (sfstencil(), vec!["dse", "--bogus-flag", "--app", "poisson", "--mesh", "64x64"]),
+        (sfstencil(), vec!["faults", "--trials", "1", "--bogus-flag"]),
+        (sfstencil(), vec!["report", "runs.jsonl", "--bogus-flag"]),
+        (experiments(), vec!["table1", "--bogus-flag"]),
+        (experiments(), vec!["--bogus-flag", "all", "--json"]),
     ] {
-        let out = sfstencil().args(&args).output().unwrap();
+        let out = bin.args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("unknown flag '--bogus-flag'"), "{args:?}: {stderr}");
@@ -113,6 +122,69 @@ fn a_flag_value_is_never_another_flag() {
     }
     assert!(!dir.join("--json").exists(), "a flag was taken for a file name");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_valued_flag_given_twice_exits_2_and_names_the_flag() {
+    // run in a directory of its own, beside an empty run store, so a report
+    // written from either value would show
+    let dir = std::env::temp_dir().join(format!("sfstencil_cli_twice_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("runs.jsonl"), "").unwrap();
+    let poisson = ["--app", "poisson", "--mesh", "200x30"];
+    for (args, flag) in [
+        ([&["explain"][..], &poisson, &["--iters", "5", "--iters", "700"]].concat(), "--iters"),
+        (
+            [&["feasibility"][..], &poisson, &["--app", "rtm", "--mesh", "20x20x20"]].concat(),
+            "--app",
+        ),
+        (vec!["faults", "--trials", "1", "--seed", "1", "--seed", "2"], "--seed"),
+        (vec!["report", "runs.jsonl", "--out", "a.md", "--out", "b.md"], "--out"),
+    ] {
+        let out = sfstencil().current_dir(&dir).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("flag '{flag}' given more than once")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work may start");
+    }
+    assert!(!dir.join("a.md").exists() && !dir.join("b.md").exists(), "a report was written");
+    std::fs::remove_dir_all(&dir).unwrap();
+    // faults' sweeps take one value per occurrence
+    let out = sfstencil()
+        .args(["faults", "--rate", "5", "--rate", "7", "--kind", "bitflip", "--kind", "fifo-drop"])
+        .args(["--checkpoint-every", "2", "--checkpoint-every", "4", "--help"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8(out.stdout).unwrap().starts_with("usage: sfstencil faults"));
+}
+
+#[test]
+fn experiments_help_lists_every_name_it_accepts() {
+    let help = experiments().arg("--help").output().unwrap();
+    assert_eq!(help.status.code(), Some(0));
+    assert!(help.stderr.is_empty());
+    let usage = String::from_utf8(help.stdout).unwrap();
+    let names = "table1|table2|table3|table4|table5|table6|fig3a|fig3b|fig3c|fig4a|fig4b|fig4c|\
+                 fig5a|fig5b|model-accuracy|ablation-precision|ablation-overheads|\
+                 energy-summary|ablation-device-scaling";
+    assert_eq!(usage, format!("usage: experiments <all|{names}> [--json] [--md]\n"));
+    // every listed name runs, one experiment each
+    let names: Vec<&str> = names.split('|').collect();
+    let out = experiments().args(&names).arg("--json").output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc: Value = serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    assert_eq!(doc.as_array().map(<[Value]>::len), Some(names.len()));
+    // and a name it does not list is a usage error
+    let out = experiments().args(["table1", "table7"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown experiment 'table7'"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment may run");
 }
 
 #[test]
@@ -925,17 +997,21 @@ fn help_lists_the_flags_the_command_reads() {
 
 #[test]
 fn output_into_a_closed_pipe_exits_with_the_commands_status() {
-    for args in [
-        &["feasibility", "--app", "poisson", "--mesh", "400x400"][..],
-        &["feasibility", "--app", "poisson", "--mesh", "400x400", "--json"],
-        &["profile", "--help"],
-        &["--help"],
-        &["check", "--explain", "SFC-K05"],
+    for (mut bin, args) in [
+        (sfstencil(), &["feasibility", "--app", "poisson", "--mesh", "400x400"][..]),
+        (sfstencil(), &["feasibility", "--app", "poisson", "--mesh", "400x400", "--json"]),
+        (sfstencil(), &["profile", "--help"]),
+        (sfstencil(), &["--help"]),
+        (sfstencil(), &["check", "--explain", "SFC-K05"]),
+        (experiments(), &["model-accuracy"]),
+        (experiments(), &["table1", "table4", "--json"]),
+        (experiments(), &["fig3a", "--md"]),
+        (experiments(), &["--help"]),
     ] {
         // the reader is gone before the command writes anything
         let (reader, writer) = std::io::pipe().unwrap();
         drop(reader);
-        let out = sfstencil().args(args).stdout(writer).output().unwrap();
+        let out = bin.args(args).stdout(writer).output().unwrap();
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

@@ -6,8 +6,8 @@
 //! The paper benchmarks every FPGA design against "equivalent highly
 //! optimized implementations … on a modern Nvidia GPU" (Tesla V100 PCIe,
 //! Table I). We have no V100, so this crate substitutes a calibrated
-//! analytic performance model plus the Rayon executors from `sf-kernels`
-//! for numerics:
+//! analytic performance and power model. It prices a run and computes no
+//! meshes:
 //!
 //! * stencil kernels on a V100 are **memory-bandwidth-bound**; runtime is
 //!   `t = Σ_kernels (t_launch + bytes / BW_eff(bytes))` per iteration with

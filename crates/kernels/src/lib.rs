@@ -26,9 +26,6 @@
 //!   pipeline stages exactly as the paper fuses them.
 //! * [`mod@reference`] — golden sequential executors (double-buffered,
 //!   interior-update / boundary pass-through).
-//! * [`parallel`] — Rayon executors used as the "GPU numerics" and as fast
-//!   CPU baselines; bit-exact vs the sequential references because every
-//!   output cell is an independent pure function of the input mesh.
 
 pub mod domain;
 pub mod jacobi3d;
@@ -36,7 +33,6 @@ pub mod lanes;
 pub mod op2d;
 pub mod op3d;
 pub mod ops;
-pub mod parallel;
 pub mod poisson;
 pub mod probe;
 pub mod reference;

@@ -1,9 +1,9 @@
 //! Golden sequential reference executors.
 //!
-//! These are the trusted implementations every accelerated path (the FPGA
-//! dataflow simulator, the Rayon executors) is validated against. They are
-//! deliberately simple: double-buffered, interior-update / boundary
-//! pass-through, iterating in plain row-major order.
+//! These are the trusted implementations the FPGA dataflow simulator's
+//! scalar and fast engines are validated against. They are deliberately
+//! simple: double-buffered, interior-update / boundary pass-through,
+//! iterating in plain row-major order.
 
 use crate::op2d::StencilOp2D;
 use crate::op3d::StencilOp3D;

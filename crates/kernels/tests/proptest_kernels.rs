@@ -1,9 +1,8 @@
-//! Property tests for the kernels: linearity of the linear stencils,
-//! executor agreement on randomized shapes, RTM physics invariants, and
-//! batching equivalences.
+//! Property tests for the kernels: linearity of the linear stencils, RTM
+//! physics invariants, and batching equivalences.
 
 use proptest::prelude::*;
-use sf_kernels::{parallel, reference, rtm, Jacobi3D, Poisson2D, RtmParams, StarStencil2D};
+use sf_kernels::{reference, rtm, Jacobi3D, Poisson2D, RtmParams, StarStencil2D};
 use sf_mesh::{norms, Batch2D, Element, Mesh2D, Mesh3D};
 
 /// `a·u + b·v` lane-wise.
@@ -30,37 +29,6 @@ proptest! {
         let rhs = lincomb2d(a, &reference::step_2d(&Poisson2D, &u), b, &reference::step_2d(&Poisson2D, &v));
         let err = norms::max_abs_diff(lhs.as_slice(), rhs.as_slice());
         prop_assert!(err < 1e-4, "linearity violated by {err}");
-    }
-
-    /// Sequential and Rayon executors agree bit-exactly on arbitrary shapes.
-    #[test]
-    fn par_equals_seq_2d(
-        nx in 1usize..40,
-        ny in 1usize..30,
-        iters in 0usize..8,
-        seed in 0u64..500,
-    ) {
-        let m = Mesh2D::<f32>::random(nx, ny, seed, -3.0, 3.0);
-        let s = reference::run_2d(&Poisson2D, &m, iters);
-        let p = parallel::par_run_2d(&Poisson2D, &m, iters);
-        prop_assert!(norms::bit_equal(s.as_slice(), p.as_slice()));
-    }
-
-    /// Same for 3D with random coefficients.
-    #[test]
-    fn par_equals_seq_3d(
-        nx in 1usize..16,
-        ny in 1usize..14,
-        nz in 1usize..12,
-        iters in 0usize..5,
-        seed in 0u64..500,
-        c in 0.0f32..0.2,
-    ) {
-        let m = Mesh3D::<f32>::random(nx, ny, nz, seed, -1.0, 1.0);
-        let k = Jacobi3D::with_coefficients([c, c, c, 1.0 - 5.0 * c, c / 2.0, c / 2.0, c]);
-        let s = reference::run_3d(&k, &m, iters);
-        let p = parallel::par_run_3d(&k, &m, iters);
-        prop_assert!(norms::bit_equal(s.as_slice(), p.as_slice()));
     }
 
     /// Batched solves equal independent solves (semantic definition of

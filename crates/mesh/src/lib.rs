@@ -20,7 +20,7 @@
 //!   golden references.
 //!
 //! Everything here is deterministic and `Send + Sync`; the mesh types are
-//! plain contiguous buffers so that both Rayon parallel executors and the
+//! plain contiguous buffers so that the golden references and the
 //! cycle-level streaming simulator can walk them cheaply.
 
 pub mod batch;

@@ -1,10 +1,8 @@
 //! Error norms and mesh comparison helpers.
 //!
-//! Used to validate the FPGA dataflow simulator (which must be **bit-exact**
+//! Used to validate the FPGA dataflow simulator, which must be **bit-exact**
 //! against the golden sequential reference, since both call the same per-cell
-//! kernel in the same order) and to bound Rayon-parallel executors (which are
-//! also bit-exact for these kernels: each output cell is an independent pure
-//! function of the input mesh).
+//! kernel in the same order.
 
 use crate::element::Element;
 use crate::mesh2d::Mesh2D;

@@ -18,9 +18,8 @@
 //! The crate holds no process-wide state: results flow back to the caller,
 //! never into a shared cache.
 //!
-//! The vendored `rayon` stand-in in `vendor/` is a *sequential* shim kept
-//! for API compatibility; this crate is where real threads live. It uses
-//! only [`std::thread::scope`] — no unsafe code, no external dependencies.
+//! This crate is where the workspace's threads live. It uses only
+//! [`std::thread::scope`] — no unsafe code, no external dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
