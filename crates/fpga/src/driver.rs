@@ -175,11 +175,13 @@ pub struct Run<'a, K> {
     /// input many times solves it once and lends it to every run.
     pub trajectory: Option<&'a GoldenTrajectory>,
     /// The pool every chain of the run takes its window buffers from and
-    /// gives them back to; `None` gives the run a pool of its own. The
-    /// run's outputs, report, stats and recorded events are the same either
-    /// way. This is memory, not configuration: a caller that runs one
-    /// design many times lends one pool to every run, so the windows are
-    /// allocated once, as a bitstream's are.
+    /// gives them back to; `None` gives the run a pool of its own. A
+    /// handed-out buffer may hold an earlier run's or chain's cells, and a
+    /// window writes every slot before it reads it, so the run's outputs,
+    /// report, stats and recorded events are the same either way. This is
+    /// memory, not configuration: a caller that runs one design many times
+    /// lends one pool to every run, so the windows are allocated once and
+    /// never refilled, as a bitstream's are.
     pub windows: Option<&'a WindowPool>,
     /// Telemetry sink.
     pub rec: &'a mut Recorder,

@@ -15,6 +15,9 @@
 //! [`WindowPool`] owns the buffers: every chain takes its stages' buffers
 //! from its run's pool and gives them back when it is dropped, so a caller
 //! that lends one pool to many runs of a design allocates its windows once.
+//! A buffer is handed out as it was given back, and may hold an earlier
+//! run's cells, as the device's buffers do: a window writes every slot of a
+//! stream before it reads it, so none of them is ever read.
 //!
 //! The [`Stage`] contract mirrors the hardware channel between two
 //! processing elements: [`Stage::push`] copies a borrowed input unit into
@@ -67,10 +70,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// callers reach one through the [`Stage`] methods.
 #[derive(Debug)]
 pub struct Window<T> {
-    /// Up to `slots × unit_len` cells; unit `i` lives in slot `i % slots`
-    /// while `i ≥ pushed − slots`. It starts empty and grows slot by slot
-    /// as the first stream hands the slots out, so no cell a pooled buffer
-    /// held before is ever read.
+    /// The slots, `unit_len` cells each; unit `i` lives in slot `i % slots`
+    /// while `i ≥ pushed − slots`. A pooled buffer may be longer and may
+    /// hold an earlier run's cells; it grows only when a slot lies past its
+    /// end. Every stream writes a slot before it reads it (`Window::slot`
+    /// asserts as much), so those cells are never read.
     cells: Vec<T>,
     unit_len: usize,
     slots: usize,
@@ -123,9 +127,9 @@ impl<T: Element> Window<T> {
     pub(crate) fn slot_mut(&mut self) -> &mut [T] {
         let end = (self.head + 1) * self.unit_len;
         if self.cells.len() < end {
-            // Slots are handed out in order, so the first stream through a
-            // window initializes each slot just before its first write, and
-            // a stream shorter than the window never touches the rest.
+            // Slots are handed out in order, so a buffer grows only by the
+            // slot about to be written, and a stream shorter than the
+            // window never touches the rest.
             self.cells.resize(end, T::default());
         }
         &mut self.cells[self.head * self.unit_len..end]
@@ -556,8 +560,10 @@ fn feed<T: Element, S: Stage<T>>(
 ///
 /// A pool holds buffers of any [`Element`] type, hands a buffer out only
 /// for its own element type, and can be shared by reference across worker
-/// threads. A handed-out buffer is empty: a window writes every cell before
-/// it reads it, so what a buffer held in an earlier run is never seen.
+/// threads. A handed-out buffer keeps the cells it was given back with, so
+/// a later chain does not refill it: it may hold an earlier run's cells,
+/// and a window writes every slot before it reads it, so they are never
+/// seen.
 #[derive(Debug, Default)]
 pub struct WindowPool {
     /// One free list per element type `T`, each a `Vec<Vec<T>>`.
@@ -576,13 +582,16 @@ impl WindowPool {
         self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// An empty buffer with room for `cells` cells: a free one, grown if
-    /// it is smaller, or a new one.
+    /// A buffer with room for `cells` cells: a free one with the cells it
+    /// was given back with, or, where that is too small, emptied and grown,
+    /// so growing copies none of them; else a new one.
     fn take<T: Element>(&self, cells: usize) -> Vec<T> {
         let free = self.lists().iter_mut().find_map(|l| l.downcast_mut::<Vec<Vec<T>>>()?.pop());
         let mut buf = free.unwrap_or_default();
-        buf.clear();
-        buf.reserve_exact(cells);
+        if buf.capacity() < cells {
+            buf.clear();
+            buf.reserve_exact(cells);
+        }
         buf
     }
 
@@ -954,6 +963,39 @@ mod tests {
         let m = Mesh2D::<f32>::random(2, 2, 1, 0.0, 1.0);
         let got = run_2d(&[Poisson2D], 2, 2, 2, m.as_slice());
         assert!(norms::bit_equal(&got, m.as_slice()));
+    }
+
+    #[test]
+    fn a_pooled_buffer_is_handed_out_with_its_cells() {
+        // what a run gives back poisoned is what the next chain streams
+        // over, so a lent pool that holds NaN tests that no stale cell is read
+        let pool = WindowPool::new();
+        pool.give([vec![f32::NAN; 12]].into_iter());
+        let again = pool.take::<f32>(8);
+        assert_eq!(again.len(), 12);
+        assert!(again.iter().all(|c| c.is_nan()));
+        // one too small for the chain is emptied before it grows
+        pool.give([again].into_iter());
+        let grown = pool.take::<f32>(40);
+        assert!(grown.is_empty() && grown.capacity() >= 40);
+        // and a window over a poisoned buffer streams what a fresh one does
+        let cells = Mesh2D::<f32>::random(6, 9, 3, -1.0, 1.0);
+        pool.give([vec![f32::NAN; 6 * 5]].into_iter());
+        let mut stage = StageProcessor2D::new(Poisson2D, 6, 9, 9);
+        stage.window_mut().cells = pool.take(6 * 3);
+        let mut out = vec![0.0; 6];
+        let mut got = Vec::new();
+        for row in cells.as_slice().chunks_exact(6) {
+            if let Some(y) = stage.push(row) {
+                stage.emit(y, &mut out);
+                got.extend_from_slice(&out);
+            }
+        }
+        for y in stage.drain() {
+            stage.emit(y, &mut out);
+            got.extend_from_slice(&out);
+        }
+        assert!(norms::bit_equal(&got, run_2d(&[Poisson2D], 6, 9, 9, cells.as_slice()).as_slice()));
     }
 
     #[test]

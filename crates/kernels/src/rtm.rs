@@ -350,22 +350,18 @@ impl StencilOp3D<RtmPacked> for RtmStage {
     }
 
     /// Boundary cells take `K = 0`: stages 1–3 emit `T' = Y`, stage 4 emits
-    /// `Y_new = Yacc` into all slots.
+    /// `Y_new = Yacc` into all slots. The output is one array of `center`'s
+    /// lanes, so a boundary cell is a move of its 80 bytes, not a loop of
+    /// lane stores. The pattern spells out the [`packed`] layout, which
+    /// the `stage_boundary_semantics` test pins lane by lane.
+    #[inline]
     fn on_boundary(&self, center: RtmPacked) -> RtmPacked {
-        let mut out = center;
-        if self.stage < 4 {
-            for c in 0..RTM_LANES {
-                out.0[packed::T + c] = center.0[packed::Y + c];
-            }
+        let [y0, y1, y2, y3, y4, y5, _, _, _, _, _, _, a0, a1, a2, a3, a4, a5, rho, mu] = center.0;
+        VecN(if self.stage < 4 {
+            [y0, y1, y2, y3, y4, y5, y0, y1, y2, y3, y4, y5, a0, a1, a2, a3, a4, a5, rho, mu]
         } else {
-            for c in 0..RTM_LANES {
-                let y_new = center.0[packed::ACC + c];
-                out.0[packed::Y + c] = y_new;
-                out.0[packed::T + c] = y_new;
-                out.0[packed::ACC + c] = y_new;
-            }
-        }
-        out
+            [a0, a1, a2, a3, a4, a5, a0, a1, a2, a3, a4, a5, a0, a1, a2, a3, a4, a5, rho, mu]
+        })
     }
 }
 
@@ -549,24 +545,27 @@ mod tests {
     #[test]
     fn stage_boundary_semantics() {
         let prm = RtmParams::default();
-        let mut e = RtmPacked::default();
-        for c in 0..RTM_LANES {
-            e.0[packed::Y + c] = 1.0 + c as f32;
-            e.0[packed::T + c] = 100.0;
-            e.0[packed::ACC + c] = 10.0 + c as f32;
-        }
-        let s1 = RtmStage::new(1, prm);
-        let b1 = s1.on_boundary(e);
-        for c in 0..RTM_LANES {
-            assert_eq!(b1.0[packed::T + c], 1.0 + c as f32, "T reset to Y");
-            assert_eq!(b1.0[packed::ACC + c], 10.0 + c as f32, "Yacc unchanged");
-        }
-        let s4 = RtmStage::new(4, prm);
-        let b4 = s4.on_boundary(e);
-        for c in 0..RTM_LANES {
-            assert_eq!(b4.0[packed::Y + c], 10.0 + c as f32);
-            assert_eq!(b4.0[packed::T + c], 10.0 + c as f32);
-            assert_eq!(b4.0[packed::ACC + c], 10.0 + c as f32);
+        // every lane a distinct bit pattern, among them a NaN with a
+        // payload, -0.0 and a subnormal, so a moved or rounded lane shows
+        let mut e = VecN::new(std::array::from_fn(|l| 1.0 + l as f32 * 0.5));
+        e.0[packed::Y] = f32::from_bits(0x7fc0_1234);
+        e.0[packed::ACC + 1] = -0.0;
+        e.0[packed::MU] = f32::from_bits(1);
+        let bits = |v: RtmPacked| v.0.map(f32::to_bits);
+        let input = bits(e);
+        for stage in 1..=4 {
+            // stages 1–3: T' = Y, the rest unchanged; stage 4: Y_new = Yacc
+            // in all three state slots; ρ and μ pass through
+            let mut want = input;
+            for c in 0..RTM_LANES {
+                if stage < 4 {
+                    want[packed::T + c] = input[packed::Y + c];
+                } else {
+                    want[packed::Y + c] = input[packed::ACC + c];
+                    want[packed::T + c] = input[packed::ACC + c];
+                }
+            }
+            assert_eq!(bits(RtmStage::new(stage, prm).on_boundary(e)), want, "stage {stage}");
         }
     }
 

@@ -151,10 +151,11 @@ impl Snapshot {
         cells: &[T],
     ) -> Snapshot {
         let lanes = T::LANES as u32;
-        let mut data = Vec::with_capacity(cells.len() * T::LANES);
-        for c in cells {
-            for l in 0..T::LANES {
-                data.push(c.lane(l));
+        // a payload of its final size, filled cell by cell: no lane is pushed
+        let mut data = vec![0.0; cells.len() * T::LANES];
+        for (out, c) in data.chunks_exact_mut(T::LANES.max(1)).zip(cells) {
+            for (l, v) in out.iter_mut().enumerate() {
+                *v = c.lane(l);
             }
         }
         let checksum = content_checksum(iters_done, passes_done, dims, batch, lanes, &data);
@@ -241,6 +242,18 @@ mod tests {
         assert_eq!(s.lanes, 3);
         let back: Vec<VecN<3>> = s.restore(6).expect("restore");
         assert_eq!(back, cells);
+        // RTM's 20-lane packed cell: the payload is lane-major, cell after
+        // cell, and its checksum is the one spill format v2 has recorded
+        let wide: Vec<VecN<20>> = (0..5)
+            .map(|i| VecN::new(std::array::from_fn(|l| (i * 20 + l) as f32 * 0.25 - 7.0)))
+            .collect();
+        let s = Snapshot::capture(3, 2, &[5, 1], 1, &wide);
+        assert_eq!(s.lanes, 20);
+        let lane_major: Vec<f32> = (0..100).map(|k| k as f32 * 0.25 - 7.0).collect();
+        assert_eq!(s.data, lane_major);
+        assert_eq!(s.checksum, 0xbd78_7912_b769_0703);
+        let back: Vec<VecN<20>> = s.restore(5).expect("restore");
+        assert_eq!(back, wide);
     }
 
     #[test]
