@@ -61,7 +61,8 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = Stdout::default();
-    match cli::check_flags(&args, &[], &[], &SWITCHES) {
+    // any number of names, each checked against the table below
+    match cli::check_flags(&args, &[], &[], &SWITCHES, usize::MAX) {
         FlagCheck::Run => {}
         FlagCheck::Help => {
             out.write(format_args!("{}\n", usage()));
@@ -71,6 +72,7 @@ fn main() {
         FlagCheck::Unknown(flag) | FlagCheck::MissingValue(flag) | FlagCheck::Repeated(flag) => {
             fail(&format!("unknown flag '{flag}'"))
         }
+        FlagCheck::Stray(name) => fail(&format!("unknown experiment '{name}'")),
     }
     let names: Vec<&str> =
         args.iter().map(String::as_str).filter(|a| !a.starts_with("--")).collect();

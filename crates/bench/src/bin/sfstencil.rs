@@ -25,7 +25,9 @@
 //!
 //! Each command reads its own flags, those shown for it here and below;
 //! any other flag is a usage error (exit 2) that names the flag. So is a
-//! valued flag given twice, except `faults`' repeating flags (`...`).
+//! valued flag given twice, except `faults`' repeating flags (`...`), and
+//! a token that is no flag's value: only `report` takes a positional
+//! argument, its one run store. `check --explain` reads no other flag.
 //! `sfstencil <command> --help` prints the usage of that command, built
 //! from the same flag table. Standard output that a closed pipe no longer
 //! reads is dropped, and the command still exits with its own status.
@@ -106,7 +108,7 @@ use sf_core::prelude::*;
 use sf_fpga::design::synthesize;
 use sf_telemetry::{chrome, metrics, StallClass};
 
-use sf_bench::cli::Stdout;
+use sf_bench::cli::{FlagCheck, Stdout};
 
 /// The commands, in the order the usage lists them.
 const COMMANDS: [&str; 8] =
@@ -201,30 +203,31 @@ fn help() -> ! {
     std::process::exit(0);
 }
 
-/// Check a command line against the flags its command `cmd` reads, before
-/// any work starts: `--help`/`-h` prints the command's usage on stdout and
-/// exits 0, and a flag the command does not read, a valued flag without its
-/// value, or one given twice that does not repeat, is a usage error that
-/// names the flag.
+/// Check the arguments after the command `cmd` against the flags it reads,
+/// before any work starts. No command takes a positional argument here.
 fn check_flags(argv: &[String], cmd: &str) {
     let Some((valued, switches)) = command_flags(cmd) else {
-        if argv.iter().any(|a| a == "--help" || a == "-h") {
+        let asks_help = |a: &str| a == "--help" || a == "-h";
+        if asks_help(cmd) || argv.iter().any(|a| asks_help(a)) {
             help();
         }
         fail(&format!("unknown command '{cmd}'"));
     };
-    match sf_bench::cli::check_flags(argv, valued, &REPEATING, switches) {
-        sf_bench::cli::FlagCheck::Run => {}
-        sf_bench::cli::FlagCheck::Help => help(),
-        sf_bench::cli::FlagCheck::Unknown(flag) => {
-            fail(&format!("unknown flag '{flag}' for {cmd}"))
-        }
-        sf_bench::cli::FlagCheck::MissingValue(flag) => {
-            fail(&format!("flag '{flag}' needs a value"))
-        }
-        sf_bench::cli::FlagCheck::Repeated(flag) => {
-            fail(&format!("flag '{flag}' given more than once"))
-        }
+    act_on(sf_bench::cli::check_flags(argv, valued, &REPEATING, switches, 0), cmd);
+}
+
+/// Act on the flag check of `cmd`'s arguments: `--help`/`-h` prints the
+/// command's usage on stdout and exits 0, and a flag the command does not
+/// read, a valued flag without its value, one given twice that does not
+/// repeat, or a stray token, is a usage error that names it.
+fn act_on(check: FlagCheck, cmd: &str) {
+    match check {
+        FlagCheck::Run => {}
+        FlagCheck::Help => help(),
+        FlagCheck::Unknown(flag) => fail(&format!("unknown flag '{flag}' for {cmd}")),
+        FlagCheck::MissingValue(flag) => fail(&format!("flag '{flag}' needs a value")),
+        FlagCheck::Repeated(flag) => fail(&format!("flag '{flag}' given more than once")),
+        FlagCheck::Stray(token) => fail(&format!("unexpected argument '{token}' for {cmd}")),
     }
 }
 
@@ -338,7 +341,7 @@ fn parse() -> Args {
         fail("missing command");
     }
     let cmd = argv[0].clone();
-    check_flags(&argv, &cmd);
+    check_flags(&argv[1..], &cmd);
     let get = |flag: &str| -> Option<String> {
         argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())
     };
@@ -424,8 +427,14 @@ fn write_record(path: &str, mut rec: sf_report::RunRecord, started: std::time::I
 
 /// `check --explain SFC-XXX`: print one rule's catalogue entry and exit 0;
 /// unknown codes list every rule and exit 2 (a usage error, like any other
-/// malformed flag).
-fn run_explain(code: &str, out: &mut Stdout) -> ! {
+/// malformed flag). It reads no other flag, and `--explain` is given once.
+fn run_explain(argv: &[String], out: &mut Stdout) -> ! {
+    let check = sf_bench::cli::check_flags(argv, &["--explain"], &[], &[], 0);
+    if check == FlagCheck::MissingValue("--explain".into()) {
+        fail("--explain needs a rule code (e.g. --explain SFC-K05)");
+    }
+    act_on(check, "check --explain");
+    let code = argv.iter().skip_while(|a| *a != "--explain").nth(1).map_or("", String::as_str);
     match sf_check::RuleId::from_code(code) {
         Some(rule) => {
             out!(out, "{}", rule.explain());
@@ -669,13 +678,8 @@ fn main() {
     }
     // `check --explain SFC-XXX` needs no --app/--mesh, so it is routed
     // before the full argument parser
-    if argv.first().map(String::as_str) == Some("check") {
-        if let Some(i) = argv.iter().position(|arg| arg == "--explain") {
-            match argv.get(i + 1) {
-                Some(code) => run_explain(code, &mut out),
-                None => fail("--explain needs a rule code (e.g. --explain SFC-K05)"),
-            }
-        }
+    if argv.first().map(String::as_str) == Some("check") && argv.iter().any(|a| a == "--explain") {
+        run_explain(&argv[1..], &mut out);
     }
     let a = parse();
     let mut wf = Workflow::u280_vs_v100();

@@ -17,22 +17,28 @@ pub enum FlagCheck {
     MissingValue(String),
     /// The first valued flag given a second time, though it does not repeat.
     Repeated(String),
+    /// The first token that is neither a flag nor a flag's value, past the
+    /// positional arguments the command takes.
+    Stray(String),
 }
 
 /// Check `argv` against the flags a command reads, before any work starts.
 /// A flag in `valued` takes the next token as its value, which must be
 /// there and must not start with `--`; it is given at most once unless it
 /// is also in `repeating`, where each occurrence adds a value. A flag in
-/// `switches` takes no value. Tokens that are not flags (the command, a
-/// store path) pass.
+/// `switches` takes no value. The first `positional` tokens that are
+/// neither flags nor values (a store path) are the command's arguments;
+/// any further one is stray.
 pub fn check_flags(
     argv: &[String],
     valued: &[&str],
     repeating: &[&str],
     switches: &[&str],
+    positional: usize,
 ) -> FlagCheck {
     let mut tokens = argv.iter().map(String::as_str).peekable();
     let mut given = Vec::new();
+    let mut arguments = 0;
     while let Some(tok) = tokens.next() {
         if valued.contains(&tok) {
             if tokens.next_if(|value| !value.starts_with("--")).is_none() {
@@ -44,8 +50,14 @@ pub fn check_flags(
             given.push(tok);
         } else if tok == "--help" || tok == "-h" {
             return FlagCheck::Help;
-        } else if tok.starts_with("--") && !switches.contains(&tok) {
-            return FlagCheck::Unknown(tok.to_string());
+        } else if tok.starts_with("--") {
+            if !switches.contains(&tok) {
+                return FlagCheck::Unknown(tok.to_string());
+            }
+        } else if arguments == positional {
+            return FlagCheck::Stray(tok.to_string());
+        } else {
+            arguments += 1;
         }
     }
     FlagCheck::Run
@@ -118,10 +130,11 @@ mod tests {
 
     #[test]
     fn flags_are_checked_against_the_command_table() {
-        let check = |args: &[&str]| {
+        let check_with = |args: &[&str], positional| {
             let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            check_flags(&argv, &["--app", "--out", "--rate"], &["--rate"], &["--json"])
+            check_flags(&argv, &["--app", "--out", "--rate"], &["--rate"], &["--json"], positional)
         };
+        let check = |args: &[&str]| check_with(args, 1);
         assert_eq!(check(&["profile", "--app", "rtm", "--json"]), FlagCheck::Run);
         assert_eq!(check(&["runs.jsonl", "--out", "r.md"]), FlagCheck::Run);
         assert_eq!(check(&["--app", "x", "--bogus"]), FlagCheck::Unknown("--bogus".into()));
@@ -139,6 +152,15 @@ mod tests {
         assert_eq!(check(&["--out", "a", "--out"]), FlagCheck::MissingValue("--out".into()));
         assert_eq!(check(&["--json", "--json"]), FlagCheck::Run);
         assert_eq!(check(&["--rate", "5", "--app", "x", "--rate", "7"]), FlagCheck::Run);
+        // a token past the command's positional arguments is stray; a
+        // flag's value is not one of them
+        let stray = |tok: &str| FlagCheck::Stray(tok.into());
+        assert_eq!(check(&["runs.jsonl", "nosuch.jsonl", "--json"]), stray("nosuch.jsonl"));
+        assert_eq!(check(&["--app", "rtm", "runs.jsonl", "x", "--bogus"]), stray("x"));
+        assert_eq!(check_with(&["--app", "rtm", "stray", "--json"], 0), stray("stray"));
+        assert_eq!(check_with(&["--app", "rtm", "--out", "-h", "--json"], 0), FlagCheck::Run);
+        assert_eq!(check_with(&["--json", "-x"], 0), stray("-x"));
+        assert_eq!(check_with(&["a", "b", "c"], usize::MAX), FlagCheck::Run);
     }
 
     #[test]

@@ -144,12 +144,13 @@ pub const USAGE: &str = "sfstencil report <runs.jsonl> [--json|--md|--html] [--o
 
 /// The `sfstencil report <store.jsonl> ...` subcommand. Returns the
 /// process exit code: 0 on success or `--help`, 1 on a failed regression
-/// gate, 2 on usage errors (an unknown or repeated flag among them) or I/O
-/// errors.
+/// gate, 2 on usage errors (an unknown or repeated flag, or a second store,
+/// among them) or I/O errors.
 pub fn run(argv: &[String]) -> i32 {
     let mut out = Stdout::default();
     let valued = ["--out", "--compare", "--max-regress"];
-    match crate::cli::check_flags(argv, &valued, &[], &["--json", "--md", "--html"]) {
+    // one positional argument: the store
+    match crate::cli::check_flags(argv, &valued, &[], &["--json", "--md", "--html"], 1) {
         FlagCheck::Run => {}
         FlagCheck::Help => {
             out.write(format_args!("usage: {USAGE}\n"));
@@ -165,6 +166,10 @@ pub fn run(argv: &[String]) -> i32 {
         }
         FlagCheck::Repeated(flag) => {
             eprintln!("error: flag '{flag}' given more than once\nusage: {USAGE}");
+            return 2;
+        }
+        FlagCheck::Stray(token) => {
+            eprintln!("error: unexpected argument '{token}' (one run store)\nusage: {USAGE}");
             return 2;
         }
     }

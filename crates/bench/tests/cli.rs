@@ -610,6 +610,59 @@ fn check_explain_unknown_rule_exits_2_with_suggestions() {
 }
 
 #[test]
+fn check_explain_reads_no_other_flag_and_one_code() {
+    for (args, msg) in [
+        (&["--bogus", "--explain", "SFC-K01"][..], "unknown flag '--bogus' for check --explain"),
+        (&["--app", "poisson", "--mesh", "40x20"], "unknown flag '--app' for check --explain"),
+        (&["--json"], "unknown flag '--json' for check --explain"),
+        (&["--explain", "SFC-K01"], "flag '--explain' given more than once"),
+        (&["SFC-K01"], "unexpected argument 'SFC-K01' for check --explain"),
+    ] {
+        let args = [&["check", "--explain", "SFC-K05"][..], args].concat();
+        let out = sfstencil().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no entry may be printed");
+    }
+}
+
+#[test]
+fn stray_tokens_exit_2_and_name_the_token() {
+    // run beside an empty run store, so a report of the first store would
+    // succeed and one written to a file would show
+    let dir = std::env::temp_dir().join(format!("sfstencil_cli_stray_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("runs.jsonl"), "").unwrap();
+    for (args, token, cmd) in [
+        (
+            &["profile", "--app", "poisson", "--mesh", "40x20", "--iters", "4", "stray-token"][..],
+            "stray-token",
+            " for profile",
+        ),
+        (
+            &["feasibility", "stray", "--app", "poisson", "--mesh", "40x20"],
+            "stray",
+            " for feasibility",
+        ),
+        (&["faults", "--trials", "1", "stray"], "stray", " for faults"),
+        (&["report", "runs.jsonl", "nosuch.jsonl", "--out", "r.md"], "nosuch.jsonl", ""),
+    ] {
+        let out = sfstencil().current_dir(&dir).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unexpected argument '{token}'{cmd}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work may start");
+    }
+    assert!(!dir.join("r.md").exists(), "a report was written");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn check_assume_order_seeds_a_footprint_violation() {
     let out = sfstencil()
         .args([
