@@ -27,7 +27,8 @@
 //! any other flag is a usage error (exit 2) that names the flag. So is a
 //! valued flag given twice, except `faults`' repeating flags (`...`), and
 //! a token that is no flag's value: only `report` takes a positional
-//! argument, its one run store. `check --explain` reads no other flag.
+//! argument, its one run store, before, among or after its flags.
+//! `check --explain` reads no other flag.
 //! `sfstencil <command> --help` prints the usage of that command, built
 //! from the same flag table. Standard output that a closed pipe no longer
 //! reads is dropped, and the command still exits with its own status.
@@ -669,12 +670,14 @@ fn main() {
         run_faults(&argv[1..], started, &mut out);
         return;
     }
-    // `report <store.jsonl>` (positional path) is the cross-run report;
-    // `report --app ... --v V --p P` stays the per-design estimate.
-    if argv.first().map(String::as_str) == Some("report")
-        && argv.get(1).is_some_and(|arg| !arg.starts_with("--"))
-    {
-        std::process::exit(sf_bench::reportcmd::run(&argv[1..]));
+    // `report <store.jsonl>` (a positional path, at any position) is the
+    // cross-run report; `report --app ... --v V --p P` stays the per-design
+    // estimate.
+    if argv.first().map(String::as_str) == Some("report") {
+        let per_design = command_flags("report").map_or(&[][..], |(valued, _)| valued);
+        if sf_bench::reportcmd::is_cross_run(&argv[1..], per_design) {
+            std::process::exit(sf_bench::reportcmd::run(&argv[1..]));
+        }
     }
     // `check --explain SFC-XXX` needs no --app/--mesh, so it is routed
     // before the full argument parser

@@ -63,6 +63,22 @@ pub fn check_flags(
     FlagCheck::Run
 }
 
+/// The tokens of `argv` that are neither flags nor the value of a flag in
+/// `valued`, as [`check_flags`] reads them: a command's positional
+/// arguments.
+pub fn positionals<'a>(argv: &'a [String], valued: &[&str]) -> Vec<&'a str> {
+    let mut tokens = argv.iter().map(String::as_str).peekable();
+    let mut found = Vec::new();
+    while let Some(tok) = tokens.next() {
+        if valued.contains(&tok) {
+            tokens.next_if(|value| !value.starts_with("--"));
+        } else if !tok.starts_with("--") && tok != "-h" {
+            found.push(tok);
+        }
+    }
+    found
+}
+
 /// Standard output as the command-line front ends write it. Once the
 /// reader has gone (a closed pipe, as `| head` leaves it) every later write
 /// is dropped, so the command finishes and exits with the status its result
@@ -161,6 +177,19 @@ mod tests {
         assert_eq!(check_with(&["--app", "rtm", "--out", "-h", "--json"], 0), FlagCheck::Run);
         assert_eq!(check_with(&["--json", "-x"], 0), stray("-x"));
         assert_eq!(check_with(&["a", "b", "c"], usize::MAX), FlagCheck::Run);
+    }
+
+    #[test]
+    fn positionals_skip_flags_and_their_values() {
+        let positionals = |args: &[&str]| -> Vec<String> {
+            let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            positionals(&argv, &["--app", "--out"]).iter().map(|a| a.to_string()).collect()
+        };
+        assert_eq!(positionals(&["runs.jsonl", "--json"]), ["runs.jsonl"]);
+        assert_eq!(positionals(&["--json", "runs.jsonl"]), ["runs.jsonl"]);
+        assert_eq!(positionals(&["--out", "r.md", "runs.jsonl", "x"]), ["runs.jsonl", "x"]);
+        assert_eq!(positionals(&["--app", "rtm", "--out", "-h", "-h"]), Vec::<String>::new());
+        assert_eq!(positionals(&["--out", "--json", "runs.jsonl"]), ["runs.jsonl"]);
     }
 
     #[test]

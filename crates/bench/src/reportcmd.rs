@@ -138,19 +138,30 @@ pub fn parse_max_regress(s: &str) -> Option<f64> {
     (v.is_finite() && v >= 0.0).then_some(v)
 }
 
+/// The cross-run report's valued flags.
+const VALUED: [&str; 3] = ["--out", "--compare", "--max-regress"];
+
+/// Whether the arguments after `report` ask for the cross-run report: they
+/// name a run store, at any position, and none of `per_design`, the flags
+/// of the per-design `report --app ...`.
+pub fn is_cross_run(argv: &[String], per_design: &[&str]) -> bool {
+    !argv.iter().any(|arg| per_design.contains(&arg.as_str()))
+        && !crate::cli::positionals(argv, &VALUED).is_empty()
+}
+
 /// The cross-run report's command line, as its usage shows it.
 pub const USAGE: &str = "sfstencil report <runs.jsonl> [--json|--md|--html] [--out FILE] \
                          [--compare BASELINE.json] [--max-regress PCT]";
 
-/// The `sfstencil report <store.jsonl> ...` subcommand. Returns the
+/// The `sfstencil report <store.jsonl> ...` subcommand, its store at any
+/// position among the flags. Returns the
 /// process exit code: 0 on success or `--help`, 1 on a failed regression
 /// gate, 2 on usage errors (an unknown or repeated flag, or a second store,
 /// among them) or I/O errors.
 pub fn run(argv: &[String]) -> i32 {
     let mut out = Stdout::default();
-    let valued = ["--out", "--compare", "--max-regress"];
     // one positional argument: the store
-    match crate::cli::check_flags(argv, &valued, &[], &["--json", "--md", "--html"], 1) {
+    match crate::cli::check_flags(argv, &VALUED, &[], &["--json", "--md", "--html"], 1) {
         FlagCheck::Run => {}
         FlagCheck::Help => {
             out.write(format_args!("usage: {USAGE}\n"));
@@ -173,7 +184,7 @@ pub fn run(argv: &[String]) -> i32 {
             return 2;
         }
     }
-    let Some(store) = argv.first().filter(|a| !a.starts_with("--")) else {
+    let Some(&store) = crate::cli::positionals(argv, &VALUED).first() else {
         eprintln!("usage: {USAGE}");
         return 2;
     };

@@ -663,6 +663,38 @@ fn stray_tokens_exit_2_and_name_the_token() {
 }
 
 #[test]
+fn the_cross_run_report_takes_its_store_at_any_position() {
+    // run in a directory of its own, beside an empty run store
+    let dir = std::env::temp_dir().join(format!("sfstencil_cli_store_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("runs.jsonl"), "").unwrap();
+    let report = |args: &[&str]| {
+        let out = sfstencil().current_dir(&dir).arg("report").args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        out.stdout
+    };
+    let json = report(&["runs.jsonl", "--json"]);
+    assert!(json.starts_with(b"{"), "{}", String::from_utf8_lossy(&json));
+    assert_eq!(report(&["--json", "runs.jsonl"]), json);
+    assert_eq!(report(&["--html", "runs.jsonl"]), report(&["runs.jsonl", "--html"]));
+    report(&["runs.jsonl", "--out", "first.md"]);
+    report(&["--out", "last.md", "runs.jsonl"]);
+    let written = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    assert_eq!(written("last.md"), written("first.md"));
+    // without a store it stays the per-design report: its usage names both
+    // forms, and bare `report` asks for --app
+    let help = sfstencil().args(["report", "--help"]).output().unwrap();
+    assert_eq!(help.status.code(), Some(0));
+    let usage = String::from_utf8(help.stdout).unwrap();
+    assert!(usage.contains("report <runs.jsonl>") && usage.contains("report --app"), "{usage}");
+    let bare = sfstencil().current_dir(&dir).arg("report").output().unwrap();
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bare.stderr).contains("--app required"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn check_assume_order_seeds_a_footprint_violation() {
     let out = sfstencil()
         .args([

@@ -5,9 +5,11 @@
 //! configuration" (§V-A). [`explore`] sweeps `(V, p, mode)` candidates,
 //! synthesizes each on the simulated device (which applies the real resource,
 //! bandwidth and clock constraints), predicts runtime with the extended
-//! model, and returns candidates ranked fastest-first. [`best`] walks the
-//! same sweep but keeps only the leader, so picking a design never holds
-//! more than one [`Candidate`].
+//! model, and returns candidates ranked fastest-first. [`best`] finds the
+//! head of that ranking by branch and bound: eq. (2)'s ideal clock count
+//! puts a floor under every point's planned runtime, so it plans the
+//! points in order of their floors, stops at the first floor above the
+//! leader's runtime, and predicts only the winner.
 //!
 //! Before any candidate is synthesized or costed it is pre-filtered through
 //! the static checker (`sf_check::check`): configurations with
@@ -139,7 +141,21 @@ pub fn explore_jobs(
 }
 
 /// The single best candidate, if any design is feasible: the head of
-/// [`explore`]'s ranking, errors included, without materializing it.
+/// [`explore`]'s ranking, found by branch and bound on the calling thread.
+///
+/// The sweep's points are visited in order of their floor, eq. (2)'s
+/// ideal clock count at the default clock, a lower bound on the planned
+/// runtime, ties kept in sweep order. A visited point
+/// is checked, synthesized and planned, but not predicted. The visit stops
+/// at the first floor strictly above the leader's planned runtime: no point
+/// from there on can beat the leader or tie it. Only the winner is
+/// evaluated in full, so the result is [`explore`]'s head, byte for byte.
+///
+/// Malformed options and a drifted spec are the errors [`explore`] returns.
+/// Past them, skipping a point is sound only because every point that
+/// passes the design rules and synthesis evaluates without error (the
+/// module's floor test pins that): a skipped point hides no error that
+/// [`explore`] would return first.
 pub fn best(
     dev: &FpgaDevice,
     spec: &StencilSpec,
@@ -147,34 +163,19 @@ pub fn best(
     niter: u64,
     opts: &DseOptions,
 ) -> Result<Option<Candidate>, ModelError> {
-    best_jobs(dev, spec, wl, niter, opts, sf_par::resolve_jobs(None))
-}
-
-/// [`best`] with an explicit worker count.
-///
-/// An ordered reduction over [`explore_jobs`]'s sweep: every point goes
-/// through the same evaluation, but only its `(planned runtime, sweep
-/// position)` is kept; the first error in sweep order is returned, as
-/// [`explore_jobs`] returns it, and the winner is evaluated once more to
-/// rebuild its [`Candidate`]. Never more than one `Candidate` per worker
-/// is alive, and the result is identical for every `jobs` value.
-pub fn best_jobs(
-    dev: &FpgaDevice,
-    spec: &StencilSpec,
-    wl: &Workload,
-    niter: u64,
-    opts: &DseOptions,
-    jobs: usize,
-) -> Result<Option<Candidate>, ModelError> {
     let points = sweep(dev, spec, wl, opts)?;
-    let keys = sf_par::par_map(jobs, points.iter().collect(), |pos, &pt| {
-        Ok(evaluate(dev, spec, wl, niter, opts, pt)?.map(|c| (c.planned_runtime_s, pos)))
-    });
+    let mut order: Vec<(f64, usize)> =
+        points.iter().enumerate().map(|(pos, &pt)| (floor(dev, wl, niter, pt), pos)).collect();
+    order.sort_unstable_by(|&a, &b| rank(a, b));
     let mut leader: Option<(f64, usize)> = None;
-    for key in keys {
-        if let Some(k) = key? {
-            if leader.is_none_or(|l| rank(k, l).is_lt()) {
-                leader = Some(k);
+    for (floor, pos) in order {
+        if leader.is_some_and(|(runtime_s, _)| floor > runtime_s) {
+            break;
+        }
+        if let Some(runtime_s) = planned(dev, spec, wl, niter, opts, points[pos])? {
+            debug_assert!(floor <= runtime_s, "floor {floor} s above plan {runtime_s} s");
+            if leader.is_none_or(|l| rank((runtime_s, pos), l).is_lt()) {
+                leader = Some((runtime_s, pos));
             }
         }
     }
@@ -184,10 +185,38 @@ pub fn best_jobs(
     }
 }
 
-/// The one ranking order of the sweep: planned runtime, then sweep
-/// position. `total_cmp` rather than `partial_cmp`: [`evaluate`] already
-/// rejected non-finite runtimes, so the order is total either way, but the
-/// ranking must never be a panic site.
+/// Eq. (2)'s ideal clock count of point `(V, p, _, devices)`, fill left
+/// out, in seconds at the device's default clock: `⌈niter/p⌉ · ⌈nx/V⌉ ·
+/// R / devices / default_clock_hz`, where the `R` rows of a pass are
+/// `ny·batch` in 2D and `ny·nz·batch` in 3D. Zero iterations count one
+/// pass, as `Schedule::plan` counts them.
+///
+/// It lies at or below the point's planned runtime, which charges
+/// `⌈niter/p⌉` passes of the slowest device's pass, exposed exchange
+/// included, at `design.freq_hz`, plus host calls:
+/// - each row a pass streams costs at least `⌈read_len/V⌉` compute
+///   cycles; the issue gap, memory-bound rows, fill rows, turnaround,
+///   pipeline latency and halo rows only add to that;
+/// - tiles cover every column, so together their rows cost at least
+///   `⌈nx/V⌉` (`Σ⌈aᵢ/V⌉ ≥ ⌈Σaᵢ/V⌉`), and every row; slabs cover every
+///   row, so the slowest device streams at least the mean, `R/devices`;
+/// - `freq_hz ≤ default_clock_hz`: every derate in
+///   `clock::achieved_frequency_placed` is ≥ 0, and its 100 MHz floor
+///   lies below the U280's 300 MHz default.
+fn floor(dev: &FpgaDevice, wl: &Workload, niter: u64, (v, p, _, devices): Point) -> f64 {
+    let passes = niter.div_ceil(p as u64).max(1);
+    let (nx, rows) = match *wl {
+        Workload::D2 { nx, ny, batch } => (nx, ny as f64 * batch as f64),
+        Workload::D3 { nx, ny, nz, batch } => (nx, ny as f64 * nz as f64 * batch as f64),
+    };
+    passes as f64 * nx.div_ceil(v) as f64 * rows / devices as f64 / dev.default_clock_hz
+}
+
+/// The one ranking order of the sweep: planned runtime (or [`best`]'s
+/// floor under it), then sweep position. `total_cmp` rather than
+/// `partial_cmp`: [`evaluate`] already rejected non-finite runtimes, so
+/// the order is total either way, but the ranking must never be a panic
+/// site.
 fn rank((rt_a, pos_a): (f64, usize), (rt_b, pos_b): (f64, usize)) -> Ordering {
     rt_a.total_cmp(&rt_b).then(pos_a.cmp(&pos_b))
 }
@@ -260,8 +289,8 @@ fn sweep(
     Ok(points)
 }
 
-/// Evaluate one point: static check → synthesis → prediction.
-/// `Ok(None)` is an infeasible point, silently skipped.
+/// Check and synthesize one point: `None` is an infeasible point,
+/// silently skipped.
 ///
 /// The check is the DSE pruning filter: a point with an error-severity
 /// diagnostic never reaches synthesis. Warnings (tile alignment, FIFO
@@ -269,20 +298,32 @@ fn sweep(
 /// device count flows into the SFC-X shard-legality rule, so shardings
 /// whose slabs would be narrower than the halo depth (or that
 /// out-number the mesh's outermost units) never reach the cost model.
+fn synthesized(
+    dev: &FpgaDevice,
+    spec: &StencilSpec,
+    wl: &Workload,
+    mem: MemKind,
+    (v, p, mode, devices): Point,
+) -> Option<StencilDesign> {
+    let checked = sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices);
+    if sf_check::check(dev, &checked).has_errors() {
+        return None;
+    }
+    synthesize(dev, spec, v, p, mode, mem, wl).ok()
+}
+
+/// Evaluate one point: static check → synthesis → prediction.
+/// `Ok(None)` is an infeasible point, silently skipped.
 fn evaluate(
     dev: &FpgaDevice,
     spec: &StencilSpec,
     wl: &Workload,
     niter: u64,
     opts: &DseOptions,
-    (v, p, mode, devices): Point,
+    pt: Point,
 ) -> Result<Option<Candidate>, ModelError> {
-    let mem = opts.mem;
-    let checked = sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices);
-    if sf_check::check(dev, &checked).has_errors() {
-        return Ok(None);
-    }
-    let Ok(design) = synthesize(dev, spec, v, p, mode, mem, wl) else { return Ok(None) };
+    let Some(design) = synthesized(dev, spec, wl, opts.mem, pt) else { return Ok(None) };
+    let devices = pt.3;
     let (prediction, planned_runtime_s) = if devices > 1 {
         // The sharded plan *is* the extended model for multi-device points —
         // it prices memory-bound rows, halo re-reads and exposed exchange —
@@ -294,21 +335,146 @@ fn evaluate(
         let pr = predict(dev, &design, wl, niter, PredictionLevel::Extended)?;
         (pr, sf_fpga::cycles::plan(dev, &design, wl, niter).runtime_s)
     };
-    if !planned_runtime_s.is_finite() {
+    let planned_runtime_s = finite(&design, wl, planned_runtime_s)?;
+    Ok(Some(Candidate { design, devices, prediction, planned_runtime_s }))
+}
+
+/// [`evaluate`]'s planned runtime of one point, without its prediction:
+/// static check → synthesis → the schedule walk's plan.
+fn planned(
+    dev: &FpgaDevice,
+    spec: &StencilSpec,
+    wl: &Workload,
+    niter: u64,
+    opts: &DseOptions,
+    pt: Point,
+) -> Result<Option<f64>, ModelError> {
+    let Some(design) = synthesized(dev, spec, wl, opts.mem, pt) else { return Ok(None) };
+    let devices = pt.3;
+    let runtime_s = if devices > 1 {
+        let cfg = sf_fpga::MultiConfig { devices, link: opts.link };
+        crate::predict::predict_sharded(dev, &design, wl, niter, &cfg)?.runtime_s
+    } else {
+        crate::predict::walk(dev, &design, wl)?.plan(niter).runtime_s
+    };
+    finite(&design, wl, runtime_s).map(Some)
+}
+
+/// `runtime_s`, unless it is not finite: a point outside the calibrated
+/// model's domain is an error, never a rank.
+fn finite(design: &StencilDesign, wl: &Workload, runtime_s: f64) -> Result<f64, ModelError> {
+    if !runtime_s.is_finite() {
         return Err(ModelError::NonFiniteRuntime {
             detail: format!("V={} p={} mode {:?} on {:?}", design.v, design.p, design.mode, wl),
         });
     }
-    Ok(Some(Candidate { design, devices, prediction, planned_runtime_s }))
+    Ok(runtime_s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sf_kernels::AppId;
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
+    }
+
+    /// One draw of the domain of `best_is_the_head_of_explore` (the
+    /// sf-model proptests) without its malformed options and drifted spec,
+    /// which end the sweep before its first point: every app, 2D and 3D
+    /// extents from below the stencil footprint to paper scale, batching,
+    /// both memories, tiling on and off, every device sweep.
+    struct SweepDomain;
+
+    impl Strategy for SweepDomain {
+        type Value = (StencilSpec, Workload, u64, DseOptions);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let spec = [StencilSpec::poisson(), StencilSpec::jacobi(), StencilSpec::rtm()]
+                [(0usize..3).sample(rng)];
+            let scale = (0usize..4).sample(rng);
+            let (lo, hi) = if spec.dims == 2 {
+                [(1, 8), (8, 128), (128, 1024), (1024, 16_000)][scale]
+            } else {
+                [(1, 4), (4, 32), (32, 128), (128, 320)][scale]
+            };
+            let mut extent = || lo + (0usize..1_000_000).sample(rng) % (hi - lo + 1);
+            let (nx, ny, nz) = (extent(), extent(), extent());
+            let batch = (0usize..16).sample(rng).saturating_sub(7).max(1);
+            let wl = if spec.dims == 2 {
+                Workload::D2 { nx, ny, batch }
+            } else {
+                Workload::D3 { nx, ny, nz, batch }
+            };
+            let niter = (1u64..100_000).sample(rng);
+            let flags = (0u8..4).sample(rng);
+            let mut pick = |mask: std::ops::Range<usize>, from: &[usize]| -> Vec<usize> {
+                let mask = mask.sample(rng);
+                from.iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &x)| x)
+                    .collect()
+            };
+            let device_candidates = pick(1..8, &[1, 2, 4]);
+            let v_candidates = pick(1..128, &[1, 2, 4, 8, 16, 32, 64]);
+            let opts = DseOptions {
+                mem: if flags & 1 == 1 { MemKind::Ddr4 } else { MemKind::Hbm },
+                v_candidates,
+                max_p: (1usize..129).sample(rng),
+                allow_tiling: flags & 2 == 2,
+                device_candidates,
+                ..DseOptions::default()
+            };
+            (spec, wl, niter, opts)
+        }
+    }
+
+    /// Every sweep point that passes the design rules and synthesis
+    /// evaluates without error, `best` visits it at the runtime `explore`
+    /// ranks it by, and its floor lies at or below that runtime. So `best`
+    /// can skip every point whose floor is above the leader's runtime
+    /// without missing a faster point or an error `explore` would return.
+    fn floor_bounds_the_plan(
+        (spec, wl, niter, opts): &(StencilSpec, Workload, u64, DseOptions),
+    ) -> Result<(), TestCaseError> {
+        let d = dev();
+        for pt in sweep(&d, spec, wl, opts).map_err(|e| TestCaseError::Fail(e.to_string()))? {
+            if synthesized(&d, spec, wl, opts.mem, pt).is_none() {
+                continue;
+            }
+            let runtime_s = match evaluate(&d, spec, wl, *niter, opts, pt) {
+                Ok(Some(c)) => c.planned_runtime_s,
+                other => return Err(TestCaseError::Fail(format!("{pt:?}: {other:?}"))),
+            };
+            prop_assert_eq!(planned(&d, spec, wl, *niter, opts, pt), Ok(Some(runtime_s)));
+            let floor = floor(&d, wl, *niter, pt);
+            prop_assert!(floor <= runtime_s, "{pt:?}: floor {floor} s above plan {runtime_s} s");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// [`floor_bounds_the_plan`] over the [`SweepDomain`].
+        #[test]
+        fn floor_lies_below_every_plan(case in SweepDomain) {
+            floor_bounds_the_plan(&case)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// [`floor_lies_below_every_plan`] at 1024 cases.
+        #[test]
+        #[ignore = "deep sweep: cargo test --release -p sf-model -- --ignored"]
+        fn floor_lies_below_every_plan_deep(case in SweepDomain) {
+            floor_bounds_the_plan(&case)?;
+        }
     }
 
     #[test]

@@ -29,8 +29,11 @@
 //!   each candidate on the simulated device, rank by predicted runtime —
 //!   the "model significantly narrows the design space" workflow of §V-A.
 //!   Every candidate is checked and predicted afresh: the model keeps no
-//!   cache, since a sweep never repeats a candidate. [`dse::best`] walks
-//!   the same sweep as [`explore`] but keeps only its leader.
+//!   cache, since a sweep never repeats a candidate. [`dse::best`] finds
+//!   [`explore`]'s head by branch and bound: it plans the points in order
+//!   of eq. (2)'s ideal clock count, a floor under each one's runtime,
+//!   stops at the first floor above the leader's, and predicts only the
+//!   winner.
 //! * [`accuracy`] — the ±15 % validation harness comparing predictions
 //!   against the cycle-level simulator across a configuration suite.
 //! * [`error`] — [`ModelError`], the typed error every public model API

@@ -61,11 +61,7 @@ pub fn predict(
     level: PredictionLevel,
 ) -> Result<Prediction, ModelError> {
     let passes = niter.div_ceil(design.p as u64).max(1);
-    let sched = Schedule::new(dev, design, wl, &MultiConfig::default()).map_err(|_| {
-        ModelError::WorkloadMismatch {
-            detail: format!("mode {:?} cannot stream workload {:?}", design.mode, wl),
-        }
-    })?;
+    let sched = walk(dev, design, wl)?;
     let extended = level == PredictionLevel::Extended;
     let mut per_pass = if extended { design.pipeline_latency_cycles } else { 0 };
     for s in sched.segments() {
@@ -87,6 +83,20 @@ pub fn predict(
         });
     }
     Ok(Prediction { level, cycles, runtime_s, bandwidth_gbs: logical as f64 / runtime_s / 1.0e9 })
+}
+
+/// The one-device schedule walk of `design` over `wl`, or the
+/// [`ModelError::WorkloadMismatch`] of a mode that cannot stream it.
+pub(crate) fn walk<'a>(
+    dev: &'a FpgaDevice,
+    design: &'a StencilDesign,
+    wl: &Workload,
+) -> Result<Schedule<'a>, ModelError> {
+    Schedule::new(dev, design, wl, &MultiConfig::default()).map_err(|_| {
+        ModelError::WorkloadMismatch {
+            detail: format!("mode {:?} cannot stream workload {:?}", design.mode, wl),
+        }
+    })
 }
 
 /// Predict a multi-device sharded execution of `niter` iterations.

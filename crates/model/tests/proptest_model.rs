@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
 use sf_fpga::FpgaDevice;
 use sf_kernels::StencilSpec;
-use sf_model::dse::{best_jobs, explore_jobs};
+use sf_model::dse::{best, explore_jobs};
 use sf_model::{equations, feasibility::FeasibilityReport, predict, DseOptions, PredictionLevel};
 
 fn dev() -> FpgaDevice {
@@ -183,29 +183,28 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// One draw of the DSE oracle's domain: every app, 2D and 3D extents from
+/// below the stencil footprint to paper scale, batching, both memories,
+/// tiling on and off, every device sweep, and malformed options and a
+/// drifted spec.
+struct DseDomain;
 
-    /// `best` is the head of `explore`'s ranking — the same candidate, or
-    /// the same error — at one and two workers, over every app, 2D and 3D
-    /// extents from below the stencil footprint to paper scale, batching,
-    /// both memories, tiling on and off, every device sweep, and for
-    /// malformed options and a drifted spec.
-    #[test]
-    fn best_is_the_head_of_explore(
-        app in 0usize..3,
-        scale in 0usize..4,
-        ext_x in 0usize..1_000_000,
-        ext_y in 0usize..1_000_000,
-        ext_z in 0usize..1_000_000,
-        batch_draw in 0usize..16,
-        niter in 1u64..100_000,
-        flags in 0u8..4,
-        device_mask in 1usize..8,
-        v_mask in 1usize..128,
-        max_p in 1usize..129,
-        fault in 0u8..12,
-    ) {
+impl Strategy for DseDomain {
+    type Value = (StencilSpec, Workload, u64, DseOptions);
+
+    fn sample(&self, rng: &mut TestRng) -> Self::Value {
+        let app = (0usize..3).sample(rng);
+        let scale = (0usize..4).sample(rng);
+        let ext_x = (0usize..1_000_000).sample(rng);
+        let ext_y = (0usize..1_000_000).sample(rng);
+        let ext_z = (0usize..1_000_000).sample(rng);
+        let batch_draw = (0usize..16).sample(rng);
+        let niter = (1u64..100_000).sample(rng);
+        let flags = (0u8..4).sample(rng);
+        let device_mask = (1usize..8).sample(rng);
+        let v_mask = (1usize..128).sample(rng);
+        let max_p = (1usize..129).sample(rng);
+        let fault = (0u8..12).sample(rng);
         let spec = [StencilSpec::poisson(), StencilSpec::jacobi(), StencilSpec::rtm()][app];
         // one extent range per scale, from infeasibly small to paper scale
         let (lo, hi) = if spec.dims == 2 {
@@ -241,10 +240,38 @@ proptest! {
             4 => spec.ops = sf_kernels::OpCount::new(40, 40, 0),
             _ => {}
         }
-        let d = dev();
-        let head = explore_jobs(&d, &spec, &wl, niter, &opts, 1).map(|v| v.into_iter().next());
-        for jobs in [1, 2] {
-            prop_assert_eq!((jobs, best_jobs(&d, &spec, &wl, niter, &opts, jobs)), (jobs, head.clone()));
-        }
+        (spec, wl, niter, opts)
+    }
+}
+
+/// `best` is the head of `explore`'s ranking: the same candidate, or the
+/// same error.
+fn head_of_explore(
+    (spec, wl, niter, opts): &(StencilSpec, Workload, u64, DseOptions),
+) -> Result<(), TestCaseError> {
+    let d = dev();
+    let head = explore_jobs(&d, spec, wl, *niter, opts, 1).map(|v| v.into_iter().next());
+    prop_assert_eq!(best(&d, spec, wl, *niter, opts), head);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`head_of_explore`] over the [`DseDomain`].
+    #[test]
+    fn best_is_the_head_of_explore(case in DseDomain) {
+        head_of_explore(&case)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// [`best_is_the_head_of_explore`] at 1024 cases.
+    #[test]
+    #[ignore = "deep sweep: cargo test --release -p sf-model -- --ignored"]
+    fn best_is_the_head_of_explore_deep(case in DseDomain) {
+        head_of_explore(&case)?;
     }
 }

@@ -36,10 +36,6 @@ pub struct GoldenTrajectory {
     states: Vec<GoldenState>,
 }
 
-fn lane_bits<T: Element>(cells: &[T]) -> impl Iterator<Item = u32> + '_ {
-    cells.iter().flat_map(|c| (0..T::LANES).map(move |l| c.lane(l).to_bits()))
-}
-
 impl GoldenTrajectory {
     /// A trajectory that starts at `input` (iteration 0). Signatures fold
     /// stream units of `unit_len` cells, as the run's own checks do.
@@ -55,11 +51,15 @@ impl GoldenTrajectory {
     pub fn push<T: Element>(&mut self, iters_done: u64, cells: &[T]) {
         debug_assert!(cells.len() == self.cells && T::LANES == self.lanes);
         debug_assert!(self.states.last().is_none_or(|s| s.iters_done < iters_done));
-        self.states.push(GoldenState {
-            iters_done,
-            bits: lane_bits(cells).collect(),
-            signature: AbftSignature::compute(cells, self.unit_len),
-        });
+        // bits of their final size, filled cell by cell: no lane is pushed
+        let mut bits = vec![0; cells.len() * T::LANES];
+        for (out, c) in bits.chunks_exact_mut(T::LANES.max(1)).zip(cells) {
+            for (l, b) in out.iter_mut().enumerate() {
+                *b = c.lane(l).to_bits();
+            }
+        }
+        let signature = AbftSignature::compute(cells, self.unit_len);
+        self.states.push(GoldenState { iters_done, bits, signature });
     }
 
     /// Cells of every state.
@@ -97,7 +97,9 @@ impl GoldenTrajectory {
         self.state(iters_done).is_some_and(|s| {
             cells.len() == self.cells
                 && T::LANES == self.lanes
-                && lane_bits(cells).eq(s.bits.iter().copied())
+                && s.bits.chunks_exact(T::LANES.max(1)).zip(cells).all(|(bits, c)| {
+                    bits.iter().enumerate().all(|(l, &b)| c.lane(l).to_bits() == b)
+                })
         })
     }
 
@@ -138,6 +140,20 @@ mod tests {
         t0.push(1, &zero);
         zero[5] = -0.0;
         assert!(!t0.holds(1, &zero), "-0.0 is not 0.0 bit for bit");
+        // 20 lanes, a NaN in one of them: the same NaN holds, another
+        // payload does not
+        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+        let wide: Vec<VecN<20>> =
+            (0..6).map(|i| VecN::new(core::array::from_fn(|l| (i * 20 + l) as f32))).collect();
+        let mut golden = wide.clone();
+        golden[3].set_lane(17, nan(1));
+        let mut tw = GoldenTrajectory::new(&wide, 2);
+        tw.push(5, &golden);
+        assert!(tw.holds(5, &golden), "a NaN is its own bit pattern");
+        let mut payload = golden.clone();
+        payload[3].set_lane(17, nan(2));
+        assert!(!tw.holds(5, &payload), "another NaN payload");
+        assert!(!tw.holds(5, &wide));
         assert_eq!(t.signature(3), Some(&AbftSignature::compute(&s[1], 4)));
         assert_eq!(t.signature(5), None);
     }
