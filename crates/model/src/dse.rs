@@ -195,7 +195,7 @@ pub fn best(
 /// `⌈niter/p⌉` passes of the slowest device's pass, exposed exchange
 /// included, at `design.freq_hz`, plus host calls:
 /// - each row a pass streams costs at least `⌈read_len/V⌉` compute
-///   cycles; the issue gap, memory-bound rows, fill rows, turnaround,
+///   cycles; the per-row AXI gap, memory-bound rows, fill rows, turnaround,
 ///   pipeline latency and halo rows only add to that;
 /// - tiles cover every column, so together their rows cost at least
 ///   `⌈nx/V⌉` (`Σ⌈aᵢ/V⌉ ≥ ⌈Σaᵢ/V⌉`), and every row; slabs cover every
